@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import km_model, local_surface, qseries, selfcheck, sweeps
-from .gw_engine import invariant_record
+from .gw_engine import ENGINE, invariant_record
 from .lattice import parse_vector
 from .qseries import sigma_pow
 
@@ -66,23 +66,13 @@ def cmd_invariant(args, out=None):
 
 
 def _table_rows(args):
-    engine = sweeps.FiberSweepEngine("optimized")
-    zero = (0,) * 8
-    parts, _ = sweeps.box_e8_parts(args.max_e8_norm)
-    coords_list = [(n, 0) + zero for n in range(1, args.max_b1 + 1)]
-    e_rows = [tuple(int(x) for x in row) for row in parts]
-    for b1 in range(0, args.max_b1 + 1):
-        for b2 in range(1, args.max_b2 + 1):
-            for e in e_rows:
-                coords_list.append((b1, b2) + e)
-    coords_list.sort()
-    # rules mirror gw_engine.invariant_record; values come from the
-    # orbit-cached sweep engine so large boxes stay affordable
-    for coords in coords_list:
+    # rules mirror gw_engine.invariant_record; values come from the same
+    # engine, keyed one b2 slice of the box at a time
+    for coords, s, key in sweeps.box_classes(args.max_b1, args.max_b2, args.max_e8_norm):
         b1, b2, e = coords[0], coords[1], coords[2:]
-        value1 = engine.class_value(b1, b2, e)
-        s = 2 * b1 * b2 - sweeps._norm_of(e)
-        core = engine.genus2_core(b1, b2, e) if args.genus == 2 else None
+        value1 = ENGINE.class_value(b1, b2, e, key) if s >= 0 else Fraction(0)
+        if args.genus == 2:
+            core = ENGINE.genus2_core(b1, b2, e, key) if key is not None else Fraction(0)
         for d in range(0, args.max_degree + 1):
             if args.genus == 0:
                 value, rule = Fraction(0), "vanishing"

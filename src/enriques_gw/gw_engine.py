@@ -18,13 +18,17 @@ Everything else here (fiber invariants N_{g,(beta,d)} of Q, the genus-2
 lambda_1 integral, the degree-d genus-2 formula and the packaging of
 its degree series by an E_2 factor) is a closed-form consequence of
 that one function.
+
+The production functions evaluate <1>_beta on the one process-wide,
+orbit-keyed engine of `sweeps` (ENGINE); enriques_genus1 keeps the
+per-class recursion over enumerated decompositions as the independent
+oracle the engine is checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .lattice import (
     LatticeVector,
@@ -35,7 +39,8 @@ from .lattice import (
     pair,
     square,
 )
-from .qseries import QSeries, eisenstein, sigma_pow
+from .qseries import eisenstein, sigma_pow
+from .sweeps import FiberSweepEngine, isotropic_genus1
 
 
 @dataclass(frozen=True)
@@ -76,16 +81,8 @@ def as_curve_class(cls) -> CurveClassQ:
     return CurveClassQ(as_vector(beta), int(d))
 
 
-@lru_cache(maxsize=None)
-def isotropic_genus1(n: int) -> Fraction:
-    """<1> on n times a positive primitive isotropic class."""
-    if n <= 0:
-        raise ValueError("multiple of an isotropic class must be positive")
-    value = 2 * sigma_pow(-1, n)
-    if n % 2 == 0:
-        value -= sigma_pow(-1, n // 2)
-    return value
-
+#: the process-wide engine behind every production entry point
+ENGINE = FiberSweepEngine()
 
 _MEMO = {}
 
@@ -119,10 +116,13 @@ def _genus1(beta, memo, enumerator):
 
 
 def enriques_genus1(beta, memo=None, enumerator=None) -> Fraction:
-    """<1>_{1,beta} on the Enriques surface, exact.
+    """<1>_{1,beta} on the Enriques surface, exact, by the per-class
+    recursion over enumerated decompositions.
 
-    `memo` and `enumerator` exist for testing (fresh caches, alternative
-    decomposition enumerators); by default a module cache is used.
+    This is the independent oracle for the engine behind the production
+    functions below.  `memo` and `enumerator` exist for testing (fresh
+    caches, alternative decomposition enumerators); by default a module
+    cache is used.
     """
     beta = as_vector(beta)
     if beta.is_zero():
@@ -134,27 +134,27 @@ def enriques_genus1(beta, memo=None, enumerator=None) -> Fraction:
     return _genus1(beta, memo, enumerator)
 
 
-def n1_fiber(beta) -> Fraction:
-    """N_{1,(beta,0)} on Q: four times the surface genus-1 invariant."""
+def _stable(beta):
     beta = as_vector(beta)
     if beta.is_zero():
         raise ValueError("unstable class")
-    return 4 * enriques_genus1(beta)
+    return beta.coords
+
+
+def n1_fiber(beta) -> Fraction:
+    """N_{1,(beta,0)} on Q: four times the surface genus-1 invariant."""
+    c = _stable(beta)
+    return 4 * ENGINE.class_value(c[0], c[1], c[2:])
 
 
 def enriques_genus2_lambda1(beta) -> Fraction:
     """The genus-2 lambda_1 Hodge integral: (1/16) <1>_{1,beta} <beta,beta>."""
-    beta = as_vector(beta)
-    if beta.is_zero():
-        raise ValueError("unstable class")
-    return Fraction(1, 16) * enriques_genus1(beta) * square(beta)
+    c = _stable(beta)
+    return Fraction(1, 16) * ENGINE.class_value(c[0], c[1], c[2:]) * square(beta)
 
 
 def n2_fiber(beta) -> Fraction:
     """N_{2,(beta,0)} = -(1/16) N_{1,(beta,0)} <beta,beta>."""
-    beta = as_vector(beta)
-    if beta.is_zero():
-        raise ValueError("unstable class")
     return Fraction(-1, 16) * n1_fiber(beta) * square(beta)
 
 
@@ -162,17 +162,11 @@ def genus2_core(beta) -> Fraction:
     """N_1 <beta,beta> plus the decomposition sum of N_1 N_1 <beta1,beta2>.
 
     This is the d-independent factor of the genus-2 degree-d invariant;
-    N_{2,(beta,d)} = sigma_1(d) times this for d >= 1.
+    N_{2,(beta,d)} = sigma_1(d) times this for d >= 1.  The engine reads
+    the sum from the one it stored while evaluating <1>_beta.
     """
-    beta = as_vector(beta)
-    total = n1_fiber(beta) * square(beta)
-    for beta1, beta2 in enumerate_decompositions(beta):
-        v1 = n1_fiber(beta1)
-        if v1:
-            v2 = n1_fiber(beta2)
-            if v2:
-                total += v1 * v2 * pair(beta1, beta2)
-    return total
+    c = _stable(beta)
+    return ENGINE.genus2_core(c[0], c[1], c[2:])
 
 
 def n_invariant(genus: int, cls) -> Fraction:

@@ -79,25 +79,14 @@ def _box_class_cores():
     core = 4*value*square + 16 * sum <1><1><,> over decompositions."""
     if "cores" in _shared_tables:
         return _shared_tables["cores"]
-    table_opt, _, engine, _ = _box_tables()
-    parts, norms = sweeps.box_e8_parts(BOX["norm_bound"])
-    rows = [tuple(int(x) for x in row) for row in parts]
-    labels_by_b2 = {}
-    for b2 in range(1, BOX["max_b2"] + 1):
-        labels_by_b2[b2] = dict(zip(rows, (int(x) for x in engine._label_array(b2, parts))))
-    norm_of = dict(zip(rows, (int(x) for x in norms)))
+    _, _, engine, _ = _box_tables()
     out = []
-    for coords, value in table_opt.items():
-        b1, b2 = coords[0], coords[1]
-        if b2 == 0:
+    for coords, s, key in sweeps.box_classes(**BOX):
+        if key is None or s <= 0:
             continue
-        e = coords[2:]
-        s = 2 * b1 * b2 - norm_of[e]
-        if s <= 0:
-            continue
-        key = (b2, s, labels_by_b2[b2][e]) if b2 > 1 else (1, s, 0)
-        core = 4 * value * s + 16 * engine.dec_sums[key]
-        out.append((coords, s, value, core))
+        b1, b2, e = coords[0], coords[1], coords[2:]
+        out.append((coords, s, engine.class_value(b1, b2, e, key),
+                    engine.genus2_core(b1, b2, e, key)))
     _shared_tables["cores"] = out
     return out
 

@@ -12,10 +12,23 @@ thousands of decompositions).  Two observations make full boxes cheap:
       * isometries of the E8 block (generated by its simple-root
         reflections), extended by the identity on the hyperbolic part.
 
-    Hence (b2, square, orbit of the E8 part mod b2 under the reflection
-    group) is a sound cache key: classes sharing it share their value.
-    The induction proving this runs over (b2, square) in lexicographic
-    order, which strictly decreases for every part in the recursion.
+    Hence (b2, square, orbit of the E8 part) is a sound cache key, the
+    orbit taken under the affine Weyl group W x| b2*Q generated by both
+    families: classes sharing it share their value.  The induction
+    proving this runs over (b2, square) in lexicographic order, which
+    strictly decreases for every part in the recursion.
+
+    The orbit is named by its alcove canonical form.  The closed
+    fundamental alcove scaled by m is a strict fundamental domain for
+    W x| m*Q (Humphreys, Reflection Groups and Coxeter Groups, 4.3 and
+    4.8), so every orbit meets it in exactly one lattice point, found by
+    reflecting in violated walls until none is left.  In the orthonormal
+    model of E8 (Bourbaki, Lie Groups VI, Plate VII, whose node
+    numbering CARTAN_E8 uses) the walls of the W(D7) subgroup amount to
+    sorting absolute values, so a batch of rows is reduced with a few
+    vectorized rounds.  Canonical points get small integer ids per
+    modulus as they are first met; for small moduli a residue table
+    remembers the id of every residue already seen.
 
 2.  The decomposition sum itself is, cell by cell in (b1', b2'), a scan
     over lattice points of the smaller of two balls (directly, or
@@ -43,13 +56,42 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gw_engine import isotropic_genus1
 from .lattice import CARTAN_E8, _short_vector_array
+from .qseries import sigma_pow
 
 _CARTAN_NP = np.array(CARTAN_E8, dtype=np.int64)
 _PACK_POWS = (64 ** np.arange(8)).astype(np.int64)
 
-MAX_SWEEP_B2 = 6
+# twice the simple roots alpha1..alpha8 in orthonormal coordinates
+# (Bourbaki, Plate VII); E8 coordinates e map to doubled orthonormal
+# coordinates e @ _ROOTS2, which are integers
+_ROOTS2 = np.array([
+    [1, -1, -1, -1, -1, -1, -1, 1],
+    [2, 2, 0, 0, 0, 0, 0, 0],
+    [-2, 2, 0, 0, 0, 0, 0, 0],
+    [0, -2, 2, 0, 0, 0, 0, 0],
+    [0, 0, -2, 2, 0, 0, 0, 0],
+    [0, 0, 0, -2, 2, 0, 0, 0],
+    [0, 0, 0, 0, -2, 2, 0, 0],
+    [0, 0, 0, 0, 0, -2, 2, 0],
+], dtype=np.int64)
+_ALPHA1 = _ROOTS2[0]
+
+# moduli m with m**8 <= this keep an int32 residue -> orbit id table
+_RESIDUE_MEMO_MAX = 8 ** 8
+# modulus -> (residue table or None, {canonical point bytes: orbit id})
+_ORBITS = {}
+
+
+@lru_cache(maxsize=None)
+def isotropic_genus1(n: int) -> Fraction:
+    """<1> on n times a positive primitive isotropic class."""
+    if n <= 0:
+        raise ValueError("multiple of an isotropic class must be positive")
+    value = 2 * sigma_pow(-1, n)
+    if n % 2 == 0:
+        value -= sigma_pow(-1, n // 2)
+    return value
 
 
 def pack_rows(arr):
@@ -88,30 +130,80 @@ def reflection_matrices():
     return mats
 
 
-@lru_cache(maxsize=None)
-def coset_orbit_labels(m):
-    """Label array over (Z/m)^8: index -> smallest index in its orbit
-    under the reflection group acting mod m."""
-    if m == 1:
-        return np.zeros(1, dtype=np.int64)
-    if m > MAX_SWEEP_B2:
-        raise ValueError("sweep supports b2 <= %d" % MAX_SWEEP_B2)
-    pows = (m ** np.arange(8)).astype(np.int64)
-    n = m ** 8
-    idx = np.arange(n, dtype=np.int64)
-    coords = (idx[:, None] // pows[None, :]) % m
-    perms = []
-    for mat in reflection_matrices():
-        mapped = (coords @ mat.T) % m
-        perms.append(mapped @ pows)
-    labels = idx.copy()
-    while True:
-        before = labels.copy()
-        for p in perms:
-            np.minimum(labels, labels[p], out=labels)
-        np.minimum(labels, labels[labels], out=labels)
-        if np.array_equal(labels, before):
-            return labels
+def alcove_points(e_arr, m):
+    """Canonical points of the orbits of W x| m*Q through the rows of
+    e_arr (E8 coordinates), in doubled orthonormal coordinates: the one
+    point of each orbit in the closed fundamental alcove scaled by m,
+    i.e. dominant with <x, theta> <= m for the highest root
+    theta = e7 + e8."""
+    h = m // 2
+    y = (np.mod(np.asarray(e_arr, dtype=np.int64) + h, m) - h) @ _ROOTS2
+    out = np.empty_like(y)
+    rows = np.arange(len(y))
+    while len(rows):
+        # W(D7) on coordinates 1..7: sorted absolute values, with the
+        # sign parity (even sign changes only) carried by coordinate 1
+        odd = (y[:, :7] < 0).sum(axis=1) % 2 == 1
+        head = np.sort(np.abs(y[:, :7]), axis=1)
+        head[odd, 0] *= -1
+        y[:, :7] = head
+        # simple reflection in alpha1 where <x, alpha1> = p/4 < 0
+        p = y @ _ALPHA1
+        neg = p < 0
+        y[neg] -= (p[neg] // 4)[:, None] * _ALPHA1
+        # affine reflection x -> x - (<x, theta> - m) theta
+        over = (y[:, 6] + y[:, 7]) // 2 - m
+        far = over > 0
+        y[far, 6:] -= 2 * over[far, None]
+        done = ~(neg | far)
+        out[rows[done]] = y[done]
+        rows = rows[~done]
+        y = y[~done]
+    return out
+
+
+def _orbit_state(m):
+    state = _ORBITS.get(m)
+    if state is None:
+        table = np.zeros(m ** 8, dtype=np.int32) if m ** 8 <= _RESIDUE_MEMO_MAX else None
+        state = _ORBITS[m] = (table, {})
+    return state
+
+
+def _canonical_ids(m, residues):
+    names = _orbit_state(m)[1]
+    points, inv = np.unique(alcove_points(residues, m), axis=0, return_inverse=True)
+    ids = [names.setdefault(row.tobytes(), len(names) + 1) for row in points]
+    return np.array(ids, dtype=np.int64)[inv.ravel()]
+
+
+def orbit_ids(m, e_arr):
+    """Orbit ids (int64, >= 1) of the E8 coordinate rows of e_arr under
+    W x| m*Q, i.e. of their residues mod m under the reflection group.
+    Ids are stable for the life of the process."""
+    res = np.mod(np.asarray(e_arr, dtype=np.int64).reshape(-1, 8), m)
+    table, _ = _orbit_state(m)
+    if table is None:
+        uniq, inv = np.unique(res, axis=0, return_inverse=True)
+        return _canonical_ids(m, uniq)[inv.ravel()]
+    idx = res @ (m ** np.arange(8, dtype=np.int64))
+    ids = table[idx]
+    miss = ids == 0
+    if miss.any():
+        new, first = np.unique(idx[miss], return_index=True)
+        table[new] = _canonical_ids(m, res[miss][first])
+        ids = table[idx]
+    return ids.astype(np.int64)
+
+
+def pack_part_keys(s1, id1, s2, id2):
+    """Injective int64 encoding of the rows (s1, id1, s2, id2) of
+    nonnegative integers, field widths sized from the largest entries."""
+    id_bits = int(max(id1.max(), id2.max())).bit_length()
+    width = int(max(s1.max(), s2.max())).bit_length() + id_bits
+    if 2 * width > 63:
+        raise ValueError("part keys need %d bits, more than int64 holds" % (2 * width))
+    return ((s1 << id_bits | id1) << width) | (s2 << id_bits | id2)
 
 
 def _norm_of(e):
@@ -128,13 +220,11 @@ class FiberSweepEngine:
     brute-force box enumeration.  The two modes must produce identical
     value tables; running both and comparing is part of the acceptance
     checks.
-    """
 
-    # aggregation key layout: (square << 21 | orbit label) per part,
-    # parts combined as pk1 << 28 | pk2.  Labels are < 6**8 < 2**21 and
-    # part squares are < 2**7, so the combined key fits well inside int64.
-    _LSHIFT = 21
-    _PSHIFT = 28
+    Values and decomposition sums are stored by key (b2, square, orbit
+    id), see key_for; methods taking a `key` expect exactly that key of
+    the class they are given.
+    """
 
     def __init__(self, scan="optimized"):
         if scan not in ("optimized", "oracle"):
@@ -142,26 +232,17 @@ class FiberSweepEngine:
         self.scan = scan
         self.values = {}
         self.dec_sums = {}
-        self.reps = {}
         self.evals = 0
 
     @staticmethod
     def key_for(b2, s, e):
-        if b2 == 1:
-            return (1, s, 0)
-        pows = (b2 ** np.arange(8)).astype(np.int64)
-        idx = int((np.asarray(e, dtype=np.int64) % b2) @ pows)
-        return (b2, s, int(coset_orbit_labels(b2)[idx]))
+        """Cache key of a class with b2 >= 1, square s and E8 part e."""
+        return (b2, s, int(orbit_ids(b2, e)[0]))
 
-    def _label_array(self, b2, e_arr):
-        if b2 == 1:
-            return np.zeros(len(e_arr), dtype=np.int64)
-        pows = (b2 ** np.arange(8)).astype(np.int64)
-        idx = (np.asarray(e_arr, dtype=np.int64) % b2) @ pows
-        return coset_orbit_labels(b2)[idx]
-
-    def class_value(self, b1, b2, e):
+    def class_value(self, b1, b2, e, key=None):
         """<1> for the class with coordinates (b1, b2, e1..e8)."""
+        if key is not None:
+            return self._value(key, b1, e)
         b1 = int(b1)
         b2 = int(b2)
         e = tuple(int(x) for x in e)
@@ -175,44 +256,45 @@ class FiberSweepEngine:
         s = 2 * b1 * b2 - ne
         if s < 0:
             return Fraction(0)
-        return self._value(b1, b2, e, s)
+        return self._value(self.key_for(b2, s, e), b1, e)
 
-    def _value(self, b1, b2, e, s):
-        key = self.key_for(b2, s, e)
+    def _value(self, key, b1, e):
         got = self.values.get(key)
         if got is not None:
             return got
-        return self._eval(key, b1, b2, e, s)
+        return self._eval(key, b1, e)
 
-    def genus2_core(self, b1, b2, e):
+    def genus2_core(self, b1, b2, e, key=None):
         """4 <1> <beta,beta> + 16 sum <1><1><,> for the class, the
         d-independent factor of its positive-degree genus-2 invariants.
         Zero off the positive-square cone."""
-        b1 = int(b1)
-        b2 = int(b2)
-        e = tuple(int(x) for x in e)
-        if b2 <= 0:
-            return Fraction(0)
-        s = 2 * b1 * b2 - _norm_of(e)
+        if key is None:
+            b2 = int(b2)
+            e = tuple(int(x) for x in e)
+            if b2 <= 0:
+                return Fraction(0)
+            key = self.key_for(b2, 2 * int(b1) * b2 - _norm_of(e), e)
+        s = key[1]
         if s <= 0:
             return Fraction(0)
-        value = self._value(b1, b2, e, s)
-        return 4 * value * s + 16 * self.dec_sums[self.key_for(b2, s, e)]
+        value = self._value(key, int(b1), e)
+        return 4 * value * s + 16 * self.dec_sums[key]
 
-    def _eval(self, key, b1, b2, e, s):
+    def _eval(self, key, b1, e):
+        b2, s, oid = key
         self.evals += 1
         if s == 0:
             value = isotropic_genus1(math.gcd(b1, b2, *(abs(x) for x in e)))
             self.values[key] = value
-            self.reps[key] = (b1, b2, e)
             return value
         total = Fraction(0)
-        # decompositions with an n*v1 part on either side (pairing n*b2)
+        # decompositions with an n*v1 part on either side (pairing n*b2);
+        # the complement keeps b2 and the E8 part, hence the orbit id
         for n in range(1, b1 + 1):
             s2 = s - 2 * n * b2
             if s2 < 0:
                 break
-            v2 = self._value(b1 - n, b2, e, s2)
+            v2 = self._value((b2, s2, oid), b1 - n, e)
             if v2:
                 total += 2 * isotropic_genus1(n) * v2 * (n * b2)
         earr = np.asarray(e, dtype=np.int64)
@@ -223,29 +305,26 @@ class FiberSweepEngine:
                 if got is None:
                     continue
                 e1, e2, s1, s2 = got
-                lab1 = self._label_array(b2p, e1)
-                lab2 = self._label_array(m2, e2)
-                pk = ((s1 << self._LSHIFT | lab1) << self._PSHIFT) | (
-                    s2 << self._LSHIFT | lab2
-                )
+                id1 = orbit_ids(b2p, e1)
+                id2 = orbit_ids(m2, e2)
+                pk = pack_part_keys(s1, id1, s2, id2)
                 _, first, counts = np.unique(pk, return_index=True, return_counts=True)
-                for fi, cnt in zip(first, counts):
+                for fi, cnt in zip(first.tolist(), counts.tolist()):
                     sa = int(s1[fi])
                     sb = int(s2[fi])
                     fac = (s - sa - sb) // 2
                     if fac == 0:
                         continue
-                    va = self._value(b1p, b2p, tuple(int(x) for x in e1[fi]), sa)
+                    va = self._value((b2p, sa, int(id1[fi])), b1p, tuple(e1[fi].tolist()))
                     if not va:
                         continue
-                    vb = self._value(b1 - b1p, m2, tuple(int(x) for x in e2[fi]), sb)
+                    vb = self._value((m2, sb, int(id2[fi])), b1 - b1p, tuple(e2[fi].tolist()))
                     if not vb:
                         continue
-                    total += int(cnt) * va * vb * fac
+                    total += cnt * va * vb * fac
         value = Fraction(8, s) * total
         self.values[key] = value
         self.dec_sums[key] = total
-        self.reps[key] = (b1, b2, e)
         return value
 
     def _scan_cell(self, earr, b1, b2, b1p, b2p):
@@ -283,26 +362,42 @@ def box_e8_parts(norm_bound):
     return tab["A"].astype(np.int64), tab["NRM"].astype(np.int64)
 
 
+def box_classes(max_b1, max_b2, norm_bound):
+    """Every class of the coordinate box in lexicographic order, as
+    (coords, square, key): n*v1 for 1 <= n <= max_b1, and (b1, b2, e)
+    with 0 <= b1 <= max_b1, 1 <= b2 <= max_b2, e a short vector of norm
+    <= norm_bound.  `key` is the engine key of the class, or None when
+    b2 = 0 or the square is negative; each b2 slice is keyed in one call."""
+    parts, norms = box_e8_parts(norm_bound)
+    order = np.lexsort(parts.T[::-1])
+    parts = parts[order]
+    rows = [tuple(row) for row in parts.tolist()]
+    norms = norms[order].tolist()
+    ids = {b2: orbit_ids(b2, parts).tolist() for b2 in range(1, max_b2 + 1)}
+    zero = (0,) * 8
+    for b1 in range(0, max_b1 + 1):
+        if b1:
+            yield (b1, 0) + zero, 0, None
+        for b2 in range(1, max_b2 + 1):
+            for e, ne, oid in zip(rows, norms, ids[b2]):
+                s = 2 * b1 * b2 - ne
+                yield (b1, b2) + e, s, ((b2, s, oid) if s >= 0 else None)
+
+
 def genus1_box_table(max_b1=4, max_b2=4, norm_bound=4, scan="optimized", engine=None):
-    """<1> for every positive class in the coordinate box.
+    """<1> for every positive class in the coordinate box of box_classes.
 
     Returns (table, engine) where table maps 10-tuples of coordinates to
-    exact values.  Classes covered: n*v1 for 1 <= n <= max_b1, and all
-    (b1, b2, e) with 0 <= b1 <= max_b1, 1 <= b2 <= max_b2, e a short
-    vector of norm <= norm_bound.
+    exact values, in lexicographic order.
     """
     if engine is None:
         engine = FiberSweepEngine(scan)
-    parts, _ = box_e8_parts(norm_bound)
     table = {}
-    zero = (0,) * 8
-    for n in range(1, max_b1 + 1):
-        table[(n, 0) + zero] = engine.class_value(n, 0, zero)
-    rows = [tuple(int(x) for x in row) for row in parts]
-    for b2 in range(1, max_b2 + 1):
-        for b1 in range(0, max_b1 + 1):
-            for e in rows:
-                table[(b1, b2) + e] = engine.class_value(b1, b2, e)
+    for coords, s, key in box_classes(max_b1, max_b2, norm_bound):
+        if s < 0:
+            table[coords] = Fraction(0)
+        else:
+            table[coords] = engine.class_value(coords[0], coords[1], coords[2:], key)
     return table, engine
 
 

@@ -1,19 +1,26 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enriques_gw import gw_engine
-from enriques_gw.lattice import CARTAN_E8, LatticeVector, basis_vector
+from enriques_gw.lattice import CARTAN_E8, LatticeVector, enumerate_decompositions, pair, square
 from enriques_gw.sweeps import (
+    _ROOTS2,
     FiberSweepEngine,
     _grouped_oracle_records,
     _oracle_records,
     _optimized_records,
+    alcove_points,
+    box_classes,
     box_e8_parts,
-    coset_orbit_labels,
     decomposition_agreement,
     genus1_box_table,
+    orbit_ids,
+    pack_part_keys,
     pack_rows,
     reflection_matrices,
 )
@@ -82,17 +89,99 @@ def test_reflections_preserve_gram_and_values():
     assert gw_engine.enriques_genus1(as_vector(2, 2, reflected), memo={}) == eng.class_value(2, 2, ROOT)
 
 
-def test_orbit_labels_are_reflection_invariant():
-    m = 3
-    labels = coset_orbit_labels(m)
-    pows = (m ** np.arange(8)).astype(np.int64)
-    rng = np.random.default_rng(0)
-    coords = rng.integers(0, m, size=(50, 8))
+E8_ROWS = st.lists(st.integers(-40, 40), min_size=8, max_size=8)
+# affine marks of E8 in the node numbering of CARTAN_E8, alpha0 first
+AFFINE_MARKS = (1, 2, 3, 4, 6, 5, 4, 3, 2)
+
+
+def _alcove_solutions(m):
+    """Dynkin labels (c1..c8) of the points of the closed alcove scaled
+    by m: sum of marks * c = m with c0 >= 0 free."""
+    ranges = [range(m // a + 1) for a in AFFINE_MARKS[1:]]
+    return [c for c in itertools.product(*ranges)
+            if sum(a * x for a, x in zip(AFFINE_MARKS[1:], c)) <= m]
+
+
+def _reflection_closure_labels(m):
+    """Brute-force orbit labels on (Z/m)^8: index -> smallest index of
+    its orbit under the simple reflections acting mod m."""
+    pows = m ** np.arange(8, dtype=np.int64)
+    idx = np.arange(m ** 8, dtype=np.int64)
+    coords = (idx[:, None] // pows) % m
+    perms = [((coords @ mat.T) % m) @ pows for mat in reflection_matrices()]
+    labels = idx.copy()
+    while True:
+        before = labels.copy()
+        for p in perms:
+            np.minimum(labels, labels[p], out=labels)
+        np.minimum(labels, labels[labels], out=labels)
+        if np.array_equal(labels, before):
+            return coords, labels
+
+
+def test_orthonormal_roots_have_the_cartan_gram():
+    assert np.array_equal(_ROOTS2 @ _ROOTS2.T, 4 * CARTAN)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 12), row=E8_ROWS, shift=E8_ROWS)
+def test_orbit_ids_are_reflection_and_translation_invariant(m, row, shift):
+    e = np.array([row])
+    want = orbit_ids(m, e)[0]
     for mat in reflection_matrices():
-        mapped = (coords @ mat.T) % m
-        assert np.array_equal(labels[coords @ pows], labels[mapped @ pows])
-    with pytest.raises(ValueError):
-        coset_orbit_labels(1000)
+        assert orbit_ids(m, e @ mat.T)[0] == want
+    assert orbit_ids(m, e + m * np.array(shift))[0] == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 12), row=E8_ROWS)
+def test_alcove_points_are_dominant_below_the_affine_wall(m, row):
+    y = alcove_points(np.array([row]), m)[0]
+    # pairings <x, alpha_i> = (y . 2 alpha_i) / 4, <x, theta> = (y7 + y8) / 2
+    assert (y @ _ROOTS2.T >= 0).all()
+    assert y[6] + y[7] <= 2 * m
+    assert np.array_equal(alcove_points(np.array([row]) + m, m)[0], y)
+
+
+def test_orbit_counts_match_affine_mark_solutions():
+    counts = [len(_alcove_solutions(m)) for m in range(1, 9)]
+    assert counts == [1, 3, 5, 10, 15, 27, 39, 63]
+    inv_cartan = np.linalg.inv(CARTAN).round().astype(np.int64)
+    for m, count in zip(range(1, 9), counts):
+        # the alcove points, in root coordinates, are their own canonical
+        # points and name distinct orbits; the dominance test above puts
+        # every canonical point among them
+        points = np.array(_alcove_solutions(m), dtype=np.int64) @ inv_cartan.T
+        assert np.array_equal(alcove_points(points, m), points @ _ROOTS2)
+        assert len(set(orbit_ids(m, points).tolist())) == count
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_orbit_partition_equals_reflection_closure(m):
+    coords, labels = _reflection_closure_labels(m)
+    ids = orbit_ids(m, coords)
+    n_orbits = len(np.unique(labels))
+    assert len(np.unique(ids)) == n_orbits
+    assert len(np.unique(np.stack([labels, ids], axis=1), axis=0)) == n_orbits
+
+
+def test_classes_beyond_the_residue_memo_match_the_recursion():
+    root = (1,) + (0,) * 7
+    eng = FiberSweepEngine()
+    for coords in [(1, 8) + ZERO8, (1, 9) + root]:
+        want = gw_engine.enriques_genus1(LatticeVector(coords), memo={})
+        assert eng.class_value(coords[0], coords[1], coords[2:]) == want
+
+
+def test_part_key_packing_is_injective_for_large_squares():
+    s = np.arange(0, 300, 7, dtype=np.int64)
+    ids = np.arange(1, 40, 3, dtype=np.int64)
+    rows = np.array(list(itertools.product(s[s >= 128], ids, s, ids[:4])), dtype=np.int64)
+    pk = pack_part_keys(rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3])
+    assert len(np.unique(pk)) == len(rows)
+    big = np.array([1 << 30], dtype=np.int64)
+    with pytest.raises(ValueError, match="int64"):
+        pack_part_keys(big, big, big, big)
 
 
 def test_pack_rows_is_injective_and_bounded():
@@ -107,7 +196,13 @@ def test_genus2_core_matches_engine_module():
     eng = FiberSweepEngine()
     for b1, b2, e in [(1, 1, ZERO8), (2, 1, ZERO8), (2, 2, ROOT)]:
         beta = as_vector(b1, b2, e)
-        assert eng.genus2_core(b1, b2, e) == gw_engine.genus2_core(beta)
+        memo = {}
+        want = 4 * gw_engine.enriques_genus1(beta, memo=memo) * square(beta)
+        for beta1, beta2 in enumerate_decompositions(beta):
+            want += 16 * (gw_engine.enriques_genus1(beta1, memo=memo)
+                          * gw_engine.enriques_genus1(beta2, memo=memo) * pair(beta1, beta2))
+        assert eng.genus2_core(b1, b2, e) == want
+        assert gw_engine.genus2_core(beta) == want
     assert eng.genus2_core(1, 0, ZERO8) == 0
     assert eng.genus2_core(1, 1, (1, 1, 0, 0, 0, 0, 0, 0)) == 0
 
