@@ -1,5 +1,6 @@
-"""Build a bulk invariant table over a coordinate box and report how much
-work the orbit cache saved.
+"""Build a bulk invariant table over a coordinate box as CSV and report,
+on stderr, the elapsed time and how many genus-1 engine evaluations the
+table needed.
 
 Example:
     python scripts/build_table.py --genus 2 --max-b1 4 --max-b2 4 \
@@ -7,14 +8,15 @@ Example:
 """
 
 import argparse
-import csv
+import contextlib
+import os
 import sys
 import time
 
-sys.path.insert(0, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from enriques_gw import sweeps
-from enriques_gw.cli import CSV_HEADER, _table_rows
+from enriques_gw import cli
+from enriques_gw.gw_engine import ENGINE
 
 
 def main():
@@ -28,24 +30,22 @@ def main():
     parser.add_argument("--out", default="-", help="CSV path, - for stdout")
     args = parser.parse_args()
 
+    argv = ["table", "--genus", str(args.genus), "--max-b1", str(args.max_b1),
+            "--max-b2", str(args.max_b2), "--max-e8-norm", str(args.max_e8_norm),
+            "--max-degree", str(args.max_degree), "--limit", str(args.limit),
+            "--format", "csv"]
     t0 = time.perf_counter()
-    rows = list(_table_rows(args))
+    if args.out == "-":
+        code = cli.main(argv)
+    else:
+        with open(args.out, "w", encoding="utf-8") as stream, \
+                contextlib.redirect_stdout(stream):
+            code = cli.main(argv)
     seconds = time.perf_counter() - t0
-
-    stream = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for row in rows:
-        writer.writerow([row["genus"]] + row["beta"] + [row["d"], row["value"], row["rule"]])
-    if stream is not sys.stdout:
-        stream.close()
-
-    engine = sweeps.FiberSweepEngine("optimized")
-    table, engine = sweeps.genus1_box_table(
-        args.max_b1, args.max_b2, args.max_e8_norm, engine=engine)
-    print("%d rows in %.2fs; %d classes needed %d genus-1 evaluations"
-          % (len(rows), seconds, len(table), engine.evals), file=sys.stderr)
+    print("table in %.2fs; %d genus-1 evaluations" % (seconds, ENGINE.evals),
+          file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

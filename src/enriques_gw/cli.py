@@ -6,6 +6,12 @@ All output is exact (fractions, never decimals) and deterministic:
 rows are emitted in lexicographic class order, JSON objects have a
 fixed key order, and nothing depends on hashing or threads.
 
+`table` builds its rows once per engine key rather than once per row:
+the value and rule of every degree are formatted into a finished line
+suffix the first time a key is met, and each row is the class's
+coordinate prefix joined to that suffix.  The bytes equal those of
+serializing one dict per row.
+
 Exit codes: 0 success, 1 usage error, 2 computation error or resource
 refusal, 3 self-check failure.
 """
@@ -16,12 +22,10 @@ import argparse
 import csv
 import json
 import sys
-from fractions import Fraction
 
 from . import km_model, local_surface, qseries, selfcheck, sweeps
-from .gw_engine import ENGINE, invariant_record
+from .gw_engine import ENGINE, invariant_record, value_rule
 from .lattice import parse_vector
-from .qseries import sigma_pow
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -32,6 +36,15 @@ TABLE_CAPS = {"max_b1": 6, "max_b2": 6, "max_e8_norm": 8, "max_degree": 20}
 DEFAULT_ROW_LIMIT = 200000
 
 CSV_HEADER = ["genus"] + ["b%d" % i for i in range(1, 11)] + ["d", "value", "rule"]
+
+# table lines per format: class prefix (genus, joined coordinates), the
+# coordinate separator, and degree suffix (d, value, rule); values and
+# rules need no quoting or escaping, so the lines equal those csv.writer
+# and json.dumps give for the same rows
+_TABLE_LINES = {
+    "csv": ("%d,%s,", ",", "%d,%s,%s\n"),
+    "json": ('{"genus": %d, "beta": [%s], "d": ', ", ", '%d, "value": "%s", "rule": "%s"}\n'),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,30 +79,28 @@ def cmd_invariant(args, out=None):
 
 
 def _table_rows(args):
-    # rules mirror gw_engine.invariant_record; values come from the same
-    # engine, keyed one b2 slice of the box at a time
+    """The table's output lines, one per (class, degree) row.
+
+    A row's value and rule depend on its class only through the engine
+    key (n*v1 through b1, negative squares not at all), so the line
+    suffixes of a key's degrees are formatted once and each row is one
+    class prefix plus one cached suffix."""
+    head, sep, tail = _TABLE_LINES[args.format]
+    genus = args.genus
+    suffixes = {}
     for coords, s, key in sweeps.box_classes(args.max_b1, args.max_b2, args.max_e8_norm):
         b1, b2, e = coords[0], coords[1], coords[2:]
-        value1 = ENGINE.class_value(b1, b2, e, key) if s >= 0 else Fraction(0)
-        if args.genus == 2:
-            core = ENGINE.genus2_core(b1, b2, e, key) if key is not None else Fraction(0)
-        for d in range(0, args.max_degree + 1):
-            if args.genus == 0:
-                value, rule = Fraction(0), "vanishing"
-            elif args.genus == 1:
-                if d > 0 or s < 0:
-                    value, rule = Fraction(0), "vanishing"
-                elif s == 0:
-                    value, rule = 4 * value1, "isotropic base"
-                else:
-                    value, rule = 4 * value1, "recursion"
-            else:
-                if d == 0:
-                    value, rule = Fraction(-1, 4) * value1 * s, "fiber"
-                else:
-                    value, rule = sigma_pow(1, d) * core, "degree series"
-            yield {"genus": args.genus, "beta": list(coords), "d": d,
-                   "value": str(value), "rule": rule}
+        skey = key if key is not None else ("isotropic", b1) if s == 0 else "negative"
+        lines = suffixes.get(skey)
+        if lines is None:
+            value1 = lambda: ENGINE.class_value(b1, b2, e, key)
+            core = lambda: ENGINE.genus2_core(b1, b2, e, key)
+            lines = suffixes[skey] = [
+                tail % ((d,) + value_rule(genus, d, s, value1, core))
+                for d in range(args.max_degree + 1)]
+        prefix = head % (genus, sep.join(map(str, coords)))
+        for line in lines:
+            yield prefix + line
 
 
 def cmd_table(args, out=None):
@@ -109,7 +120,9 @@ def cmd_table(args, out=None):
         sys.stderr.write("table: %d rows exceed the limit %d "
                          "(raise --limit to proceed)\n" % (n_rows, args.limit))
         return EXIT_COMPUTE
-    _emit_rows(_table_rows(args), args.format, out)
+    if args.format == "csv":
+        out.write(",".join(CSV_HEADER) + "\n")
+    out.writelines(_table_rows(args))
     return EXIT_OK
 
 

@@ -87,10 +87,6 @@ ENGINE = FiberSweepEngine()
 _MEMO = {}
 
 
-def clear_cache():
-    _MEMO.clear()
-
-
 def _genus1(beta, memo, enumerator):
     if not is_positive(beta):
         return Fraction(0)
@@ -175,51 +171,41 @@ def n_invariant(genus: int, cls) -> Fraction:
     Vanishing cases return exact zero; only the unstable class (0,0) in
     genus <= 1 and genus >= 3 are errors.
     """
+    return invariant_record(genus, cls).value
+
+
+def value_rule(genus: int, d: int, s: int, value1, core):
+    """(N_{g,(beta,d)}, rule) for a nonzero positive class beta of square s.
+
+    `value1` and `core` are zero-argument callables giving <1>_beta and
+    genus2_core(beta); each is called only when the rule reads it.
+    """
+    if genus == 0:
+        return Fraction(0), "vanishing"
+    if genus == 1:
+        if d > 0 or s < 0:
+            return Fraction(0), "vanishing"
+        return 4 * value1(), ("isotropic base" if s == 0 else "recursion")
+    if d == 0:
+        return Fraction(-1, 4) * value1() * s, "fiber"
+    return sigma_pow(1, d) * core(), "degree series"
+
+
+def invariant_record(genus: int, cls) -> InvariantRecord:
     if genus not in (0, 1, 2):
         raise ValueError("genus out of supported range")
     cls = as_curve_class(cls)
     beta, d = cls.beta, cls.d
     if genus <= 1 and beta.is_zero() and d == 0:
         raise ValueError("unstable class")
-    if genus == 0:
-        return Fraction(0)
-    if genus == 1:
-        if beta.is_zero():
-            return 12 * sigma_pow(-1, d)
-        if d == 0:
-            return n1_fiber(beta)
-        return Fraction(0)
-    if beta.is_zero():
-        return Fraction(0)
-    if not is_positive(beta):
-        return Fraction(0)
-    if d == 0:
-        return n2_fiber(beta)
-    return sigma_pow(1, d) * genus2_core(beta)
-
-
-def invariant_record(genus: int, cls) -> InvariantRecord:
-    cls = as_curve_class(cls)
-    value = n_invariant(genus, cls)
-    beta, d = cls.beta, cls.d
-    if genus == 0:
-        rule = "vanishing"
-    elif genus == 1:
-        if beta.is_zero():
-            rule = "isotropic base"
-        elif d > 0 or not is_positive(beta) or square(beta) < 0:
-            rule = "vanishing"
-        elif square(beta) == 0:
-            rule = "isotropic base"
-        else:
-            rule = "recursion"
-    else:
-        if beta.is_zero() or not is_positive(beta):
-            rule = "vanishing"
-        elif d == 0:
-            rule = "fiber"
-        else:
-            rule = "degree series"
+    if genus == 1 and beta.is_zero():
+        return InvariantRecord(genus, cls, 12 * sigma_pow(-1, d), "isotropic base")
+    if beta.is_zero() or not is_positive(beta):
+        return InvariantRecord(genus, cls, Fraction(0), "vanishing")
+    c = beta.coords
+    value, rule = value_rule(genus, d, square(beta),
+                             lambda: ENGINE.class_value(c[0], c[1], c[2:]),
+                             lambda: ENGINE.genus2_core(c[0], c[1], c[2:]))
     return InvariantRecord(genus, cls, value, rule)
 
 

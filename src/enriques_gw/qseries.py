@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from fractions import Fraction
-
-import sympy
-from sympy.utilities.iterables import partitions
 
 DEFAULT_ORDER = 64
 
@@ -24,8 +22,6 @@ def _frac(x) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, sympy.Rational):
-        return Fraction(int(x.p), int(x.q))
     raise TypeError("expected an exact rational, got %r" % type(x).__name__)
 
 
@@ -173,18 +169,43 @@ class QSeries:
 # Number-theoretic scalars
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
 def bernoulli(k: int) -> Fraction:
-    """Bernoulli number B_k for even k >= 2 (B_2 = 1/6, B_4 = -1/30)."""
+    """Bernoulli number B_k for even k >= 2 (B_2 = 1/6, B_4 = -1/30).
+
+    Solves sum_{j<=m} C(m+1, j) B_j = 0 for even m = 2..k in turn, using
+    B_0 = 1, B_1 = -1/2 and B_j = 0 at odd j >= 3.
+    """
     if k < 2 or k % 2 != 0:
         raise ValueError("bernoulli is defined here for even indices >= 2")
-    return _frac(sympy.Rational(sympy.bernoulli(k)))
+    even = [Fraction(1)]  # B_0, B_2, ..., B_{m-2}
+    for m in range(2, k + 1, 2):
+        total = 1 - Fraction(m + 1, 2)
+        for i, b in enumerate(even[1:], start=1):
+            total += math.comb(m + 1, 2 * i) * b
+        even.append(-total / (m + 1))
+    return even[-1]
+
+
+def _divisor_power_sum(n: int, k: int) -> int:
+    """sum of d**n over the divisors d of k >= 1, for n >= 0."""
+    total = 0
+    d = 1
+    while d * d <= k:
+        if k % d == 0:
+            total += d ** n
+            if d * d != k:
+                total += (k // d) ** n
+        d += 1
+    return total
 
 
 def sigma_pow(n: int, k: int) -> Fraction:
     """Divisor power sum sigma_n(k) = sum of d^n over d | k, for k >= 1.
 
     The only regularized value at k = 0 is sigma_1(0) = -B_2/4 = -1/24;
-    any other (n, 0) query is an error.
+    any other (n, 0) query is an error.  For n < 0 the sum is
+    sigma_{-n}(k) / k^(-n), since d -> k/d permutes the divisors.
     """
     if k < 0:
         raise ValueError("sigma_pow needs k >= 0")
@@ -192,10 +213,9 @@ def sigma_pow(n: int, k: int) -> Fraction:
         if n == 1:
             return Fraction(-1, 24)
         raise ValueError("sigma_%d(0) is unregularized" % n)
-    total = Fraction(0)
-    for d in sympy.divisors(k):
-        total += Fraction(d) ** n
-    return total
+    if n >= 0:
+        return Fraction(_divisor_power_sum(n, k))
+    return Fraction(_divisor_power_sum(-n, k), k ** -n)
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +268,24 @@ def s_polynomial(g: int) -> dict:
     if g == 0:
         return {(): Fraction(1)}
     out = {}
-    for part in partitions(g):
-        expo = tuple(part.get(k, 0) for k in range(1, g + 1))
+    for parts in _partitions(g, g):
+        mult = Counter(parts)
+        expo = tuple(mult.get(k, 0) for k in range(1, g + 1))
         coeff = Fraction(1)
-        for m in part.values():
+        for m in mult.values():
             coeff /= math.factorial(m)
         out[expo] = coeff
     return out
+
+
+def _partitions(n: int, largest: int):
+    """Partitions of n >= 0 into parts <= largest, as nonincreasing tuples."""
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
 
 
 def p_series_substituted(g: int, trunc: int = DEFAULT_ORDER) -> QSeries:

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import sympy
 
 from . import gw_engine, km_model, lattice, local_surface, qseries, relative_calculus, sweeps
 
@@ -43,11 +42,15 @@ class CriterionResult:
             self.number, self.name, status, self.seconds, self.budget, self.detail)
 
 
+# sympy is the independent oracle of criteria 1 and 4; it is imported
+# only here, so criteria that do not use it never load it
 def _sigma_minus1(n: int) -> Fraction:
+    import sympy
     return sum(Fraction(1, d) for d in sympy.divisors(n))
 
 
 def _sigma1(n: int) -> int:
+    import sympy
     return int(sympy.divisor_sigma(n, 1))
 
 

@@ -465,12 +465,6 @@ def _ball_scan_records(scan_bound, radius, targets, t_norms, shifted):
     return np.zeros(0, dtype=np.int64), 0
 
 
-def _oracle_records(r1, r2, targets, t_norms):
-    """Brute-force survivors: scan every f with <f,f> <= r1 and keep
-    those with ||e - f||^2 <= r2."""
-    return _ball_scan_records(r1, r2, targets, t_norms, shifted=False)
-
-
 def _grouped_oracle_records(shapes, targets, t_norms):
     """Brute-force survivors for many (r1, r2) cell shapes in one pass.
 

@@ -1,13 +1,25 @@
 import csv
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+import sympy
 
+import enriques_gw
 from enriques_gw import cli
-from enriques_gw.gw_engine import n_invariant
-from enriques_gw.lattice import parse_vector
+from enriques_gw.gw_engine import enriques_genus1, n_invariant
+from enriques_gw.lattice import (
+    LatticeVector,
+    enumerate_decompositions,
+    pair,
+    parse_vector,
+    square,
+)
 
 FIBER = "1,0,0,0,0,0,0,0,0,0"
 SECTION_SUM = "1,1,0,0,0,0,0,0,0,0"
@@ -137,6 +149,95 @@ def test_table_refusals(capsys):
     code, _, err = run(capsys, "table", "--genus", "1", "--max-b1", "2",
                        "--max-b2", "2", "--max-e8-norm", "4", "--limit", "10")
     assert code == 2 and "limit" in err
+
+
+# the smoke tables of the benchmark's workloads and two more boxes; the
+# digests were recorded from the per-row emitter these lines replace
+TABLE_DIGESTS = [
+    (["--genus", "1", "--max-b1", "2", "--max-b2", "2", "--max-e8-norm", "2",
+      "--format", "csv"],
+     "2c9a4b356feda3f191ef2276a9374243db056549ca72d5548ba5e77165543d08"),
+    (["--genus", "2", "--max-b1", "1", "--max-b2", "1", "--max-e8-norm", "2",
+      "--max-degree", "2", "--format", "json"],
+     "1e9a5da8226b0b5c0caa3bd62bc725637a77b71e16f9a8a612e30197ec67bf45"),
+    (["--genus", "0", "--max-b1", "2", "--max-b2", "2", "--max-e8-norm", "2",
+      "--max-degree", "2", "--format", "json"],
+     "f3b984e5371d6b4d6800f9c08d8a7779e9d66a21e7d432c2807293dd78922839"),
+    (["--genus", "2", "--max-b1", "2", "--max-b2", "2", "--max-e8-norm", "2",
+      "--max-degree", "3", "--format", "csv"],
+     "8c6d7c18bcf696567c444756c42dd68286d5a8b6d1945d4bcab1db687bf0ccb7"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", TABLE_DIGESTS)
+def test_table_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, "table", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+def test_table_rows_match_independent_ingredients(capsys, genus):
+    # every row against <1> from the per-class recursion, sympy's sigma_1
+    # and a core summed here over enumerate_decompositions
+    code, out, _ = run(capsys, "table", "--genus", str(genus), "--max-b1", "2",
+                       "--max-b2", "2", "--max-e8-norm", "2", "--max-degree", "3")
+    assert code == 0
+    memo = {}
+    cores = {}
+
+    def genus1(beta):
+        return enriques_genus1(beta, memo=memo)
+
+    def core(beta):
+        if beta.coords not in cores:
+            total = 4 * genus1(beta) * square(beta)
+            for beta1, beta2 in enumerate_decompositions(beta):
+                total += 16 * genus1(beta1) * genus1(beta2) * pair(beta1, beta2)
+            cores[beta.coords] = total
+        return cores[beta.coords]
+
+    rows = [json.loads(line) for line in out.splitlines()]
+    classes = []
+    for row in rows:
+        beta, d = LatticeVector(tuple(row["beta"])), row["d"]
+        s = square(beta)
+        if d == 0:
+            classes.append(beta.coords)
+        if genus == 1 and (d > 0 or s < 0):
+            want = (0, "vanishing")
+        elif genus == 1:
+            want = (4 * genus1(beta), "isotropic base" if s == 0 else "recursion")
+        elif d == 0:
+            want = (Fraction(-1, 4) * genus1(beta) * s, "fiber")
+        else:
+            want = (int(sympy.divisor_sigma(d, 1)) * core(beta), "degree series")
+        assert (row["genus"], Fraction(row["value"]), row["rule"]) == (genus,) + want, row
+    n_parts = 1 + 240
+    assert len(classes) == len(set(classes)) == 2 + 3 * 2 * n_parts
+    assert [row["d"] for row in rows] == [0, 1, 2, 3] * len(classes)
+
+
+def test_table_isotropic_ray_rows_follow_the_multiplicity(capsys):
+    # n*v1 rows share no engine key; <1> on the ray first differs at n = 3
+    code, out, _ = run(capsys, "table", "--genus", "1", "--max-b1", "6",
+                       "--max-b2", "0", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [int(row[1]) for row in rows] == [1, 2, 3, 4, 5, 6]
+    for row in rows:
+        beta = LatticeVector((int(row[1]),) + (0,) * 9)
+        assert Fraction(row[12]) == 4 * enriques_genus1(beta, memo={})
+        assert row[13] == "isotropic base"
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(enriques_gw.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, enriques_gw.cli; print('sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_series_text(capsys):

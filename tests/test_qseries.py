@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.utilities.iterables import partitions
 
 from enriques_gw.qseries import (
     QSeries,
@@ -101,6 +103,12 @@ def test_sigma_pow():
         sigma_pow(1, -1)
 
 
+@settings(max_examples=200)
+@given(st.sampled_from([-1, 1, 3, 5, 7]), st.integers(min_value=1, max_value=2000))
+def test_sigma_pow_matches_sympy_divisor_sums(n, k):
+    assert sigma_pow(n, k) == sum(F(d) ** n for d in sympy.divisors(k))
+
+
 def test_eisenstein_expansions():
     e2 = eisenstein(2, 5)
     assert [e2.coeff(n) for n in range(4)] == [1, -24, -72, -96]
@@ -129,6 +137,18 @@ def test_s_polynomial_small_genus():
     assert s_polynomial(1) == {(1,): 1}
     # S_2 = x_1^2/2 + x_2
     assert s_polynomial(2) == {(2, 0): F(1, 2), (0, 1): 1}
+
+
+@pytest.mark.parametrize("g", range(1, 11))
+def test_s_polynomial_matches_sympy_partitions(g):
+    want = {}
+    for part in partitions(g):
+        coeff = F(1)
+        for m in part.values():
+            coeff /= math.factorial(m)
+        want[tuple(part.get(k, 0) for k in range(1, g + 1))] = coeff
+    assert s_polynomial(g) == want
+    assert len(want) == sympy.partition(g)
 
 
 def test_p1_is_e2_over_12():

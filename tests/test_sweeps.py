@@ -11,8 +11,8 @@ from enriques_gw.lattice import CARTAN_E8, LatticeVector, enumerate_decompositio
 from enriques_gw.sweeps import (
     _ROOTS2,
     FiberSweepEngine,
+    _ball_scan_records,
     _grouped_oracle_records,
-    _oracle_records,
     _optimized_records,
     alcove_points,
     box_classes,
@@ -223,7 +223,8 @@ def test_grouped_oracle_matches_single_shape_scans():
     assert set(grouped) == set(shapes)
     for shape in shapes:
         recs, count = grouped[shape]
-        direct, n_direct = _oracle_records(shape[0], shape[1], targets, t_norms)
+        direct, n_direct = _ball_scan_records(shape[0], shape[1], targets, t_norms,
+                                               shifted=False)
         assert count == n_direct
         assert np.array_equal(recs, direct), shape
 
@@ -231,7 +232,7 @@ def test_grouped_oracle_matches_single_shape_scans():
 def test_optimized_records_match_oracle_per_shape():
     targets, t_norms = box_e8_parts(4)
     for shape in [(2, 2), (6, 2), (2, 6), (4, 0), (0, 4)]:
-        oracle, _ = _oracle_records(shape[0], shape[1], targets, t_norms)
+        oracle, _ = _ball_scan_records(shape[0], shape[1], targets, t_norms, shifted=False)
         assert np.array_equal(oracle, _optimized_records(shape[0], shape[1], targets, t_norms))
 
 
