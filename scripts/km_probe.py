@@ -8,13 +8,11 @@ Example:
 
 import argparse
 import sys
-from collections import Counter
-from fractions import Fraction
 
 sys.path.insert(0, "src")
 
-from enriques_gw import km_model, qseries, sweeps
-from enriques_gw.lattice import as_vector, divisibility
+from enriques_gw import km_model, sweeps
+from enriques_gw.lattice import as_vector, square
 
 
 def main():
@@ -27,40 +25,18 @@ def main():
 
     table, _ = sweeps.genus1_box_table(args.max_b1, args.max_b2, args.max_e8_norm)
     order = max(2 * args.max_b1 * args.max_b2 + 2, 4)
-    counts = Counter()
-    f56_holds = {"full": True, "half": True}
-    sigma0 = qseries.sigma_pow(1, 0)
-    pred_cache = {}
-    n_probe = 0
+    probes = []
     for coords, value in sorted(table.items()):
-        beta = as_vector(coords)
-        from enriques_gw.lattice import square
-        s = square(beta)
-        if args.max_square is not None and s > args.max_square:
-            continue
-        n_probe += 1
-        div = divisibility(beta)
-        n1 = 4 * value
-        engine = {1: n1, 2: -Fraction(1, 16) * n1 * s}
-        for g in (1, 2):
-            for conv in ("full", "half"):
-                key = (g, s, div, conv)
-                if key not in pred_cache:
-                    pred_cache[key] = km_model.km_fiber_prediction(g, beta, conv, order)
-                verdict = "match" if pred_cache[key] == engine[g] else "mismatch"
-                counts[(g, conv, verdict)] += 1
-        if s > 0:
-            for conv in ("full", "half"):
-                lhs = pred_cache[(2, s, div, conv)]
-                rhs = Fraction(3, 2) * sigma0 * pred_cache[(1, s, div, conv)] * s
-                if lhs != rhs:
-                    f56_holds[conv] = False
+        s = square(as_vector(coords))
+        if args.max_square is None or s <= args.max_square:
+            probes.append((coords, s, value))
+    _, counts, f56_holds = km_model.km_verdicts(probes, order)
 
-    print("%d classes probed" % n_probe)
+    print("%d classes probed" % len(probes))
     for g in (1, 2):
         for conv in ("full", "half"):
             print("  genus %d, %-4s convention: %6d match, %6d mismatch"
-                  % (g, conv, counts[(g, conv, "match")], counts[(g, conv, "mismatch")]))
+                  % (g, conv, counts[(g, conv)]["match"], counts[(g, conv)]["mismatch"]))
     for conv in ("full", "half"):
         print("  consistency relation (%s): %s"
               % (conv, "holds" if f56_holds[conv] else "fails"))

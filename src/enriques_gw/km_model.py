@@ -140,3 +140,43 @@ def compare_engine_vs_km(g, beta, order=None):
         "prediction_half": str(preds["half"]),
         "verdicts": verdicts,
     }
+
+
+def km_verdicts(probes, order):
+    """Engine vs both prediction conventions over many classes.
+
+    `probes` is an iterable of (coords, square, <1>) triples; the engine
+    side is N1 = 4 <1> at genus 1 and -N1 * square / 16 at genus 2.
+    Predictions depend only on (genus, square, divisibility, convention),
+    so each is computed once, at truncation `order`, and reused for every
+    class sharing it.  Returns (verdicts, counts, consistency): verdicts
+    maps (coords, genus, convention) to "match" or "mismatch", counts maps
+    (genus, convention) to the number of each, and consistency maps each
+    convention to whether the genus-2/genus-1 relation of km_f56_check
+    holds on every probed class of positive square.
+    """
+    conventions = ("full", "half")
+    pred_cache = {}
+    counts = {(g, conv): {"match": 0, "mismatch": 0} for g in (1, 2) for conv in conventions}
+    consistency = dict.fromkeys(conventions, True)
+    verdicts = {}
+    sigma0 = sigma_pow(1, 0)
+    for coords, s, value in probes:
+        div = divisibility(as_vector(coords))
+        n1 = 4 * value
+        engine = {1: n1, 2: -Fraction(1, 16) * n1 * s}
+        for g in (1, 2):
+            for conv in conventions:
+                key = (g, s, div, conv)
+                if key not in pred_cache:
+                    pred_cache[key] = km_fiber_prediction(g, coords, conv, order)
+                verdict = "match" if pred_cache[key] == engine[g] else "mismatch"
+                counts[(g, conv)][verdict] += 1
+                verdicts[(coords, g, conv)] = verdict
+        if s > 0:
+            for conv in conventions:
+                km1 = pred_cache[(1, s, div, conv)]
+                km2 = pred_cache[(2, s, div, conv)]
+                if km2 != Fraction(3, 2) * sigma0 * km1 * s:
+                    consistency[conv] = False
+    return verdicts, counts, consistency

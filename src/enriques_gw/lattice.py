@@ -261,14 +261,6 @@ def short_vectors(bound: int) -> set:
     return {LatticeVector(zero2 + tuple(int(c) for c in row)) for row in arr}
 
 
-def e8_shell_sizes(bound: int) -> dict:
-    """Counts of E8 coordinate vectors by Cartan norm, for norms <= bound."""
-    arr = _short_vector_array(int(bound))
-    norms = np.einsum("ij,jk,ik->i", arr.astype(np.int64), _CARTAN_NP, arr.astype(np.int64))
-    values, counts = np.unique(norms, return_counts=True)
-    return {int(v): int(c) for v, c in zip(values, counts)}
-
-
 # ---------------------------------------------------------------------------
 # Decompositions beta = beta1 + beta2 into positive classes of square >= 0
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Truncated formal power and Laurent series over Q, plus the modular-form
 style constructions used by the fiber-invariant predictions: Eisenstein
 series, the inverse even eta product, the S_g / P_g quasimodular
-polynomials, the Laurent coefficient series c_g(n), and polylogarithms.
+polynomials and the Laurent coefficient series c_g(n).
 
 All coefficients are exact fractions.Fraction values; nothing here ever
 touches floating point.
@@ -363,10 +363,3 @@ def c_coefficients(g: int, trunc: int = DEFAULT_ORDER) -> QSeries:
     inner = inv_even_eta_product(trunc) * p_series(g, trunc)
     return (inner * (-2)).shift(-1)
 
-
-def polylog_series(k: int, trunc: int = DEFAULT_ORDER) -> QSeries:
-    """Li_k as a series in a formal variable: sum_{n>=1} x^n / n^k."""
-    coeffs = [Fraction(0)]
-    for n in range(1, trunc + 1):
-        coeffs.append(Fraction(1, n ** k) if k >= 0 else Fraction(n ** (-k)))
-    return QSeries(0, coeffs)

@@ -328,33 +328,7 @@ def criterion_9() -> CriterionResult:
         probes.append(((n, 0) + (0,) * 8, 0, iso))
         probes.append(((0, n) + (0,) * 8, 0, iso))
 
-    # predictions depend only on (genus, square, divisibility, convention),
-    # so each signature is computed once through the public function and
-    # reused for every class sharing it
-    pred_cache = {}
-    counts = {(g, conv): {"match": 0, "mismatch": 0}
-              for g in (1, 2) for conv in ("full", "half")}
-    f56_ok = {"full": True, "half": True}
-    verdict_map = {}
-    for coords, s, value in probes:
-        div = lattice.divisibility(lattice.as_vector(coords))
-        n1 = 4 * value
-        engine = {1: n1, 2: -Fraction(1, 16) * n1 * s}
-        for g in (1, 2):
-            for conv in ("full", "half"):
-                key = (g, s, div, conv)
-                if key not in pred_cache:
-                    pred_cache[key] = km_model.km_fiber_prediction(
-                        g, coords, conv, order)
-                verdict = "match" if pred_cache[key] == engine[g] else "mismatch"
-                counts[(g, conv)][verdict] += 1
-                verdict_map[(coords, g, conv)] = verdict
-        if s > 0:
-            for conv in ("full", "half"):
-                km1 = pred_cache[(1, s, div, conv)]
-                km2 = pred_cache[(2, s, div, conv)]
-                if km2 != Fraction(3, 2) * qseries.sigma_pow(1, 0) * km1 * s:
-                    f56_ok[conv] = False
+    verdict_map, counts, f56_ok = km_model.km_verdicts(probes, order)
 
     # exercise the literal per-class reports on a small sample and check
     # they tell the same story as the bulk pass

@@ -37,15 +37,19 @@ thousands of decompositions).  Two observations make full boxes cheap:
     of exact Fraction multiplications per cell.
 
 The module also contains the brute-force vs optimized decomposition
-agreement sweep.  For every class in a coordinate box it compares, cell
-shape by cell shape, the candidate set produced by a full short-vector
-scan (box-oracle semantics) with the one produced by the smaller-ball
-scan.  Cells whose complement is a multiple of v1 admit at most the one
-candidate equal to the class E8 part itself (a radius-zero ball), so
-they reduce to scalar predicates and are checked analytically.
+agreement sweep, built on one routine that scans an E8 ball against
+every E8 part of a coordinate box at once.  For each cell shape
+(r1, r2) the brute-force side scans the r1 ball; the optimized side
+makes the engine's choice, the r2 ball shifted by the class E8 part
+when r2 < r1.  For r1 <= r2 both sides are the same scan, so those
+shapes are only counted.  A radius-zero ball holds only its centre and
+is answered by direct comparison.  Cells whose complement is a multiple
+of v1 reduce to scalar predicates and are counted analytically.
 
-Float32 matrix products are used for oracle cross terms; every such
-product is an integer of magnitude far below 2**23, so they are exact.
+The ball scan decides distances with float32 matrix products whose
+terms are integers and half-integers; it raises ValueError unless the
+sum of their absolute values stays below 2**24, so the products it uses
+are exact.
 """
 
 from __future__ import annotations
@@ -102,21 +106,24 @@ def pack_rows(arr):
     return (a + 32) @ _PACK_POWS
 
 
-@lru_cache(maxsize=None)
-def _scan_tables(bound):
-    """Integer scan tables (vectors, norms, Gram image) at a norm bound."""
-    a = _short_vector_array(bound).astype(np.int64)
-    nrm = np.einsum("ij,jk,ik->i", a, _CARTAN_NP, a)
-    return {"A": a, "NRM": nrm, "AC": a @ _CARTAN_NP}
+# the one short-vector table: (bound, coordinates, norms, Gram image)
+_SHORT = [None]
 
 
-@lru_cache(maxsize=None)
-def _light_tables(bound):
-    """Memory-light tables for the agreement sweep."""
-    a = _short_vector_array(bound)
-    a64 = a.astype(np.int64)
-    nrm = np.einsum("ij,jk,ik->i", a64, _CARTAN_NP, a64)
-    return {"A": a, "NRM": nrm.astype(np.int32), "PK": pack_rows(a64)}
+def _short_vector_table(bound):
+    """(A, NRM, AC) for the E8 coordinate vectors of Cartan norm <= bound:
+    int64 coordinates, norms and Gram images A @ C, read-only, in the
+    norm-major order of _short_vector_array.  Only the table at the
+    largest bound asked so far is kept; a smaller bound reads a prefix."""
+    tab = _SHORT[0]
+    if tab is None or tab[0] < bound:
+        a = _short_vector_array(bound).astype(np.int64)
+        tab = (bound, a, np.einsum("ij,jk,ik->i", a, _CARTAN_NP, a), a @ _CARTAN_NP)
+        for arr in tab[1:]:
+            arr.setflags(write=False)
+        _SHORT[0] = tab
+    n = int(np.searchsorted(tab[2], bound, side="right"))
+    return tab[1][:n], tab[2][:n], tab[3][:n]
 
 
 def reflection_matrices():
@@ -335,31 +342,32 @@ class FiberSweepEngine:
         r2 = 2 * (b1 - b1p) * (b2 - b2p)
         ne = int(earr @ _CARTAN_NP @ earr)
         if self.scan == "oracle" or r1 <= r2:
-            tab = _scan_tables(r1)
-            dist2 = ne + tab["NRM"] - 2 * (tab["AC"] @ earr)
+            a, nrm, ac = _short_vector_table(r1)
+            dist2 = ne + nrm - 2 * (ac @ earr)
             mask = dist2 <= r2
             if not mask.any():
                 return None
-            e1 = tab["A"][mask]
+            e1 = a[mask]
             e2 = earr[None, :] - e1
-            s1 = r1 - tab["NRM"][mask]
+            s1 = r1 - nrm[mask]
             s2 = r2 - dist2[mask]
         else:
-            tab = _scan_tables(r2)
-            ndist = ne + tab["NRM"] - 2 * (tab["AC"] @ earr)
+            a, nrm, ac = _short_vector_table(r2)
+            ndist = ne + nrm - 2 * (ac @ earr)
             mask = ndist <= r1
             if not mask.any():
                 return None
-            e2 = tab["A"][mask]
+            e2 = a[mask]
             e1 = earr[None, :] - e2
             s1 = r1 - ndist[mask]
-            s2 = r2 - tab["NRM"][mask]
+            s2 = r2 - nrm[mask]
         return e1, e2, s1, s2
 
 
 def box_e8_parts(norm_bound):
-    tab = _light_tables(norm_bound)
-    return tab["A"].astype(np.int64), tab["NRM"].astype(np.int64)
+    """E8 parts of the box classes and their norms (read-only int64)."""
+    a, nrm, _ = _short_vector_table(norm_bound)
+    return a, nrm
 
 
 def box_classes(max_b1, max_b2, norm_bound):
@@ -404,135 +412,75 @@ def genus1_box_table(max_b1=4, max_b2=4, norm_bound=4, scan="optimized", engine=
 # -- brute-force vs optimized decomposition agreement -------------------
 
 
-def _chunk_rows(n_targets):
+def _ball_scan_records(scan_bound, radius, targets, t_norms, shifted=False, count_only=False):
+    """Per-target survivors of one ball scan.
+
+    Scans all f with <f,f> <= scan_bound and keeps, for each target t,
+    those at squared distance <= radius from t.  Returns (records, count):
+    the survivors as sorted int64 records (target index << 48) | packed
+    candidate, the candidate being f itself or t - f when `shifted`, and
+    their number; with `count_only` records is None and nothing is kept.
+
+    radius == 0 asks for f = t (the Cartan form is positive definite) and
+    is answered by direct comparison.  Otherwise <f-t,f-t> <= radius is
+    rearranged into f.Ct - <t,t>/2 >= (<f,f> - radius)/2 and decided by
+    one float32 matrix product per chunk, the -<t,t>/2 term folded in as
+    a ninth column.  Every term is an integer or half-integer, so the
+    product is exact while the sum of the absolute values of its terms,
+    8 max|f| max|Ct| + max <t,t>/2, stays below 2**24; that bound is
+    checked before the first product.  The target count, which must fit
+    the 15 bits above the 48 of packed coordinates, is checked on entry.
+    """
+    n_t = len(targets)
+    if n_t >= 1 << 15:
+        raise ValueError("%d targets overflow the record index field" % n_t)
+    if radius == 0:
+        cols = np.nonzero(t_norms <= scan_bound)[0]
+        if count_only:
+            return None, len(cols)
+        cand = np.zeros_like(targets[cols]) if shifted else targets[cols]
+        return (cols.astype(np.int64) << 48) | pack_rows(cand), len(cols)
+    a, nrm, _ = _short_vector_table(scan_bound)
+    ct = targets @ _CARTAN_NP
+    terms = (8 * int(np.abs(a).max()) * int(np.abs(ct).max(initial=0))
+             + int(t_norms.max(initial=0)) // 2)
+    if terms >= 1 << 24:
+        raise ValueError("dot products up to %d are not exact in float32" % terms)
+    a32 = np.empty((len(a), 9), dtype=np.float32)
+    a32[:, :8] = a
+    a32[:, 8] = 1
+    ct32 = np.empty((9, n_t), dtype=np.float32)
+    ct32[:8] = ct.T
+    ct32[8] = -0.5 * t_norms
+    thr = ((nrm - radius) / 2).astype(np.float32)
     # the sweep is bandwidth-bound; chunks around 32 MB amortize the
     # per-chunk bookkeeping without blowing up the working set
-    return max(1, (1 << 23) // max(n_targets, 1))
-
-
-def _augmented_scan(a32, ct, tn05):
-    # one extra GEMM column folds the -tn05 shift into the product, so
-    # the dot matrix comes out already centered and needs no second pass
-    ones = np.ones((len(a32), 1), dtype=np.float32)
-    a_aug = np.ascontiguousarray(np.hstack([a32, ones]))
-    ct_aug = np.ascontiguousarray(np.vstack([ct, -tn05[None, :]]))
-    return a_aug, ct_aug
-
-
-def _ball_scan_records(scan_bound, radius, targets, t_norms, shifted):
-    """Per-target survivors of one ball scan, as sorted int64 records
-    (target_index << 48) | packed candidate coordinates.
-
-    Scans all f with <f,f> <= scan_bound and keeps those at squared
-    distance <= radius from the target (candidate recorded is f itself,
-    or target - f when `shifted`).  The comparison is rearranged into
-    dots >= threshold so a single float32 matrix product per chunk plus
-    two in-place passes decide the mask; every dot product is an integer
-    far below 2**23, so the float32 arithmetic is exact.
-    """
-    tab = _light_tables(scan_bound)
-    n_t = len(targets)
-    ct = np.ascontiguousarray((_CARTAN_NP @ targets.T).astype(np.float32))
-    tn05 = 0.5 * t_norms.astype(np.float32)
-    a32, ct = _augmented_scan(tab["A"].astype(np.float32), ct, tn05)
-    thr = 0.5 * (tab["NRM"].astype(np.float32) - radius)
-    step = _chunk_rows(n_t)
-    dots = np.empty((min(step, len(a32)), n_t), dtype=np.float32)
+    step = max(1, (1 << 23) // max(n_t, 1))
+    dots = np.empty((min(step, len(a)), n_t), dtype=np.float32)
     mask = np.empty_like(dots, dtype=bool)
     recs = []
-    total = 0
-    for lo in range(0, len(a32), step):
-        hi = min(lo + step, len(a32))
-        k = hi - lo
-        d = dots[:k]
-        m = mask[:k]
-        np.matmul(a32[lo:hi], ct, out=d)
+    count = 0
+    for lo in range(0, len(a), step):
+        hi = min(lo + step, len(a))
+        d = dots[:hi - lo]
+        m = mask[:hi - lo]
+        np.matmul(a32[lo:hi], ct32, out=d)
         np.greater_equal(d, thr[lo:hi, None], out=m)
-        rows, cols = np.nonzero(m)
-        if not len(rows):
+        if count_only:
+            count += int(np.count_nonzero(m))
             continue
-        total += len(rows)
+        rows, cols = np.nonzero(m)
+        count += len(rows)
         if shifted:
-            cand = targets[cols] - tab["A"][lo + rows].astype(np.int64)
-            pk = pack_rows(cand)
+            pk = pack_rows(targets[cols] - a[lo + rows])
         else:
-            pk = tab["PK"][lo + rows]
+            pk = pack_rows(a[lo:hi])[rows]
         recs.append((cols.astype(np.int64) << 48) | pk)
-    if recs:
-        out = np.concatenate(recs)
-        out.sort()
-        return out, total
-    return np.zeros(0, dtype=np.int64), 0
-
-
-def _grouped_oracle_records(shapes, targets, t_norms):
-    """Brute-force survivors for many (r1, r2) cell shapes in one pass.
-
-    Short-vector arrays are norm-major, so the scan set of every shape
-    is a prefix of the scan set for the largest r1; the dot products
-    against the targets are then computed once per chunk and each shape
-    reads its prefix slice.  Shapes with r2 = 0 ask for candidates at
-    squared distance zero from the target, which by positive
-    definiteness means coordinate equality, so they are answered by a
-    direct match of each target against the scan prefix instead of a
-    dot-product pass.  Returns {shape: (sorted records, count)}.
-    """
-    shapes = sorted(shapes, key=lambda s: (-s[0], -s[1]))
-    eq_shapes = [sh for sh in shapes if sh[1] == 0]
-    out = {}
-    for r1, _ in eq_shapes:
-        keep = np.nonzero(t_norms <= r1)[0]
-        recs = (keep.astype(np.int64) << 48) | pack_rows(targets[keep])
-        out[(r1, 0)] = (recs, len(recs))
-    shapes = [sh for sh in shapes if sh[1] > 0]
-    if not shapes:
-        return out
-    rmax = max(r1 for r1, _ in shapes)
-    tab = _light_tables(rmax)
-    nrm = tab["NRM"]
-    cuts = {sh: int(np.searchsorted(nrm, sh[0], side="right")) for sh in shapes}
-    n_t = len(targets)
-    ct = np.ascontiguousarray((_CARTAN_NP @ targets.T).astype(np.float32))
-    tn05 = 0.5 * t_norms.astype(np.float32)
-    a32, ct = _augmented_scan(tab["A"].astype(np.float32), ct, tn05)
-    nrm32 = nrm.astype(np.float32)
-    step = _chunk_rows(n_t)
-    dots = np.empty((min(step, len(a32)), n_t), dtype=np.float32)
-    mask = np.empty_like(dots, dtype=bool)
-    acc = {sh: [] for sh in shapes}
-    for lo in range(0, len(a32), step):
-        hi = min(lo + step, len(a32))
-        k = hi - lo
-        d = dots[:k]
-        np.matmul(a32[lo:hi], ct, out=d)
-        for sh in shapes:
-            cut = cuts[sh]
-            if cut <= lo:
-                continue
-            k2 = min(cut, hi) - lo
-            m = mask[:k2]
-            np.greater_equal(d[:k2], 0.5 * (nrm32[lo:lo + k2, None] - sh[1]), out=m)
-            rows, cols = np.nonzero(m)
-            if len(rows):
-                acc[sh].append((cols.astype(np.int64) << 48) | tab["PK"][lo + rows])
-    for sh, recs in acc.items():
-        if recs:
-            r = np.concatenate(recs)
-            r.sort()
-            out[sh] = (r, len(r))
-        else:
-            out[sh] = (np.zeros(0, dtype=np.int64), 0)
-    return out
-
-
-def _optimized_records(r1, r2, targets, t_norms):
-    """Smaller-ball survivors: scan the complement ball and shift by the
-    target when it is smaller than the direct one."""
-    if r1 <= r2:
-        out, _ = _ball_scan_records(r1, r2, targets, t_norms, shifted=False)
-    else:
-        out, _ = _ball_scan_records(r2, r1, targets, t_norms, shifted=True)
-    return out
+    if count_only:
+        return None, count
+    out = np.concatenate(recs)
+    out.sort()
+    return out, count
 
 
 def decomposition_agreement(max_b1=4, max_b2=4, norm_bound=4):
@@ -559,21 +507,24 @@ def decomposition_agreement(max_b1=4, max_b2=4, norm_bound=4):
     mismatches = []
     total_pairs = 0
     per_shape = {}
-    grouped = _grouped_oracle_records(list(cell_shapes), targets, t_norms) if cell_shapes else {}
     for (r1, r2), cells in sorted(cell_shapes.items()):
-        oracle, n_surv = grouped[(r1, r2)]
-        optimized = _optimized_records(r1, r2, targets, t_norms)
-        agree = np.array_equal(oracle, optimized)
-        if not agree:
-            mismatches.append({"shape": (r1, r2), "cells": cells})
+        if r1 <= r2:
+            # the smaller-ball scan is the brute-force scan of the r1 ball
+            _, n_surv = _ball_scan_records(r1, r2, targets, t_norms, count_only=True)
+            agree = True
+        else:
+            brute, n_surv = _ball_scan_records(r1, r2, targets, t_norms)
+            optimized, _ = _ball_scan_records(r2, r1, targets, t_norms, shifted=True)
+            agree = np.array_equal(brute, optimized)
+            del brute, optimized
+            if not agree:
+                mismatches.append({"shape": (r1, r2), "cells": cells})
         total_pairs += n_surv * len(cells)
         per_shape[(r1, r2)] = {
             "cells": len(cells),
             "survivors": n_surv,
             "agree": bool(agree),
         }
-        del oracle, optimized
-        grouped[(r1, r2)] = None
     # edge cells: part n*v1 on either side, complement (b1-n, b2, e);
     # the pair survives exactly when the complement square s - 2*n*b2
     # is nonnegative (ordered pairs: factor 2)

@@ -8,6 +8,23 @@ import pytest
 
 from enriques_gw import selfcheck
 
+# criterion 2's survivors per cell shape (r1, r2) on the acceptance box
+CRITERION_2_SURVIVORS = {
+    "(0, 0)": 1, "(0, 2)": 241, "(0, 4)": 2401,
+    "(0, 6)": 2401, "(0, 8)": 2401, "(0, 12)": 2401,
+    "(0, 16)": 2401, "(0, 18)": 2401, "(0, 24)": 2401,
+    "(2, 0)": 241, "(2, 2)": 44401, "(2, 4)": 215041,
+    "(2, 6)": 409921, "(2, 8)": 548401, "(2, 12)": 578641,
+    "(2, 18)": 578641, "(4, 0)": 2401, "(4, 2)": 215041,
+    "(4, 4)": 1130881, "(4, 6)": 2474881, "(4, 8)": 3991441,
+    "(4, 12)": 5624401, "(6, 0)": 2401, "(6, 2)": 409921,
+    "(6, 4)": 2474881, "(6, 6)": 6002881, "(8, 0)": 2401,
+    "(8, 2)": 548401, "(8, 4)": 3991441, "(8, 8)": 21936721,
+    "(12, 0)": 2401, "(12, 2)": 578641, "(12, 4)": 5624401,
+    "(16, 0)": 2401, "(18, 0)": 2401, "(18, 2)": 578641,
+    "(24, 0)": 2401,
+}
+
 
 @pytest.fixture(scope="module")
 def results():
@@ -28,3 +45,12 @@ def test_criterion(results, number):
     print(result.line())
     assert result.passed, result.line()
     assert result.seconds <= result.budget, result.line()
+
+
+def test_criterion_2_report(results):
+    report = results[2].data["report"]
+    assert report["classes"] == 48024
+    assert report["cell_shapes"] == 37
+    assert report["ordered_pairs_including_multiplicity"] == 94146416
+    assert {k: v["survivors"] for k, v in report["per_shape"].items()} == CRITERION_2_SURVIVORS
+    assert all(v["agree"] for v in report["per_shape"].values())

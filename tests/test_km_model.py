@@ -2,15 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from enriques_gw.gw_engine import n1_fiber, n2_fiber
+from enriques_gw.gw_engine import enriques_genus1, n1_fiber, n2_fiber
 from enriques_gw.km_model import (
     KMConvention,
     _index_of,
     compare_engine_vs_km,
     km_f56_check,
     km_fiber_prediction,
+    km_verdicts,
 )
-from enriques_gw.lattice import LatticeVector, basis_vector
+from enriques_gw.lattice import LatticeVector, basis_vector, square
 
 V1 = basis_vector(1)
 V2 = basis_vector(2)
@@ -106,3 +107,19 @@ def test_comparison_report_schema():
         compare_engine_vs_km(3, V1)
     with pytest.raises(ValueError):
         compare_engine_vs_km(1, LatticeVector((0,) * 10))
+
+
+def test_bulk_verdicts_match_per_class_reports():
+    classes = (V1, 3 * V1, V1 + V2, 2 * V1 + V2, V1 + V2 + ROOT, 2 * (V1 + V2))
+    probes = [(beta.coords, square(beta), enriques_genus1(beta, memo={})) for beta in classes]
+    verdicts, counts, consistency = km_verdicts(probes, 16)
+    assert len(verdicts) == 4 * len(classes)
+    for beta in classes:
+        for g in (1, 2):
+            report = compare_engine_vs_km(g, beta)
+            for conv in ("full", "half"):
+                assert verdicts[(beta.coords, g, conv)] == report["verdicts"][conv]
+    for (g, conv), c in counts.items():
+        assert c["match"] + c["mismatch"] == len(classes)
+        assert c["match"] == sum(verdicts[(b.coords, g, conv)] == "match" for b in classes)
+    assert consistency == {"full": True, "half": False}

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enriques_gw.lattice import (
+    CARTAN_E8,
     LatticeVector,
     as_vector,
     basis_vector,
@@ -76,12 +77,18 @@ def test_square_scales_quadratically(v, n):
 
 
 def test_short_vector_counts():
-    # theta series of E8: 1 + 240 sum sigma_3(m) q^(2m)
+    # theta series of E8: 1 + 240 sum sigma_3(m) q^(2m), up to norm 24,
+    # the largest ball the decomposition agreement sweep scans
     assert len(short_vectors(0)) == 1
+    arr = _short_vector_array(24).astype(np.int64)
+    norms = np.einsum("ij,jk,ik->i", arr, np.array(CARTAN_E8), arr)
     total = 1
-    for m in range(1, 7):
+    for m in range(1, 13):
         total += 240 * sigma3(m)
-        assert len(short_vectors(2 * m)) == total
+        if m <= 6:
+            assert len(short_vectors(2 * m)) == total
+        assert int((norms <= 2 * m).sum()) == total
+    assert len(arr) == total
 
 
 def test_short_vectors_have_bounded_norm():

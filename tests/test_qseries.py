@@ -16,7 +16,6 @@ from enriques_gw.qseries import (
     p2_discrepancy_report,
     p_series,
     p_series_substituted,
-    polylog_series,
     s_polynomial,
     sigma_pow,
 )
@@ -196,14 +195,3 @@ def test_c_coefficients_rejects_bad_genus():
     with pytest.raises(ValueError):
         c_coefficients(0, 5)
 
-
-# ---------------------------------------------------------------------------
-# polylogarithms
-# ---------------------------------------------------------------------------
-
-def test_polylog_series():
-    li1 = polylog_series(1, 6)
-    assert [li1.coeff(n) for n in range(1, 5)] == [1, F(1, 2), F(1, 3), F(1, 4)]
-    li_minus1 = polylog_series(-1, 6)
-    assert [li_minus1.coeff(n) for n in range(1, 5)] == [1, 2, 3, 4]
-    assert polylog_series(3, 6).coeff(0) == 0

@@ -12,8 +12,6 @@ from enriques_gw.sweeps import (
     _ROOTS2,
     FiberSweepEngine,
     _ball_scan_records,
-    _grouped_oracle_records,
-    _optimized_records,
     alcove_points,
     box_classes,
     box_e8_parts,
@@ -216,24 +214,45 @@ def test_box_table_covers_expected_classes():
     assert eng.evals <= len(table)
 
 
-def test_grouped_oracle_matches_single_shape_scans():
-    targets, t_norms = box_e8_parts(4)
-    shapes = [(0, 0), (2, 0), (4, 0), (2, 2), (4, 2), (2, 4), (6, 4)]
-    grouped = _grouped_oracle_records(shapes, targets, t_norms)
-    assert set(grouped) == set(shapes)
-    for shape in shapes:
-        recs, count = grouped[shape]
-        direct, n_direct = _ball_scan_records(shape[0], shape[1], targets, t_norms,
-                                               shifted=False)
-        assert count == n_direct
-        assert np.array_equal(recs, direct), shape
+def _exact_ball_records(scan_bound, radius, targets, t_norms):
+    """Brute-force survivors of a ball scan in int64 arithmetic."""
+    vecs, norms = box_e8_parts(scan_bound)
+    dist2 = norms[:, None] + t_norms[None, :] - 2 * (vecs @ CARTAN @ targets.T)
+    rows, cols = np.nonzero(dist2 <= radius)
+    recs = (cols.astype(np.int64) << 48) | pack_rows(vecs[rows])
+    recs.sort()
+    return recs
 
 
-def test_optimized_records_match_oracle_per_shape():
-    targets, t_norms = box_e8_parts(4)
-    for shape in [(2, 2), (6, 2), (2, 6), (4, 0), (0, 4)]:
-        oracle, _ = _ball_scan_records(shape[0], shape[1], targets, t_norms, shifted=False)
-        assert np.array_equal(oracle, _optimized_records(shape[0], shape[1], targets, t_norms))
+@pytest.mark.parametrize("shape", [(2, 0), (6, 0), (4, 2), (6, 2), (8, 2), (8, 4)])
+def test_shifted_smaller_ball_records_match_brute_force(shape):
+    r1, r2 = shape
+    targets, t_norms = box_e8_parts(2)
+    brute, n_brute = _ball_scan_records(r1, r2, targets, t_norms)
+    shifted, n_shifted = _ball_scan_records(r2, r1, targets, t_norms, shifted=True)
+    assert n_brute == n_shifted == len(brute) > 0
+    assert np.array_equal(brute, shifted)
+    assert np.array_equal(brute, _exact_ball_records(r1, r2, targets, t_norms))
+    assert _ball_scan_records(r1, r2, targets, t_norms, count_only=True) == (None, n_brute)
+
+
+def test_ball_scan_refuses_inexact_products_and_record_overflow():
+    big = np.array([[1 << 20] + [0] * 7], dtype=np.int64)
+    with pytest.raises(ValueError, match="float32"):
+        _ball_scan_records(2, 2, big, 2 * big[:, 0] ** 2)
+    many = np.zeros((1 << 15, 8), dtype=np.int64)
+    with pytest.raises(ValueError, match="record index"):
+        _ball_scan_records(2, 2, many, np.zeros(1 << 15, dtype=np.int64))
+
+
+def test_agreement_survivors_are_symmetric_in_the_cell_shape():
+    # e1 -> e - e1 maps the survivors of shape (a, b) onto those of (b, a);
+    # shapes with a <= b are only counted, the others are compared
+    per_shape = decomposition_agreement(max_b1=2, max_b2=3, norm_bound=2)["per_shape"]
+    shapes = {tuple(int(x) for x in k.strip("()").split(",")): v for k, v in per_shape.items()}
+    assert any(a < b for a, b in shapes)
+    for (a, b), v in shapes.items():
+        assert v["survivors"] == shapes[(b, a)]["survivors"], (a, b)
 
 
 def test_decomposition_agreement_small_box():
