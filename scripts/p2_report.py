@@ -7,9 +7,10 @@ Example:
 
 import argparse
 import json
+import os
 import sys
 
-sys.path.insert(0, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from enriques_gw import qseries
 

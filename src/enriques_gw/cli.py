@@ -10,7 +10,7 @@ fixed key order, and nothing depends on hashing or threads.
 the value and rule of every degree are formatted into a finished line
 suffix the first time a key is met, and each row is the class's
 coordinate prefix joined to that suffix.  The bytes equal those of
-serializing one dict per row.
+serializing one dict per row; `invariant` writes its row the same way.
 
 Exit codes: 0 success, 1 usage error, 2 computation error or resource
 refusal, 3 self-check failure.
@@ -19,13 +19,12 @@ refusal, 3 self-check failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
 from . import km_model, local_surface, qseries, selfcheck, sweeps
 from .gw_engine import ENGINE, invariant_record, value_rule
-from .lattice import parse_vector
+from .lattice import parse_vector, short_vector_table
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -37,7 +36,7 @@ DEFAULT_ROW_LIMIT = 200000
 
 CSV_HEADER = ["genus"] + ["b%d" % i for i in range(1, 11)] + ["d", "value", "rule"]
 
-# table lines per format: class prefix (genus, joined coordinates), the
+# output lines per format: class prefix (genus, joined coordinates), the
 # coordinate separator, and degree suffix (d, value, rule); values and
 # rules need no quoting or escaping, so the lines equal those csv.writer
 # and json.dumps give for the same rows
@@ -55,26 +54,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, "%s: error: %s\n" % (self.prog, message))
 
 
-def _row_to_csv(row):
-    return [row["genus"]] + list(row["beta"]) + [row["d"], row["value"], row["rule"]]
-
-
-def _emit_rows(rows, fmt, out):
+def _write_lines(fmt, lines, out):
     if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow(_row_to_csv(row))
-    else:
-        for row in rows:
-            out.write(json.dumps(row) + "\n")
+        out.write(",".join(CSV_HEADER) + "\n")
+    out.writelines(lines)
 
 
 def cmd_invariant(args, out=None):
     out = out if out is not None else sys.stdout
-    beta = parse_vector(args.beta)
-    record = invariant_record(args.genus, (beta, args.degree))
-    _emit_rows([record.as_dict()], args.format, out)
+    record = invariant_record(args.genus, (parse_vector(args.beta), args.degree))
+    head, sep, tail = _TABLE_LINES[args.format]
+    line = (head % (record.genus, sep.join(map(str, record.cls.beta.coords)))
+            + tail % (record.cls.d, record.value, record.rule))
+    _write_lines(args.format, [line], out)
     return EXIT_OK
 
 
@@ -113,16 +105,14 @@ def cmd_table(args, out=None):
     if args.max_b1 < 0 or args.max_b2 < 0 or args.max_e8_norm < 0 or args.max_degree < 0:
         sys.stderr.write("table: box bounds must be nonnegative\n")
         return EXIT_COMPUTE
-    n_parts = len(sweeps.box_e8_parts(args.max_e8_norm)[0])
+    n_parts = len(short_vector_table(args.max_e8_norm)[0])
     n_classes = args.max_b1 + (args.max_b1 + 1) * args.max_b2 * n_parts
     n_rows = n_classes * (args.max_degree + 1)
     if n_rows > args.limit:
         sys.stderr.write("table: %d rows exceed the limit %d "
                          "(raise --limit to proceed)\n" % (n_rows, args.limit))
         return EXIT_COMPUTE
-    if args.format == "csv":
-        out.write(",".join(CSV_HEADER) + "\n")
-    out.writelines(_table_rows(args))
+    _write_lines(args.format, _table_rows(args), out)
     return EXIT_OK
 
 

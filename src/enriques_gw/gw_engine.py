@@ -64,15 +64,6 @@ class InvariantRecord:
     value: Fraction
     rule: str
 
-    def as_dict(self):
-        return {
-            "genus": self.genus,
-            "beta": list(self.cls.beta.coords),
-            "d": self.cls.d,
-            "value": str(self.value),
-            "rule": self.rule,
-        }
-
 
 def as_curve_class(cls) -> CurveClassQ:
     if isinstance(cls, CurveClassQ):
@@ -83,8 +74,6 @@ def as_curve_class(cls) -> CurveClassQ:
 
 #: the process-wide engine behind every production entry point
 ENGINE = FiberSweepEngine()
-
-_MEMO = {}
 
 
 def _genus1(beta, memo, enumerator):
@@ -116,15 +105,15 @@ def enriques_genus1(beta, memo=None, enumerator=None) -> Fraction:
     recursion over enumerated decompositions.
 
     This is the independent oracle for the engine behind the production
-    functions below.  `memo` and `enumerator` exist for testing (fresh
-    caches, alternative decomposition enumerators); by default a module
-    cache is used.
+    functions below.  `memo` (a fresh dict per call by default) can be
+    shared between calls; `enumerator` swaps in an alternative
+    decomposition enumerator.
     """
     beta = as_vector(beta)
     if beta.is_zero():
         raise ValueError("unstable class")
     if memo is None:
-        memo = {} if enumerator is not None else _MEMO
+        memo = {}
     if enumerator is None:
         enumerator = enumerate_decompositions
     return _genus1(beta, memo, enumerator)
@@ -139,8 +128,7 @@ def _stable(beta):
 
 def n1_fiber(beta) -> Fraction:
     """N_{1,(beta,0)} on Q: four times the surface genus-1 invariant."""
-    c = _stable(beta)
-    return 4 * ENGINE.class_value(c[0], c[1], c[2:])
+    return n_invariant(1, (_stable(beta), 0))
 
 
 def enriques_genus2_lambda1(beta) -> Fraction:
@@ -151,7 +139,7 @@ def enriques_genus2_lambda1(beta) -> Fraction:
 
 def n2_fiber(beta) -> Fraction:
     """N_{2,(beta,0)} = -(1/16) N_{1,(beta,0)} <beta,beta>."""
-    return Fraction(-1, 16) * n1_fiber(beta) * square(beta)
+    return n_invariant(2, (_stable(beta), 0))
 
 
 def genus2_core(beta) -> Fraction:
@@ -211,16 +199,15 @@ def invariant_record(genus: int, cls) -> InvariantRecord:
 
 def e2_corollary_check(beta, order: int = 20) -> dict:
     """Check sum_d N_{2,(beta,d)} q^d = E_2(q) * N_{2,(beta,0)} to the
-    given order, coefficient by coefficient, exactly.
+    given order, coefficient by coefficient, exactly, on the values
+    n_invariant gives.
     """
     beta = as_vector(beta)
     if beta.is_zero() or not is_positive(beta):
         raise ValueError("check requires a nonzero positive class")
-    base = n2_fiber(beta)
-    core = genus2_core(beta)
-    lhs = [base] + [sigma_pow(1, d) * core for d in range(1, order + 1)]
+    lhs = [n_invariant(2, (beta, d)) for d in range(0, order + 1)]
     e2 = eisenstein(2, order)
-    rhs = [e2.coeff(d) * base for d in range(0, order + 1)]
+    rhs = [e2.coeff(d) * lhs[0] for d in range(0, order + 1)]
     first_mismatch = None
     for d, (a, b) in enumerate(zip(lhs, rhs)):
         if a != b:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 
-from .gw_engine import n1_fiber, n2_fiber
+from .gw_engine import n1_fiber, n2_fiber, value_rule
 from .lattice import as_vector, divisibility, is_positive, square
 from .qseries import c_coefficients, sigma_pow
 
@@ -145,8 +145,8 @@ def compare_engine_vs_km(g, beta, order=None):
 def km_verdicts(probes, order):
     """Engine vs both prediction conventions over many classes.
 
-    `probes` is an iterable of (coords, square, <1>) triples; the engine
-    side is N1 = 4 <1> at genus 1 and -N1 * square / 16 at genus 2.
+    `probes` is an iterable of (coords, square, <1>) triples of positive
+    classes; the engine side is N_{g,(beta,0)} by gw_engine.value_rule.
     Predictions depend only on (genus, square, divisibility, convention),
     so each is computed once, at truncation `order`, and reused for every
     class sharing it.  Returns (verdicts, counts, consistency): verdicts
@@ -163,8 +163,7 @@ def km_verdicts(probes, order):
     sigma0 = sigma_pow(1, 0)
     for coords, s, value in probes:
         div = divisibility(as_vector(coords))
-        n1 = 4 * value
-        engine = {1: n1, 2: -Fraction(1, 16) * n1 * s}
+        engine = {g: value_rule(g, 0, s, lambda: value, None)[0] for g in (1, 2)}
         for g in (1, 2):
             for conv in conventions:
                 key = (g, s, div, conv)

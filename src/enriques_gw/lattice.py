@@ -10,15 +10,20 @@ and beta is a positive multiple of v1.  Effective curve classes on the
 Enriques surface are positive in this sense; the reference isotropic
 vector v1 is fixed once and for all (the recursion below depends on this
 choice of reference, which we document rather than vary).
+
+E8 balls are prefixes of one short-vector table, kept at the largest
+norm bound asked.  A ball whose exact size, by the E8 theta series
+(Conway-Sloane, SPLAG, Ch. 4 section 8.1), passes the cap is refused.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
+
+from .qseries import sigma_pow
 
 RANK = 10
 
@@ -204,19 +209,18 @@ _LDL_D, _LDL_MU = _ldl_e8()
 _CARTAN_NP = np.array(CARTAN_E8, dtype=np.int64)
 
 
-@lru_cache(maxsize=None)
 def _short_vector_array(bound: int) -> np.ndarray:
     """All integer x in the E8 coordinate lattice with Cartan norm <= bound.
 
-    Returns an (N, 8) int16 array sorted lexicographically.  Enumeration is
-    layer-by-layer branch and bound on the exact LDL factorization, run with
-    float64 interval bounds padded by a small slack; an exact integer filter
-    at the end removes any overshoot, so no inexact value is ever emitted.
+    Returns an uncached (N, 8) int64 array.  Enumeration is layer-by-layer
+    branch and bound on the exact LDL factorization, run with float64
+    interval bounds padded by a small slack; an exact integer filter at
+    the end removes any overshoot, so no inexact value is ever emitted.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     if bound < 2:
-        return np.zeros((1, 8), dtype=np.int16)
+        return np.zeros((1, 8), dtype=np.int64)
 
     d = np.array([float(x) for x in _LDL_D])
     mu = np.array([[float(x) for x in row] for row in _LDL_MU])
@@ -247,18 +251,52 @@ def _short_vector_array(bound: int) -> np.ndarray:
     # norm-major order (lexicographic within a norm shell) so the array
     # for a smaller bound is always a prefix of the one for a larger
     order = np.lexsort(tuple(out.T[::-1]) + (norms[keep],))
-    return np.ascontiguousarray(out[order].astype(np.int16))
+    return out[order]
+
+
+#: the most vectors an E8 ball may hold: the count at norm 32
+MAX_BALL_VECTORS = 4845121
+
+
+# the one short-vector table: (bound, coordinates, norms, Gram images)
+_TABLE = [None]
+
+
+def short_vector_table(bound: int):
+    """(A, NRM, AC) for the E8 coordinate vectors of Cartan norm <= bound:
+    int64 coordinates, norms and Gram images A @ C, read-only, in the
+    norm-major order of _short_vector_array.  Only the table at the
+    largest bound asked so far is kept; a smaller bound reads a prefix.
+
+    Raises ValueError, before building, if the ball holds more than
+    MAX_BALL_VECTORS vectors, counted as 1 + 240 sum_{k <= bound/2}
+    sigma_3(k) up to the first partial sum past the cap."""
+    tab = _TABLE[0]
+    if tab is None or tab[0] < bound:
+        count = 1
+        for k in range(1, bound // 2 + 1):
+            count += 240 * sigma_pow(3, k)
+            if count > MAX_BALL_VECTORS:
+                raise ValueError("the E8 ball of norm <= %d holds more than %d vectors"
+                                 % (bound, MAX_BALL_VECTORS))
+        a = _short_vector_array(bound)
+        tab = (bound, a, np.einsum("ij,jk,ik->i", a, _CARTAN_NP, a), a @ _CARTAN_NP)
+        for arr in tab[1:]:
+            arr.setflags(write=False)
+        _TABLE[0] = tab
+    n = int(np.searchsorted(tab[2], bound, side="right"))
+    return tab[1][:n], tab[2][:n], tab[3][:n]
 
 
 def short_vectors(bound: int) -> set:
     """Vectors of the E8(-1) block with 0 <= -pairing <= bound (hyperbolic part zero).
 
     Warning: the count grows quickly (241 at bound 2, 2401 at bound 4,
-    about 4.8 million at bound 32); prefer the array form for bulk work.
+    about 4.8 million at bound 32); prefer short_vector_table for bulk work.
     """
-    arr = _short_vector_array(int(bound))
     zero2 = (0, 0)
-    return {LatticeVector(zero2 + tuple(int(c) for c in row)) for row in arr}
+    return {LatticeVector(zero2 + tuple(row))
+            for row in short_vector_table(bound)[0].tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +342,12 @@ def enumerate_decompositions(beta):
             if min(r1, r2) < 0:
                 continue
             if r1 <= r2:
-                for row in _short_vector_array(r1):
+                for row in short_vector_table(r1)[0].tolist():
                     emit(from_parts(b1p, b2p, row))
             else:
-                for row in _short_vector_array(r2):
+                for row in short_vector_table(r2)[0].tolist():
                     # shifted ball: e' with e8_norm(e - e') <= r2
-                    emit(from_parts(b1p, b2p, tuple(a - int(c) for a, c in zip(e, row))))
+                    emit(from_parts(b1p, b2p, tuple(a - c for a, c in zip(e, row))))
     found.sort(key=lambda p: p[0].coords)
     return found
 
@@ -327,8 +365,8 @@ def decompositions_box_oracle(beta):
     found = []
     for b2p in range(0, beta.b2 + 1):
         for b1p in range(0, beta.b1 + 1):
-            for row in _short_vector_array(2 * b1p * b2p):
-                beta1 = from_parts(b1p, b2p, (int(c) for c in row))
+            for row in short_vector_table(2 * b1p * b2p)[0].tolist():
+                beta1 = from_parts(b1p, b2p, row)
                 beta2 = beta - beta1
                 if _part_ok(beta1) and _part_ok(beta2):
                     found.append((beta1, beta2))

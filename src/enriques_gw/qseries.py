@@ -66,13 +66,6 @@ class QSeries:
         """List of (exponent, coefficient) pairs over the stored window."""
         return [(self.offset + i, c) for i, c in enumerate(self.coeffs)]
 
-    def truncate(self, trunc: int) -> "QSeries":
-        if trunc > self.trunc:
-            raise ValueError("cannot extend truncation order %d to %d" % (self.trunc, trunc))
-        if trunc < self.offset:
-            return QSeries(trunc, [Fraction(0)], trunc)
-        return QSeries(self.offset, self.coeffs[: trunc - self.offset + 1], trunc)
-
     def shift(self, k: int) -> "QSeries":
         """Multiply by q^k (shifts both offset and truncation)."""
         return QSeries(self.offset + k, self.coeffs, self.trunc + k)

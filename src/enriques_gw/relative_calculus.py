@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Dict, List, Tuple
 
-from .gw_engine import enriques_genus1
+from .gw_engine import ENGINE
 from .lattice import as_vector, enumerate_decompositions, is_positive, pair, square
 from .qseries import sigma_pow
 
@@ -110,19 +110,22 @@ def genus2_contributions(beta, d: int) -> dict:
         type_ii = 16 * sigma_1(d) * sum <1>_b1 <1>_b2 <b1,b2>
 
     over ordered positive decompositions beta = b1 + b2.  Their sum is
-    the full degree-d genus-2 invariant."""
+    the full degree-d genus-2 invariant.  <1> comes from the engine; the
+    sum runs here over enumerate_decompositions, independently of the
+    engine's stored decomposition sums."""
     beta = as_vector(beta)
     if d < 1:
         raise ValueError("degree must be positive")
     if beta.is_zero() or not is_positive(beta):
         raise ValueError("split requires a nonzero positive class")
+    genus1 = lambda v: ENGINE.class_value(v.b1, v.b2, v.e8)
     sig = sigma_pow(1, d)
-    type_i = 4 * sig * enriques_genus1(beta) * square(beta)
+    type_i = 4 * sig * genus1(beta) * square(beta)
     cross = Fraction(0)
     for b1, b2 in enumerate_decompositions(beta):
-        v1 = enriques_genus1(b1)
+        v1 = genus1(b1)
         if v1:
-            v2 = enriques_genus1(b2)
+            v2 = genus1(b2)
             if v2:
                 cross += v1 * v2 * pair(b1, b2)
     type_ii = 16 * sig * cross

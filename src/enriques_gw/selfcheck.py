@@ -19,8 +19,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import gw_engine, km_model, lattice, local_surface, qseries, relative_calculus, sweeps
 
 BOX = {"max_b1": 4, "max_b2": 4, "norm_bound": 4}
@@ -71,7 +69,7 @@ def _box_tables():
 
 
 def _root_vector():
-    parts, norms = sweeps.box_e8_parts(2)
+    parts, norms, _ = lattice.short_vector_table(2)
     row = parts[norms == 2][0]
     return tuple(int(x) for x in row)
 
@@ -312,17 +310,10 @@ def criterion_9() -> CriterionResult:
     predictions to match the engine."""
     t0 = time.perf_counter()
     table_opt, _, _, _ = _box_tables()
-    parts, norms = sweeps.box_e8_parts(BOX["norm_bound"])
-    rows = [tuple(int(x) for x in row) for row in parts]
-    norm_of = dict(zip(rows, (int(x) for x in norms)))
     order = 16
 
-    probes = []
-    for coords, value in table_opt.items():
-        b1, b2 = coords[0], coords[1]
-        s = 2 * b1 * b2 - (norm_of[coords[2:]] if b2 > 0 else 0)
-        if s <= 12:
-            probes.append((coords, s, value))
+    probes = [(coords, s, table_opt[coords])
+              for coords, s, _ in sweeps.box_classes(**BOX) if s <= 12]
     for n in range(5, 11):
         iso = gw_engine.isotropic_genus1(n)
         probes.append(((n, 0) + (0,) * 8, 0, iso))

@@ -34,7 +34,9 @@ thousands of decompositions).  Two observations make full boxes cheap:
     over lattice points of the smaller of two balls (directly, or
     shifted by the class E8 part when the complement ball is smaller).
     Aggregating candidates by cache key with numpy leaves only a handful
-    of exact Fraction multiplications per cell.
+    of exact Fraction multiplications per cell.  Each evaluation first
+    asks lattice.short_vector_table for the largest ball its cells scan,
+    so a ball past the table's cap is refused before any scan.
 
 The module also contains the brute-force vs optimized decomposition
 agreement sweep, built on one routine that scans an E8 ball against
@@ -60,10 +62,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import CARTAN_E8, _short_vector_array
+from .lattice import _CARTAN_NP, e8_norm, short_vector_table
 from .qseries import sigma_pow
 
-_CARTAN_NP = np.array(CARTAN_E8, dtype=np.int64)
 _PACK_POWS = (64 ** np.arange(8)).astype(np.int64)
 
 # twice the simple roots alpha1..alpha8 in orthonormal coordinates
@@ -104,26 +105,6 @@ def pack_rows(arr):
     if a.size and int(np.abs(a).max()) >= 32:
         raise ValueError("coordinates out of packing range")
     return (a + 32) @ _PACK_POWS
-
-
-# the one short-vector table: (bound, coordinates, norms, Gram image)
-_SHORT = [None]
-
-
-def _short_vector_table(bound):
-    """(A, NRM, AC) for the E8 coordinate vectors of Cartan norm <= bound:
-    int64 coordinates, norms and Gram images A @ C, read-only, in the
-    norm-major order of _short_vector_array.  Only the table at the
-    largest bound asked so far is kept; a smaller bound reads a prefix."""
-    tab = _SHORT[0]
-    if tab is None or tab[0] < bound:
-        a = _short_vector_array(bound).astype(np.int64)
-        tab = (bound, a, np.einsum("ij,jk,ik->i", a, _CARTAN_NP, a), a @ _CARTAN_NP)
-        for arr in tab[1:]:
-            arr.setflags(write=False)
-        _SHORT[0] = tab
-    n = int(np.searchsorted(tab[2], bound, side="right"))
-    return tab[1][:n], tab[2][:n], tab[3][:n]
 
 
 def reflection_matrices():
@@ -213,11 +194,6 @@ def pack_part_keys(s1, id1, s2, id2):
     return ((s1 << id_bits | id1) << width) | (s2 << id_bits | id2)
 
 
-def _norm_of(e):
-    v = np.asarray(e, dtype=np.int64)
-    return int(v @ _CARTAN_NP @ v)
-
-
 class FiberSweepEngine:
     """Genus-1 surface invariants over large class boxes.
 
@@ -253,7 +229,7 @@ class FiberSweepEngine:
         b1 = int(b1)
         b2 = int(b2)
         e = tuple(int(x) for x in e)
-        ne = _norm_of(e)
+        ne = e8_norm(e)
         if b2 == 0:
             if b1 > 0 and ne == 0:
                 return isotropic_genus1(b1)
@@ -280,7 +256,7 @@ class FiberSweepEngine:
             e = tuple(int(x) for x in e)
             if b2 <= 0:
                 return Fraction(0)
-            key = self.key_for(b2, 2 * int(b1) * b2 - _norm_of(e), e)
+            key = self.key_for(b2, 2 * int(b1) * b2 - e8_norm(e), e)
         s = key[1]
         if s <= 0:
             return Fraction(0)
@@ -294,6 +270,12 @@ class FiberSweepEngine:
             value = isotropic_genus1(math.gcd(b1, b2, *(abs(x) for x in e)))
             self.values[key] = value
             return value
+        # the largest ball any cell scans (see _scan_cell): refused before
+        # the first scan, or built once at its full size
+        short_vector_table(max(
+            (2 * b1p * b2p if self.scan == "oracle"
+             else 2 * min(b1p * b2p, (b1 - b1p) * (b2 - b2p))
+             for b2p in range(1, b2) for b1p in range(b1 + 1)), default=0))
         total = Fraction(0)
         # decompositions with an n*v1 part on either side (pairing n*b2);
         # the complement keeps b2 and the E8 part, hence the orbit id
@@ -342,7 +324,7 @@ class FiberSweepEngine:
         r2 = 2 * (b1 - b1p) * (b2 - b2p)
         ne = int(earr @ _CARTAN_NP @ earr)
         if self.scan == "oracle" or r1 <= r2:
-            a, nrm, ac = _short_vector_table(r1)
+            a, nrm, ac = short_vector_table(r1)
             dist2 = ne + nrm - 2 * (ac @ earr)
             mask = dist2 <= r2
             if not mask.any():
@@ -352,7 +334,7 @@ class FiberSweepEngine:
             s1 = r1 - nrm[mask]
             s2 = r2 - dist2[mask]
         else:
-            a, nrm, ac = _short_vector_table(r2)
+            a, nrm, ac = short_vector_table(r2)
             ndist = ne + nrm - 2 * (ac @ earr)
             mask = ndist <= r1
             if not mask.any():
@@ -364,19 +346,13 @@ class FiberSweepEngine:
         return e1, e2, s1, s2
 
 
-def box_e8_parts(norm_bound):
-    """E8 parts of the box classes and their norms (read-only int64)."""
-    a, nrm, _ = _short_vector_table(norm_bound)
-    return a, nrm
-
-
 def box_classes(max_b1, max_b2, norm_bound):
     """Every class of the coordinate box in lexicographic order, as
     (coords, square, key): n*v1 for 1 <= n <= max_b1, and (b1, b2, e)
     with 0 <= b1 <= max_b1, 1 <= b2 <= max_b2, e a short vector of norm
     <= norm_bound.  `key` is the engine key of the class, or None when
     b2 = 0 or the square is negative; each b2 slice is keyed in one call."""
-    parts, norms = box_e8_parts(norm_bound)
+    parts, norms, _ = short_vector_table(norm_bound)
     order = np.lexsort(parts.T[::-1])
     parts = parts[order]
     rows = [tuple(row) for row in parts.tolist()]
@@ -440,7 +416,7 @@ def _ball_scan_records(scan_bound, radius, targets, t_norms, shifted=False, coun
             return None, len(cols)
         cand = np.zeros_like(targets[cols]) if shifted else targets[cols]
         return (cols.astype(np.int64) << 48) | pack_rows(cand), len(cols)
-    a, nrm, _ = _short_vector_table(scan_bound)
+    a, nrm, _ = short_vector_table(scan_bound)
     ct = targets @ _CARTAN_NP
     terms = (8 * int(np.abs(a).max()) * int(np.abs(ct).max(initial=0))
              + int(t_norms.max(initial=0)) // 2)
@@ -494,7 +470,7 @@ def decomposition_agreement(max_b1=4, max_b2=4, norm_bound=4):
     both enumerations keep it exactly when the complement square is
     nonnegative; these are counted analytically.  Returns a report dict.
     """
-    targets, t_norms = box_e8_parts(norm_bound)
+    targets, t_norms, _ = short_vector_table(norm_bound)
     n_t = len(targets)
     cell_shapes = {}
     for b1 in range(0, max_b1 + 1):

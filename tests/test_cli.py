@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,76 @@ def test_invariant_compute_error_exit(capsys):
     assert "unstable" in err
     code, _, err = run(capsys, "invariant", "--genus", "1", "--beta", "1,2,3")
     assert code == 2
+
+
+# invariant's exact stdout, recorded from the csv.writer / json.dumps
+# emitter the table line templates replace: (genus, beta, degree, JSON
+# line, CSV row); genus 0, 1 and 2, isotropic classes, the zero class in
+# positive degree, negative squares, a non-positive class, a fraction
+INVARIANT_BYTES = [
+    (0, '1,1,0,0,0,0,0,0,0,0', 0,
+     '{"genus": 0, "beta": [1, 1, 0, 0, 0, 0, 0, 0, 0, 0], "d": 0, "value": "0", "rule": "vanishing"}',
+     '0,1,1,0,0,0,0,0,0,0,0,0,0,vanishing'),
+    (1, '1,1,0,0,0,0,0,0,0,0', 0,
+     '{"genus": 1, "beta": [1, 1, 0, 0, 0, 0, 0, 0, 0, 0], "d": 0, "value": "128", "rule": "recursion"}',
+     '1,1,1,0,0,0,0,0,0,0,0,0,128,recursion'),
+    (1, '3,0,0,0,0,0,0,0,0,0', 0,
+     '{"genus": 1, "beta": [3, 0, 0, 0, 0, 0, 0, 0, 0, 0], "d": 0, "value": "32/3", "rule": "isotropic base"}',
+     '1,3,0,0,0,0,0,0,0,0,0,0,32/3,isotropic base'),
+    (1, '1,1,1,0,0,0,0,0,0,0', 0,
+     '{"genus": 1, "beta": [1, 1, 1, 0, 0, 0, 0, 0, 0, 0], "d": 0, "value": "8", "rule": "isotropic base"}',
+     '1,1,1,1,0,0,0,0,0,0,0,0,8,isotropic base'),
+    (1, '0,2,0,0,0,0,0,0,0,0', 0,
+     '{"genus": 1, "beta": [0, 2, 0, 0, 0, 0, 0, 0, 0, 0], "d": 0, "value": "8", "rule": "isotropic base"}',
+     '1,0,2,0,0,0,0,0,0,0,0,0,8,isotropic base'),
+    (1, '0,0,0,0,0,0,0,0,0,0', 3,
+     '{"genus": 1, "beta": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0], "d": 3, "value": "16", "rule": "isotropic base"}',
+     '1,0,0,0,0,0,0,0,0,0,0,3,16,isotropic base'),
+    (1, '2,1,0,0,0,0,0,0,0,0', 2,
+     '{"genus": 1, "beta": [2, 1, 0, 0, 0, 0, 0, 0, 0, 0], "d": 2, "value": "0", "rule": "vanishing"}',
+     '1,2,1,0,0,0,0,0,0,0,0,2,0,vanishing'),
+    (1, '0,1,1,0,0,0,0,0,0,0', 0,
+     '{"genus": 1, "beta": [0, 1, 1, 0, 0, 0, 0, 0, 0, 0], "d": 0, "value": "0", "rule": "vanishing"}',
+     '1,0,1,1,0,0,0,0,0,0,0,0,0,vanishing'),
+    (1, '-1,0,0,0,0,0,0,0,0,0', 0,
+     '{"genus": 1, "beta": [-1, 0, 0, 0, 0, 0, 0, 0, 0, 0], "d": 0, "value": "0", "rule": "vanishing"}',
+     '1,-1,0,0,0,0,0,0,0,0,0,0,0,vanishing'),
+    (2, '2,1,0,0,0,0,0,0,0,0', 0,
+     '{"genus": 2, "beta": [2, 1, 0, 0, 0, 0, 0, 0, 0, 0], "d": 0, "value": "-288", "rule": "fiber"}',
+     '2,2,1,0,0,0,0,0,0,0,0,0,-288,fiber'),
+    (2, '1,1,0,0,0,0,0,0,0,0', 4,
+     '{"genus": 2, "beta": [1, 1, 0, 0, 0, 0, 0, 0, 0, 0], "d": 4, "value": "2688", "rule": "degree series"}',
+     '2,1,1,0,0,0,0,0,0,0,0,4,2688,degree series'),
+    (2, '2,2,-1,0,1,0,0,0,0,0', 3,
+     '{"genus": 2, "beta": [2, 2, -1, 0, 1, 0, 0, 0, 0, 0], "d": 3, "value": "1536", "rule": "degree series"}',
+     '2,2,2,-1,0,1,0,0,0,0,0,3,1536,degree series'),
+    (2, '0,1,1,0,0,0,0,0,0,0', 2,
+     '{"genus": 2, "beta": [0, 1, 1, 0, 0, 0, 0, 0, 0, 0], "d": 2, "value": "0", "rule": "degree series"}',
+     '2,0,1,1,0,0,0,0,0,0,0,2,0,degree series'),
+    (2, '0,0,0,0,0,0,0,0,0,0', 5,
+     '{"genus": 2, "beta": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0], "d": 5, "value": "0", "rule": "vanishing"}',
+     '2,0,0,0,0,0,0,0,0,0,0,5,0,vanishing'),
+    (2, '4,0,0,0,0,0,0,0,0,0', 0,
+     '{"genus": 2, "beta": [4, 0, 0, 0, 0, 0, 0, 0, 0, 0], "d": 0, "value": "0", "rule": "fiber"}',
+     '2,4,0,0,0,0,0,0,0,0,0,0,0,fiber'),
+]
+
+
+@pytest.mark.parametrize("genus,beta,degree,json_line,csv_row", INVARIANT_BYTES,
+                         ids=["g%d-%s-d%d" % case[:3] for case in INVARIANT_BYTES])
+def test_invariant_bytes_are_pinned(capsys, genus, beta, degree, json_line, csv_row):
+    argv = ["invariant", "--genus", str(genus), "--beta=" + beta, "--degree", str(degree)]
+    assert run(capsys, *argv) == (0, json_line + "\n", "")
+    header = "genus,b1,b2,b3,b4,b5,b6,b7,b8,b9,b10,d,value,rule\n"
+    assert run(capsys, *argv, "--format", "csv") == (0, header + csv_row + "\n", "")
+
+
+def test_invariant_refuses_a_runaway_ball_at_once(capsys):
+    # (10, 10, 0^8) needs the norm-50 ball: 27,334,081 vectors
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "invariant", "--genus", "1", "--beta", "10,10,0,0,0,0,0,0,0,0")
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (2, "") and "norm <= 50" in err
 
 
 def test_usage_errors_exit_one(capsys):

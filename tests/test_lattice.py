@@ -16,9 +16,11 @@ from enriques_gw.lattice import (
     pair,
     parse_vector,
     short_vectors,
+    short_vector_table,
     square,
     _short_vector_array,
 )
+from enriques_gw import lattice
 
 V1 = basis_vector(1)
 V2 = basis_vector(2)
@@ -101,6 +103,50 @@ def test_short_vector_array_prefix_nesting():
     small = _short_vector_array(6)
     large = _short_vector_array(12)
     assert np.array_equal(large[: len(small)], small)
+
+
+def test_short_vector_table_keeps_one_table_and_serves_prefixes(monkeypatch):
+    builds = []
+
+    def build(bound):
+        builds.append(bound)
+        return _short_vector_array(bound)
+
+    monkeypatch.setattr(lattice, "_TABLE", [None])
+    monkeypatch.setattr(lattice, "_short_vector_array", build)
+    large = short_vector_table(12)
+    small = short_vector_table(6)
+    assert builds == [12]
+    assert lattice._TABLE[0][0] == 12
+    fresh = _short_vector_array(6)
+    assert np.array_equal(small[0], fresh)
+    assert np.array_equal(small[1], np.einsum("ij,jk,ik->i", fresh, np.array(CARTAN_E8), fresh))
+    assert np.array_equal(small[2], fresh @ np.array(CARTAN_E8))
+    for s_arr, l_arr in zip(small, large):
+        assert np.shares_memory(s_arr, l_arr) and not s_arr.flags.writeable
+        assert np.array_equal(l_arr[: len(s_arr)], s_arr)
+    short_vector_table(14)
+    assert builds == [12, 14] and lattice._TABLE[0][0] == 14
+
+
+def test_ball_cap_is_the_theta_count_at_norm_32(monkeypatch):
+    assert lattice.MAX_BALL_VECTORS == 1 + 240 * sum(sigma3(m) for m in range(1, 17))
+    builds = []
+
+    def fake(bound):
+        # a stand-in for the 4.8 million vectors of norm <= 32
+        builds.append(bound)
+        return np.zeros((1, 8), dtype=np.int64)
+
+    monkeypatch.setattr(lattice, "_TABLE", [None])
+    monkeypatch.setattr(lattice, "_short_vector_array", fake)
+    short_vector_table(33)
+    for bound in (34, 50, 100):
+        with pytest.raises(ValueError, match="norm <= %d holds more than 4845121" % bound):
+            short_vector_table(bound)
+    with pytest.raises(ValueError, match="norm <= 100"):
+        short_vectors(100)
+    assert builds == [33]
 
 
 def test_positivity():

@@ -6,15 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enriques_gw import gw_engine
-from enriques_gw.lattice import CARTAN_E8, LatticeVector, enumerate_decompositions, pair, square
+from enriques_gw import gw_engine, lattice
+from enriques_gw.lattice import (
+    CARTAN_E8,
+    LatticeVector,
+    enumerate_decompositions,
+    pair,
+    short_vector_table,
+    square,
+)
 from enriques_gw.sweeps import (
     _ROOTS2,
     FiberSweepEngine,
     _ball_scan_records,
     alcove_points,
     box_classes,
-    box_e8_parts,
     decomposition_agreement,
     genus1_box_table,
     orbit_ids,
@@ -54,6 +60,18 @@ def test_engine_edge_classes():
     assert eng.class_value(1, -1, ZERO8) == 0
     assert eng.class_value(0, 0, ROOT) == 0
     assert eng.class_value(1, 1, (1, 1, 0, 0, 0, 0, 0, 0)) == 0
+
+
+@pytest.mark.parametrize("scan,ball", [("optimized", 50), ("oracle", 180)])
+def test_engine_refuses_a_runaway_ball_before_scanning(monkeypatch, scan, ball):
+    def refuse(bound):
+        raise AssertionError("built a ball of norm %d" % bound)
+
+    monkeypatch.setattr(lattice, "_short_vector_array", refuse)
+    eng = FiberSweepEngine(scan)
+    with pytest.raises(ValueError, match="norm <= %d " % ball):
+        eng.class_value(10, 10, ZERO8)
+    assert eng.evals == 1 and not eng.values
 
 
 def test_scan_modes_produce_identical_tables():
@@ -183,7 +201,7 @@ def test_part_key_packing_is_injective_for_large_squares():
 
 
 def test_pack_rows_is_injective_and_bounded():
-    vecs, _ = box_e8_parts(4)
+    vecs, _, _ = short_vector_table(4)
     packed = pack_rows(vecs)
     assert len(np.unique(packed)) == len(vecs)
     with pytest.raises(ValueError, match="packing range"):
@@ -207,7 +225,7 @@ def test_genus2_core_matches_engine_module():
 
 def test_box_table_covers_expected_classes():
     table, eng = genus1_box_table(max_b1=2, max_b2=2, norm_bound=2)
-    vecs, _ = box_e8_parts(2)
+    vecs, _, _ = short_vector_table(2)
     assert len(table) == 2 + 3 * 2 * len(vecs)
     assert table[(1, 0) + ZERO8] == 2
     assert table[(1, 1) + ZERO8] == 32
@@ -216,7 +234,7 @@ def test_box_table_covers_expected_classes():
 
 def _exact_ball_records(scan_bound, radius, targets, t_norms):
     """Brute-force survivors of a ball scan in int64 arithmetic."""
-    vecs, norms = box_e8_parts(scan_bound)
+    vecs, norms, _ = short_vector_table(scan_bound)
     dist2 = norms[:, None] + t_norms[None, :] - 2 * (vecs @ CARTAN @ targets.T)
     rows, cols = np.nonzero(dist2 <= radius)
     recs = (cols.astype(np.int64) << 48) | pack_rows(vecs[rows])
@@ -227,7 +245,7 @@ def _exact_ball_records(scan_bound, radius, targets, t_norms):
 @pytest.mark.parametrize("shape", [(2, 0), (6, 0), (4, 2), (6, 2), (8, 2), (8, 4)])
 def test_shifted_smaller_ball_records_match_brute_force(shape):
     r1, r2 = shape
-    targets, t_norms = box_e8_parts(2)
+    targets, t_norms, _ = short_vector_table(2)
     brute, n_brute = _ball_scan_records(r1, r2, targets, t_norms)
     shifted, n_shifted = _ball_scan_records(r2, r1, targets, t_norms, shifted=True)
     assert n_brute == n_shifted == len(brute) > 0
@@ -259,7 +277,7 @@ def test_decomposition_agreement_small_box():
     report = decomposition_agreement(max_b1=2, max_b2=2, norm_bound=2)
     assert report["all_agree"]
     assert report["mismatches"] == []
-    vecs, _ = box_e8_parts(2)
+    vecs, _, _ = short_vector_table(2)
     assert report["classes"] == 2 + 3 * 2 * len(vecs)
     assert report["ordered_pairs_including_multiplicity"] > 0
     assert all(v["agree"] for v in report["per_shape"].values())
