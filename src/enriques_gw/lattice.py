@@ -207,6 +207,7 @@ def _ldl_e8():
 
 _LDL_D, _LDL_MU = _ldl_e8()
 _CARTAN_NP = np.array(CARTAN_E8, dtype=np.int64)
+_KEY_WEIGHTS = 1 << 7 * np.arange(7, -1, -1, dtype=np.int64)
 
 
 def _short_vector_array(bound: int) -> np.ndarray:
@@ -216,6 +217,13 @@ def _short_vector_array(bound: int) -> np.ndarray:
     branch and bound on the exact LDL factorization, run with float64
     interval bounds padded by a small slack; an exact integer filter at
     the end removes any overshoot, so no inexact value is ever emitted.
+
+    Rows are in norm-major order, lexicographic within a norm shell, so
+    the array for a smaller bound is a prefix of the one for a larger.
+    The order comes from one argsort of single int64 keys (see
+    _norm_major_keys), exact for norms below 128 and coordinates below
+    64 in absolute value; ValueError is raised before sorting otherwise.
+    Every ball the table admits (norm <= 32) is well inside both.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
@@ -247,11 +255,19 @@ def _short_vector_array(bound: int) -> np.ndarray:
 
     norms = np.einsum("ij,jk,ik->i", suffix, _CARTAN_NP, suffix)
     keep = norms <= bound
-    out = suffix[keep]
-    # norm-major order (lexicographic within a norm shell) so the array
-    # for a smaller bound is always a prefix of the one for a larger
-    order = np.lexsort(tuple(out.T[::-1]) + (norms[keep],))
-    return out[order]
+    suffix, norms = suffix[keep], norms[keep]
+    return suffix[np.argsort(_norm_major_keys(suffix, norms))]
+
+
+def _norm_major_keys(x, norms):
+    """int64 keys norm << 56 | sum_j (x_j + 64) << 7 (7 - j) of the rows
+    of x (norms nonnegative), ordered as (norm, x_0, .., x_7) is.
+    Raises ValueError unless every norm and every x_j + 64 fits its
+    7-bit field: norm < 128 and |x_j| < 64."""
+    if len(x) and (int(norms.max()) >= 128 or int(x.max()) >= 64 or int(x.min()) <= -64):
+        raise ValueError("norms or coordinates leave the 7-bit fields of the sort key")
+    # (x + 64) @ _KEY_WEIGHTS, without a shifted copy of x
+    return (norms << 56) | (x @ _KEY_WEIGHTS + 64 * int(_KEY_WEIGHTS.sum()))
 
 
 #: the most vectors an E8 ball may hold: the count at norm 32
@@ -280,7 +296,8 @@ def short_vector_table(bound: int):
                 raise ValueError("the E8 ball of norm <= %d holds more than %d vectors"
                                  % (bound, MAX_BALL_VECTORS))
         a = _short_vector_array(bound)
-        tab = (bound, a, np.einsum("ij,jk,ik->i", a, _CARTAN_NP, a), a @ _CARTAN_NP)
+        ac = a @ _CARTAN_NP
+        tab = (bound, a, np.einsum("ij,ij->i", a, ac), ac)
         for arr in tab[1:]:
             arr.setflags(write=False)
         _TABLE[0] = tab

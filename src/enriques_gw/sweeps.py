@@ -51,7 +51,10 @@ of v1 reduce to scalar predicates and are counted analytically.
 The ball scan decides distances with float32 matrix products whose
 terms are integers and half-integers; it raises ValueError unless the
 sum of their absolute values stays below 2**24, so the products it uses
-are exact.
+are exact.  It walks the ball in chunks of about 2**18 mask elements
+(ball rows x targets), so one chunk stays in cache, and since hits are
+sparse it finds the rows of a chunk that have any before locating the
+hits in those rows alone.
 """
 
 from __future__ import annotations
@@ -66,6 +69,10 @@ from .lattice import _CARTAN_NP, e8_norm, short_vector_table
 from .qseries import sigma_pow
 
 _PACK_POWS = (64 ** np.arange(8)).astype(np.int64)
+
+# mask elements (ball rows x targets) per chunk of a ball scan, small
+# enough that one chunk's products and mask stay in cache
+_SCAN_CHUNK = 1 << 18
 
 # twice the simple roots alpha1..alpha8 in orthonormal coordinates
 # (Bourbaki, Plate VII); E8 coordinates e map to doubled orthonormal
@@ -88,9 +95,10 @@ _RESIDUE_MEMO_MAX = 8 ** 8
 _ORBITS = {}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def isotropic_genus1(n: int) -> Fraction:
-    """<1> on n times a positive primitive isotropic class."""
+    """<1> on n times a positive primitive isotropic class.  Values of
+    the 1024 most recently used n are cached."""
     if n <= 0:
         raise ValueError("multiple of an isotropic class must be positive")
     value = 2 * sigma_pow(-1, n)
@@ -406,6 +414,11 @@ def _ball_scan_records(scan_bound, radius, targets, t_norms, shifted=False, coun
     8 max|f| max|Ct| + max <t,t>/2, stays below 2**24; that bound is
     checked before the first product.  The target count, which must fit
     the 15 bits above the 48 of packed coordinates, is checked on entry.
+
+    Chunks hold _SCAN_CHUNK mask elements (at least one ball row).  In
+    each, the rows with a hit are found first and only those rows are
+    searched for their hits.  Unshifted candidates are rows of the ball,
+    packed once on entry, which checks their range once.
     """
     n_t = len(targets)
     if n_t >= 1 << 15:
@@ -429,12 +442,11 @@ def _ball_scan_records(scan_bound, radius, targets, t_norms, shifted=False, coun
     ct32[:8] = ct.T
     ct32[8] = -0.5 * t_norms
     thr = ((nrm - radius) / 2).astype(np.float32)
-    # the sweep is bandwidth-bound; chunks around 32 MB amortize the
-    # per-chunk bookkeeping without blowing up the working set
-    step = max(1, (1 << 23) // max(n_t, 1))
+    step = max(1, _SCAN_CHUNK // max(n_t, 1))
     dots = np.empty((min(step, len(a)), n_t), dtype=np.float32)
     mask = np.empty_like(dots, dtype=bool)
-    recs = []
+    packed = None if shifted or count_only else pack_rows(a)
+    recs = [np.empty(0, dtype=np.int64)]
     count = 0
     for lo in range(0, len(a), step):
         hi = min(lo + step, len(a))
@@ -445,12 +457,17 @@ def _ball_scan_records(scan_bound, radius, targets, t_norms, shifted=False, coun
         if count_only:
             count += int(np.count_nonzero(m))
             continue
-        rows, cols = np.nonzero(m)
+        # hits are sparse: locate them in the rows that have any
+        hit = np.flatnonzero(m.any(axis=1))
+        if not len(hit):
+            continue
+        sub, cols = np.nonzero(m[hit])
+        rows = lo + hit[sub]
         count += len(rows)
         if shifted:
-            pk = pack_rows(targets[cols] - a[lo + rows])
+            pk = pack_rows(targets[cols] - a[rows])
         else:
-            pk = pack_rows(a[lo:hi])[rows]
+            pk = packed[rows]
         recs.append((cols.astype(np.int64) << 48) | pk)
     if count_only:
         return None, count

@@ -311,6 +311,18 @@ def test_cli_import_leaves_sympy_unloaded():
     assert out.strip() == "False"
 
 
+def test_invariant_too_deep_a_recursion_exits_2():
+    # every part of (1, 3000, 0^8) is a ray or a radius-zero cell, one
+    # nested evaluation per b2, deeper than the interpreter's stack limit
+    src = os.path.dirname(os.path.dirname(os.path.abspath(enriques_gw.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["invariant", "--genus", "1", "--beta", "1,3000,0,0,0,0,0,0,0,0"]
+    proc = subprocess.run([sys.executable, "-m", "enriques_gw.cli"] + argv, env=env,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "invariant: the recursion for this input is too deep\n"
+
+
 def test_series_text(capsys):
     code, out, _ = run(capsys, "series", "--what", "E2", "--order", "3")
     assert code == 0

@@ -105,6 +105,25 @@ def test_short_vector_array_prefix_nesting():
     assert np.array_equal(large[: len(small)], small)
 
 
+def test_short_vector_array_is_in_lexsort_order():
+    cartan = np.array(CARTAN_E8)
+    for bound in range(13):
+        x = _short_vector_array(bound)
+        norms = np.einsum("ij,jk,ik->i", x, cartan, x)
+        assert np.array_equal(x, x[np.lexsort((*x.T[::-1], norms))]), bound
+
+
+def test_sort_keys_refuse_values_past_their_7_bit_fields():
+    row = np.array([[63, -63, 0, 0, 0, 0, 0, 1]], dtype=np.int64)
+    assert lattice._norm_major_keys(row, np.array([127])).tolist() == [
+        (127 << 56) + sum((x + 64) << 7 * (7 - j) for j, x in enumerate(row[0].tolist()))]
+    for coord in (64, -64):
+        with pytest.raises(ValueError, match="7-bit"):
+            lattice._norm_major_keys(np.array([[0] * 7 + [coord]]), np.array([2]))
+    with pytest.raises(ValueError, match="7-bit"):
+        lattice._norm_major_keys(np.zeros((1, 8), dtype=np.int64), np.array([128]))
+
+
 def test_short_vector_table_keeps_one_table_and_serves_prefixes(monkeypatch):
     builds = []
 

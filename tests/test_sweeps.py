@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enriques_gw import gw_engine, lattice
+from enriques_gw import gw_engine, lattice, sweeps
 from enriques_gw.lattice import (
     CARTAN_E8,
     LatticeVector,
@@ -252,6 +252,26 @@ def test_shifted_smaller_ball_records_match_brute_force(shape):
     assert np.array_equal(brute, shifted)
     assert np.array_equal(brute, _exact_ball_records(r1, r2, targets, t_norms))
     assert _ball_scan_records(r1, r2, targets, t_norms, count_only=True) == (None, n_brute)
+
+
+@pytest.mark.parametrize("shape", [(8, 2), (6, 0)])
+@pytest.mark.parametrize("rows", [1, 7, None])
+def test_chunking_does_not_change_the_scan(monkeypatch, shape, rows):
+    # chunks of 1 and 7 ball rows put hits on chunk edges; the two balls
+    # of (8, 2), 26641 and 241 rows, leave a partial last chunk of 7
+    # rows; (6, 0) scans a one-row ball on its shifted side
+    r1, r2 = shape
+    targets, t_norms, _ = short_vector_table(2)
+    calls = [(r1, r2, {}), (r1, r2, {"count_only": True}),
+             (r2, r1, {"shifted": True}), (r2, r1, {"count_only": True})]
+    want = [_ball_scan_records(*c[:2], targets, t_norms, **c[2]) for c in calls]
+    assert np.array_equal(want[0][0], _exact_ball_records(r1, r2, targets, t_norms))
+    if rows is not None:
+        monkeypatch.setattr(sweeps, "_SCAN_CHUNK", rows * len(targets))
+    for (bound, radius, kw), (recs, count) in zip(calls, want):
+        got, n = _ball_scan_records(bound, radius, targets, t_norms, **kw)
+        assert n == count > 0
+        assert (got is None and recs is None) or np.array_equal(got, recs)
 
 
 def test_ball_scan_refuses_inexact_products_and_record_overflow():
