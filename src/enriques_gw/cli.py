@@ -86,9 +86,8 @@ def _table_rows(args):
         lines = suffixes.get(skey)
         if lines is None:
             value1 = lambda: ENGINE.class_value(b1, b2, e, key)
-            core = lambda: ENGINE.genus2_core(b1, b2, e, key)
             lines = suffixes[skey] = [
-                tail % ((d,) + value_rule(genus, d, s, value1, core))
+                tail % ((d,) + value_rule(genus, d, s, value1))
                 for d in range(args.max_degree + 1)]
         prefix = head % (genus, sep.join(map(str, coords)))
         for line in lines:

@@ -17,12 +17,15 @@ pinned down by three facts:
 Everything else here (fiber invariants N_{g,(beta,d)} of Q, the genus-2
 lambda_1 integral, the degree-d genus-2 formula and the packaging of
 its degree series by an E_2 factor) is a closed-form consequence of
-that one function.
+that one function.  In particular the recursion turns the genus-2
+core 4 <1>_beta s + 16 sum <1><1><beta1,beta2> into 6 <1>_beta s, so
+N_{2,(beta,d)} = (3/2) sigma_1(d) N_{1,(beta,0)} s for d >= 1 needs
+<1>_beta alone.
 
 The production functions evaluate <1>_beta on the one process-wide,
-orbit-keyed engine of `sweeps` (ENGINE); enriques_genus1 keeps the
-per-class recursion over enumerated decompositions as the independent
-oracle the engine is checked against.
+orbit-keyed engine of `sweeps` (ENGINE), which stores only <1>;
+enriques_genus1 keeps the per-class recursion over enumerated
+decompositions as the independent oracle the engine is checked against.
 """
 
 from __future__ import annotations
@@ -142,17 +145,6 @@ def n2_fiber(beta) -> Fraction:
     return n_invariant(2, (_stable(beta), 0))
 
 
-def genus2_core(beta) -> Fraction:
-    """N_1 <beta,beta> plus the decomposition sum of N_1 N_1 <beta1,beta2>.
-
-    This is the d-independent factor of the genus-2 degree-d invariant;
-    N_{2,(beta,d)} = sigma_1(d) times this for d >= 1.  The engine reads
-    the sum from the one it stored while evaluating <1>_beta.
-    """
-    c = _stable(beta)
-    return ENGINE.genus2_core(c[0], c[1], c[2:])
-
-
 def n_invariant(genus: int, cls) -> Fraction:
     """N_{g,(beta,d)} for g <= 2; total on honest curve classes.
 
@@ -162,11 +154,12 @@ def n_invariant(genus: int, cls) -> Fraction:
     return invariant_record(genus, cls).value
 
 
-def value_rule(genus: int, d: int, s: int, value1, core):
+def value_rule(genus: int, d: int, s: int, value1):
     """(N_{g,(beta,d)}, rule) for a nonzero positive class beta of square s.
 
-    `value1` and `core` are zero-argument callables giving <1>_beta and
-    genus2_core(beta); each is called only when the rule reads it.
+    `value1` is a zero-argument callable giving <1>_beta, called only
+    when the rule reads it.  For d >= 1 the genus-2 value is the degree
+    series (3/2) sigma_1(d) N_{1,(beta,0)} s = 6 sigma_1(d) <1>_beta s.
     """
     if genus == 0:
         return Fraction(0), "vanishing"
@@ -176,7 +169,7 @@ def value_rule(genus: int, d: int, s: int, value1, core):
         return 4 * value1(), ("isotropic base" if s == 0 else "recursion")
     if d == 0:
         return Fraction(-1, 4) * value1() * s, "fiber"
-    return sigma_pow(1, d) * core(), "degree series"
+    return sigma_pow(1, d) * 6 * value1() * s, "degree series"
 
 
 def invariant_record(genus: int, cls) -> InvariantRecord:
@@ -192,8 +185,7 @@ def invariant_record(genus: int, cls) -> InvariantRecord:
         return InvariantRecord(genus, cls, Fraction(0), "vanishing")
     c = beta.coords
     value, rule = value_rule(genus, d, square(beta),
-                             lambda: ENGINE.class_value(c[0], c[1], c[2:]),
-                             lambda: ENGINE.genus2_core(c[0], c[1], c[2:]))
+                             lambda: ENGINE.class_value(c[0], c[1], c[2:]))
     return InvariantRecord(genus, cls, value, rule)
 
 

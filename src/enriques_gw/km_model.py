@@ -163,7 +163,7 @@ def km_verdicts(probes, order):
     sigma0 = sigma_pow(1, 0)
     for coords, s, value in probes:
         div = divisibility(as_vector(coords))
-        engine = {g: value_rule(g, 0, s, lambda: value, None)[0] for g in (1, 2)}
+        engine = {g: value_rule(g, 0, s, lambda: value)[0] for g in (1, 2)}
         for g in (1, 2):
             for conv in conventions:
                 key = (g, s, div, conv)

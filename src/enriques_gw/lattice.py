@@ -230,6 +230,16 @@ def _short_vector_array(bound: int) -> np.ndarray:
     if bound < 2:
         return np.zeros((1, 8), dtype=np.int64)
 
+    x = _fincke_pohst(bound)
+    norms = np.einsum("ij,jk,ik->i", x, _CARTAN_NP, x)
+    keep = norms <= bound
+    x, norms = x[keep], norms[keep]
+    return x[np.argsort(_norm_major_keys(x, norms))]
+
+
+def _fincke_pohst(bound: int) -> np.ndarray:
+    """Unordered candidate rows for _short_vector_array(bound), a superset
+    of the ball; the per-row temporaries die on return."""
     d = np.array([float(x) for x in _LDL_D])
     mu = np.array([[float(x) for x in row] for row in _LDL_MU])
     slack = 1e-7
@@ -251,12 +261,14 @@ def _short_vector_array(bound: int) -> np.ndarray:
         offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
         xi = starts + offsets
         part = part[rows] + d[i] * (xi + (t[rows] if len(t) else 0.0)) ** 2
-        suffix = np.column_stack([xi, suffix[rows]])
-
-    norms = np.einsum("ij,jk,ik->i", suffix, _CARTAN_NP, suffix)
-    keep = norms <= bound
-    suffix, norms = suffix[keep], norms[keep]
-    return suffix[np.argsort(_norm_major_keys(suffix, norms))]
+        # one new column-major layer, the old coordinates gathered one
+        # contiguous column at a time: no full-size gathered copy
+        layer = np.empty((total, 8 - i), dtype=np.int64, order="F")
+        layer[:, 0] = xi
+        for j in range(7 - i):
+            layer[:, j + 1] = suffix[rows, j]
+        suffix = layer
+    return suffix
 
 
 def _norm_major_keys(x, norms):

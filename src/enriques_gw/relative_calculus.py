@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Dict, List, Tuple
 
@@ -103,6 +104,15 @@ def lemma_d6_d7_prefactor(parity: str, m1: int, m2: int) -> Fraction:
     raise ValueError("parity must be 'odd' or 'even'")
 
 
+@lru_cache(maxsize=64)
+def _decomposition_sum(coords) -> Fraction:
+    """sum <1>_b1 <1>_b2 <b1,b2> over enumerate_decompositions, <1> from
+    the engine; the sums of the 64 most recently used classes are cached."""
+    value = lambda v: ENGINE.class_value(v.b1, v.b2, v.e8)
+    return sum((value(b1) * value(b2) * pair(b1, b2)
+                for b1, b2 in enumerate_decompositions(as_vector(coords))), Fraction(0))
+
+
 def genus2_contributions(beta, d: int) -> dict:
     """Split N_{2,(beta,d)} into its two degeneration contributions:
 
@@ -110,23 +120,17 @@ def genus2_contributions(beta, d: int) -> dict:
         type_ii = 16 * sigma_1(d) * sum <1>_b1 <1>_b2 <b1,b2>
 
     over ordered positive decompositions beta = b1 + b2.  Their sum is
-    the full degree-d genus-2 invariant.  <1> comes from the engine; the
-    sum runs here over enumerate_decompositions, independently of the
-    engine's stored decomposition sums."""
+    the full degree-d invariant, which gw_engine.value_rule gives as
+    6 * sigma_1(d) * <1>_beta * <beta,beta>.  <1> comes from the engine;
+    the sum runs here, per decomposition, over enumerate_decompositions,
+    so the split checks the recursion identity <1>_beta <beta,beta> = 8 *
+    sum that the rule relies on."""
     beta = as_vector(beta)
     if d < 1:
         raise ValueError("degree must be positive")
     if beta.is_zero() or not is_positive(beta):
         raise ValueError("split requires a nonzero positive class")
-    genus1 = lambda v: ENGINE.class_value(v.b1, v.b2, v.e8)
     sig = sigma_pow(1, d)
-    type_i = 4 * sig * genus1(beta) * square(beta)
-    cross = Fraction(0)
-    for b1, b2 in enumerate_decompositions(beta):
-        v1 = genus1(b1)
-        if v1:
-            v2 = genus1(b2)
-            if v2:
-                cross += v1 * v2 * pair(b1, b2)
-    type_ii = 16 * sig * cross
+    type_i = 4 * sig * ENGINE.class_value(beta.b1, beta.b2, beta.e8) * square(beta)
+    type_ii = 16 * sig * _decomposition_sum(beta.coords)
     return {"type_i": type_i, "type_ii": type_ii}

@@ -74,22 +74,23 @@ def _root_vector():
     return tuple(int(x) for x in row)
 
 
-def _box_class_cores():
-    """Per-class data for the square > 0 classes of the acceptance box:
-    list of (coords, square, value, core) where value is <1> and
-    core = 4*value*square + 16 * sum <1><1><,> over decompositions."""
-    if "cores" in _shared_tables:
-        return _shared_tables["cores"]
-    _, _, engine, _ = _box_tables()
-    out = []
+def _genus2_series(order):
+    """(classes, series) for the square > 0 classes of the acceptance box:
+    classes lists (coords, engine key), series maps each key to (square,
+    <1>, [N_{2,(beta,d)} for d <= order]), by gw_engine.value_rule once
+    per key with <1> read from the optimized box table."""
+    table_opt, _, _, _ = _box_tables()
+    classes = []
+    series = {}
     for coords, s, key in sweeps.box_classes(**BOX):
         if key is None or s <= 0:
             continue
-        b1, b2, e = coords[0], coords[1], coords[2:]
-        out.append((coords, s, engine.class_value(b1, b2, e, key),
-                    engine.genus2_core(b1, b2, e, key)))
-    _shared_tables["cores"] = out
-    return out
+        classes.append((coords, key))
+        if key not in series:
+            value = table_opt[coords]
+            series[key] = (s, value, [gw_engine.value_rule(2, d, s, lambda: value)[0]
+                                      for d in range(order + 1)])
+    return classes, series
 
 
 def criterion_1() -> CriterionResult:
@@ -203,18 +204,10 @@ def criterion_5() -> CriterionResult:
     t0 = time.perf_counter()
     order = 20
     e2 = [qseries.eisenstein(2, order).coeff(n) for n in range(order + 1)]
-    sig = [qseries.sigma_pow(1, d) for d in range(order + 1)]
-    cores = _box_class_cores()
-    bad = []
-    for coords, s, value, core in cores:
-        base = -value * s * Fraction(1, 4)
-        if base != e2[0] * base:
-            bad.append(coords)
-            continue
-        for d in range(1, order + 1):
-            if sig[d] * core != e2[d] * base:
-                bad.append(coords)
-                break
+    classes, series = _genus2_series(order)
+    bad_keys = {key for key, (_, _, n2) in series.items()
+                if any(n2[d] != e2[d] * n2[0] for d in range(order + 1))}
+    bad = [coords for coords, key in classes if key in bad_keys]
     sample_ok = True
     root = _root_vector()
     for coords in [(1, 1) + (0,) * 8, (2, 1) + (0,) * 8, (2, 2) + root]:
@@ -223,31 +216,31 @@ def criterion_5() -> CriterionResult:
             sample_ok = False
     seconds = time.perf_counter() - t0
     passed = not bad and sample_ok and seconds < 60.0
-    detail = "%d classes with square > 0, orders 0..%d" % (len(cores), order)
+    detail = "%d classes with square > 0, orders 0..%d" % (len(classes), order)
     if bad:
         detail += "; first failures %r" % bad[:3]
     return CriterionResult(5, "degree series factorization", passed, seconds, detail, 60.0)
 
 
 def criterion_6() -> CriterionResult:
-    """The genus-2 degree-d core identity
-    sigma_1(d) * (N1 * s + sum N1 N1 <,>) = (3/2) * sigma_1(d) * N1 * s
-    for the same classes, with the two-part split reproducing the sum."""
+    """The genus-2 degree-d identity
+    N_{2,(beta,d)} = (3/2) * sigma_1(d) * N1 * s for the same classes,
+    and the two-part split, whose decomposition sum runs over
+    enumerate_decompositions, reproducing N_{2,(beta,d)} on a sample."""
     t0 = time.perf_counter()
     order = 20
     sig = [qseries.sigma_pow(1, d) for d in range(order + 1)]
-    cores = _box_class_cores()
-    bad = []
-    for coords, s, value, core in cores:
-        n1 = 4 * value
-        rhs_core = Fraction(3, 2) * n1 * s
-        for d in range(1, order + 1):
-            if sig[d] * core != sig[d] * rhs_core:
-                bad.append(coords)
-                break
+    classes, series = _genus2_series(order)
+    bad_keys = {key for key, (s, value, n2) in series.items()
+                if any(n2[d] != Fraction(3, 2) * sig[d] * (4 * value) * s
+                       for d in range(1, order + 1))}
+    bad = [coords for coords, key in classes if key in bad_keys]
     root = _root_vector()
+    sample = [(b1, b2) + e for b1 in (1, 2, 3) for b2 in (1, 2, 3)
+              for e in ((0,) * 8, root)]
+    sample += [(4, 2) + (0,) * 8, (2, 4) + (0,) * 8]
     split_ok = True
-    for coords in [(1, 1) + (0,) * 8, (2, 1) + (0,) * 8, (1, 1) + root]:
+    for coords in sample:
         for d in (1, 2, 3):
             parts = relative_calculus.genus2_contributions(coords, d)
             total = parts["type_i"] + parts["type_ii"]
@@ -255,8 +248,8 @@ def criterion_6() -> CriterionResult:
                 split_ok = False
     seconds = time.perf_counter() - t0
     passed = not bad and split_ok and seconds < 60.0
-    detail = ("%d classes, d <= %d; split sample: %s" %
-              (len(cores), order, split_ok))
+    detail = ("%d classes, d <= %d; split sample of %d classes, d = 1..3: %s" %
+              (len(classes), order, len(sample), split_ok))
     if bad:
         detail += "; first failures %r" % bad[:3]
     return CriterionResult(6, "genus-2 core identity", passed, seconds, detail, 60.0)

@@ -212,9 +212,10 @@ class FiberSweepEngine:
     value tables; running both and comparing is part of the acceptance
     checks.
 
-    Values and decomposition sums are stored by key (b2, square, orbit
-    id), see key_for; methods taking a `key` expect exactly that key of
-    the class they are given.
+    Only the values <1> are stored, by key (b2, square, orbit id), see
+    key_for; the genus-2 invariants need nothing else (gw_engine.value_rule).
+    Methods taking a `key` expect exactly that key of the class they are
+    given.
     """
 
     def __init__(self, scan="optimized"):
@@ -222,7 +223,6 @@ class FiberSweepEngine:
             raise ValueError("scan must be 'optimized' or 'oracle'")
         self.scan = scan
         self.values = {}
-        self.dec_sums = {}
         self.evals = 0
 
     @staticmethod
@@ -255,21 +255,19 @@ class FiberSweepEngine:
             return got
         return self._eval(key, b1, e)
 
-    def genus2_core(self, b1, b2, e, key=None):
-        """4 <1> <beta,beta> + 16 sum <1><1><,> for the class, the
-        d-independent factor of its positive-degree genus-2 invariants.
-        Zero off the positive-square cone."""
-        if key is None:
-            b2 = int(b2)
-            e = tuple(int(x) for x in e)
-            if b2 <= 0:
-                return Fraction(0)
-            key = self.key_for(b2, 2 * int(b1) * b2 - e8_norm(e), e)
-        s = key[1]
-        if s <= 0:
-            return Fraction(0)
-        value = self._value(key, int(b1), e)
-        return 4 * value * s + 16 * self.dec_sums[key]
+    def largest_ball(self, b1, b2):
+        """Norm bound of the largest ball the cells of a class (b1, b2, e)
+        scan (see _scan_cell).  Per b2', min(b1' b2', (b1 - b1') (b2 - b2'))
+        peaks at the floor or the ceiling of b1 (b2 - b2') / b2, and the
+        ceiling's value is the floor's at the mirror b2 - b2'."""
+        if self.scan == "oracle":
+            return 2 * b1 * max(b2 - 1, 0)
+        best = 0
+        for b2p in range(1, b2):
+            m2 = b2 - b2p
+            x = b1 * m2 // b2
+            best = max(best, min(x * b2p, (b1 - x) * m2))
+        return 2 * best
 
     def _eval(self, key, b1, e):
         b2, s, oid = key
@@ -278,12 +276,8 @@ class FiberSweepEngine:
             value = isotropic_genus1(math.gcd(b1, b2, *(abs(x) for x in e)))
             self.values[key] = value
             return value
-        # the largest ball any cell scans (see _scan_cell): refused before
-        # the first scan, or built once at its full size
-        short_vector_table(max(
-            (2 * b1p * b2p if self.scan == "oracle"
-             else 2 * min(b1p * b2p, (b1 - b1p) * (b2 - b2p))
-             for b2p in range(1, b2) for b1p in range(b1 + 1)), default=0))
+        # refused before the first scan, or built once at its full size
+        short_vector_table(self.largest_ball(b1, b2))
         total = Fraction(0)
         # decompositions with an n*v1 part on either side (pairing n*b2);
         # the complement keeps b2 and the E8 part, hence the orbit id
@@ -321,7 +315,6 @@ class FiberSweepEngine:
                     total += cnt * va * vb * fac
         value = Fraction(8, s) * total
         self.values[key] = value
-        self.dec_sums[key] = total
         return value
 
     def _scan_cell(self, earr, b1, b2, b1p, b2p):

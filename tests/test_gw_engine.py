@@ -10,17 +10,19 @@ from enriques_gw.gw_engine import (
     e2_corollary_check,
     enriques_genus1,
     enriques_genus2_lambda1,
-    genus2_core,
     invariant_record,
     isotropic_genus1,
     n1_fiber,
     n2_fiber,
     n_invariant,
+    value_rule,
 )
 from enriques_gw.lattice import (
     LatticeVector,
     basis_vector,
     decompositions_box_oracle,
+    enumerate_decompositions,
+    pair,
     square,
 )
 
@@ -126,12 +128,22 @@ def test_lambda1_insertion():
 
 
 def test_genus2_core_drives_positive_degrees():
+    # the core 4 <1> s + 16 sum <1><1><b1,b2>, summed here per decomposition
     beta = V1 + V2
-    core = genus2_core(beta)
+    memo = {}
+    core = 4 * enriques_genus1(beta, memo=memo) * square(beta)
+    for beta1, beta2 in enumerate_decompositions(beta):
+        core += 16 * (enriques_genus1(beta1, memo=memo)
+                      * enriques_genus1(beta2, memo=memo) * pair(beta1, beta2))
+    value1 = lambda: enriques_genus1(beta, memo=memo)
     for d in (1, 2, 3, 7):
         sig = int(sympy.divisor_sigma(d, 1))
-        assert n_invariant(2, (beta, d)) == sig * core
+        assert n_invariant(2, (beta, d)) / sig == core
+        assert value_rule(2, d, square(beta), value1) == (sig * core, "degree series")
     assert n_invariant(2, (beta, 1)) == 384
+    for zero in (V1, vec(1, 1, 1, 1, 0, 0, 0, 0, 0, 0)):
+        for d in (1, 2, 3):
+            assert n_invariant(2, (zero, d)) == 0
 
 
 def test_degree_only_classes():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -209,6 +210,8 @@ def test_pack_rows_is_injective_and_bounded():
 
 
 def test_genus2_core_matches_engine_module():
+    # the core 4 <1> s + 16 sum <1><1><b1,b2>, summed here per decomposition,
+    # against the positive-degree genus-2 rule on the engine's <1>
     eng = FiberSweepEngine()
     for b1, b2, e in [(1, 1, ZERO8), (2, 1, ZERO8), (2, 2, ROOT)]:
         beta = as_vector(b1, b2, e)
@@ -217,10 +220,14 @@ def test_genus2_core_matches_engine_module():
         for beta1, beta2 in enumerate_decompositions(beta):
             want += 16 * (gw_engine.enriques_genus1(beta1, memo=memo)
                           * gw_engine.enriques_genus1(beta2, memo=memo) * pair(beta1, beta2))
-        assert eng.genus2_core(b1, b2, e) == want
-        assert gw_engine.genus2_core(beta) == want
-    assert eng.genus2_core(1, 0, ZERO8) == 0
-    assert eng.genus2_core(1, 1, (1, 1, 0, 0, 0, 0, 0, 0)) == 0
+        value1 = lambda: eng.class_value(b1, b2, e)
+        for d in (1, 2, 4):
+            sig = int(sympy.divisor_sigma(d, 1))
+            assert gw_engine.value_rule(2, d, square(beta), value1)[0] / sig == want
+            assert gw_engine.n_invariant(2, (beta, d)) / sig == want
+    for d in (1, 2):
+        assert gw_engine.n_invariant(2, ((1, 0) + ZERO8, d)) == 0
+        assert gw_engine.n_invariant(2, ((1, 1, 1, 1) + ZERO8[2:], d)) == 0
 
 
 def test_box_table_covers_expected_classes():
@@ -301,3 +308,14 @@ def test_decomposition_agreement_small_box():
     assert report["classes"] == 2 + 3 * 2 * len(vecs)
     assert report["ordered_pairs_including_multiplicity"] > 0
     assert all(v["agree"] for v in report["per_shape"].values())
+
+
+@pytest.mark.parametrize("scan", ["optimized", "oracle"])
+def test_largest_ball_matches_the_cell_loop(scan):
+    eng = FiberSweepEngine(scan)
+    for b1 in range(0, 41):
+        for b2 in range(1, 41):
+            want = max((2 * b1p * b2p if scan == "oracle"
+                        else 2 * min(b1p * b2p, (b1 - b1p) * (b2 - b2p))
+                        for b2p in range(1, b2) for b1p in range(b1 + 1)), default=0)
+            assert eng.largest_ball(b1, b2) == want, (b1, b2)
