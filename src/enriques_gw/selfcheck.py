@@ -52,20 +52,15 @@ def _sigma1(n: int) -> int:
     return int(sympy.divisor_sigma(n, 1))
 
 
-_shared_tables = {}
+_BOX_TABLES = {}
 
 
-def _box_tables():
-    """Genus-1 box tables under both scan strategies, built once.
-
-    Returns (table_optimized, table_oracle, engine_optimized, seconds)."""
-    if "tables" not in _shared_tables:
-        t0 = time.perf_counter()
-        table_opt, engine_opt = sweeps.genus1_box_table(scan="optimized", **BOX)
-        table_orc, _ = sweeps.genus1_box_table(scan="oracle", **BOX)
-        _shared_tables["tables"] = (table_opt, table_orc, engine_opt,
-                                    time.perf_counter() - t0)
-    return _shared_tables["tables"]
+def _box_table(scan):
+    """The genus-1 box table under one scan strategy, built once.  Only
+    criterion 2 asks for the oracle scan's."""
+    if scan not in _BOX_TABLES:
+        _BOX_TABLES[scan] = sweeps.genus1_box_table(scan=scan, **BOX)[0]
+    return _BOX_TABLES[scan]
 
 
 def _root_vector():
@@ -79,7 +74,7 @@ def _genus2_series(order):
     classes lists (coords, engine key), series maps each key to (square,
     <1>, [N_{2,(beta,d)} for d <= order]), by gw_engine.value_rule once
     per key with <1> read from the optimized box table."""
-    table_opt, _, _, _ = _box_tables()
+    table_opt = _box_table("optimized")
     classes = []
     series = {}
     for coords, s, key in sweeps.box_classes(**BOX):
@@ -124,8 +119,8 @@ def criterion_2() -> CriterionResult:
     box, and the genus-1 values are identical under both strategies."""
     t0 = time.perf_counter()
     report = sweeps.decomposition_agreement(**BOX)
-    table_opt, table_orc, _, _ = _box_tables()
-    tables_equal = table_opt == table_orc
+    table_opt = _box_table("optimized")
+    tables_equal = table_opt == _box_table("oracle")
     v1 = (1, 1) + (0,) * 8
     v2 = (2, 1) + (0,) * 8
     spots_ok = table_opt[v1] == Fraction(32) and table_opt[v2] == Fraction(288)
@@ -302,7 +297,7 @@ def criterion_9() -> CriterionResult:
     The verdict table is diagnostic; the criterion does not require the
     predictions to match the engine."""
     t0 = time.perf_counter()
-    table_opt, _, _, _ = _box_tables()
+    table_opt = _box_table("optimized")
     order = 16
 
     probes = [(coords, s, table_opt[coords])

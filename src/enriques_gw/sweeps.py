@@ -36,7 +36,18 @@ thousands of decompositions).  Two observations make full boxes cheap:
     Aggregating candidates by cache key with numpy leaves only a handful
     of exact Fraction multiplications per cell.  Each evaluation first
     asks lattice.short_vector_table for the largest ball its cells scan,
-    so a ball past the table's cap is refused before any scan.
+    so a ball past the table's cap is refused before any scan.  Every
+    cell's ball is a norm-major prefix of that one, so the distances
+    <e - a, e - a> to the class E8 part e are computed once per
+    evaluation and each cell reads its prefix of them.
+
+    The summand <1>_beta1 <1>_beta2 <beta1, beta2> is symmetric, and the
+    cell (b1 - b1', b2 - b2') holds the candidates of (b1', b2') with the
+    parts swapped.  So of each such mirror pair only the cell with the
+    smaller (b2', b1') is scanned, at weight 2; a cell that is its own
+    mirror keeps weight 1.  A cell with b1' = 0 or b1' = b1 has a
+    radius-zero ball: its one candidate pairs n*v2 with (b1, b2 - n, e)
+    and is keyed without a scan.
 
 The module also contains the brute-force vs optimized decomposition
 agreement sweep, built on one routine that scans an E8 ball against
@@ -168,7 +179,11 @@ def _orbit_state(m):
 
 def _canonical_ids(m, residues):
     names = _orbit_state(m)[1]
-    points, inv = np.unique(alcove_points(residues, m), axis=0, return_inverse=True)
+    points = alcove_points(residues, m)
+    if len(points) == 1:
+        # one row, as keying a single class asks: nothing to deduplicate
+        return np.array([names.setdefault(points[0].tobytes(), len(names) + 1)], dtype=np.int64)
+    points, inv = np.unique(points, axis=0, return_inverse=True)
     ids = [names.setdefault(row.tobytes(), len(names) + 1) for row in points]
     return np.array(ids, dtype=np.int64)[inv.ravel()]
 
@@ -180,6 +195,8 @@ def orbit_ids(m, e_arr):
     res = np.mod(np.asarray(e_arr, dtype=np.int64).reshape(-1, 8), m)
     table, _ = _orbit_state(m)
     if table is None:
+        if len(res) == 1:
+            return _canonical_ids(m, res)
         uniq, inv = np.unique(res, axis=0, return_inverse=True)
         return _canonical_ids(m, uniq)[inv.ravel()]
     idx = res @ (m ** np.arange(8, dtype=np.int64))
@@ -206,11 +223,13 @@ class FiberSweepEngine:
     """Genus-1 surface invariants over large class boxes.
 
     `scan` selects how each recursion cell gathers candidates:
-    "optimized" scans the smaller of the two balls, "oracle" always
-    scans the full short-vector table of the cell, mirroring the
-    brute-force box enumeration.  The two modes must produce identical
-    value tables; running both and comparing is part of the acceptance
-    checks.
+    "optimized" scans the smaller of the two balls, one cell of each
+    mirror pair at weight 2 (weight 1 for a self-mirror cell), and
+    answers radius-zero cells without a scan; "oracle" scans the full
+    short-vector table of every cell at weight 1, mirroring the
+    brute-force box enumeration.  Both read one distance column per
+    evaluation.  The two modes must produce identical value tables;
+    running both and comparing is part of the acceptance checks.
 
     Only the values <1> are stored, by key (b2, square, orbit id), see
     key_for; the genus-2 invariants need nothing else (gw_engine.value_rule).
@@ -276,8 +295,13 @@ class FiberSweepEngine:
             value = isotropic_genus1(math.gcd(b1, b2, *(abs(x) for x in e)))
             self.values[key] = value
             return value
-        # refused before the first scan, or built once at its full size
-        short_vector_table(self.largest_ball(b1, b2))
+        # refused before the first scan, or built once at its full size;
+        # every cell's ball is a prefix of this one, so one distance
+        # column <e - a, e - a> serves them all
+        earr = np.asarray(e, dtype=np.int64)
+        _, nrm, ac = short_vector_table(self.largest_ball(b1, b2))
+        dist = (2 * b1 * b2 - s) + nrm - 2 * (ac @ earr)
+        oracle = self.scan == "oracle"
         total = Fraction(0)
         # decompositions with an n*v1 part on either side (pairing n*b2);
         # the complement keeps b2 and the E8 part, hence the orbit id
@@ -288,11 +312,29 @@ class FiberSweepEngine:
             v2 = self._value((b2, s2, oid), b1 - n, e)
             if v2:
                 total += 2 * isotropic_genus1(n) * v2 * (n * b2)
-        earr = np.asarray(e, dtype=np.int64)
         for b2p in range(1, b2):
             m2 = b2 - b2p
             for b1p in range(0, b1 + 1):
-                got = self._scan_cell(earr, b1, b2, b1p, b2p)
+                weight = 1
+                if not oracle:
+                    # the mirror cell (b1 - b1', b2 - b2') gives the same
+                    # candidates with the parts swapped: scan the first
+                    # of the two for both
+                    mirror = (m2, b1 - b1p)
+                    if (b2p, b1p) > mirror:
+                        continue
+                    if (b2p, b1p) < mirror:
+                        weight = 2
+                    if b1p in (0, b1):
+                        # a radius-zero ball holds only 0: the one candidate
+                        # pairs n*v2 with (b1, b2 - n, e), as the n*v1 sum above
+                        n = b2p if b1p == 0 else m2
+                        s2 = s - 2 * n * b1
+                        if s2 >= 0:
+                            v2 = self._value(self.key_for(b2 - n, s2, e), b1, e)
+                            total += weight * isotropic_genus1(n) * v2 * (n * b1)
+                        continue
+                got = self._scan_cell(earr, dist, b1, b2, b1p, b2p)
                 if got is None:
                     continue
                 e1, e2, s1, s2 = got
@@ -312,39 +354,29 @@ class FiberSweepEngine:
                     vb = self._value((m2, sb, int(id2[fi])), b1 - b1p, tuple(e2[fi].tolist()))
                     if not vb:
                         continue
-                    total += cnt * va * vb * fac
+                    total += weight * cnt * va * vb * fac
         value = Fraction(8, s) * total
         self.values[key] = value
         return value
 
-    def _scan_cell(self, earr, b1, b2, b1p, b2p):
+    def _scan_cell(self, earr, dist, b1, b2, b1p, b2p):
         """Candidate E8 splittings e = e1 + e2 for one recursion cell,
         restricted to candidates with both part squares nonnegative.
-        Returns (e1, e2, s1, s2) arrays or None for an empty cell."""
+        `dist` holds <e - a, e - a> for the rows a of a short-vector
+        prefix at least as long as the ball scanned.  Returns
+        (e1, e2, s1, s2) arrays or None for an empty cell."""
         r1 = 2 * b1p * b2p
         r2 = 2 * (b1 - b1p) * (b2 - b2p)
-        ne = int(earr @ _CARTAN_NP @ earr)
-        if self.scan == "oracle" or r1 <= r2:
-            a, nrm, ac = short_vector_table(r1)
-            dist2 = ne + nrm - 2 * (ac @ earr)
-            mask = dist2 <= r2
-            if not mask.any():
-                return None
-            e1 = a[mask]
-            e2 = earr[None, :] - e1
-            s1 = r1 - nrm[mask]
-            s2 = r2 - dist2[mask]
-        else:
-            a, nrm, ac = short_vector_table(r2)
-            ndist = ne + nrm - 2 * (ac @ earr)
-            mask = ndist <= r1
-            if not mask.any():
-                return None
-            e2 = a[mask]
-            e1 = earr[None, :] - e2
-            s1 = r1 - ndist[mask]
-            s2 = r2 - nrm[mask]
-        return e1, e2, s1, s2
+        shifted = self.scan == "optimized" and r2 < r1
+        a, nrm, _ = short_vector_table(r2 if shifted else r1)
+        d = dist[:len(a)]
+        mask = d <= (r1 if shifted else r2)
+        if not mask.any():
+            return None
+        f = a[mask]
+        if shifted:
+            return earr[None, :] - f, f, r1 - d[mask], r2 - nrm[mask]
+        return f, earr[None, :] - f, r1 - nrm[mask], r2 - d[mask]
 
 
 def box_classes(max_b1, max_b2, norm_bound):
@@ -353,7 +385,7 @@ def box_classes(max_b1, max_b2, norm_bound):
     with 0 <= b1 <= max_b1, 1 <= b2 <= max_b2, e a short vector of norm
     <= norm_bound.  `key` is the engine key of the class, or None when
     b2 = 0 or the square is negative; each b2 slice is keyed in one call."""
-    parts, norms, _ = short_vector_table(norm_bound)
+    parts, norms = short_vector_table(norm_bound)[:2]
     order = np.lexsort(parts.T[::-1])
     parts = parts[order]
     rows = [tuple(row) for row in parts.tolist()]

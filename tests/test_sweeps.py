@@ -319,3 +319,58 @@ def test_largest_ball_matches_the_cell_loop(scan):
                         else 2 * min(b1p * b2p, (b1 - b1p) * (b2 - b2p))
                         for b2p in range(1, b2) for b1p in range(b1 + 1)), default=0)
             assert eng.largest_ball(b1, b2) == want, (b1, b2)
+
+
+def _assert_engines_agree(classes):
+    opt, orc = FiberSweepEngine(), FiberSweepEngine("oracle")
+    for b1, b2, e in classes:
+        assert opt.class_value(b1, b2, e) == orc.class_value(b1, b2, e), (b1, b2, e)
+
+
+def test_radius_zero_cells_match_the_oracle():
+    # every cell of (1, b2, 0^8) has a radius-zero ball, which the
+    # optimized engine answers without a scan
+    _assert_engines_agree([(1, b2, ZERO8) for b2 in range(1, 11)])
+    _assert_engines_agree([(b1, b2, ROOT) for b1 in range(1, 5) for b2 in range(1, 5)])
+
+
+def test_self_mirror_cells_match_the_oracle():
+    # (b1/2, b2/2) is its own mirror cell in each of these classes
+    _assert_engines_agree([(2, 2, ZERO8), (4, 2, ROOT), (2, 4, ZERO8), (4, 4, ZERO8)])
+
+
+@pytest.mark.parametrize("scan", ["optimized", "oracle"])
+def test_optimized_engine_scans_each_mirror_pair_once(monkeypatch, scan):
+    evaluated, scanned = [], []
+    eval_, scan_cell = FiberSweepEngine._eval, FiberSweepEngine._scan_cell
+
+    def counting_eval(self, key, b1, e):
+        if key[1]:
+            evaluated.append((b1, key[0], tuple(e)))
+        return eval_(self, key, b1, e)
+
+    def counting_scan(self, earr, dist, b1, b2, b1p, b2p):
+        scanned.append((b1, b2, tuple(earr.tolist()), b1p, b2p))
+        return scan_cell(self, earr, dist, b1, b2, b1p, b2p)
+
+    monkeypatch.setattr(FiberSweepEngine, "_eval", counting_eval)
+    monkeypatch.setattr(FiberSweepEngine, "_scan_cell", counting_scan)
+    eng = FiberSweepEngine(scan)
+    for b1, b2, e in [(4, 4, ZERO8), (3, 4, ROOT), (4, 3, ZERO8), (2, 5, ROOT)]:
+        eng.class_value(b1, b2, e)
+    assert len(set(scanned)) == len(scanned)
+    cells = {cls: set() for cls in evaluated}
+    for b1, b2, e, b1p, b2p in scanned:
+        cells[b1, b2, e].add((b1p, b2p))
+    assert len(cells) > 20
+    for (b1, b2, _), got in cells.items():
+        every = {(b1p, b2p) for b2p in range(1, b2) for b1p in range(b1 + 1)}
+        if scan == "oracle":
+            assert got == every
+            continue
+        # one cell of each mirror pair, none with a radius-zero ball
+        want = {(b1p, b2p) for b1p, b2p in every
+                if 0 < b1p < b1 and (b2p, b1p) <= (b2 - b2p, b1 - b1p)}
+        assert got == want, (b1, b2)
+        assert all((b1 - b1p, b2 - b2p) not in got or (2 * b1p, 2 * b2p) == (b1, b2)
+                   for b1p, b2p in got)
