@@ -232,14 +232,9 @@ def _short_vector_array(bound: int) -> np.ndarray:
 
     x = _fincke_pohst(bound)
     norms = np.einsum("ij,jk,ik->i", x, _CARTAN_NP, x)
-    # float slack rarely lets a row past the bound: index the kept rows
-    # only when one did
-    kept = None if norms.max() <= bound else np.flatnonzero(norms <= bound)
-    order = np.argsort(_norm_major_keys(x, norms, kept))
-    del norms
-    # one gather of the kept rows in sorted order, with only x and the
-    # order alive: no filtered copy of x
-    return x[order if kept is None else kept[order]]
+    keep = norms <= bound
+    x, norms = x[keep], norms[keep]
+    return x[np.argsort(_norm_major_keys(x, norms))]
 
 
 def _fincke_pohst(bound: int) -> np.ndarray:
@@ -276,27 +271,15 @@ def _fincke_pohst(bound: int) -> np.ndarray:
     return suffix
 
 
-def _norm_major_keys(x, norms, rows=None):
+def _norm_major_keys(x, norms):
     """int64 keys norm << 56 | sum_j (x_j + 64) << 7 (7 - j) of the rows
-    of x (norms nonnegative), ordered as (norm, x_0, .., x_7) is; only of
-    the rows indexed by `rows` when it is given.  Raises ValueError
-    unless every norm and every x_j + 64 of those rows fits its 7-bit
-    field: norm < 128 and |x_j| < 64."""
-    if rows is not None:
-        norms = norms[rows]
-    wide = int(x.max(initial=0)) >= 64 or int(x.min(initial=0)) <= -64
-    if wide and rows is not None:
-        # a wide row may be one left out: look at the others alone
-        wide = bool(((x >= 64).any(axis=1) | (x <= -64).any(axis=1))[rows].any())
-    if int(norms.max(initial=0)) >= 128 or wide:
+    of x (norms nonnegative), ordered as (norm, x_0, .., x_7) is.
+    Raises ValueError unless every norm and every x_j + 64 fits its
+    7-bit field: norm < 128 and |x_j| < 64."""
+    if len(x) and (int(norms.max()) >= 128 or int(x.max()) >= 64 or int(x.min()) <= -64):
         raise ValueError("norms or coordinates leave the 7-bit fields of the sort key")
     # (x + 64) @ _KEY_WEIGHTS, without a shifted copy of x
-    keys = x @ _KEY_WEIGHTS
-    if rows is not None:
-        keys = keys[rows]
-    keys += 64 * int(_KEY_WEIGHTS.sum())
-    keys |= norms << 56
-    return keys
+    return (norms << 56) | (x @ _KEY_WEIGHTS + 64 * int(_KEY_WEIGHTS.sum()))
 
 
 #: the most vectors an E8 ball may hold: the count at norm 32

@@ -37,9 +37,10 @@ thousands of decompositions).  Two observations make full boxes cheap:
     of exact Fraction multiplications per cell.  Each evaluation first
     asks lattice.short_vector_table for the largest ball its cells scan,
     so a ball past the table's cap is refused before any scan.  Every
-    cell's ball is a norm-major prefix of that one, so the distances
-    <e - a, e - a> to the class E8 part e are computed once per
-    evaluation and each cell reads its prefix of them.
+    cell's ball is a norm-major prefix of that one, so the optimized
+    scan computes the distances <e - a, e - a> to the class E8 part e
+    once per evaluation and each cell reads its prefix of them; the
+    oracle scan computes each cell's own.
 
     The summand <1>_beta1 <1>_beta2 <beta1, beta2> is symmetric, and the
     cell (b1 - b1', b2 - b2') holds the candidates of (b1', b2') with the
@@ -179,11 +180,7 @@ def _orbit_state(m):
 
 def _canonical_ids(m, residues):
     names = _orbit_state(m)[1]
-    points = alcove_points(residues, m)
-    if len(points) == 1:
-        # one row, as keying a single class asks: nothing to deduplicate
-        return np.array([names.setdefault(points[0].tobytes(), len(names) + 1)], dtype=np.int64)
-    points, inv = np.unique(points, axis=0, return_inverse=True)
+    points, inv = np.unique(alcove_points(residues, m), axis=0, return_inverse=True)
     ids = [names.setdefault(row.tobytes(), len(names) + 1) for row in points]
     return np.array(ids, dtype=np.int64)[inv.ravel()]
 
@@ -195,8 +192,6 @@ def orbit_ids(m, e_arr):
     res = np.mod(np.asarray(e_arr, dtype=np.int64).reshape(-1, 8), m)
     table, _ = _orbit_state(m)
     if table is None:
-        if len(res) == 1:
-            return _canonical_ids(m, res)
         uniq, inv = np.unique(res, axis=0, return_inverse=True)
         return _canonical_ids(m, uniq)[inv.ravel()]
     idx = res @ (m ** np.arange(8, dtype=np.int64))
@@ -227,9 +222,10 @@ class FiberSweepEngine:
     mirror pair at weight 2 (weight 1 for a self-mirror cell), and
     answers radius-zero cells without a scan; "oracle" scans the full
     short-vector table of every cell at weight 1, mirroring the
-    brute-force box enumeration.  Both read one distance column per
-    evaluation.  The two modes must produce identical value tables;
-    running both and comparing is part of the acceptance checks.
+    brute-force box enumeration.  "optimized" reads one distance column
+    per evaluation; "oracle" forms each cell's own.  The two modes must
+    produce identical value tables; running both and comparing is part
+    of the acceptance checks.
 
     Only the values <1> are stored, by key (b2, square, orbit id), see
     key_for; the genus-2 invariants need nothing else (gw_engine.value_rule).
@@ -247,7 +243,13 @@ class FiberSweepEngine:
     @staticmethod
     def key_for(b2, s, e):
         """Cache key of a class with b2 >= 1, square s and E8 part e."""
-        return (b2, s, int(orbit_ids(b2, e)[0]))
+        table, names = _orbit_state(b2)
+        if table is not None:
+            return (b2, s, int(orbit_ids(b2, e)[0]))
+        # one row past the residue tables: its alcove point names the
+        # orbit, with nothing to deduplicate
+        point = alcove_points(np.mod(np.asarray(e, dtype=np.int64), b2)[None, :], b2)[0]
+        return (b2, s, names.setdefault(point.tobytes(), len(names) + 1))
 
     def class_value(self, b1, b2, e, key=None):
         """<1> for the class with coordinates (b1, b2, e1..e8)."""
@@ -295,12 +297,11 @@ class FiberSweepEngine:
             value = isotropic_genus1(math.gcd(b1, b2, *(abs(x) for x in e)))
             self.values[key] = value
             return value
-        # refused before the first scan, or built once at its full size;
-        # every cell's ball is a prefix of this one, so one distance
-        # column <e - a, e - a> serves them all
+        # refused before the first scan, or built once at its full size
+        ball = self.largest_ball(b1, b2)
+        short_vector_table(ball)
         earr = np.asarray(e, dtype=np.int64)
-        _, nrm, ac = short_vector_table(self.largest_ball(b1, b2))
-        dist = (2 * b1 * b2 - s) + nrm - 2 * (ac @ earr)
+        dist = None
         oracle = self.scan == "oracle"
         total = Fraction(0)
         # decompositions with an n*v1 part on either side (pairing n*b2);
@@ -334,6 +335,12 @@ class FiberSweepEngine:
                             v2 = self._value(self.key_for(b2 - n, s2, e), b1, e)
                             total += weight * isotropic_genus1(n) * v2 * (n * b1)
                         continue
+                if dist is None and not oracle:
+                    # every cell's ball is a prefix of the largest, so one
+                    # distance column <e - a, e - a> serves them all; formed
+                    # at the first scan, not held through the descents above
+                    _, nrm, ac = short_vector_table(ball)
+                    dist = (2 * b1 * b2 - s) + nrm - 2 * (ac @ earr)
                 got = self._scan_cell(earr, dist, b1, b2, b1p, b2p)
                 if got is None:
                     continue
@@ -362,14 +369,18 @@ class FiberSweepEngine:
     def _scan_cell(self, earr, dist, b1, b2, b1p, b2p):
         """Candidate E8 splittings e = e1 + e2 for one recursion cell,
         restricted to candidates with both part squares nonnegative.
-        `dist` holds <e - a, e - a> for the rows a of a short-vector
-        prefix at least as long as the ball scanned.  Returns
-        (e1, e2, s1, s2) arrays or None for an empty cell."""
+        In optimized mode `dist` holds <e - a, e - a> for the rows a of a
+        short-vector prefix at least as long as the ball scanned; the
+        oracle forms its own over its ball.  Returns (e1, e2, s1, s2)
+        arrays or None for an empty cell."""
         r1 = 2 * b1p * b2p
         r2 = 2 * (b1 - b1p) * (b2 - b2p)
         shifted = self.scan == "optimized" and r2 < r1
-        a, nrm, _ = short_vector_table(r2 if shifted else r1)
-        d = dist[:len(a)]
+        a, nrm, ac = short_vector_table(r2 if shifted else r1)
+        if self.scan == "oracle":
+            d = int(earr @ _CARTAN_NP @ earr) + nrm - 2 * (ac @ earr)
+        else:
+            d = dist[:len(a)]
         mask = d <= (r1 if shifted else r2)
         if not mask.any():
             return None

@@ -148,6 +148,8 @@ def test_orbit_ids_are_reflection_and_translation_invariant(m, row, shift):
     for mat in reflection_matrices():
         assert orbit_ids(m, e @ mat.T)[0] == want
     assert orbit_ids(m, e + m * np.array(shift))[0] == want
+    # keying one class names the same orbit, past the residue tables too
+    assert FiberSweepEngine.key_for(m, 0, (e + m * np.array(shift))[0])[2] == want
 
 
 @settings(max_examples=60, deadline=None)
