@@ -23,9 +23,10 @@ N_{2,(beta,d)} = (3/2) sigma_1(d) N_{1,(beta,0)} s for d >= 1 needs
 <1>_beta alone.
 
 The production functions evaluate <1>_beta on the one process-wide,
-orbit-keyed engine of `sweeps` (ENGINE), which stores only <1>;
-enriques_genus1 keeps the per-class recursion over enumerated
-decompositions as the independent oracle the engine is checked against.
+orbit-keyed engine sweeps.ENGINE, re-exported here as ENGINE, which
+stores only <1>; enriques_genus1 keeps the per-class recursion over
+enumerated decompositions as the independent oracle the engine is
+checked against.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .lattice import (
     square,
 )
 from .qseries import eisenstein, sigma_pow
-from .sweeps import FiberSweepEngine, isotropic_genus1
+from .sweeps import ENGINE, isotropic_genus1
 
 
 @dataclass(frozen=True)
@@ -73,10 +74,6 @@ def as_curve_class(cls) -> CurveClassQ:
         return cls
     beta, d = cls
     return CurveClassQ(as_vector(beta), int(d))
-
-
-#: the process-wide engine behind every production entry point
-ENGINE = FiberSweepEngine()
 
 
 def _genus1(beta, memo, enumerator):

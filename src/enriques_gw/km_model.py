@@ -50,13 +50,6 @@ def _index_of(s, conv):
     return s // 2
 
 
-def _int_pow_fraction(n, exponent):
-    # n ** exponent as an exact rational also for negative exponents
-    if exponent >= 0:
-        return Fraction(n ** exponent)
-    return Fraction(1, n ** (-exponent))
-
-
 def km_fiber_prediction(g, beta, conv, order=None):
     """Predicted N_{g,(beta,0)} for one class under one index convention.
 
@@ -86,10 +79,10 @@ def km_fiber_prediction(g, beta, conv, order=None):
         if div % n != 0:
             continue
         idx = _index_of(s // (n * n), conv)
-        total += c_at(idx) * _int_pow_fraction(2, weight) * _int_pow_fraction(n, -weight)
+        total += c_at(idx) * Fraction(2) ** weight * Fraction(n) ** -weight
         if div % (2 * n) == 0:
             idx2 = _index_of(s // (4 * n * n), conv)
-            total -= c_at(idx2) * _int_pow_fraction(n, -weight)
+            total -= c_at(idx2) * Fraction(n) ** -weight
     return total
 
 

@@ -320,17 +320,6 @@ def short_vector_table(bound: int):
     return tab[1][:n], tab[2][:n], tab[3][:n]
 
 
-def short_vectors(bound: int) -> set:
-    """Vectors of the E8(-1) block with 0 <= -pairing <= bound (hyperbolic part zero).
-
-    Warning: the count grows quickly (241 at bound 2, 2401 at bound 4,
-    about 4.8 million at bound 32); prefer short_vector_table for bulk work.
-    """
-    zero2 = (0, 0)
-    return {LatticeVector(zero2 + tuple(row))
-            for row in short_vector_table(bound)[0].tolist()}
-
-
 # ---------------------------------------------------------------------------
 # Decompositions beta = beta1 + beta2 into positive classes of square >= 0
 # ---------------------------------------------------------------------------
@@ -388,7 +377,7 @@ def decompositions_box_oracle(beta):
     """Brute-force reference for enumerate_decompositions.
 
     Scans the whole box 0 <= b2' <= b2, 0 <= b1' <= b1 with the E8 part of
-    beta1 drawn from short_vectors(2*b1'*b2'), and filters each candidate
+    beta1 drawn from short_vector_table(2*b1'*b2'), and filters each candidate
     with the public predicates.  Slow on purpose; used for agreement tests.
     """
     beta = as_vector(beta)

@@ -29,21 +29,19 @@ class QSeries:
     """A series sum_{n=offset}^{trunc} c_n q^n, exact and truncation-aware.
 
     Coefficients below `offset` are exactly zero; coefficients above
-    `trunc` are unknown (reading one raises).  Arithmetic truncates to the
-    smaller effective order; the stored truncation is always explicit.
+    `trunc`, the last exponent of the stored window, are unknown (reading
+    one raises).  Arithmetic truncates to the smaller effective order.
     """
 
     __slots__ = ("offset", "coeffs", "trunc")
 
-    def __init__(self, offset, coeffs, trunc=None):
+    def __init__(self, offset, coeffs):
         coeffs = tuple(_frac(c) for c in coeffs)
         if not coeffs:
             raise ValueError("QSeries needs at least one stored coefficient")
         self.offset = int(offset)
         self.coeffs = coeffs
-        self.trunc = self.offset + len(coeffs) - 1 if trunc is None else int(trunc)
-        if self.trunc != self.offset + len(coeffs) - 1:
-            raise ValueError("coefficient window does not match truncation order")
+        self.trunc = self.offset + len(coeffs) - 1
 
     @classmethod
     def zero(cls, trunc, offset=0):
@@ -68,7 +66,7 @@ class QSeries:
 
     def shift(self, k: int) -> "QSeries":
         """Multiply by q^k (shifts both offset and truncation)."""
-        return QSeries(self.offset + k, self.coeffs, self.trunc + k)
+        return QSeries(self.offset + k, self.coeffs)
 
     def __add__(self, other):
         if not isinstance(other, QSeries):
@@ -81,13 +79,13 @@ class QSeries:
                 n = s.offset + i
                 if n <= trunc:
                     coeffs[n - offset] += c
-        return QSeries(offset, coeffs, trunc)
+        return QSeries(offset, coeffs)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return QSeries(self.offset, [-c for c in self.coeffs], self.trunc)
+        return QSeries(self.offset, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         if not isinstance(other, QSeries):
@@ -100,7 +98,7 @@ class QSeries:
     def __mul__(self, other):
         if not isinstance(other, QSeries):
             f = _frac(other)
-            return QSeries(self.offset, [c * f for c in self.coeffs], self.trunc)
+            return QSeries(self.offset, [c * f for c in self.coeffs])
         offset = self.offset + other.offset
         trunc = min(self.trunc + other.offset, other.trunc + self.offset)
         coeffs = [Fraction(0)] * (trunc - offset + 1)
@@ -115,7 +113,7 @@ class QSeries:
                     break
                 if b:
                     coeffs[na + nb - offset] += a * b
-        return QSeries(offset, coeffs, trunc)
+        return QSeries(offset, coeffs)
 
     __rmul__ = __mul__
 

@@ -4,7 +4,9 @@ Each criterion is a standalone callable returning a CriterionResult with
 an exact pass/fail verdict, wall-clock seconds, and a human-readable
 detail line.  The batch is shared by the command line (`selfcheck`
 subcommand) and the test suite, so there is exactly one definition of
-what "the package works" means.
+what "the package works" means.  Every <1> the criteria read outside
+criterion 2's oracle-scan table comes from gw_engine.ENGINE, the engine
+the production functions run.
 
 Oracles are recomputed inside the runners from independent ingredients
 (sympy divisor sums, brute-force enumeration, forward substitution)
@@ -14,6 +16,7 @@ statement is nontrivial.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field
@@ -52,15 +55,27 @@ def _sigma1(n: int) -> int:
     return int(sympy.divisor_sigma(n, 1))
 
 
-_BOX_TABLES = {}
+ALL_CRITERIA = []
 
 
-def _box_table(scan):
-    """The genus-1 box table under one scan strategy, built once.  Only
-    criterion 2 asks for the oracle scan's."""
-    if scan not in _BOX_TABLES:
-        _BOX_TABLES[scan] = sweeps.genus1_box_table(scan=scan, **BOX)[0]
-    return _BOX_TABLES[scan]
+def _criterion(number, name, budget):
+    """Register the decorated body as criterion `number`, which must be
+    the next in numeric order.  The body returns (ok, detail) or
+    (ok, detail, data); the criterion passes when ok within `budget`
+    seconds, timed around the whole body."""
+    def register(body):
+        @functools.wraps(body)
+        def run():
+            t0 = time.perf_counter()
+            ok, detail, *data = body()
+            seconds = time.perf_counter() - t0
+            return CriterionResult(number, name, ok and seconds < budget, seconds,
+                                   detail, budget, *data)
+        if number != len(ALL_CRITERIA) + 1:
+            raise ValueError("criterion %d registered out of order" % number)
+        ALL_CRITERIA.append(run)
+        return run
+    return register
 
 
 def _root_vector():
@@ -73,8 +88,7 @@ def _genus2_series(order):
     """(classes, series) for the square > 0 classes of the acceptance box:
     classes lists (coords, engine key), series maps each key to (square,
     <1>, [N_{2,(beta,d)} for d <= order]), by gw_engine.value_rule once
-    per key with <1> read from the optimized box table."""
-    table_opt = _box_table("optimized")
+    per key with <1> read from gw_engine.ENGINE."""
     classes = []
     series = {}
     for coords, s, key in sweeps.box_classes(**BOX):
@@ -82,45 +96,48 @@ def _genus2_series(order):
             continue
         classes.append((coords, key))
         if key not in series:
-            value = table_opt[coords]
+            value = gw_engine.ENGINE.class_value(coords[0], coords[1], coords[2:], key)
             series[key] = (s, value, [gw_engine.value_rule(2, d, s, lambda: value)[0]
                                       for d in range(order + 1)])
     return classes, series
 
 
-def criterion_1() -> CriterionResult:
+@_criterion(1, "isotropic multiples", 1.0)
+def criterion_1():
     """Genus-1 invariants of isotropic multiples match the divisor-sum
-    closed form, recomputed here from sympy divisors."""
-    t0 = time.perf_counter()
+    closed form, recomputed here from sympy divisors, on the oracle and
+    on the production engine (N_{1,(beta,0)} = 4 <1>)."""
     root = _root_vector()
     rays = [lattice.basis_vector(1), lattice.basis_vector(2),
             lattice.as_vector((1, 1) + root)]
     failures = []
     for prim in rays:
         for n in range(1, 21):
-            got = gw_engine.enriques_genus1(n * prim)
+            beta = n * prim
             want = 2 * _sigma_minus1(n)
             if n % 2 == 0:
                 want -= _sigma_minus1(n // 2)
-            if got != want:
-                failures.append((tuple((n * prim).coords), str(got), str(want)))
+            for got in (gw_engine.enriques_genus1(beta),
+                        gw_engine.n_invariant(1, (beta, 0)) / 4):
+                if got != want:
+                    failures.append((tuple(beta.coords), str(got), str(want)))
     spots = [gw_engine.enriques_genus1(n * lattice.basis_vector(1)) for n in (1, 2, 3, 4)]
     spots_ok = spots == [Fraction(2), Fraction(2), Fraction(8, 3), Fraction(2)]
-    seconds = time.perf_counter() - t0
-    passed = not failures and spots_ok and seconds < 1.0
     detail = "3 rays, n <= 20, spot values %s" % ", ".join(str(s) for s in spots)
     if failures:
         detail += "; mismatches %r" % failures[:3]
-    return CriterionResult(1, "isotropic multiples", passed, seconds, detail, 1.0)
+    return not failures and spots_ok, detail
 
 
-def criterion_2() -> CriterionResult:
+@_criterion(2, "enumeration agreement", 30.0)
+def criterion_2():
     """Decomposition enumeration agrees with brute force everywhere in the
-    box, and the genus-1 values are identical under both strategies."""
-    t0 = time.perf_counter()
+    box, and the genus-1 values of gw_engine.ENGINE are identical to those
+    of a fresh oracle-scan engine."""
     report = sweeps.decomposition_agreement(**BOX)
-    table_opt = _box_table("optimized")
-    tables_equal = table_opt == _box_table("oracle")
+    table_opt = sweeps.genus1_box_table(**BOX)[0]
+    tables_equal = table_opt == sweeps.genus1_box_table(
+        **BOX, engine=sweeps.FiberSweepEngine("oracle"))[0]
     v1 = (1, 1) + (0,) * 8
     v2 = (2, 1) + (0,) * 8
     spots_ok = table_opt[v1] == Fraction(32) and table_opt[v2] == Fraction(288)
@@ -135,20 +152,18 @@ def criterion_2() -> CriterionResult:
             beta, memo={}, enumerator=lattice.decompositions_box_oracle)
         if fast != slow or val_fast != val_slow or val_fast != table_opt[coords]:
             sample_ok = False
-    seconds = time.perf_counter() - t0
-    passed = (report["all_agree"] and tables_equal and spots_ok and sample_ok
-              and seconds < 30.0)
     detail = ("%d classes, %d cell shapes agree, %d ordered pairs; "
               "value tables identical: %s" % (
                   report["classes"], report["cell_shapes"],
                   report["ordered_pairs_including_multiplicity"], tables_equal))
-    return CriterionResult(2, "enumeration agreement", passed, seconds, detail, 30.0,
-                           data={"report": report})
+    return (report["all_agree"] and tables_equal and spots_ok and sample_ok,
+            detail, {"report": report})
 
 
-def criterion_3() -> CriterionResult:
-    """Classes of negative square all have vanishing genus-1 invariant."""
-    t0 = time.perf_counter()
+@_criterion(3, "negative squares vanish", 5.0)
+def criterion_3():
+    """Classes of negative square all have vanishing genus-1 invariant,
+    on the oracle and on the production engine."""
     rng = random.Random(20260814)
     memo = {}
     bad = []
@@ -160,20 +175,19 @@ def criterion_3() -> CriterionResult:
         if lattice.square(beta) >= 0:
             continue
         count += 1
-        if gw_engine.enriques_genus1(beta, memo=memo) != 0:
+        if (gw_engine.enriques_genus1(beta, memo=memo) != 0
+                or gw_engine.ENGINE.class_value(coords[0], coords[1], coords[2:]) != 0):
             bad.append(coords)
-    seconds = time.perf_counter() - t0
-    passed = not bad and seconds < 5.0
     detail = "1000 sampled classes with square < 0 all vanish"
     if bad:
         detail = "nonzero at %r" % bad[:3]
-    return CriterionResult(3, "negative squares vanish", passed, seconds, detail, 5.0)
+    return not bad, detail
 
 
-def criterion_4() -> CriterionResult:
+@_criterion(4, "series anchors", 1.0)
+def criterion_4():
     """Series anchors: E2 against sympy divisor sums, P1 = E2/12, the
     printed P2 constant term, and a nonempty P2 discrepancy report."""
-    t0 = time.perf_counter()
     order = 30
     e2 = qseries.eisenstein(2, order)
     e2_ok = e2.coeff(0) == 1 and all(
@@ -183,20 +197,18 @@ def criterion_4() -> CriterionResult:
     p2_ok = qseries.p_series(2, order).coeff(0) == Fraction(1, 240)
     report = qseries.p2_discrepancy_report(order)
     report_ok = bool(report["differences"])
-    seconds = time.perf_counter() - t0
-    passed = e2_ok and p1_ok and p2_ok and report_ok and seconds < 1.0
     detail = ("E2 to order %d: %s; P1 = E2/12: %s; P2[0] = 1/240: %s; "
               "discrepancies: %d (first at q^%d)" % (
                   order, e2_ok, p1_ok, p2_ok, len(report["differences"]),
                   report["differences"][0]["exponent"] if report["differences"] else -1))
-    return CriterionResult(4, "series anchors", passed, seconds, detail, 1.0)
+    return e2_ok and p1_ok and p2_ok and report_ok, detail
 
 
-def criterion_5() -> CriterionResult:
+@_criterion(5, "degree series factorization", 60.0)
+def criterion_5():
     """The degree generating series of genus-2 invariants equals
     E2 times the degree-0 value, coefficientwise to order 20, for every
     box class of positive square."""
-    t0 = time.perf_counter()
     order = 20
     e2 = [qseries.eisenstein(2, order).coeff(n) for n in range(order + 1)]
     classes, series = _genus2_series(order)
@@ -209,20 +221,18 @@ def criterion_5() -> CriterionResult:
         rep = gw_engine.e2_corollary_check(coords, order=order)
         if not rep["equal"]:
             sample_ok = False
-    seconds = time.perf_counter() - t0
-    passed = not bad and sample_ok and seconds < 60.0
     detail = "%d classes with square > 0, orders 0..%d" % (len(classes), order)
     if bad:
         detail += "; first failures %r" % bad[:3]
-    return CriterionResult(5, "degree series factorization", passed, seconds, detail, 60.0)
+    return not bad and sample_ok, detail
 
 
-def criterion_6() -> CriterionResult:
+@_criterion(6, "genus-2 core identity", 60.0)
+def criterion_6():
     """The genus-2 degree-d identity
     N_{2,(beta,d)} = (3/2) * sigma_1(d) * N1 * s for the same classes,
     and the two-part split, whose decomposition sum runs over
     enumerate_decompositions, reproducing N_{2,(beta,d)} on a sample."""
-    t0 = time.perf_counter()
     order = 20
     sig = [qseries.sigma_pow(1, d) for d in range(order + 1)]
     classes, series = _genus2_series(order)
@@ -241,18 +251,16 @@ def criterion_6() -> CriterionResult:
             total = parts["type_i"] + parts["type_ii"]
             if total != gw_engine.n_invariant(2, (coords, d)):
                 split_ok = False
-    seconds = time.perf_counter() - t0
-    passed = not bad and split_ok and seconds < 60.0
     detail = ("%d classes, d <= %d; split sample of %d classes, d = 1..3: %s" %
               (len(classes), order, len(sample), split_ok))
     if bad:
         detail += "; first failures %r" % bad[:3]
-    return CriterionResult(6, "genus-2 core identity", passed, seconds, detail, 60.0)
+    return not bad and split_ok, detail
 
 
-def criterion_7() -> CriterionResult:
+@_criterion(7, "relative recursion", 1.0)
+def criterion_7():
     """The triangular relative recursion solves to I_d = 2 * base."""
-    t0 = time.perf_counter()
     rng = random.Random(7)
     bad = []
     for _ in range(20):
@@ -260,18 +268,16 @@ def criterion_7() -> CriterionResult:
         sol = relative_calculus.solve_I_recursion(30, base)
         if any(x != 2 * base for x in sol):
             bad.append(str(base))
-    seconds = time.perf_counter() - t0
-    passed = not bad and seconds < 1.0
     detail = "20 random bases, d <= 30"
     if bad:
         detail += "; failed at base %s" % bad[:3]
-    return CriterionResult(7, "relative recursion", passed, seconds, detail, 1.0)
+    return not bad, detail
 
 
-def criterion_8() -> CriterionResult:
+@_criterion(8, "local theory anchors", 1.0)
+def criterion_8():
     """Local theory anchors: empty-insertion values and the dimension
     constraint on its three reference cases."""
-    t0 = time.perf_counter()
     deg1_ok = (local_surface.local_degree1([], 1) == 1
                and local_surface.local_degree1([], -1) == -1)
     deg2_ok = (local_surface.local_degree2([], 2, 1) == 2
@@ -281,14 +287,13 @@ def criterion_8() -> CriterionResult:
     dim_ok = (local_surface.dimension_check(mk([], 1), [])
               and local_surface.dimension_check(mk([1], 2), [])
               and not local_surface.dimension_check(mk([1], 1), []))
-    seconds = time.perf_counter() - t0
-    passed = deg1_ok and deg2_ok and dim_ok and seconds < 1.0
     detail = "degree-1 empty: %s; degree-2 empty: %s; dimension cases: %s" % (
         deg1_ok, deg2_ok, dim_ok)
-    return CriterionResult(8, "local theory anchors", passed, seconds, detail, 1.0)
+    return deg1_ok and deg2_ok and dim_ok, detail
 
 
-def criterion_9() -> CriterionResult:
+@_criterion(9, "prediction comparison", 30.0)
+def criterion_9():
     """Engine vs heterotic predictions over all box classes of square
     at most 12 plus isotropic multiples, both index conventions, with a
     complete verdict table; the genus-2/genus-1 consistency relation must
@@ -296,16 +301,14 @@ def criterion_9() -> CriterionResult:
 
     The verdict table is diagnostic; the criterion does not require the
     predictions to match the engine."""
-    t0 = time.perf_counter()
-    table_opt = _box_table("optimized")
     order = 16
 
-    probes = [(coords, s, table_opt[coords])
-              for coords, s, _ in sweeps.box_classes(**BOX) if s <= 12]
+    engine = gw_engine.ENGINE
+    probes = [(coords, s, engine.class_value(coords[0], coords[1], coords[2:], key))
+              for coords, s, key in sweeps.box_classes(**BOX) if s <= 12]
     for n in range(5, 11):
-        iso = gw_engine.isotropic_genus1(n)
-        probes.append(((n, 0) + (0,) * 8, 0, iso))
-        probes.append(((0, n) + (0,) * 8, 0, iso))
+        for coords in ((n, 0) + (0,) * 8, (0, n) + (0,) * 8):
+            probes.append((coords, 0, engine.class_value(coords[0], coords[1], coords[2:])))
 
     verdict_map, counts, f56_ok = km_model.km_verdicts(probes, order)
 
@@ -326,21 +329,14 @@ def criterion_9() -> CriterionResult:
 
     complete = len(verdict_map) == 4 * len(probes)
     some_f56 = any(f56_ok.values())
-    seconds = time.perf_counter() - t0
-    passed = complete and some_f56 and sample_ok and seconds < 30.0
     count_str = "; ".join(
         "g=%d %s: %d match / %d mismatch" % (g, conv, c["match"], c["mismatch"])
         for (g, conv), c in sorted(counts.items()))
     detail = ("%d probed classes; %s; consistency relation holds under: %s" % (
         len(probes), count_str,
         ", ".join(k for k, v in f56_ok.items() if v) or "none"))
-    return CriterionResult(9, "prediction comparison", passed, seconds, detail, 30.0,
-                           data={"counts": {str(k): v for k, v in counts.items()},
-                                 "f56": f56_ok})
-
-
-ALL_CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
-                criterion_6, criterion_7, criterion_8, criterion_9]
+    return (complete and some_f56 and sample_ok, detail,
+            {"counts": {str(k): v for k, v in counts.items()}, "f56": f56_ok})
 
 
 def run_all(numbers=None):

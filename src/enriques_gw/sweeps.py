@@ -50,6 +50,12 @@ thousands of decompositions).  Two observations make full boxes cheap:
     radius-zero ball: its one candidate pairs n*v2 with (b1, b2 - n, e)
     and is keyed without a scan.
 
+The one production engine is ENGINE, defined here beside its class and
+re-exported by gw_engine: every entry point (invariant records, tables,
+box tables, the self-check and scripts) evaluates <1> on it.  A second
+engine is made only as the oracle-scan reference of the acceptance
+checks and of tests.
+
 The module also contains the brute-force vs optimized decomposition
 agreement sweep, built on one routine that scans an E8 ball against
 every E8 part of a coordinate box at once.  For each cell shape
@@ -225,7 +231,8 @@ class FiberSweepEngine:
     brute-force box enumeration.  "optimized" reads one distance column
     per evaluation; "oracle" forms each cell's own.  The two modes must
     produce identical value tables; running both and comparing is part
-    of the acceptance checks.
+    of the acceptance checks.  ENGINE, below, is the process-wide
+    optimized instance.
 
     Only the values <1> are stored, by key (b2, square, orbit id), see
     key_for; the genus-2 invariants need nothing else (gw_engine.value_rule).
@@ -390,6 +397,10 @@ class FiberSweepEngine:
         return f, earr[None, :] - f, r1 - nrm[mask], r2 - d[mask]
 
 
+#: the process-wide engine behind every production entry point
+ENGINE = FiberSweepEngine()
+
+
 def box_classes(max_b1, max_b2, norm_bound):
     """Every class of the coordinate box in lexicographic order, as
     (coords, square, key): n*v1 for 1 <= n <= max_b1, and (b1, b2, e)
@@ -412,14 +423,13 @@ def box_classes(max_b1, max_b2, norm_bound):
                 yield (b1, b2) + e, s, ((b2, s, oid) if s >= 0 else None)
 
 
-def genus1_box_table(max_b1=4, max_b2=4, norm_bound=4, scan="optimized", engine=None):
-    """<1> for every positive class in the coordinate box of box_classes.
+def genus1_box_table(max_b1=4, max_b2=4, norm_bound=4, engine=ENGINE):
+    """<1> for every positive class in the coordinate box of box_classes,
+    evaluated on `engine` (the process-wide ENGINE by default).
 
     Returns (table, engine) where table maps 10-tuples of coordinates to
     exact values, in lexicographic order.
     """
-    if engine is None:
-        engine = FiberSweepEngine(scan)
     table = {}
     for coords, s, key in box_classes(max_b1, max_b2, norm_bound):
         if s < 0:

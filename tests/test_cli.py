@@ -323,6 +323,14 @@ def test_invariant_too_deep_a_recursion_exits_2():
     assert proc.stderr == "invariant: the recursion for this input is too deep\n"
 
 
+def test_km_probe_default_stdout_is_pinned():
+    script = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "scripts", "km_probe.py")
+    out = subprocess.run([sys.executable, script], check=True, capture_output=True).stdout
+    assert hashlib.sha256(out).hexdigest() == (
+        "7e8033afccb2156d73586fc8c4a616ee72bc935ff89b4ee844543ad8f3cb460a")
+
+
 def test_series_text(capsys):
     code, out, _ = run(capsys, "series", "--what", "E2", "--order", "3")
     assert code == 0

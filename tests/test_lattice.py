@@ -15,7 +15,6 @@ from enriques_gw.lattice import (
     is_positive,
     pair,
     parse_vector,
-    short_vectors,
     short_vector_table,
     square,
     _short_vector_array,
@@ -81,22 +80,21 @@ def test_square_scales_quadratically(v, n):
 def test_short_vector_counts():
     # theta series of E8: 1 + 240 sum sigma_3(m) q^(2m), up to norm 24,
     # the largest ball the decomposition agreement sweep scans
-    assert len(short_vectors(0)) == 1
+    assert len(short_vector_table(0)[0]) == 1
     arr = _short_vector_array(24).astype(np.int64)
     norms = np.einsum("ij,jk,ik->i", arr, np.array(CARTAN_E8), arr)
     total = 1
     for m in range(1, 13):
         total += 240 * sigma3(m)
         if m <= 6:
-            assert len(short_vectors(2 * m)) == total
+            assert len({tuple(row) for row in short_vector_table(2 * m)[0].tolist()}) == total
         assert int((norms <= 2 * m).sum()) == total
     assert len(arr) == total
 
 
 def test_short_vectors_have_bounded_norm():
-    for v in short_vectors(4):
-        assert v.b1 == 0 and v.b2 == 0
-        assert 0 <= -square(v) <= 4
+    for row in short_vector_table(4)[0].tolist():
+        assert 0 <= -square(LatticeVector((0, 0) + tuple(row))) <= 4
 
 
 def test_short_vector_array_prefix_nesting():
@@ -171,8 +169,6 @@ def test_ball_cap_is_the_theta_count_at_norm_32(monkeypatch):
     for bound in (34, 50, 100):
         with pytest.raises(ValueError, match="norm <= %d holds more than 4845121" % bound):
             short_vector_table(bound)
-    with pytest.raises(ValueError, match="norm <= 100"):
-        short_vectors(100)
     assert builds == [33]
 
 
@@ -214,7 +210,7 @@ def test_parse_vector_rejects_garbage():
 small_positive_classes = st.tuples(
     st.integers(min_value=0, max_value=2),
     st.integers(min_value=1, max_value=2),
-    st.sampled_from(sorted(v.coords[2:] for v in short_vectors(2))),
+    st.sampled_from(sorted(tuple(row) for row in short_vector_table(2)[0].tolist())),
 ).map(lambda t: LatticeVector((t[0], t[1]) + t[2]))
 
 

@@ -36,7 +36,7 @@ def series(draw, max_trunc=8):
     trunc = draw(st.integers(min_value=offset, max_value=max_trunc))
     size = trunc - offset + 1
     coeffs = draw(st.lists(rationals, min_size=size, max_size=size))
-    return QSeries(offset, coeffs, trunc=trunc)
+    return QSeries(offset, coeffs)
 
 
 @given(series(), series())
@@ -69,7 +69,7 @@ def test_shift_is_multiplication_by_monomial(a, k):
 
 
 def test_coefficients_beyond_truncation_raise():
-    a = QSeries(0, [1, 2, 3], trunc=2)
+    a = QSeries(0, [1, 2, 3])
     assert a.coeff(2) == 3
     with pytest.raises(ValueError):
         a.coeff(3)

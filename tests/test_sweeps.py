@@ -76,8 +76,9 @@ def test_engine_refuses_a_runaway_ball_before_scanning(monkeypatch, scan, ball):
 
 
 def test_scan_modes_produce_identical_tables():
-    table_opt, _ = genus1_box_table(max_b1=3, max_b2=3, norm_bound=2, scan="optimized")
-    table_orc, _ = genus1_box_table(max_b1=3, max_b2=3, norm_bound=2, scan="oracle")
+    box = {"max_b1": 3, "max_b2": 3, "norm_bound": 2}
+    table_opt, _ = genus1_box_table(**box, engine=FiberSweepEngine("optimized"))
+    table_orc, _ = genus1_box_table(**box, engine=FiberSweepEngine("oracle"))
     assert table_opt == table_orc
     with pytest.raises(ValueError):
         FiberSweepEngine(scan="fast")
@@ -233,7 +234,8 @@ def test_genus2_core_matches_engine_module():
 
 
 def test_box_table_covers_expected_classes():
-    table, eng = genus1_box_table(max_b1=2, max_b2=2, norm_bound=2)
+    assert genus1_box_table(max_b1=1, max_b2=1, norm_bound=0)[1] is gw_engine.ENGINE
+    table, eng = genus1_box_table(max_b1=2, max_b2=2, norm_bound=2, engine=FiberSweepEngine())
     vecs, _, _ = short_vector_table(2)
     assert len(table) == 2 + 3 * 2 * len(vecs)
     assert table[(1, 0) + ZERO8] == 2
