@@ -24,7 +24,7 @@ def main():
     parser.add_argument("--max-square", type=int, default=None)
     args = parser.parse_args()
 
-    table, _ = sweeps.genus1_box_table(args.max_b1, args.max_b2, args.max_e8_norm)
+    table = sweeps.genus1_box_table(args.max_b1, args.max_b2, args.max_e8_norm)
     order = max(2 * args.max_b1 * args.max_b2 + 2, 4)
     probes = []
     for coords, value in sorted(table.items()):

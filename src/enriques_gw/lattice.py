@@ -11,9 +11,10 @@ Enriques surface are positive in this sense; the reference isotropic
 vector v1 is fixed once and for all (the recursion below depends on this
 choice of reference, which we document rather than vary).
 
-E8 balls are prefixes of one short-vector table, kept at the largest
-norm bound asked.  A ball whose exact size, by the E8 theta series
-(Conway-Sloane, SPLAG, Ch. 4 section 8.1), passes the cap is refused.
+E8 balls are prefixes of one short-vector table of coordinates and
+norms, kept at the largest norm bound asked.  A ball whose exact size,
+by the E8 theta series (Conway-Sloane, SPLAG, Ch. 4 section 8.1), passes
+the cap is refused.
 """
 
 from __future__ import annotations
@@ -93,9 +94,6 @@ class LatticeVector:
     def __hash__(self):
         return hash(self.coords)
 
-    def __lt__(self, other):
-        return self.coords < as_vector(other).coords
-
     def __iter__(self):
         return iter(self.coords)
 
@@ -122,9 +120,6 @@ def from_parts(b1: int, b2: int, e8=(0,) * 8) -> LatticeVector:
     if len(e8) != 8:
         raise ValueError("E8 part needs 8 coordinates")
     return LatticeVector((int(b1), int(b2)) + e8)
-
-
-ZERO = LatticeVector((0,) * RANK)
 
 
 def e8_norm(e) -> int:
@@ -286,15 +281,16 @@ def _norm_major_keys(x, norms):
 MAX_BALL_VECTORS = 4845121
 
 
-# the one short-vector table: (bound, coordinates, norms, Gram images)
+# the one short-vector table: (bound, coordinates, norms)
 _TABLE = [None]
 
 
 def short_vector_table(bound: int):
-    """(A, NRM, AC) for the E8 coordinate vectors of Cartan norm <= bound:
-    int64 coordinates, norms and Gram images A @ C, read-only, in the
-    norm-major order of _short_vector_array.  Only the table at the
-    largest bound asked so far is kept; a smaller bound reads a prefix.
+    """(A, NRM) for the E8 coordinate vectors of Cartan norm <= bound:
+    int64 coordinates and norms, read-only, in the norm-major order of
+    _short_vector_array.  Readers needing the pairings A C e form the
+    8-vector C e themselves.  Only the table at the largest bound asked
+    so far is kept; a smaller bound reads a prefix.
 
     Raises ValueError, before building, if the ball holds more than
     MAX_BALL_VECTORS vectors, counted as 1 + 240 sum_{k <= bound/2}
@@ -311,13 +307,12 @@ def short_vector_table(bound: int):
         # together (views callers keep stay valid)
         tab = _TABLE[0] = None
         a = _short_vector_array(bound)
-        ac = a @ _CARTAN_NP
-        tab = (bound, a, np.einsum("ij,ij->i", a, ac), ac)
+        tab = (bound, a, np.einsum("ij,ij->i", a, a @ _CARTAN_NP))
         for arr in tab[1:]:
             arr.setflags(write=False)
         _TABLE[0] = tab
     n = int(np.searchsorted(tab[2], bound, side="right"))
-    return tab[1][:n], tab[2][:n], tab[3][:n]
+    return tab[1][:n], tab[2][:n]
 
 
 # ---------------------------------------------------------------------------

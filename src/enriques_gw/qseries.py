@@ -81,9 +81,6 @@ class QSeries:
                     coeffs[n - offset] += c
         return QSeries(offset, coeffs)
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
     def __neg__(self):
         return QSeries(self.offset, [-c for c in self.coeffs])
 
@@ -91,9 +88,6 @@ class QSeries:
         if not isinstance(other, QSeries):
             other = QSeries.constant(other, self.trunc)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, QSeries):
@@ -120,14 +114,6 @@ class QSeries:
     def __truediv__(self, other):
         f = _frac(other)
         return self * (Fraction(1) / f)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not supported")
-        out = QSeries.constant(1, self.trunc)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
@@ -221,6 +207,8 @@ def eisenstein(two_n: int, trunc: int = DEFAULT_ORDER) -> QSeries:
     """
     if two_n < 2 or two_n % 2 != 0:
         raise ValueError("Eisenstein index must be an even integer >= 2")
+    if trunc < 0:
+        raise ValueError("truncation order must be >= 0")
     n = two_n // 2
     factor = Fraction(-4 * n) / bernoulli(two_n)
     coeffs = [Fraction(1)]

@@ -79,7 +79,7 @@ def _criterion(number, name, budget):
 
 
 def _root_vector():
-    parts, norms, _ = lattice.short_vector_table(2)
+    parts, norms = lattice.short_vector_table(2)
     row = parts[norms == 2][0]
     return tuple(int(x) for x in row)
 
@@ -135,9 +135,9 @@ def criterion_2():
     box, and the genus-1 values of gw_engine.ENGINE are identical to those
     of a fresh oracle-scan engine."""
     report = sweeps.decomposition_agreement(**BOX)
-    table_opt = sweeps.genus1_box_table(**BOX)[0]
+    table_opt = sweeps.genus1_box_table(**BOX)
     tables_equal = table_opt == sweeps.genus1_box_table(
-        **BOX, engine=sweeps.FiberSweepEngine("oracle"))[0]
+        **BOX, engine=sweeps.FiberSweepEngine("oracle"))
     v1 = (1, 1) + (0,) * 8
     v2 = (2, 1) + (0,) * 8
     spots_ok = table_opt[v1] == Fraction(32) and table_opt[v2] == Fraction(288)

@@ -38,9 +38,10 @@ thousands of decompositions).  Two observations make full boxes cheap:
     asks lattice.short_vector_table for the largest ball its cells scan,
     so a ball past the table's cap is refused before any scan.  Every
     cell's ball is a norm-major prefix of that one, so the optimized
-    scan computes the distances <e - a, e - a> to the class E8 part e
-    once per evaluation and each cell reads its prefix of them; the
-    oracle scan computes each cell's own.
+    scan computes the distances <e - a, e - a> = <e,e> + <a,a> - 2 a.Ce
+    to the class E8 part e once per evaluation, from the table's norms
+    and the 8-vector Ce, and each cell reads its prefix of them; the
+    oracle scan computes each cell's own the same way.
 
     The summand <1>_beta1 <1>_beta2 <beta1, beta2> is symmetric, and the
     cell (b1 - b1', b2 - b2') holds the candidates of (b1', b2') with the
@@ -346,8 +347,8 @@ class FiberSweepEngine:
                     # every cell's ball is a prefix of the largest, so one
                     # distance column <e - a, e - a> serves them all; formed
                     # at the first scan, not held through the descents above
-                    _, nrm, ac = short_vector_table(ball)
-                    dist = (2 * b1 * b2 - s) + nrm - 2 * (ac @ earr)
+                    a, nrm = short_vector_table(ball)
+                    dist = (2 * b1 * b2 - s) + nrm - 2 * (a @ (_CARTAN_NP @ earr))
                 got = self._scan_cell(earr, dist, b1, b2, b1p, b2p)
                 if got is None:
                     continue
@@ -383,9 +384,10 @@ class FiberSweepEngine:
         r1 = 2 * b1p * b2p
         r2 = 2 * (b1 - b1p) * (b2 - b2p)
         shifted = self.scan == "optimized" and r2 < r1
-        a, nrm, ac = short_vector_table(r2 if shifted else r1)
+        a, nrm = short_vector_table(r2 if shifted else r1)
         if self.scan == "oracle":
-            d = int(earr @ _CARTAN_NP @ earr) + nrm - 2 * (ac @ earr)
+            ce = _CARTAN_NP @ earr
+            d = int(earr @ ce) + nrm - 2 * (a @ ce)
         else:
             d = dist[:len(a)]
         mask = d <= (r1 if shifted else r2)
@@ -407,7 +409,7 @@ def box_classes(max_b1, max_b2, norm_bound):
     with 0 <= b1 <= max_b1, 1 <= b2 <= max_b2, e a short vector of norm
     <= norm_bound.  `key` is the engine key of the class, or None when
     b2 = 0 or the square is negative; each b2 slice is keyed in one call."""
-    parts, norms = short_vector_table(norm_bound)[:2]
+    parts, norms = short_vector_table(norm_bound)
     order = np.lexsort(parts.T[::-1])
     parts = parts[order]
     rows = [tuple(row) for row in parts.tolist()]
@@ -425,10 +427,8 @@ def box_classes(max_b1, max_b2, norm_bound):
 
 def genus1_box_table(max_b1=4, max_b2=4, norm_bound=4, engine=ENGINE):
     """<1> for every positive class in the coordinate box of box_classes,
-    evaluated on `engine` (the process-wide ENGINE by default).
-
-    Returns (table, engine) where table maps 10-tuples of coordinates to
-    exact values, in lexicographic order.
+    evaluated on `engine` (the process-wide ENGINE by default), as a dict
+    from 10-tuples of coordinates to exact values in lexicographic order.
     """
     table = {}
     for coords, s, key in box_classes(max_b1, max_b2, norm_bound):
@@ -436,7 +436,7 @@ def genus1_box_table(max_b1=4, max_b2=4, norm_bound=4, engine=ENGINE):
             table[coords] = Fraction(0)
         else:
             table[coords] = engine.class_value(coords[0], coords[1], coords[2:], key)
-    return table, engine
+    return table
 
 
 # -- brute-force vs optimized decomposition agreement -------------------
@@ -475,7 +475,7 @@ def _ball_scan_records(scan_bound, radius, targets, t_norms, shifted=False, coun
             return None, len(cols)
         cand = np.zeros_like(targets[cols]) if shifted else targets[cols]
         return (cols.astype(np.int64) << 48) | pack_rows(cand), len(cols)
-    a, nrm, _ = short_vector_table(scan_bound)
+    a, nrm = short_vector_table(scan_bound)
     ct = targets @ _CARTAN_NP
     terms = (8 * int(np.abs(a).max()) * int(np.abs(ct).max(initial=0))
              + int(t_norms.max(initial=0)) // 2)
@@ -533,7 +533,7 @@ def decomposition_agreement(max_b1=4, max_b2=4, norm_bound=4):
     both enumerations keep it exactly when the complement square is
     nonnegative; these are counted analytically.  Returns a report dict.
     """
-    targets, t_norms, _ = short_vector_table(norm_bound)
+    targets, t_norms = short_vector_table(norm_bound)
     n_t = len(targets)
     cell_shapes = {}
     for b1 in range(0, max_b1 + 1):

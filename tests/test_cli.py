@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -12,7 +13,7 @@ import pytest
 import sympy
 
 import enriques_gw
-from enriques_gw import cli
+from enriques_gw import cli, qseries
 from enriques_gw.gw_engine import enriques_genus1, n_invariant
 from enriques_gw.lattice import (
     LatticeVector,
@@ -323,12 +324,32 @@ def test_invariant_too_deep_a_recursion_exits_2():
     assert proc.stderr == "invariant: the recursion for this input is too deep\n"
 
 
+def _script(name):
+    return os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "scripts", name)
+
+
 def test_km_probe_default_stdout_is_pinned():
-    script = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                          "scripts", "km_probe.py")
-    out = subprocess.run([sys.executable, script], check=True, capture_output=True).stdout
+    out = subprocess.run([sys.executable, _script("km_probe.py")], check=True,
+                         capture_output=True).stdout
     assert hashlib.sha256(out).hexdigest() == (
         "7e8033afccb2156d73586fc8c4a616ee72bc935ff89b4ee844543ad8f3cb460a")
+
+
+def test_build_table_script_prints_the_smoke_table():
+    # the genus-1 smoke table of the benchmark, with its digest
+    argv = ["--genus", "1", "--max-b1", "2", "--max-b2", "2", "--max-e8-norm", "2"]
+    proc = subprocess.run([sys.executable, _script("build_table.py")] + argv,
+                          check=True, capture_output=True)
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "2c9a4b356feda3f191ef2276a9374243db056549ca72d5548ba5e77165543d08")
+    assert re.fullmatch(rb"table in \d+\.\d\ds; \d+ genus-1 evaluations\n", proc.stderr)
+
+
+def test_p2_report_script_json_is_the_report():
+    out = subprocess.run([sys.executable, _script("p2_report.py"), "--json"], check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out) == qseries.p2_discrepancy_report(12)
 
 
 def test_series_text(capsys):
@@ -355,6 +376,13 @@ def test_series_json(capsys):
     payload = json.loads(out)
     assert payload["what"] == "E4"
     assert payload["coefficients"][:2] == [[0, "1"], [1, "240"]]
+
+
+@pytest.mark.parametrize("what", sorted(cli._SERIES))
+def test_series_negative_order_exits_2(capsys, what):
+    code, out, err = run(capsys, "series", "--what", what, "--order", "-1")
+    assert code == 2 and out == ""
+    assert err == "series: truncation order must be >= 0\n"
 
 
 def test_km_check_comparison(capsys):

@@ -146,7 +146,7 @@ def test_short_vector_table_keeps_one_table_and_serves_prefixes(monkeypatch):
     fresh = _short_vector_array(6)
     assert np.array_equal(small[0], fresh)
     assert np.array_equal(small[1], np.einsum("ij,jk,ik->i", fresh, np.array(CARTAN_E8), fresh))
-    assert np.array_equal(small[2], fresh @ np.array(CARTAN_E8))
+    assert len(small) == 2
     for s_arr, l_arr in zip(small, large):
         assert np.shares_memory(s_arr, l_arr) and not s_arr.flags.writeable
         assert np.array_equal(l_arr[: len(s_arr)], s_arr)

@@ -117,6 +117,8 @@ def test_eisenstein_expansions():
     assert [e6.coeff(n) for n in range(2)] == [1, -504]
     with pytest.raises(ValueError):
         eisenstein(3, 5)
+    with pytest.raises(ValueError, match="truncation order must be >= 0"):
+        eisenstein(2, -1)
 
 
 def test_inv_even_eta_product_anchors():

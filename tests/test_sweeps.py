@@ -1,3 +1,4 @@
+import inspect
 import itertools
 from fractions import Fraction
 
@@ -77,8 +78,8 @@ def test_engine_refuses_a_runaway_ball_before_scanning(monkeypatch, scan, ball):
 
 def test_scan_modes_produce_identical_tables():
     box = {"max_b1": 3, "max_b2": 3, "norm_bound": 2}
-    table_opt, _ = genus1_box_table(**box, engine=FiberSweepEngine("optimized"))
-    table_orc, _ = genus1_box_table(**box, engine=FiberSweepEngine("oracle"))
+    table_opt = genus1_box_table(**box, engine=FiberSweepEngine("optimized"))
+    table_orc = genus1_box_table(**box, engine=FiberSweepEngine("oracle"))
     assert table_opt == table_orc
     with pytest.raises(ValueError):
         FiberSweepEngine(scan="fast")
@@ -205,7 +206,7 @@ def test_part_key_packing_is_injective_for_large_squares():
 
 
 def test_pack_rows_is_injective_and_bounded():
-    vecs, _, _ = short_vector_table(4)
+    vecs, _ = short_vector_table(4)
     packed = pack_rows(vecs)
     assert len(np.unique(packed)) == len(vecs)
     with pytest.raises(ValueError, match="packing range"):
@@ -234,9 +235,10 @@ def test_genus2_core_matches_engine_module():
 
 
 def test_box_table_covers_expected_classes():
-    assert genus1_box_table(max_b1=1, max_b2=1, norm_bound=0)[1] is gw_engine.ENGINE
-    table, eng = genus1_box_table(max_b1=2, max_b2=2, norm_bound=2, engine=FiberSweepEngine())
-    vecs, _, _ = short_vector_table(2)
+    assert inspect.signature(genus1_box_table).parameters["engine"].default is gw_engine.ENGINE
+    eng = FiberSweepEngine()
+    table = genus1_box_table(max_b1=2, max_b2=2, norm_bound=2, engine=eng)
+    vecs, _ = short_vector_table(2)
     assert len(table) == 2 + 3 * 2 * len(vecs)
     assert table[(1, 0) + ZERO8] == 2
     assert table[(1, 1) + ZERO8] == 32
@@ -245,7 +247,7 @@ def test_box_table_covers_expected_classes():
 
 def _exact_ball_records(scan_bound, radius, targets, t_norms):
     """Brute-force survivors of a ball scan in int64 arithmetic."""
-    vecs, norms, _ = short_vector_table(scan_bound)
+    vecs, norms = short_vector_table(scan_bound)
     dist2 = norms[:, None] + t_norms[None, :] - 2 * (vecs @ CARTAN @ targets.T)
     rows, cols = np.nonzero(dist2 <= radius)
     recs = (cols.astype(np.int64) << 48) | pack_rows(vecs[rows])
@@ -256,7 +258,7 @@ def _exact_ball_records(scan_bound, radius, targets, t_norms):
 @pytest.mark.parametrize("shape", [(2, 0), (6, 0), (4, 2), (6, 2), (8, 2), (8, 4)])
 def test_shifted_smaller_ball_records_match_brute_force(shape):
     r1, r2 = shape
-    targets, t_norms, _ = short_vector_table(2)
+    targets, t_norms = short_vector_table(2)
     brute, n_brute = _ball_scan_records(r1, r2, targets, t_norms)
     shifted, n_shifted = _ball_scan_records(r2, r1, targets, t_norms, shifted=True)
     assert n_brute == n_shifted == len(brute) > 0
@@ -272,7 +274,7 @@ def test_chunking_does_not_change_the_scan(monkeypatch, shape, rows):
     # of (8, 2), 26641 and 241 rows, leave a partial last chunk of 7
     # rows; (6, 0) scans a one-row ball on its shifted side
     r1, r2 = shape
-    targets, t_norms, _ = short_vector_table(2)
+    targets, t_norms = short_vector_table(2)
     calls = [(r1, r2, {}), (r1, r2, {"count_only": True}),
              (r2, r1, {"shifted": True}), (r2, r1, {"count_only": True})]
     want = [_ball_scan_records(*c[:2], targets, t_norms, **c[2]) for c in calls]
@@ -308,7 +310,7 @@ def test_decomposition_agreement_small_box():
     report = decomposition_agreement(max_b1=2, max_b2=2, norm_bound=2)
     assert report["all_agree"]
     assert report["mismatches"] == []
-    vecs, _, _ = short_vector_table(2)
+    vecs, _ = short_vector_table(2)
     assert report["classes"] == 2 + 3 * 2 * len(vecs)
     assert report["ordered_pairs_including_multiplicity"] > 0
     assert all(v["agree"] for v in report["per_shape"].values())
