@@ -118,13 +118,13 @@ def compare_engine_vs_km(g, beta, order=None):
     beta = as_vector(beta)
     if beta.is_zero() or not is_positive(beta):
         raise ValueError("comparison requires a nonzero positive class")
+    # the predictions first: an order past the series cap is refused
+    # before the engine runs
+    preds = {conv.value: km_fiber_prediction(g, beta, conv, order)
+             for conv in (KMConvention.FULL, KMConvention.HALF)}
     engine = n1_fiber(beta) if g == 1 else n2_fiber(beta)
-    preds = {}
-    verdicts = {}
-    for conv in (KMConvention.FULL, KMConvention.HALF):
-        value = km_fiber_prediction(g, beta, conv, order)
-        preds[conv.value] = value
-        verdicts[conv.value] = "match" if value == engine else "mismatch"
+    verdicts = {conv: "match" if value == engine else "mismatch"
+                for conv, value in preds.items()}
     return {
         "class": list(beta.coords),
         "genus": g,

@@ -399,7 +399,3 @@ def parse_vector(text: str) -> LatticeVector:
         return LatticeVector(int(p) for p in parts)
     except ValueError:
         raise ValueError("malformed lattice vector: %r" % (text,))
-
-
-def format_vector(beta) -> str:
-    return ",".join(str(c) for c in as_vector(beta).coords)

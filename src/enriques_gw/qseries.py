@@ -15,6 +15,9 @@ from collections import Counter
 from fractions import Fraction
 
 DEFAULT_ORDER = 64
+# largest truncation order any series is built to; every series and every
+# c_g starts from eisenstein or inv_even_eta_product, which check it first
+MAX_ORDER = 1000
 
 
 def _frac(x) -> Fraction:
@@ -199,16 +202,24 @@ def sigma_pow(n: int, k: int) -> Fraction:
 # Modular-form style q-expansions
 # ---------------------------------------------------------------------------
 
+def _check_order(trunc: int) -> None:
+    """Refuse a truncation order outside 0..MAX_ORDER before any
+    coefficient is built."""
+    if trunc < 0:
+        raise ValueError("truncation order must be >= 0")
+    if trunc > MAX_ORDER:
+        raise ValueError("truncation order %d exceeds the cap %d" % (trunc, MAX_ORDER))
+
+
 def eisenstein(two_n: int, trunc: int = DEFAULT_ORDER) -> QSeries:
     """Eisenstein series E_{2n} normalized to constant term 1.
 
     E_{2n} = 1 - (4n/B_{2n}) * sum_{k>=1} sigma_{2n-1}(k) q^k, which makes
     E_2 = 1 - 24*sum sigma_1 q^k and E_4 = 1 + 240*sum sigma_3 q^k.
     """
+    _check_order(trunc)
     if two_n < 2 or two_n % 2 != 0:
         raise ValueError("Eisenstein index must be an even integer >= 2")
-    if trunc < 0:
-        raise ValueError("truncation order must be >= 0")
     n = two_n // 2
     factor = Fraction(-4 * n) / bernoulli(two_n)
     coeffs = [Fraction(1)]
@@ -218,21 +229,21 @@ def eisenstein(two_n: int, trunc: int = DEFAULT_ORDER) -> QSeries:
 
 
 def inv_even_eta_product(trunc: int = DEFAULT_ORDER) -> QSeries:
-    """The product over n >= 1 of (1 - q^(2n))^(-12), expanded to order trunc."""
-    if trunc < 0:
-        raise ValueError("truncation order must be >= 0")
-    out = QSeries.constant(1, trunc)
-    n = 1
-    while 2 * n <= trunc:
-        # (1 - x)^(-12) = sum_k C(k+11, 11) x^k with x = q^(2n)
-        coeffs = [Fraction(0)] * (trunc + 1)
-        k = 0
-        while 2 * n * k <= trunc:
-            coeffs[2 * n * k] = Fraction(math.comb(k + 11, 11))
-            k += 1
-        out = out * QSeries(0, coeffs)
-        n += 1
-    return out
+    """The product over n >= 1 of (1 - q^(2n))^(-12), expanded to order trunc.
+
+    With x = q^2 its coefficients a_k are integers: the logarithmic
+    derivative of prod (1 - x^n)^(-12) gives a_0 = 1 and
+    k a_k = 12 sum_{j=1..k} sigma_1(j) a_{k-j}.
+    """
+    _check_order(trunc)
+    half = trunc // 2
+    sig = [0] + [_divisor_power_sum(1, j) for j in range(1, half + 1)]
+    a = [1]
+    for k in range(1, half + 1):
+        a.append(12 * sum(sig[j] * a[k - j] for j in range(1, k + 1)) // k)
+    coeffs = [0] * (trunc + 1)
+    coeffs[::2] = a
+    return QSeries(0, coeffs)
 
 
 def s_polynomial(g: int) -> dict:

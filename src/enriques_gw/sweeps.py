@@ -26,9 +26,11 @@ thousands of decompositions).  Two observations make full boxes cheap:
     model of E8 (Bourbaki, Lie Groups VI, Plate VII, whose node
     numbering CARTAN_E8 uses) the walls of the W(D7) subgroup amount to
     sorting absolute values, so a batch of rows is reduced with a few
-    vectorized rounds.  Canonical points get small integer ids per
-    modulus as they are first met; for small moduli a residue table
-    remembers the id of every residue already seen.
+    vectorized rounds.  Each row's canonical point is then looked up in
+    the modulus' dict of points, which gives it the next small integer id
+    when it is first met; for small moduli a residue table also remembers
+    the id of every residue already seen.  One class is keyed the same
+    way, as a batch of one row.
 
 2.  The decomposition sum itself is, cell by cell in (b1', b2'), a scan
     over lattice points of the smaller of two balls (directly, or
@@ -36,12 +38,10 @@ thousands of decompositions).  Two observations make full boxes cheap:
     Aggregating candidates by cache key with numpy leaves only a handful
     of exact Fraction multiplications per cell.  Each evaluation first
     asks lattice.short_vector_table for the largest ball its cells scan,
-    so a ball past the table's cap is refused before any scan.  Every
-    cell's ball is a norm-major prefix of that one, so the optimized
-    scan computes the distances <e - a, e - a> = <e,e> + <a,a> - 2 a.Ce
-    to the class E8 part e once per evaluation, from the table's norms
-    and the 8-vector Ce, and each cell reads its prefix of them; the
-    oracle scan computes each cell's own the same way.
+    so a ball past the table's cap is refused before any scan.  Each
+    cell then forms, over its own ball, the distances
+    <e - a, e - a> = <e,e> + <a,a> - 2 a.Ce to the class E8 part e, from
+    the table's norms and the 8-vector Ce, in both scan modes alike.
 
     The summand <1>_beta1 <1>_beta2 <beta1, beta2> is symmetric, and the
     cell (b1 - b1', b2 - b2') holds the candidates of (b1', b2') with the
@@ -134,17 +134,6 @@ def pack_rows(arr):
     return (a + 32) @ _PACK_POWS
 
 
-def reflection_matrices():
-    """Integer matrices of the eight simple-root reflections of the E8
-    block, acting on E8 coordinates.  Each preserves the Gram matrix."""
-    mats = []
-    for i in range(8):
-        m = np.eye(8, dtype=np.int64)
-        m[i, :] -= _CARTAN_NP[i, :]
-        mats.append(m)
-    return mats
-
-
 def alcove_points(e_arr, m):
     """Canonical points of the orbits of W x| m*Q through the rows of
     e_arr (E8 coordinates), in doubled orthonormal coordinates: the one
@@ -187,9 +176,8 @@ def _orbit_state(m):
 
 def _canonical_ids(m, residues):
     names = _orbit_state(m)[1]
-    points, inv = np.unique(alcove_points(residues, m), axis=0, return_inverse=True)
-    ids = [names.setdefault(row.tobytes(), len(names) + 1) for row in points]
-    return np.array(ids, dtype=np.int64)[inv.ravel()]
+    return np.array([names.setdefault(p.tobytes(), len(names) + 1)
+                     for p in alcove_points(residues, m)], dtype=np.int64)
 
 
 def orbit_ids(m, e_arr):
@@ -199,8 +187,7 @@ def orbit_ids(m, e_arr):
     res = np.mod(np.asarray(e_arr, dtype=np.int64).reshape(-1, 8), m)
     table, _ = _orbit_state(m)
     if table is None:
-        uniq, inv = np.unique(res, axis=0, return_inverse=True)
-        return _canonical_ids(m, uniq)[inv.ravel()]
+        return _canonical_ids(m, res)
     idx = res @ (m ** np.arange(8, dtype=np.int64))
     ids = table[idx]
     miss = ids == 0
@@ -229,14 +216,14 @@ class FiberSweepEngine:
     mirror pair at weight 2 (weight 1 for a self-mirror cell), and
     answers radius-zero cells without a scan; "oracle" scans the full
     short-vector table of every cell at weight 1, mirroring the
-    brute-force box enumeration.  "optimized" reads one distance column
-    per evaluation; "oracle" forms each cell's own.  The two modes must
-    produce identical value tables; running both and comparing is part
-    of the acceptance checks.  ENGINE, below, is the process-wide
-    optimized instance.
+    brute-force box enumeration.  Both form each cell's distances the
+    same way (see _scan_cell) and must produce identical value tables;
+    running both and comparing is part of the acceptance checks.  ENGINE,
+    below, is the process-wide optimized instance.
 
     Only the values <1> are stored, by key (b2, square, orbit id), see
-    key_for; the genus-2 invariants need nothing else (gw_engine.value_rule).
+    key_for, which names the orbit through orbit_ids for every modulus;
+    the genus-2 invariants need nothing else (gw_engine.value_rule).
     Methods taking a `key` expect exactly that key of the class they are
     given.
     """
@@ -251,13 +238,7 @@ class FiberSweepEngine:
     @staticmethod
     def key_for(b2, s, e):
         """Cache key of a class with b2 >= 1, square s and E8 part e."""
-        table, names = _orbit_state(b2)
-        if table is not None:
-            return (b2, s, int(orbit_ids(b2, e)[0]))
-        # one row past the residue tables: its alcove point names the
-        # orbit, with nothing to deduplicate
-        point = alcove_points(np.mod(np.asarray(e, dtype=np.int64), b2)[None, :], b2)[0]
-        return (b2, s, names.setdefault(point.tobytes(), len(names) + 1))
+        return (b2, s, int(orbit_ids(b2, e)[0]))
 
     def class_value(self, b1, b2, e, key=None):
         """<1> for the class with coordinates (b1, b2, e1..e8)."""
@@ -306,10 +287,8 @@ class FiberSweepEngine:
             self.values[key] = value
             return value
         # refused before the first scan, or built once at its full size
-        ball = self.largest_ball(b1, b2)
-        short_vector_table(ball)
+        short_vector_table(self.largest_ball(b1, b2))
         earr = np.asarray(e, dtype=np.int64)
-        dist = None
         oracle = self.scan == "oracle"
         total = Fraction(0)
         # decompositions with an n*v1 part on either side (pairing n*b2);
@@ -343,13 +322,7 @@ class FiberSweepEngine:
                             v2 = self._value(self.key_for(b2 - n, s2, e), b1, e)
                             total += weight * isotropic_genus1(n) * v2 * (n * b1)
                         continue
-                if dist is None and not oracle:
-                    # every cell's ball is a prefix of the largest, so one
-                    # distance column <e - a, e - a> serves them all; formed
-                    # at the first scan, not held through the descents above
-                    a, nrm = short_vector_table(ball)
-                    dist = (2 * b1 * b2 - s) + nrm - 2 * (a @ (_CARTAN_NP @ earr))
-                got = self._scan_cell(earr, dist, b1, b2, b1p, b2p)
+                got = self._scan_cell(earr, b1, b2, b1p, b2p)
                 if got is None:
                     continue
                 e1, e2, s1, s2 = got
@@ -374,22 +347,22 @@ class FiberSweepEngine:
         self.values[key] = value
         return value
 
-    def _scan_cell(self, earr, dist, b1, b2, b1p, b2p):
+    def _scan_cell(self, earr, b1, b2, b1p, b2p):
         """Candidate E8 splittings e = e1 + e2 for one recursion cell,
         restricted to candidates with both part squares nonnegative.
-        In optimized mode `dist` holds <e - a, e - a> for the rows a of a
-        short-vector prefix at least as long as the ball scanned; the
-        oracle forms its own over its ball.  Returns (e1, e2, s1, s2)
-        arrays or None for an empty cell."""
+        Both scan modes form the distances <e - a, e - a> =
+        <e,e> + <a,a> - 2 a.Ce over the rows a of the ball they scan, in
+        place in one int64 array.  Returns (e1, e2, s1, s2) arrays or None
+        for an empty cell."""
         r1 = 2 * b1p * b2p
         r2 = 2 * (b1 - b1p) * (b2 - b2p)
         shifted = self.scan == "optimized" and r2 < r1
         a, nrm = short_vector_table(r2 if shifted else r1)
-        if self.scan == "oracle":
-            ce = _CARTAN_NP @ earr
-            d = int(earr @ ce) + nrm - 2 * (a @ ce)
-        else:
-            d = dist[:len(a)]
+        ce = _CARTAN_NP @ earr
+        d = a @ ce
+        d *= -2
+        d += nrm
+        d += int(earr @ ce)
         mask = d <= (r1 if shifted else r2)
         if not mask.any():
             return None

@@ -13,7 +13,7 @@ import pytest
 import sympy
 
 import enriques_gw
-from enriques_gw import cli, qseries
+from enriques_gw import cli, km_model, qseries
 from enriques_gw.gw_engine import enriques_genus1, n_invariant
 from enriques_gw.lattice import (
     LatticeVector,
@@ -383,6 +383,33 @@ def test_series_negative_order_exits_2(capsys, what):
     code, out, err = run(capsys, "series", "--what", what, "--order", "-1")
     assert code == 2 and out == ""
     assert err == "series: truncation order must be >= 0\n"
+
+
+@pytest.mark.parametrize("what", sorted(cli._SERIES))
+def test_series_order_past_the_cap_exits_2(capsys, what):
+    order = qseries.MAX_ORDER + 1
+    code, out, err = run(capsys, "series", "--what", what, "--order", str(order))
+    assert code == 2 and out == ""
+    assert err == "series: truncation order %d exceeds the cap %d\n" % (order, qseries.MAX_ORDER)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--genus", "1", "--beta", SECTION_SUM, "--order", "1001"),
+    ("--beta", SECTION_SUM, "--f56", "--order", "1001"),
+    # (1, 600, 0^8) has square 1200, so the default order is 1202
+    ("--genus", "2", "--beta", "1,600,0,0,0,0,0,0,0,0"),
+])
+def test_km_check_order_past_the_cap_exits_2(capsys, monkeypatch, argv):
+    def refuse(beta):
+        raise AssertionError("ran the engine on %s" % (beta,))
+
+    # refused before the engine runs
+    monkeypatch.setattr(km_model, "n1_fiber", refuse)
+    monkeypatch.setattr(km_model, "n2_fiber", refuse)
+    code, out, err = run(capsys, "km-check", *argv)
+    assert code == 2 and out == ""
+    assert re.fullmatch(r"km-check: truncation order \d+ exceeds the cap %d\n"
+                        % qseries.MAX_ORDER, err)
 
 
 def test_km_check_comparison(capsys):

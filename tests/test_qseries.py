@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.utilities.iterables import partitions
 
+from enriques_gw import qseries
 from enriques_gw.qseries import (
+    MAX_ORDER,
     QSeries,
     bernoulli,
     c_coefficients,
@@ -127,6 +129,39 @@ def test_inv_even_eta_product_anchors():
     assert [eta.coeff(2 * n) for n in range(6)] == want
     # only even exponents appear
     assert all(eta.coeff(2 * n + 1) == 0 for n in range(5))
+
+
+def _eta_product_oracle(trunc):
+    """prod (1 - q^(2n))^(-12) multiplied out factor by factor, each
+    (1 - x)^(-12) = sum_k C(k+11, 11) x^k at x = q^(2n)."""
+    out = QSeries.constant(1, trunc)
+    for n in range(1, trunc // 2 + 1):
+        coeffs = [F(0)] * (trunc + 1)
+        for k in range(trunc // (2 * n) + 1):
+            coeffs[2 * n * k] = F(math.comb(k + 11, 11))
+        out = out * QSeries(0, coeffs)
+    return out
+
+
+@pytest.mark.parametrize("trunc", list(range(0, 21)) + [41, 60])
+def test_inv_even_eta_product_matches_the_product_oracle(trunc):
+    assert inv_even_eta_product(trunc) == _eta_product_oracle(trunc)
+
+
+def test_orders_past_the_cap_are_refused_before_any_coefficient(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a coefficient")
+
+    monkeypatch.setattr(qseries, "sigma_pow", refuse)
+    monkeypatch.setattr(qseries, "_divisor_power_sum", refuse)
+    cap = "truncation order %d exceeds the cap %d" % (MAX_ORDER + 1, MAX_ORDER)
+    for build in (lambda t: eisenstein(2, t), inv_even_eta_product,
+                  lambda t: p_series(2, t), lambda t: p_series_substituted(3, t),
+                  lambda t: c_coefficients(2, t)):
+        with pytest.raises(ValueError, match=cap):
+            build(MAX_ORDER + 1)
+        with pytest.raises(ValueError, match="truncation order must be >= 0"):
+            build(-1)
 
 
 # ---------------------------------------------------------------------------

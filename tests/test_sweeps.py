@@ -28,7 +28,6 @@ from enriques_gw.sweeps import (
     orbit_ids,
     pack_part_keys,
     pack_rows,
-    reflection_matrices,
 )
 
 ZERO8 = (0,) * 8
@@ -38,6 +37,18 @@ CARTAN = np.array(CARTAN_E8, dtype=np.int64)
 
 def as_vector(b1, b2, e):
     return LatticeVector((b1, b2) + tuple(e))
+
+
+def reflection_matrices():
+    """Integer matrices of the eight simple-root reflections of the E8
+    block, acting on E8 coordinates: the independent orbit oracle.  Each
+    preserves the Gram matrix."""
+    mats = []
+    for i in range(8):
+        m = np.eye(8, dtype=np.int64)
+        m[i, :] -= CARTAN[i, :]
+        mats.append(m)
+    return mats
 
 
 def test_engine_matches_recursive_values():
@@ -150,8 +161,27 @@ def test_orbit_ids_are_reflection_and_translation_invariant(m, row, shift):
     for mat in reflection_matrices():
         assert orbit_ids(m, e @ mat.T)[0] == want
     assert orbit_ids(m, e + m * np.array(shift))[0] == want
-    # keying one class names the same orbit, past the residue tables too
-    assert FiberSweepEngine.key_for(m, 0, (e + m * np.array(shift))[0])[2] == want
+
+
+@pytest.mark.parametrize("batch_first", [True, False])
+def test_orbit_ids_are_stable_across_calls(monkeypatch, batch_first):
+    # ids are given out in row order as canonical points are first met;
+    # a batch and the same rows keyed one at a time (as key_for keys a
+    # class) must name every orbit alike, whichever call comes first
+    base = np.random.default_rng(11).integers(-40, 41, size=(30, 8))
+    # the second half reflects the first, in reverse row order
+    rows = np.concatenate([base, base[::-1] @ reflection_matrices()[4].T])
+    n = len(base)
+    for m in range(1, 13):
+        monkeypatch.setattr(sweeps, "_ORBITS", {})
+        if batch_first:
+            batch = orbit_ids(m, rows).tolist()
+            single = [int(orbit_ids(m, row)[0]) for row in rows]
+        else:
+            single = [int(orbit_ids(m, row)[0]) for row in rows]
+            batch = orbit_ids(m, rows).tolist()
+        assert batch == single, m
+        assert batch[:n] == batch[n:][::-1], m
 
 
 @settings(max_examples=60, deadline=None)
@@ -165,10 +195,11 @@ def test_alcove_points_are_dominant_below_the_affine_wall(m, row):
 
 
 def test_orbit_counts_match_affine_mark_solutions():
-    counts = [len(_alcove_solutions(m)) for m in range(1, 9)]
-    assert counts == [1, 3, 5, 10, 15, 27, 39, 63]
+    # m <= 8 name orbits through residue tables, m >= 9 without them
+    counts = [len(_alcove_solutions(m)) for m in range(1, 13)]
+    assert counts == [1, 3, 5, 10, 15, 27, 39, 63, 90, 135, 187, 270]
     inv_cartan = np.linalg.inv(CARTAN).round().astype(np.int64)
-    for m, count in zip(range(1, 9), counts):
+    for m, count in zip(range(1, 13), counts):
         # the alcove points, in root coordinates, are their own canonical
         # points and name distinct orbits; the dominance test above puts
         # every canonical point among them
@@ -355,9 +386,9 @@ def test_optimized_engine_scans_each_mirror_pair_once(monkeypatch, scan):
             evaluated.append((b1, key[0], tuple(e)))
         return eval_(self, key, b1, e)
 
-    def counting_scan(self, earr, dist, b1, b2, b1p, b2p):
+    def counting_scan(self, earr, b1, b2, b1p, b2p):
         scanned.append((b1, b2, tuple(earr.tolist()), b1p, b2p))
-        return scan_cell(self, earr, dist, b1, b2, b1p, b2p)
+        return scan_cell(self, earr, b1, b2, b1p, b2p)
 
     monkeypatch.setattr(FiberSweepEngine, "_eval", counting_eval)
     monkeypatch.setattr(FiberSweepEngine, "_scan_cell", counting_scan)
