@@ -30,7 +30,8 @@ thousands of decompositions).  Two observations make full boxes cheap:
     the modulus' dict of points, which gives it the next small integer id
     when it is first met; for small moduli a residue table also remembers
     the id of every residue already seen.  One class is keyed the same
-    way, as a batch of one row.
+    way, as a batch of one row; past the residue tables its canonical
+    point is memoized.
 
 2.  The decomposition sum itself is, cell by cell in (b1', b2'), a scan
     over lattice points of the smaller of two balls (directly, or
@@ -68,12 +69,13 @@ is answered by direct comparison.  Cells whose complement is a multiple
 of v1 reduce to scalar predicates and are counted analytically.
 
 The ball scan decides distances with float32 matrix products whose
-terms are integers and half-integers; it raises ValueError unless the
-sum of their absolute values stays below 2**24, so the products it uses
-are exact.  It walks the ball in chunks of about 2**18 mask elements
-(ball rows x targets), so one chunk stays in cache, and since hits are
-sparse it finds the rows of a chunk that have any before locating the
-hits in those rows alone.
+terms are integers; it raises ValueError unless the sum of their
+absolute values stays below 2**24, so the products it uses are exact.
+It walks the ball in chunks of about 2**16 mask elements (ball rows x
+targets), so one chunk stays in cache, and reads each chunk's hits off
+the flat indices of its mask.  Records are sums of per-target and
+per-row packed values, since packing is linear; on the shifted side
+that holds by a norm bound on the candidates, checked on entry.
 """
 
 from __future__ import annotations
@@ -90,8 +92,10 @@ from .qseries import sigma_pow
 _PACK_POWS = (64 ** np.arange(8)).astype(np.int64)
 
 # mask elements (ball rows x targets) per chunk of a ball scan, small
-# enough that one chunk's products and mask stay in cache
-_SCAN_CHUNK = 1 << 18
+# enough that one chunk's products and mask stay in cache; 2**16 was
+# among the fastest of 2**14..2**20 for criterion 2's sweep on a 2-core
+# Xeon with 4 MiB of L2
+_SCAN_CHUNK = 1 << 16
 
 # twice the simple roots alpha1..alpha8 in orthonormal coordinates
 # (Bourbaki, Plate VII); E8 coordinates e map to doubled orthonormal
@@ -127,7 +131,10 @@ def isotropic_genus1(n: int) -> Fraction:
 
 
 def pack_rows(arr):
-    """Injective int64 encoding of E8 coordinate rows (|entry| < 32)."""
+    """Injective int64 encoding (x + 32).P of E8 coordinate rows x, P the
+    powers 64**0..64**7: each entry must have |x_j| < 32, so every 6-bit
+    field holds x_j + 32 in 1..63 and codes stay below 2**48.  The code
+    is linear: pack(x - y) = pack(x) - y.P while x - y is in range."""
     a = np.asarray(arr, dtype=np.int64)
     if a.size and int(np.abs(a).max()) >= 32:
         raise ValueError("coordinates out of packing range")
@@ -174,10 +181,24 @@ def _orbit_state(m):
     return state
 
 
+@lru_cache(maxsize=1 << 12)
+def _one_alcove_point(m, residue):
+    """alcove_points of one residue row mod m, as bytes in and out, for
+    moduli without a residue table: keying one class at a time meets the
+    same residues again and again, which these would reduce anew.  The
+    4096 most recently used (m, residue) pairs are cached.  Points, not
+    ids, are cached, so ids stay those of the modulus' dict of points."""
+    row = np.frombuffer(residue, dtype=np.int64).reshape(1, 8)
+    return alcove_points(row, m)[0].tobytes()
+
+
 def _canonical_ids(m, residues):
-    names = _orbit_state(m)[1]
-    return np.array([names.setdefault(p.tobytes(), len(names) + 1)
-                     for p in alcove_points(residues, m)], dtype=np.int64)
+    table, names = _orbit_state(m)
+    if table is None and len(residues) == 1:
+        points = [_one_alcove_point(m, residues[0].tobytes())]
+    else:
+        points = [p.tobytes() for p in alcove_points(residues, m)]
+    return np.array([names.setdefault(p, len(names) + 1) for p in points], dtype=np.int64)
 
 
 def orbit_ids(m, e_arr):
@@ -426,22 +447,33 @@ def _ball_scan_records(scan_bound, radius, targets, t_norms, shifted=False, coun
 
     radius == 0 asks for f = t (the Cartan form is positive definite) and
     is answered by direct comparison.  Otherwise <f-t,f-t> <= radius is
-    rearranged into f.Ct - <t,t>/2 >= (<f,f> - radius)/2 and decided by
-    one float32 matrix product per chunk, the -<t,t>/2 term folded in as
-    a ninth column.  Every term is an integer or half-integer, so the
-    product is exact while the sum of the absolute values of its terms,
-    8 max|f| max|Ct| + max <t,t>/2, stays below 2**24; that bound is
-    checked before the first product.  The target count, which must fit
-    the 15 bits above the 48 of packed coordinates, is checked on entry.
+    rearranged into 2 f.Ct - <t,t> + (radius - <f,f>) >= 0 and decided by
+    one float32 matrix product per chunk, the last two terms folded in as
+    a ninth and a tenth column, so the mask compares with zero.  Every
+    term is an integer, so the product is exact while the sum of the
+    absolute values of its terms, 16 max|f| max|Ct| + max <t,t> +
+    max|radius - <f,f>|, stays below 2**24; that bound is checked before
+    the first product.  The target count, which must fit the 15 bits
+    above the 48 of packed coordinates, is checked on entry.
 
-    Chunks hold _SCAN_CHUNK mask elements (at least one ball row).  In
-    each, the rows with a hit are found first and only those rows are
-    searched for their hits.  Unshifted candidates are rows of the ball,
-    packed once on entry, which checks their range once.
+    Chunks hold _SCAN_CHUNK mask elements (at least one ball row).  The
+    hits of a chunk are the flat indices of its mask, split into (ball
+    row, target) by divmod with the target count.  Packing is linear,
+    pack(t - f) = pack(t) - f.P with P the powers of 64 (see pack_rows),
+    so a record is the sum of a per-target and a per-row int64, both
+    formed once on entry: (index << 48) + pack(t) and -f.P when
+    `shifted`, index << 48 and pack(f) otherwise.  Unshifted candidates
+    are rows of the ball, whose range pack_rows checks once.  A shifted
+    candidate x = t - f has norm <= radius, and x_j = <x, w_j> for the
+    fundamental weight w_j, whose norm is at most 30; so |x_j| <=
+    sqrt(30 radius), below 32 for radius <= 34.  A shifted scan with a
+    larger radius is refused on entry.
     """
     n_t = len(targets)
     if n_t >= 1 << 15:
         raise ValueError("%d targets overflow the record index field" % n_t)
+    if shifted and 30 * radius >= 32 ** 2:
+        raise ValueError("shifted candidates of norm %d overflow the packing range" % radius)
     if radius == 0:
         cols = np.nonzero(t_norms <= scan_bound)[0]
         if count_only:
@@ -450,21 +482,30 @@ def _ball_scan_records(scan_bound, radius, targets, t_norms, shifted=False, coun
         return (cols.astype(np.int64) << 48) | pack_rows(cand), len(cols)
     a, nrm = short_vector_table(scan_bound)
     ct = targets @ _CARTAN_NP
-    terms = (8 * int(np.abs(a).max()) * int(np.abs(ct).max(initial=0))
-             + int(t_norms.max(initial=0)) // 2)
+    slack = radius - nrm
+    terms = (16 * int(np.abs(a).max()) * int(np.abs(ct).max(initial=0))
+             + int(t_norms.max(initial=0)) + int(np.abs(slack).max()))
     if terms >= 1 << 24:
         raise ValueError("dot products up to %d are not exact in float32" % terms)
-    a32 = np.empty((len(a), 9), dtype=np.float32)
+    a32 = np.empty((len(a), 10), dtype=np.float32)
     a32[:, :8] = a
     a32[:, 8] = 1
-    ct32 = np.empty((9, n_t), dtype=np.float32)
-    ct32[:8] = ct.T
-    ct32[8] = -0.5 * t_norms
-    thr = ((nrm - radius) / 2).astype(np.float32)
+    a32[:, 9] = slack
+    ct32 = np.empty((10, n_t), dtype=np.float32)
+    ct32[:8] = 2 * ct.T
+    ct32[8] = -t_norms
+    ct32[9] = 1
     step = max(1, _SCAN_CHUNK // max(n_t, 1))
     dots = np.empty((min(step, len(a)), n_t), dtype=np.float32)
     mask = np.empty_like(dots, dtype=bool)
-    packed = None if shifted or count_only else pack_rows(a)
+    if not count_only:
+        # record = col_rec[target] + row_rec[ball row], by linearity of packing
+        col_rec = np.arange(n_t, dtype=np.int64) << 48
+        if shifted:
+            col_rec += pack_rows(targets)
+            row_rec = -(a @ _PACK_POWS)
+        else:
+            row_rec = pack_rows(a)
     recs = [np.empty(0, dtype=np.int64)]
     count = 0
     for lo in range(0, len(a), step):
@@ -472,22 +513,13 @@ def _ball_scan_records(scan_bound, radius, targets, t_norms, shifted=False, coun
         d = dots[:hi - lo]
         m = mask[:hi - lo]
         np.matmul(a32[lo:hi], ct32, out=d)
-        np.greater_equal(d, thr[lo:hi, None], out=m)
+        np.greater_equal(d, 0, out=m)
         if count_only:
             count += int(np.count_nonzero(m))
             continue
-        # hits are sparse: locate them in the rows that have any
-        hit = np.flatnonzero(m.any(axis=1))
-        if not len(hit):
-            continue
-        sub, cols = np.nonzero(m[hit])
-        rows = lo + hit[sub]
+        rows, cols = np.divmod(np.flatnonzero(m), n_t)
         count += len(rows)
-        if shifted:
-            pk = pack_rows(targets[cols] - a[rows])
-        else:
-            pk = packed[rows]
-        recs.append((cols.astype(np.int64) << 48) | pk)
+        recs.append(col_rec[cols] + row_rec[lo:hi][rows])
     if count_only:
         return None, count
     out = np.concatenate(recs)

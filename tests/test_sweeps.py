@@ -327,6 +327,36 @@ def test_ball_scan_refuses_inexact_products_and_record_overflow():
         _ball_scan_records(2, 2, many, np.zeros(1 << 15, dtype=np.int64))
 
 
+def test_shifted_scan_refuses_a_packing_overflow_before_any_product(monkeypatch):
+    # a shifted candidate of norm r has |x_j| <= sqrt(30 r), below 32 up
+    # to r = 34; radius 34 around the zero ball keeps every target
+    targets, t_norms = short_vector_table(2)
+    recs, n = _ball_scan_records(0, 34, targets, t_norms, shifted=True)
+    want = (np.arange(len(targets), dtype=np.int64) << 48) | pack_rows(targets)
+    assert n == len(targets) and np.array_equal(recs, want)
+
+    def no_scan(bound):
+        raise AssertionError("ball fetched for a refused scan")
+
+    monkeypatch.setattr(sweeps, "short_vector_table", no_scan)
+    with pytest.raises(ValueError, match="packing range"):
+        _ball_scan_records(0, 35, targets, t_norms, shifted=True)
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (6, 2)])
+def test_ball_scan_records_at_criterion_2_hit_density(shape):
+    # a slice of the norm-4 targets criterion 2 scans against, of a size
+    # that is not a power of two, so flat hit indices split by divmod
+    r1, r2 = shape
+    targets, t_norms = short_vector_table(4)
+    targets, t_norms = targets[::5], t_norms[::5]
+    assert len(targets) == 481
+    want = _exact_ball_records(r1, r2, targets, t_norms)
+    for got, n in [_ball_scan_records(r1, r2, targets, t_norms),
+                   _ball_scan_records(r2, r1, targets, t_norms, shifted=True)]:
+        assert n == len(want) and np.array_equal(got, want)
+
+
 def test_agreement_survivors_are_symmetric_in_the_cell_shape():
     # e1 -> e - e1 maps the survivors of shape (a, b) onto those of (b, a);
     # shapes with a <= b are only counted, the others are compared
