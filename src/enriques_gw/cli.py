@@ -24,7 +24,7 @@ import sys
 
 from . import km_model, local_surface, qseries, selfcheck, sweeps
 from .gw_engine import ENGINE, invariant_record, value_rule
-from .lattice import parse_vector, short_vector_table
+from .lattice import parse_vector
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -104,9 +104,8 @@ def cmd_table(args, out=None):
     if args.max_b1 < 0 or args.max_b2 < 0 or args.max_e8_norm < 0 or args.max_degree < 0:
         sys.stderr.write("table: box bounds must be nonnegative\n")
         return EXIT_COMPUTE
-    n_parts = len(short_vector_table(args.max_e8_norm)[0])
-    n_classes = args.max_b1 + (args.max_b1 + 1) * args.max_b2 * n_parts
-    n_rows = n_classes * (args.max_degree + 1)
+    n_rows = (sweeps.box_class_count(args.max_b1, args.max_b2, args.max_e8_norm)
+              * (args.max_degree + 1))
     if n_rows > args.limit:
         sys.stderr.write("table: %d rows exceed the limit %d "
                          "(raise --limit to proceed)\n" % (n_rows, args.limit))
@@ -187,7 +186,13 @@ def cmd_selfcheck(args, out=None):
     out = out if out is not None else sys.stdout
     numbers = None
     if args.only:
-        numbers = {int(part) for part in args.only.split(",")}
+        known = {str(n): n for n in range(1, len(selfcheck.ALL_CRITERIA) + 1)}
+        parts = [part.strip() for part in args.only.split(",")]
+        if not all(part in known for part in parts):
+            sys.stderr.write("selfcheck: --only takes criterion numbers 1..%d, not %r\n"
+                             % (len(known), args.only))
+            return EXIT_USAGE
+        numbers = {known[part] for part in parts}
     results = selfcheck.run_all(numbers)
     out.write(selfcheck.format_results(results) + "\n")
     return EXIT_OK if all(r.passed for r in results) else EXIT_SELFCHECK

@@ -76,7 +76,7 @@ def as_curve_class(cls) -> CurveClassQ:
     return CurveClassQ(as_vector(beta), int(d))
 
 
-def _genus1(beta, memo, enumerator):
+def _genus1(beta, memo):
     if not is_positive(beta):
         return Fraction(0)
     s = square(beta)
@@ -89,10 +89,10 @@ def _genus1(beta, memo, enumerator):
         value = isotropic_genus1(divisibility(beta))
     else:
         total = Fraction(0)
-        for beta1, beta2 in enumerator(beta):
-            v1 = _genus1(beta1, memo, enumerator)
+        for beta1, beta2 in enumerate_decompositions(beta):
+            v1 = _genus1(beta1, memo)
             if v1:
-                v2 = _genus1(beta2, memo, enumerator)
+                v2 = _genus1(beta2, memo)
                 if v2:
                     total += v1 * v2 * pair(beta1, beta2)
         value = Fraction(8, s) * total
@@ -100,23 +100,21 @@ def _genus1(beta, memo, enumerator):
     return value
 
 
-def enriques_genus1(beta, memo=None, enumerator=None) -> Fraction:
+def enriques_genus1(beta, memo=None) -> Fraction:
     """<1>_{1,beta} on the Enriques surface, exact, by the per-class
-    recursion over enumerated decompositions.
+    recursion over lattice.enumerate_decompositions.
 
     This is the independent oracle for the engine behind the production
     functions below.  `memo` (a fresh dict per call by default) can be
-    shared between calls; `enumerator` swaps in an alternative
-    decomposition enumerator.
+    shared between calls; it gathers every class of square >= 0 met, and
+    those of positive square are the ones whose decompositions were read.
     """
     beta = as_vector(beta)
     if beta.is_zero():
         raise ValueError("unstable class")
     if memo is None:
         memo = {}
-    if enumerator is None:
-        enumerator = enumerate_decompositions
-    return _genus1(beta, memo, enumerator)
+    return _genus1(beta, memo)
 
 
 def _stable(beta):

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .gw_engine import n1_fiber, n2_fiber, value_rule
 from .lattice import as_vector, divisibility, is_positive, square
-from .qseries import c_coefficients, sigma_pow
+from .qseries import c_coefficients, divisors, sigma_pow
 
 
 class KMConvention(enum.Enum):
@@ -75,9 +75,7 @@ def km_fiber_prediction(g, beta, conv, order=None):
             raise ValueError("c series truncated below requested index")
         return c.coeff(idx)
 
-    for n in range(1, div + 1):
-        if div % n != 0:
-            continue
+    for n in divisors(div):
         idx = _index_of(s // (n * n), conv)
         total += c_at(idx) * Fraction(2) ** weight * Fraction(n) ** -weight
         if div % (2 * n) == 0:

@@ -18,6 +18,8 @@ DEFAULT_ORDER = 64
 # largest truncation order any series is built to; every series and every
 # c_g starts from eisenstein or inv_even_eta_product, which check it first
 MAX_ORDER = 1000
+# largest argument of a divisor sum; its walk takes sqrt(k) steps
+MAX_DIVISOR_ARG = 10 ** 12
 
 
 def _frac(x) -> Fraction:
@@ -167,17 +169,18 @@ def bernoulli(k: int) -> Fraction:
     return even[-1]
 
 
+def divisors(k: int) -> list:
+    """The divisors of 1 <= k <= MAX_DIVISOR_ARG in increasing order, from
+    one walk of d up to sqrt(k); a larger k is refused before the walk."""
+    if k > MAX_DIVISOR_ARG:
+        raise ValueError("%d exceeds the divisor cap %d" % (k, MAX_DIVISOR_ARG))
+    small = [d for d in range(1, math.isqrt(k) + 1) if k % d == 0]
+    return small + [k // d for d in reversed(small) if d * d != k]
+
+
 def _divisor_power_sum(n: int, k: int) -> int:
     """sum of d**n over the divisors d of k >= 1, for n >= 0."""
-    total = 0
-    d = 1
-    while d * d <= k:
-        if k % d == 0:
-            total += d ** n
-            if d * d != k:
-                total += (k // d) ** n
-        d += 1
-    return total
+    return sum(d ** n for d in divisors(k))
 
 
 def sigma_pow(n: int, k: int) -> Fraction:

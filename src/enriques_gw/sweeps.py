@@ -37,9 +37,10 @@ thousands of decompositions).  Two observations make full boxes cheap:
     over lattice points of the smaller of two balls (directly, or
     shifted by the class E8 part when the complement ball is smaller).
     Aggregating candidates by cache key with numpy leaves only a handful
-    of exact Fraction multiplications per cell.  Each evaluation first
-    asks lattice.short_vector_table for the largest ball its cells scan,
-    so a ball past the table's cap is refused before any scan.  Each
+    of exact Fraction multiplications per cell.  Each evaluation refuses
+    a class of more than _MAX_CELLS cells b1*b2, then asks
+    lattice.short_vector_table for the largest ball its cells scan, so a
+    ball past the table's cap is refused before any scan.  Each
     cell then forms, over its own ball, the distances
     <e - a, e - a> = <e,e> + <a,a> - 2 a.Ce to the class E8 part e, from
     the table's norms and the 8-vector Ce, in both scan modes alike.
@@ -111,6 +112,10 @@ _ROOTS2 = np.array([
     [0, 0, 0, 0, 0, -2, 2, 0],
 ], dtype=np.int64)
 _ALPHA1 = _ROOTS2[0]
+
+# most recursion cells b1 * b2 of a class the engine evaluates; past it
+# largest_ball's loop and the chain of parts would run away at every level
+_MAX_CELLS = 4096
 
 # moduli m with m**8 <= this keep an int32 residue -> orbit id table
 _RESIDUE_MEMO_MAX = 8 ** 8
@@ -307,6 +312,9 @@ class FiberSweepEngine:
             value = isotropic_genus1(math.gcd(b1, b2, *(abs(x) for x in e)))
             self.values[key] = value
             return value
+        if b1 * b2 > _MAX_CELLS:
+            raise ValueError("a class with b1*b2 = %d > %d recursion cells is refused"
+                             % (b1 * b2, _MAX_CELLS))
         # refused before the first scan, or built once at its full size
         short_vector_table(self.largest_ball(b1, b2))
         earr = np.asarray(e, dtype=np.int64)
@@ -417,6 +425,12 @@ def box_classes(max_b1, max_b2, norm_bound):
             for e, ne, oid in zip(rows, norms, ids[b2]):
                 s = 2 * b1 * b2 - ne
                 yield (b1, b2) + e, s, ((b2, s, oid) if s >= 0 else None)
+
+
+def box_class_count(max_b1, max_b2, norm_bound):
+    """The number of classes box_classes yields for the same box."""
+    n_parts = len(short_vector_table(norm_bound)[0])
+    return max_b1 + (max_b1 + 1) * max_b2 * n_parts
 
 
 def genus1_box_table(max_b1=4, max_b2=4, norm_bound=4, engine=ENGINE):
@@ -539,7 +553,6 @@ def decomposition_agreement(max_b1=4, max_b2=4, norm_bound=4):
     nonnegative; these are counted analytically.  Returns a report dict.
     """
     targets, t_norms = short_vector_table(norm_bound)
-    n_t = len(targets)
     cell_shapes = {}
     for b1 in range(0, max_b1 + 1):
         for b2 in range(1, max_b2 + 1):
@@ -581,10 +594,9 @@ def decomposition_agreement(max_b1=4, max_b2=4, norm_bound=4):
     total_pairs += edge_pairs
     for n in range(2, max_b1 + 1):
         total_pairs += n - 1
-    n_classes = max_b1 + (max_b1 + 1) * max_b2 * n_t
     return {
         "box": {"max_b1": max_b1, "max_b2": max_b2, "norm_bound": norm_bound},
-        "classes": n_classes,
+        "classes": box_class_count(max_b1, max_b2, norm_bound),
         "cell_shapes": len(cell_shapes),
         "all_agree": not mismatches,
         "mismatches": mismatches,

@@ -238,6 +238,10 @@ TABLE_DIGESTS = [
     (["--genus", "2", "--max-b1", "2", "--max-b2", "2", "--max-e8-norm", "2",
       "--max-degree", "3", "--format", "csv"],
      "8c6d7c18bcf696567c444756c42dd68286d5a8b6d1945d4bcab1db687bf0ccb7"),
+    # the full output of the benchmark's table-g2-wide workload
+    (["--genus", "2", "--max-b1", "3", "--max-b2", "3", "--max-e8-norm", "4",
+      "--max-degree", "5", "--format", "json"],
+     "546a163d18ef7bab064334310c83136b3021ecff38f32839cb3ea0e094badea0"),
 ]
 
 
@@ -322,6 +326,32 @@ def test_invariant_too_deep_a_recursion_exits_2():
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "invariant: the recursion for this input is too deep\n"
+
+
+@pytest.mark.parametrize("argv,err", [
+    # every ball of (1, b2, 0^8) has radius 0: the chain, not a ball, runs away
+    (("invariant", "--genus", "1", "--beta", "1,10000000,0,0,0,0,0,0,0,0"),
+     "invariant: a class with b1*b2 = 10000000 > 4096 recursion cells is refused\n"),
+    (("invariant", "--genus", "2", "--beta", SECTION_SUM, "--degree", str(10 ** 14)),
+     "invariant: %d exceeds the divisor cap %d\n" % (10 ** 14, qseries.MAX_DIVISOR_ARG)),
+    (("invariant", "--genus", "1", "--beta", "%d,0,0,0,0,0,0,0,0,0" % 10 ** 15),
+     "invariant: %d exceeds the divisor cap %d\n" % (10 ** 15, qseries.MAX_DIVISOR_ARG)),
+    (("km-check", "--genus", "1", "--beta", "%d,0,0,0,0,0,0,0,0,0" % 10 ** 13),
+     "km-check: %d exceeds the divisor cap %d\n" % (10 ** 13, qseries.MAX_DIVISOR_ARG)),
+])
+def test_runaway_inputs_exit_2_at_once(capsys, argv, err):
+    t0 = time.perf_counter()
+    assert run(capsys, *argv) == (2, "", err)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_km_check_walks_only_the_divisors_of_a_large_multiple(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "km-check", "--genus", "1", "--beta",
+                       "%d,0,0,0,0,0,0,0,0,0" % 10 ** 7)
+    assert time.perf_counter() - t0 < 1.0
+    report = json.loads(out)
+    assert code == 0 and report["engine_value"] == report["prediction_full"]
 
 
 def _script(name):
@@ -456,6 +486,16 @@ def test_local_dimension_flag(capsys):
                        "--genus", "1", "--ddeg", "1", "--gc", "1")
     assert code == 0
     assert json.loads(out) == {"satisfied": False}
+
+
+@pytest.mark.parametrize("only", ["12", "0", "2,x", "1,", "-1"])
+def test_selfcheck_only_without_a_criterion_is_a_usage_error(capsys, monkeypatch, only):
+    def refuse(numbers):
+        raise AssertionError("ran criteria %r" % (numbers,))
+
+    monkeypatch.setattr(cli.selfcheck, "run_all", refuse)
+    assert run(capsys, "selfcheck", "--only", only) == (
+        1, "", "selfcheck: --only takes criterion numbers 1..9, not %r\n" % only)
 
 
 def test_selfcheck_fast_subset(capsys):

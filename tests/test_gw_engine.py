@@ -95,11 +95,17 @@ def test_negative_square_classes_vanish(coords):
     assert enriques_genus1(beta, memo={}) == 0
 
 
-def test_enumerator_swap_gives_identical_values():
+def test_enumerations_agree_on_every_class_the_recursion_read():
+    # the recursion reads the decompositions of exactly the memo classes
+    # of positive square; where both enumerations agree on all of them,
+    # the recursion over the box oracle would give the same values
+    memo = {}
     for beta in (V1 + V2, 2 * V1 + V2, V1 + V2 + ROOT, 2 * V2 + V1):
-        default = enriques_genus1(beta, memo={})
-        brute = enriques_genus1(beta, memo={}, enumerator=decompositions_box_oracle)
-        assert default == brute
+        enriques_genus1(beta, memo=memo)
+    read = [coords for coords in memo if square(LatticeVector(coords)) > 0]
+    assert sorted(read) == [(1, 1) + (0,) * 8, (1, 2) + (0,) * 8, (2, 1) + (0,) * 8]
+    for coords in read:
+        assert enumerate_decompositions(coords) == decompositions_box_oracle(coords)
 
 
 def test_isotropic_genus1_rejects_nonpositive():

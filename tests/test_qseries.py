@@ -9,10 +9,12 @@ from sympy.utilities.iterables import partitions
 
 from enriques_gw import qseries
 from enriques_gw.qseries import (
+    MAX_DIVISOR_ARG,
     MAX_ORDER,
     QSeries,
     bernoulli,
     c_coefficients,
+    divisors,
     eisenstein,
     inv_even_eta_product,
     p2_discrepancy_report,
@@ -108,6 +110,23 @@ def test_sigma_pow():
 @given(st.sampled_from([-1, 1, 3, 5, 7]), st.integers(min_value=1, max_value=2000))
 def test_sigma_pow_matches_sympy_divisor_sums(n, k):
     assert sigma_pow(n, k) == sum(F(d) ** n for d in sympy.divisors(k))
+
+
+@settings(max_examples=200)
+@given(st.one_of(st.integers(min_value=1, max_value=5000),
+                 st.integers(min_value=1, max_value=1000).map(lambda n: n * n)))
+def test_divisors_match_sympy(k):
+    assert divisors(k) == sympy.divisors(k)
+
+
+def test_divisor_sums_past_the_cap_are_refused_before_the_walk():
+    assert divisors(MAX_DIVISOR_ARG)[-2:] == [MAX_DIVISOR_ARG // 2, MAX_DIVISOR_ARG]
+    cap = "%d exceeds the divisor cap %d" % (MAX_DIVISOR_ARG + 1, MAX_DIVISOR_ARG)
+    for call in (lambda: divisors(MAX_DIVISOR_ARG + 1),
+                 lambda: sigma_pow(1, MAX_DIVISOR_ARG + 1),
+                 lambda: sigma_pow(-1, MAX_DIVISOR_ARG + 1)):
+        with pytest.raises(ValueError, match=cap):
+            call()
 
 
 def test_eisenstein_expansions():

@@ -22,6 +22,7 @@ from enriques_gw.sweeps import (
     FiberSweepEngine,
     _ball_scan_records,
     alcove_points,
+    box_class_count,
     box_classes,
     decomposition_agreement,
     genus1_box_table,
@@ -263,6 +264,20 @@ def test_genus2_core_matches_engine_module():
     for d in (1, 2):
         assert gw_engine.n_invariant(2, ((1, 0) + ZERO8, d)) == 0
         assert gw_engine.n_invariant(2, ((1, 1, 1, 1) + ZERO8[2:], d)) == 0
+
+
+@pytest.mark.parametrize("box", [(0, 0, 0), (3, 0, 2), (0, 3, 2), (2, 3, 4), (1, 1, 0)])
+def test_box_class_count_counts_box_classes(box):
+    assert box_class_count(*box) == sum(1 for _ in box_classes(*box))
+
+
+def test_engine_refuses_a_class_past_the_cell_cap_before_its_ball(monkeypatch):
+    def refuse(self, b1, b2):
+        raise AssertionError("walked the cells of (%d, %d)" % (b1, b2))
+
+    monkeypatch.setattr(FiberSweepEngine, "largest_ball", refuse)
+    with pytest.raises(ValueError, match="b1\\*b2 = 4097 > 4096"):
+        FiberSweepEngine().class_value(1, 4097, ZERO8)
 
 
 def test_box_table_covers_expected_classes():
