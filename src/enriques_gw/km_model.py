@@ -84,18 +84,22 @@ def km_fiber_prediction(g, beta, conv, order=None):
     return total
 
 
+def _f56_rhs(km1, s):
+    """The genus-2/genus-1 consistency relation's genus-2 value for a class of
+    square s and genus-1 value km1: (3/2) * sigma_1(0) * km1 * s, sigma_1(0) = -1/24."""
+    return Fraction(3, 2) * sigma_pow(1, 0) * km1 * s
+
+
 def km_f56_check(beta, conv, order=None):
-    """Test the genus-2/genus-1 consistency relation on the predictions:
-    km_2(beta) = (3/2) * sigma_1(0) * km_1(beta) * square(beta),
-    with sigma_1(0) = -1/24.  Requires square(beta) > 0.
-    """
+    """Test the genus-2/genus-1 consistency relation of _f56_rhs on the
+    predictions for beta.  Requires square(beta) > 0."""
     beta = as_vector(beta)
     s = square(beta)
     if s <= 0:
         raise ValueError("check requires square(beta) > 0")
     conv = _as_convention(conv)
     lhs = km_fiber_prediction(2, beta, conv, order)
-    rhs = Fraction(3, 2) * sigma_pow(1, 0) * km_fiber_prediction(1, beta, conv, order) * s
+    rhs = _f56_rhs(km_fiber_prediction(1, beta, conv, order), s)
     return {
         "beta": list(beta.coords),
         "square": s,
@@ -151,7 +155,6 @@ def km_verdicts(probes, order):
     counts = {(g, conv): {"match": 0, "mismatch": 0} for g in (1, 2) for conv in conventions}
     consistency = dict.fromkeys(conventions, True)
     verdicts = {}
-    sigma0 = sigma_pow(1, 0)
     for coords, s, value in probes:
         div = divisibility(as_vector(coords))
         engine = {g: value_rule(g, 0, s, lambda: value)[0] for g in (1, 2)}
@@ -165,8 +168,6 @@ def km_verdicts(probes, order):
                 verdicts[(coords, g, conv)] = verdict
         if s > 0:
             for conv in conventions:
-                km1 = pred_cache[(1, s, div, conv)]
-                km2 = pred_cache[(2, s, div, conv)]
-                if km2 != Fraction(3, 2) * sigma0 * km1 * s:
+                if pred_cache[(2, s, div, conv)] != _f56_rhs(pred_cache[(1, s, div, conv)], s):
                     consistency[conv] = False
     return verdicts, counts, consistency

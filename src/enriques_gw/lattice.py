@@ -170,10 +170,7 @@ def is_positive(beta) -> bool:
 
 def divisibility(beta) -> int:
     """gcd of the coordinates; a class is primitive iff this is 1."""
-    beta = as_vector(beta)
-    g = 0
-    for c in beta.coords:
-        g = math.gcd(g, c)
+    g = math.gcd(*as_vector(beta).coords)
     if g == 0:
         raise ValueError("zero class has no divisibility")
     return g
@@ -355,8 +352,6 @@ def enumerate_decompositions(beta):
         for b1p in range(0, b1 + 1):
             r1 = 2 * b1p * b2p
             r2 = 2 * (b1 - b1p) * (b2 - b2p)
-            if min(r1, r2) < 0:
-                continue
             if r1 <= r2:
                 for row in short_vector_table(r1)[0].tolist():
                     emit(from_parts(b1p, b2p, row))

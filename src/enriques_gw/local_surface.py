@@ -5,7 +5,9 @@ general-type testing family.
 Everything here is exact rational arithmetic.  The two closed product
 formulas are conjectural; they are exposed so that their consequences
 (signs, dimension constraints, specializations) can be probed against
-the rest of the package and against any external count.
+the rest of the package and against any external count.  Every input
+passes one check, `_checked_alphas`; the two formulas also refuse inputs
+past MAX_LOCAL_INPUT there, before any factorial or power.
 """
 
 from __future__ import annotations
@@ -14,6 +16,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Sequence, Tuple
+
+# cap on each of sum(alphas), len(alphas) and g_C in the two formulas; at
+# the cap a value's numerator and denominator stay under 3,500 digits
+MAX_LOCAL_INPUT = 1000
+
+
+def _checked_alphas(alphas: Sequence[int], sign: int, g_C=None) -> Tuple[int, ...]:
+    """alphas as a tuple of ints, after refusing a negative exponent or a
+    sign other than +1 or -1; given a base genus (the two formulas), also
+    a negative g_C and inputs past MAX_LOCAL_INPUT."""
+    alphas = tuple(int(a) for a in alphas)
+    if any(a < 0 for a in alphas):
+        raise ValueError("descendent exponents must be nonnegative")
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if g_C is not None and g_C < 0:
+        raise ValueError("base genus must be nonnegative")
+    if g_C is not None and max(sum(alphas), len(alphas), g_C) > MAX_LOCAL_INPUT:
+        raise ValueError("the exponents' sum, their number and the base genus "
+                         "must each be at most %d" % MAX_LOCAL_INPUT)
+    return alphas
 
 
 @dataclass(frozen=True)
@@ -30,11 +53,7 @@ class DescendentSpec:
     sign: int
 
     def __post_init__(self):
-        object.__setattr__(self, "alphas", tuple(int(a) for a in self.alphas))
-        if any(a < 0 for a in self.alphas):
-            raise ValueError("descendent exponents must be nonnegative")
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
+        object.__setattr__(self, "alphas", _checked_alphas(self.alphas, self.sign))
 
 
 def dimension_check(spec: DescendentSpec, alphas_tilde: Sequence[int]) -> bool:
@@ -45,26 +64,17 @@ def dimension_check(spec: DescendentSpec, alphas_tilde: Sequence[int]) -> bool:
 
 
 def _alpha_factor(alpha: int, two_power: int) -> Fraction:
-    # alpha! / (2*alpha + 1)! times (-2)**two_power, all exact
-    base = Fraction(factorial(alpha), factorial(2 * alpha + 1))
-    if two_power >= 0:
-        return base * Fraction((-2) ** two_power)
-    return base * Fraction(1, (-2) ** (-two_power))
+    return Fraction(factorial(alpha), factorial(2 * alpha + 1)) * Fraction(-2) ** two_power
 
 
 def local_degree1(alphas: Sequence[int], sign: int = 1) -> Fraction:
     """Degree-1 local descendent value:
     sign * prod_i alpha_i! / (2 alpha_i + 1)! * (-2)^(-alpha_i).
 
-    The empty product gives sign * 1.
+    The empty product gives sign * 1.  Inputs past MAX_LOCAL_INPUT are refused.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     value = Fraction(sign)
-    for a in alphas:
-        a = int(a)
-        if a < 0:
-            raise ValueError("descendent exponents must be nonnegative")
+    for a in _checked_alphas(alphas, sign, 0):
         value *= _alpha_factor(a, -a)
     return value
 
@@ -73,17 +83,11 @@ def local_degree2(alphas: Sequence[int], g_C: int, sign: int = 1) -> Fraction:
     """Degree-2 local descendent value over a genus g_C base:
     sign * 2^(g_C + n - 1) * prod_i alpha_i! / (2 alpha_i + 1)! * (-2)^(alpha_i)
     with n = len(alphas).  The empty product at g_C = 2 gives sign * 2.
+    Inputs past MAX_LOCAL_INPUT are refused.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if g_C < 0:
-        raise ValueError("base genus must be nonnegative")
-    n = len(alphas)
-    value = Fraction(sign) * Fraction(2) ** (g_C + n - 1)
+    alphas = _checked_alphas(alphas, sign, g_C)
+    value = Fraction(sign) * Fraction(2) ** (g_C + len(alphas) - 1)
     for a in alphas:
-        a = int(a)
-        if a < 0:
-            raise ValueError("descendent exponents must be nonnegative")
         value *= _alpha_factor(a, a)
     return value
 

@@ -14,7 +14,6 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-DEFAULT_ORDER = 64
 # largest truncation order any series is built to; every series and every
 # c_g starts from eisenstein or inv_even_eta_product, which check it first
 MAX_ORDER = 1000
@@ -214,7 +213,7 @@ def _check_order(trunc: int) -> None:
         raise ValueError("truncation order %d exceeds the cap %d" % (trunc, MAX_ORDER))
 
 
-def eisenstein(two_n: int, trunc: int = DEFAULT_ORDER) -> QSeries:
+def eisenstein(two_n: int, trunc: int) -> QSeries:
     """Eisenstein series E_{2n} normalized to constant term 1.
 
     E_{2n} = 1 - (4n/B_{2n}) * sum_{k>=1} sigma_{2n-1}(k) q^k, which makes
@@ -231,7 +230,7 @@ def eisenstein(two_n: int, trunc: int = DEFAULT_ORDER) -> QSeries:
     return QSeries(0, coeffs)
 
 
-def inv_even_eta_product(trunc: int = DEFAULT_ORDER) -> QSeries:
+def inv_even_eta_product(trunc: int) -> QSeries:
     """The product over n >= 1 of (1 - q^(2n))^(-12), expanded to order trunc.
 
     With x = q^2 its coefficients a_k are integers: the logarithmic
@@ -281,7 +280,7 @@ def _partitions(n: int, largest: int):
             yield (k,) + rest
 
 
-def p_series_substituted(g: int, trunc: int = DEFAULT_ORDER) -> QSeries:
+def p_series_substituted(g: int, trunc: int) -> QSeries:
     """S_g evaluated at x_k = |B_{2k}|/(2k)! * E_{2k}(q), for any g >= 1."""
     if g < 1:
         raise ValueError("genus must be >= 1")
@@ -298,19 +297,13 @@ def p_series_substituted(g: int, trunc: int = DEFAULT_ORDER) -> QSeries:
     return total
 
 
-def p_series(g: int, trunc: int = DEFAULT_ORDER) -> QSeries:
-    """The quasimodular series P_g feeding c_g(n).
-
-    P_1 = E_2/12 and P_2 = (5 E_2^2 + E_4)/1440 as printed in the source
-    formulas.  Note the printed P_2 differs from the raw S_2 substitution
-    (which gives (5 E_2^2 + 2 E_4)/1440, see p2_discrepancy_report); the
-    printed form is treated as authoritative for c_2.  For g >= 3 only the
-    raw substitution value is available and it carries no certification.
+def p_series(g: int, trunc: int) -> QSeries:
+    """The quasimodular series P_g feeding c_g(n): the S_g substitution, which
+    gives the printed P_1 = E_2/12 exactly, except for the printed
+    P_2 = (5 E_2^2 + E_4)/1440.  The substitution gives (5 E_2^2 + 2 E_4)/1440
+    there (see p2_discrepancy_report); the printed form is treated as
+    authoritative for c_2.  For g >= 3 the substitution carries no certification.
     """
-    if g < 1:
-        raise ValueError("genus must be >= 1")
-    if g == 1:
-        return eisenstein(2, trunc) / 12
     if g == 2:
         e2 = eisenstein(2, trunc)
         e4 = eisenstein(4, trunc)
@@ -343,7 +336,7 @@ def p2_discrepancy_report(trunc: int = 12) -> dict:
 
 
 @functools.lru_cache(maxsize=64)
-def c_coefficients(g: int, trunc: int = DEFAULT_ORDER) -> QSeries:
+def c_coefficients(g: int, trunc: int) -> QSeries:
     """Laurent series sum_n c_g(n) q^n = -(2/q) * prod(1-q^(2n))^(-12) * P_g(q).
 
     The result starts at q^(-1); coefficients are certified for g in {1, 2}

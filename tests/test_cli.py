@@ -488,6 +488,40 @@ def test_local_dimension_flag(capsys):
     assert json.loads(out) == {"satisfied": False}
 
 
+@pytest.mark.parametrize("argv", [
+    ["--alphas", "1000"],
+    ["--local-degree", "2", "--alphas", "1000", "--gc", "1000"],
+    ["--alphas", "500,500"],
+    ["--alphas", ",".join(["0"] * 1000)],
+    ["--local-degree", "2", "--gc", "1000"],
+])
+def test_local_largest_admitted_inputs_print(capsys, argv):
+    code, out, err = run(capsys, "local", *argv)
+    assert code == 0 and err == ""
+    assert json.loads(out)["value"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--alphas", "1400"],
+    ["--alphas", "1000,1000"],
+    ["--local-degree", "2", "--gc", "20000"],
+    ["--alphas", "30000"],
+    ["--alphas", "100000"],
+    ["--local-degree", "2", "--gc", str(10 ** 12)],
+    ["--alphas", ",".join(["0"] * 1001)],
+])
+def test_local_inputs_past_the_cap_exit_2_at_once(capsys, monkeypatch, argv):
+    def refuse(n):
+        raise AssertionError("factorial(%d) formed" % n)
+
+    monkeypatch.setattr(cli.local_surface, "factorial", refuse)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "local", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "at most 1000" in err
+
+
 @pytest.mark.parametrize("only", ["12", "0", "2,x", "1,", "-1"])
 def test_selfcheck_only_without_a_criterion_is_a_usage_error(capsys, monkeypatch, only):
     def refuse(numbers):

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from enriques_gw import local_surface
 from enriques_gw.local_surface import (
+    MAX_LOCAL_INPUT,
     DescendentSpec,
     dimension_check,
     local_degree1,
@@ -57,6 +59,42 @@ def test_input_validation():
         DescendentSpec(alphas=(1, -1), m=0, g=1, d=1, g_C=0, sign=1)
     with pytest.raises(ValueError):
         DescendentSpec(alphas=(1,), m=0, g=1, d=1, g_C=0, sign=2)
+
+
+# the largest inputs the cap admits, one for each of sum(alphas),
+# len(alphas) and g_C, as (alphas, g_C)
+LARGEST_LOCAL_INPUTS = [([1000], 0), ([500, 500], 0), ([0] * 1000, 0), ([], 1000),
+                        ([1000], 1000), ([1] * 1000, 1000)]
+
+
+@pytest.mark.parametrize("alphas, g_C", LARGEST_LOCAL_INPUTS)
+def test_local_cap_admits_its_largest_inputs(alphas, g_C):
+    assert MAX_LOCAL_INPUT == 1000
+    value = local_degree2(alphas, g_C)
+    if g_C == 0:
+        # the two formulas differ by 2^(g_C + n - 1) 4^sum(alphas)
+        assert value == local_degree1(alphas) * F(2) ** (len(alphas) - 1) * F(4) ** sum(alphas)
+    for part in (value.numerator, value.denominator):
+        assert len(str(abs(part))) < 3500
+
+
+@pytest.mark.parametrize("alphas, g_C", [([1001], 0), ([500, 501], 0), ([0] * 1001, 0),
+                                         ([], 1001), ([], 10 ** 12)])
+def test_local_cap_refuses_before_any_factorial(monkeypatch, alphas, g_C):
+    def refuse(n):
+        raise AssertionError("factorial(%d) formed" % n)
+
+    monkeypatch.setattr(local_surface, "factorial", refuse)
+    with pytest.raises(ValueError, match="at most 1000"):
+        local_degree2(alphas, g_C)
+    if g_C == 0:
+        with pytest.raises(ValueError, match="at most 1000"):
+            local_degree1(alphas)
+
+
+def test_descendent_spec_is_not_capped():
+    spec = DescendentSpec(alphas=(5000, 5000), m=0, g=10001, d=1, g_C=1, sign=1)
+    assert dimension_check(spec, [])
 
 
 @given(st.lists(st.integers(min_value=0, max_value=6), min_size=0, max_size=5))

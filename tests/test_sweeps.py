@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enriques_gw import gw_engine, lattice, sweeps
+from enriques_gw.km_model import km_fiber_prediction
 from enriques_gw.lattice import (
     CARTAN_E8,
     LatticeVector,
@@ -456,3 +457,72 @@ def test_optimized_engine_scans_each_mirror_pair_once(monkeypatch, scan):
         assert got == want, (b1, b2)
         assert all((b1 - b1p, b2 - b2p) not in got or (2 * b1p, 2 * b2p) == (b1, b2)
                    for b1p, b2p in got)
+
+
+def _eta_quotient(top):
+    """Coefficients a_0..a_top of 2 prod_{m>=1} (1 - q^(2m))^8 (1 - q^m)^(-16),
+    exactly: with b_n = 16 (sigma_1(n) - sigma_1(n/2)), the second term only
+    for even n, the logarithmic derivative gives a_0 = 2 and
+    j a_j = sum_{n=1..j} b_n a_{j-n}.  A reference for checks only; the
+    recursion stays the definition of <1>."""
+    def sigma1(n):
+        return sum(d for d in range(1, n + 1) if n % d == 0)
+
+    b = [0] + [16 * (sigma1(n) - (sigma1(n // 2) if n % 2 == 0 else 0))
+               for n in range(1, top + 1)]
+    a = [2]
+    for j in range(1, top + 1):
+        total = sum(b[n] * a[j - n] for n in range(1, j + 1))
+        assert total % j == 0
+        a.append(total // j)
+    return a
+
+
+ETA_QUOTIENT = _eta_quotient(200)
+# an E8 part of norm 30, so (k, 1, E30) has square 2 (k - 15)
+E30 = (-3, -3, -3, -3, -3, -3, -2, 2)
+
+
+def test_eta_quotient_recurrence_matches_the_product():
+    top = 30
+    series = [2] + [0] * top
+    for m in range(1, top + 1):
+        # times (1 - q^(2m))^8, then (1 - q^m)^(-16) as 16 geometric series
+        for _ in range(8):
+            for n in range(top, 2 * m - 1, -1):
+                series[n] -= series[n - 2 * m]
+        for _ in range(16):
+            for n in range(m, top + 1):
+                series[n] += series[n - m]
+    assert ETA_QUOTIENT[:top + 1] == series
+    assert lattice.e8_norm(E30) == 30
+
+
+def test_b2_one_slice_matches_the_eta_quotient():
+    # proved from the recursion: (j, 1, 0^8) has no cell with 0 < b2' < 1
+    eng = FiberSweepEngine()
+    assert [eng.class_value(j, 1, ZERO8) for j in range(201)] == ETA_QUOTIENT
+
+
+def test_b1_one_slice_matches_the_eta_quotient():
+    # observed, not proved: (1, j, 0^8) has the same values as (j, 1, 0^8)
+    eng = FiberSweepEngine()
+    assert [eng.class_value(1, j, ZERO8) for j in range(1, 201)] == ETA_QUOTIENT[1:]
+
+
+def test_b2_one_slice_with_a_norm_30_part_matches_the_eta_quotient():
+    eng = FiberSweepEngine()
+    got = [eng.class_value(k, 1, E30) for k in range(15, 216)]
+    assert got == ETA_QUOTIENT[:201]
+
+
+def test_acceptance_box_keys_match_the_full_prediction():
+    eng = FiberSweepEngine()
+    keys = {}
+    for coords, s, key in box_classes(4, 4, 4):
+        if key is not None and s > 0:
+            keys.setdefault(key, coords)
+    assert len(keys) == 39
+    for key, coords in keys.items():
+        want = km_fiber_prediction(1, coords, "full") / 4
+        assert eng.class_value(coords[0], coords[1], coords[2:], key=key) == want, coords
