@@ -12,15 +12,15 @@ vector v1 is fixed once and for all (the recursion below depends on this
 choice of reference, which we document rather than vary).
 
 E8 balls are prefixes of one short-vector table of coordinates and
-norms, kept at the largest norm bound asked.  A ball whose exact size,
-by the E8 theta series (Conway-Sloane, SPLAG, Ch. 4 section 8.1), passes
-the cap is refused.
+norms, kept at the largest norm bound asked.  The E8 theta series
+(Conway-Sloane, SPLAG, Ch. 4 section 8.1) gives each ball's size and
+norms: a ball past the cap is refused, and a built ball of another size
+raises.  pack_rows is the one int64 code of E8 coordinate rows.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -180,42 +180,53 @@ def divisibility(beta) -> int:
 # Short vector enumeration in the E8 block (Fincke-Pohst style)
 # ---------------------------------------------------------------------------
 
+_CARTAN_NP = np.array(CARTAN_E8, dtype=np.int64)
+
+
 def _ldl_e8():
-    """Exact LDL data for the Cartan form: Q(x) = sum_i d[i]*(x[i] + sum_{j>i} mu[i][j]x[j])^2."""
-    n = 8
-    a = [[Fraction(CARTAN_E8[i][j]) for j in range(n)] for i in range(n)]
-    d = [Fraction(0)] * n
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = a[i][i]
-        for j in range(i + 1, n):
-            mu[i][j] = a[i][j] / a[i][i]
-        for j in range(i + 1, n):
-            for k in range(j, n):
-                a[j][k] -= a[i][j] * a[i][k] / a[i][i]
-                a[k][j] = a[j][k]
+    """float64 LDL data for the Cartan form, by Schur complements:
+    Q(x) = sum_i d[i]*(x[i] + sum_{j>i} mu[i][j]x[j])^2."""
+    a = _CARTAN_NP.astype(np.float64)
+    d = np.empty(8)
+    mu = np.zeros((8, 8))
+    for i in range(8):
+        d[i] = a[i, i]
+        mu[i, i + 1:] = a[i, i + 1:] / d[i]
+        a[i + 1:, i + 1:] -= np.outer(mu[i, i + 1:], a[i, i + 1:])
     return d, mu
 
 
 _LDL_D, _LDL_MU = _ldl_e8()
-_CARTAN_NP = np.array(CARTAN_E8, dtype=np.int64)
-_KEY_WEIGHTS = 1 << 7 * np.arange(7, -1, -1, dtype=np.int64)
+_PACK_WEIGHTS = 64 ** np.arange(7, -1, -1, dtype=np.int64)
+
+
+def pack_rows(arr):
+    """The one int64 code (x + 32).P < 2**48 of E8 coordinate rows x, P
+    the weights 64**7..64**0, ordered as (x_0, .., x_7): each 6-bit field
+    holds x_j + 32, so ValueError is raised unless |x_j| < 32, true for
+    norm <= 34 since |x_j| = |<x, w_j>| <= sqrt(30 norm) for the
+    fundamental weight w_j.  Linear: pack(x - y) = pack(x) - y.P while
+    x - y is in range."""
+    a = np.asarray(arr, dtype=np.int64)
+    if a.size and (int(a.max()) >= 32 or int(a.min()) <= -32):
+        raise ValueError("coordinates out of packing range")
+    # (a + 32) @ P, without a shifted copy of a
+    return a @ _PACK_WEIGHTS + 32 * int(_PACK_WEIGHTS.sum())
 
 
 def _short_vector_array(bound: int) -> np.ndarray:
     """All integer x in the E8 coordinate lattice with Cartan norm <= bound.
 
     Returns an uncached (N, 8) int64 array.  Enumeration is layer-by-layer
-    branch and bound on the exact LDL factorization, run with float64
-    interval bounds padded by a small slack; an exact integer filter at
-    the end removes any overshoot, so no inexact value is ever emitted.
+    branch and bound on the float64 LDL factorization, with interval
+    bounds padded by a small slack; an exact integer filter at the end
+    removes any overshoot, and short_vector_table checks that no vector
+    is missed.
 
     Rows are in norm-major order, lexicographic within a norm shell, so
-    the array for a smaller bound is a prefix of the one for a larger.
-    The order comes from one argsort of single int64 keys (see
-    _norm_major_keys), exact for norms below 128 and coordinates below
-    64 in absolute value; ValueError is raised before sorting otherwise.
-    Every ball the table admits (norm <= 32) is well inside both.
+    the array for a smaller bound is a prefix of the one for a larger:
+    one argsort of the int64 keys (norm << 48) | pack_rows(x), which
+    raises ValueError before sorting if a row leaves its range.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
@@ -226,14 +237,13 @@ def _short_vector_array(bound: int) -> np.ndarray:
     norms = np.einsum("ij,jk,ik->i", x, _CARTAN_NP, x)
     keep = norms <= bound
     x, norms = x[keep], norms[keep]
-    return x[np.argsort(_norm_major_keys(x, norms))]
+    return x[np.argsort((norms << 48) | pack_rows(x))]
 
 
 def _fincke_pohst(bound: int) -> np.ndarray:
     """Unordered candidate rows for _short_vector_array(bound), a superset
     of the ball; the per-row temporaries die on return."""
-    d = np.array([float(x) for x in _LDL_D])
-    mu = np.array([[float(x) for x in row] for row in _LDL_MU])
+    d, mu = _LDL_D, _LDL_MU
     slack = 1e-7
 
     # suffix holds coordinates (x_{i+1}, .., x_7); part holds the accumulated
@@ -263,17 +273,6 @@ def _fincke_pohst(bound: int) -> np.ndarray:
     return suffix
 
 
-def _norm_major_keys(x, norms):
-    """int64 keys norm << 56 | sum_j (x_j + 64) << 7 (7 - j) of the rows
-    of x (norms nonnegative), ordered as (norm, x_0, .., x_7) is.
-    Raises ValueError unless every norm and every x_j + 64 fits its
-    7-bit field: norm < 128 and |x_j| < 64."""
-    if len(x) and (int(norms.max()) >= 128 or int(x.max()) >= 64 or int(x.min()) <= -64):
-        raise ValueError("norms or coordinates leave the 7-bit fields of the sort key")
-    # (x + 64) @ _KEY_WEIGHTS, without a shifted copy of x
-    return (norms << 56) | (x @ _KEY_WEIGHTS + 64 * int(_KEY_WEIGHTS.sum()))
-
-
 #: the most vectors an E8 ball may hold: the count at norm 32
 MAX_BALL_VECTORS = 4845121
 
@@ -290,21 +289,27 @@ def short_vector_table(bound: int):
     so far is kept; a smaller bound reads a prefix.
 
     Raises ValueError, before building, if the ball holds more than
-    MAX_BALL_VECTORS vectors, counted as 1 + 240 sum_{k <= bound/2}
-    sigma_3(k) up to the first partial sum past the cap."""
+    MAX_BALL_VECTORS vectors, counted by the theta series
+    1 + 240 sum_k sigma_3(k) q^(2k) shell by shell up to the first
+    partial sum past the cap; and, keeping no table, if the built ball
+    has another size.  Its rows are distinct, so no shell can exceed its
+    count and equal sizes make each exact: NRM repeats shell norms."""
     tab = _TABLE[0]
     if tab is None or tab[0] < bound:
-        count = 1
-        for k in range(1, bound // 2 + 1):
-            count += 240 * sigma_pow(3, k)
-            if count > MAX_BALL_VECTORS:
+        shells = [1]
+        while len(shells) <= bound // 2:
+            shells.append(240 * int(sigma_pow(3, len(shells))))
+            if sum(shells) > MAX_BALL_VECTORS:
                 raise ValueError("the E8 ball of norm <= %d holds more than %d vectors"
                                  % (bound, MAX_BALL_VECTORS))
         # the smaller table is let go first, so the two are never held
         # together (views callers keep stay valid)
         tab = _TABLE[0] = None
         a = _short_vector_array(bound)
-        tab = (bound, a, np.einsum("ij,ij->i", a, a @ _CARTAN_NP))
+        if len(a) != sum(shells):
+            raise ValueError("the E8 ball of norm <= %d was built with %d vectors, "
+                             "not the %d of the theta series" % (bound, len(a), sum(shells)))
+        tab = (bound, a, np.repeat(np.arange(0, 2 * len(shells), 2, dtype=np.int64), shells))
         for arr in tab[1:]:
             arr.setflags(write=False)
         _TABLE[0] = tab

@@ -87,10 +87,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import _CARTAN_NP, e8_norm, short_vector_table
+from .lattice import _CARTAN_NP, _PACK_WEIGHTS, e8_norm, pack_rows, short_vector_table
 from .qseries import sigma_pow
-
-_PACK_POWS = (64 ** np.arange(8)).astype(np.int64)
 
 # mask elements (ball rows x targets) per chunk of a ball scan, small
 # enough that one chunk's products and mask stay in cache; 2**16 was
@@ -133,17 +131,6 @@ def isotropic_genus1(n: int) -> Fraction:
     if n % 2 == 0:
         value -= sigma_pow(-1, n // 2)
     return value
-
-
-def pack_rows(arr):
-    """Injective int64 encoding (x + 32).P of E8 coordinate rows x, P the
-    powers 64**0..64**7: each entry must have |x_j| < 32, so every 6-bit
-    field holds x_j + 32 in 1..63 and codes stay below 2**48.  The code
-    is linear: pack(x - y) = pack(x) - y.P while x - y is in range."""
-    a = np.asarray(arr, dtype=np.int64)
-    if a.size and int(np.abs(a).max()) >= 32:
-        raise ValueError("coordinates out of packing range")
-    return (a + 32) @ _PACK_POWS
 
 
 def alcove_points(e_arr, m):
@@ -412,7 +399,7 @@ def box_classes(max_b1, max_b2, norm_bound):
     <= norm_bound.  `key` is the engine key of the class, or None when
     b2 = 0 or the square is negative; each b2 slice is keyed in one call."""
     parts, norms = short_vector_table(norm_bound)
-    order = np.lexsort(parts.T[::-1])
+    order = np.argsort(pack_rows(parts))
     parts = parts[order]
     rows = [tuple(row) for row in parts.tolist()]
     norms = norms[order].tolist()
@@ -472,16 +459,15 @@ def _ball_scan_records(scan_bound, radius, targets, t_norms, shifted=False, coun
 
     Chunks hold _SCAN_CHUNK mask elements (at least one ball row).  The
     hits of a chunk are the flat indices of its mask, split into (ball
-    row, target) by divmod with the target count.  Packing is linear,
-    pack(t - f) = pack(t) - f.P with P the powers of 64 (see pack_rows),
-    so a record is the sum of a per-target and a per-row int64, both
-    formed once on entry: (index << 48) + pack(t) and -f.P when
-    `shifted`, index << 48 and pack(f) otherwise.  Unshifted candidates
-    are rows of the ball, whose range pack_rows checks once.  A shifted
-    candidate x = t - f has norm <= radius, and x_j = <x, w_j> for the
-    fundamental weight w_j, whose norm is at most 30; so |x_j| <=
-    sqrt(30 radius), below 32 for radius <= 34.  A shifted scan with a
-    larger radius is refused on entry.
+    row, target) by divmod with the target count.  The packing of
+    lattice.pack_rows is linear, pack(t - f) = pack(t) - f.P with P its
+    weights 64**7..64**0, so a record is the sum of a per-target and a
+    per-row int64, both formed once on entry: (index << 48) + pack(t)
+    and -f.P when `shifted`, index << 48 and pack(f) otherwise.
+    Unshifted candidates are rows of the ball, whose range pack_rows
+    checks once.  A shifted candidate x = t - f has norm <= radius, so
+    |x_j| <= sqrt(30 radius) (see pack_rows), below 32 for radius <= 34.
+    A shifted scan with a larger radius is refused on entry.
     """
     n_t = len(targets)
     if n_t >= 1 << 15:
@@ -517,7 +503,7 @@ def _ball_scan_records(scan_bound, radius, targets, t_norms, shifted=False, coun
         col_rec = np.arange(n_t, dtype=np.int64) << 48
         if shifted:
             col_rec += pack_rows(targets)
-            row_rec = -(a @ _PACK_POWS)
+            row_rec = -(a @ _PACK_WEIGHTS)
         else:
             row_rec = pack_rows(a)
     recs = [np.empty(0, dtype=np.int64)]

@@ -89,6 +89,7 @@ def test_short_vector_counts():
             assert len({tuple(row) for row in short_vector_table(2 * m)[0].tolist()}) == total
         assert int((norms <= 2 * m).sum()) == total
     assert len(arr) == total
+    assert np.array_equal(short_vector_table(24)[1], norms)
 
 
 def test_short_vectors_have_bounded_norm():
@@ -110,20 +111,26 @@ def test_short_vector_array_is_in_lexsort_order():
         assert np.array_equal(x, x[np.lexsort((*x.T[::-1], norms))]), bound
 
 
-def test_sort_keys_refuse_values_past_their_7_bit_fields(monkeypatch):
-    row = np.array([[63, -63, 0, 0, 0, 0, 0, 1]], dtype=np.int64)
-    assert lattice._norm_major_keys(row, np.array([127])).tolist() == [
-        (127 << 56) + sum((x + 64) << 7 * (7 - j) for j, x in enumerate(row[0].tolist()))]
-    for coord in (64, -64):
-        with pytest.raises(ValueError, match="7-bit"):
-            lattice._norm_major_keys(np.array([[0] * 7 + [coord]]), np.array([2]))
-    with pytest.raises(ValueError, match="7-bit"):
-        lattice._norm_major_keys(np.zeros((1, 8), dtype=np.int64), np.array([128]))
+def test_pack_rows_refuses_values_past_its_6_bit_fields(monkeypatch):
+    row = np.array([[31, -31, 0, 0, 0, 0, 0, 1]], dtype=np.int64)
+    assert lattice.pack_rows(row).tolist() == [
+        sum((x + 32) << 6 * (7 - j) for j, x in enumerate(row[0].tolist()))]
+    for coord in (32, -32):
+        for j in (0, 7):
+            with pytest.raises(ValueError, match="packing range"):
+                lattice.pack_rows(np.array([[0] * j + [coord] + [0] * (7 - j)]))
+    # codes of in-range rows sort as np.lexsort does, x_0 most significant
+    rng = np.random.default_rng(0)
+    rows = rng.integers(-31, 32, size=(2000, 8))
+    rows[:1000, :5] = rng.integers(-1, 2, size=(1000, 5))
+    codes = lattice.pack_rows(rows)
+    assert np.array_equal(rows[np.argsort(codes, kind="stable")], rows[np.lexsort(rows.T[::-1])])
     # candidate rows outside the ball, one past the coordinate field, are
     # dropped before keying and refuse nothing
     want = _short_vector_array(6)
     fincke_pohst = lattice._fincke_pohst
-    extra = np.array([[64, 0, 0, 0, 0, 0, 0, 0], [2, 0, 0, 0, 0, 0, 0, 0]])
+    extra = np.array([[32, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, -32],
+                      [64, 0, 0, 0, 0, 0, 0, 0], [2, 0, 0, 0, 0, 0, 0, 0]])
     monkeypatch.setattr(lattice, "_fincke_pohst",
                         lambda bound: np.concatenate([extra, fincke_pohst(bound)]))
     assert np.array_equal(_short_vector_array(6), want)
@@ -164,11 +171,28 @@ def test_ball_cap_is_the_theta_count_at_norm_32(monkeypatch):
 
     monkeypatch.setattr(lattice, "_TABLE", [None])
     monkeypatch.setattr(lattice, "_short_vector_array", fake)
-    short_vector_table(33)
+    with pytest.raises(ValueError, match="norm <= 33 was built with 1 vectors, not the 4845121"):
+        short_vector_table(33)
+    assert lattice._TABLE[0] is None
     for bound in (34, 50, 100):
         with pytest.raises(ValueError, match="norm <= %d holds more than 4845121" % bound):
             short_vector_table(bound)
     assert builds == [33]
+
+
+def test_table_refuses_a_build_that_misses_a_vector(monkeypatch):
+    fincke_pohst = lattice._fincke_pohst
+
+    def drop_one(bound):
+        x = fincke_pohst(bound)
+        inside = np.einsum("ij,jk,ik->i", x, np.array(CARTAN_E8), x) <= bound
+        return np.delete(x, np.flatnonzero(inside)[-1], axis=0)
+
+    monkeypatch.setattr(lattice, "_TABLE", [None])
+    monkeypatch.setattr(lattice, "_fincke_pohst", drop_one)
+    with pytest.raises(ValueError, match="norm <= 8 was built with 26640 vectors, not the 26641"):
+        short_vector_table(8)
+    assert lattice._TABLE[0] is None
 
 
 def test_positivity():

@@ -244,6 +244,7 @@ def test_pack_rows_is_injective_and_bounded():
     assert len(np.unique(packed)) == len(vecs)
     with pytest.raises(ValueError, match="packing range"):
         pack_rows(np.array([[40, 0, 0, 0, 0, 0, 0, 0]]))
+    assert sweeps.pack_rows is lattice.pack_rows
 
 
 def test_genus2_core_matches_engine_module():
@@ -526,3 +527,11 @@ def test_acceptance_box_keys_match_the_full_prediction():
     for key, coords in keys.items():
         want = km_fiber_prediction(1, coords, "full") / 4
         assert eng.class_value(coords[0], coords[1], coords[2:], key=key) == want, coords
+
+
+@pytest.mark.parametrize("coords", [(6, 6) + ZERO8, (5, 7, 1) + ZERO8[1:], (1, 100) + ZERO8])
+def test_deep_classes_match_the_full_prediction(coords):
+    # balls of norm 16-18 from the short-vector table, the residue tables
+    # of m = 6 and 7, and one-row keys past m = 8
+    want = km_fiber_prediction(1, coords, "full") / 4
+    assert FiberSweepEngine().class_value(coords[0], coords[1], coords[2:]) == want
