@@ -15,12 +15,16 @@ E8 balls are prefixes of one short-vector table of coordinates and
 norms, kept at the largest norm bound asked.  The E8 theta series
 (Conway-Sloane, SPLAG, Ch. 4 section 8.1) gives each ball's size and
 norms: a ball past the cap is refused, and a built ball of another size
-raises.  pack_rows is the one int64 code of E8 coordinate rows.
+raises.  pack_rows is the one int64 code of E8 coordinate rows.  The
+Weyl group W(E8) enters through dominant vectors, the orders of its
+parabolic subgroups W_J, and one representative per W_J-orbit of a ball,
+kept with the table and checked against its theta shells.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -277,7 +281,8 @@ def _fincke_pohst(bound: int) -> np.ndarray:
 MAX_BALL_VECTORS = 4845121
 
 
-# the one short-vector table: (bound, coordinates, norms)
+# the one short-vector table: (bound, coordinates, norms, {J: orbit
+# representatives of a prefix}), see orbit_representatives
 _TABLE = [None]
 
 
@@ -309,12 +314,100 @@ def short_vector_table(bound: int):
         if len(a) != sum(shells):
             raise ValueError("the E8 ball of norm <= %d was built with %d vectors, "
                              "not the %d of the theta series" % (bound, len(a), sum(shells)))
-        tab = (bound, a, np.repeat(np.arange(0, 2 * len(shells), 2, dtype=np.int64), shells))
-        for arr in tab[1:]:
+        tab = (bound, a, np.repeat(np.arange(0, 2 * len(shells), 2, dtype=np.int64), shells), {})
+        for arr in tab[1:3]:
             arr.setflags(write=False)
         _TABLE[0] = tab
     n = int(np.searchsorted(tab[2], bound, side="right"))
     return tab[1][:n], tab[2][:n]
+
+
+# ---------------------------------------------------------------------------
+# W(E8): dominant vectors, parabolic subgroups and their orbits in a ball
+# ---------------------------------------------------------------------------
+
+def dominant(e):
+    """The dominant vector of the W(E8)-orbit of E8 coordinates e, the one
+    with C e >= 0, as a tuple: while some label (C e)_i is negative, apply
+    the simple reflection s_i, which subtracts (C e)_i from e_i."""
+    e = list(e)
+    ce = [sum(c * x for c, x in zip(row, e)) for row in CARTAN_E8]
+    while True:
+        i = next((i for i, c in enumerate(ce) if c < 0), None)
+        if i is None:
+            return tuple(e)
+        c = ce[i]
+        e[i] -= c
+        for j, cij in enumerate(CARTAN_E8[i]):
+            ce[j] -= c * cij
+
+
+def _component_order(nodes):
+    # a connected subdiagram of E8 branches only at node 3 (0-based), when
+    # it holds the neighbours 1, 2 and 4; its arms there have lengths
+    # 1, 2, n - 4 with node 0 (E_n, or D5 for n = 5) and 1, 1, n - 3
+    # without it (D_n); Bourbaki, Lie Groups VI, Plates I-VII
+    n = len(nodes)
+    if not {1, 2, 3, 4} <= nodes:
+        return math.factorial(n + 1)
+    if 0 in nodes and n >= 6:
+        return {6: 51840, 7: 2903040, 8: 696729600}[n]
+    return 2 ** (n - 1) * math.factorial(n)
+
+
+@lru_cache(maxsize=256)
+def weyl_order(J):
+    """|W_J| for a tuple J of E8 nodes (0-based, CARTAN_E8 numbering):
+    the product of the Weyl group orders of the components of J, of
+    types A_n, D_n and E_n.  One value per subset of the 8 nodes is
+    cached."""
+    left, order = set(J), 1
+    while left:
+        comp, todo = set(), [left.pop()]
+        while todo:
+            i = todo.pop()
+            comp.add(i)
+            nbrs = {j for j in left if CARTAN_E8[i][j]}
+            left -= nbrs
+            todo.extend(nbrs)
+        order *= _component_order(comp)
+    return order
+
+
+def orbit_representatives(bound, J):
+    """(idx, weights) for the ball of norm <= bound and a tuple J of E8
+    nodes: idx are the table rows f of the ball with (C f)_j >= 0 for j in
+    J, ascending, which hold exactly one vector of each orbit of the
+    parabolic subgroup W_J, and weights the int64 orbit sizes
+    |W_J| / |W_K|, K = {j in J : (C f)_j = 0} the nodes of J fixing f
+    (Humphreys, Reflection Groups and Coxeter Groups, 1.12).
+
+    The rows of each J are kept with the table, for the largest prefix
+    asked, and a larger ball labels only the rows past it: one int64
+    index and one int64 weight per kept row, for at most the 256 subsets
+    J, all let go when the table is rebuilt.  At every labelling the
+    weights of each new theta shell must add up to the shell's size, or
+    ValueError is raised and nothing is kept."""
+    a, nrm = short_vector_table(bound)
+    reps = _TABLE[0][3]
+    n, idx, w = reps.get(J, (0, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)))
+    if n < len(a):
+        labels = a[n:] @ _CARTAN_NP[:, list(J)]
+        new = np.flatnonzero((labels >= 0).all(axis=1))
+        # the nodes K of J fixing each new row, as one boolean row each
+        ks, which = np.unique(labels[new] == 0, axis=0, return_inverse=True)
+        sizes = [weyl_order(J) // weyl_order(tuple(np.compress(k, J).tolist())) for k in ks]
+        new_w = np.array(sizes, dtype=np.int64)[which]
+        shells = nrm[n:] // 2
+        got = np.zeros(int(shells[-1]) + 1, dtype=np.int64)
+        np.add.at(got, shells[new], new_w)
+        if not np.array_equal(got[shells[0]:], np.bincount(shells)[shells[0]:]):
+            raise ValueError("the W_J-orbit sizes of J = %s do not add up to the "
+                             "theta shells of norm <= %d" % (J, bound))
+        n, idx, w = len(a), np.concatenate([idx, n + new]), np.concatenate([w, new_w])
+        reps[J] = (n, idx, w)
+    k = int(np.searchsorted(idx, len(a)))
+    return idx[:k], w[:k]
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,17 @@ thousands of decompositions).  Two observations make full boxes cheap:
     <e - a, e - a> = <e,e> + <a,a> - 2 a.Ce to the class E8 part e, from
     the table's norms and the 8-vector Ce, in both scan modes alike.
 
+    The stabilizer of e in W(E8) maps a cell's candidates to candidates
+    with the same part squares and orbit ids, so the optimized scan reads
+    one ball row per orbit of a subgroup of it, counted with the orbit's
+    size.  The simple reflections s_j with (C e)_j = 0 fix e, so their
+    parabolic subgroup W_J does; the evaluation first conjugates e to be
+    dominant, C e >= 0, which keeps its key and makes W_J the whole
+    stabilizer (Humphreys 1.12).  The ball rows read are
+    lattice.orbit_representatives(bound, J), weighted |W_J| / |W_K|.
+    J is empty only for a dominant centre of norm >= |rho|^2 = 620,
+    whose cells scan the whole ball at weight 1.
+
     The summand <1>_beta1 <1>_beta2 <beta1, beta2> is symmetric, and the
     cell (b1 - b1', b2 - b2') holds the candidates of (b1', b2') with the
     parts swapped.  So of each such mirror pair only the cell with the
@@ -87,7 +98,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import _CARTAN_NP, _PACK_WEIGHTS, e8_norm, pack_rows, short_vector_table
+from .lattice import (
+    _CARTAN_NP,
+    _PACK_WEIGHTS,
+    dominant,
+    e8_norm,
+    orbit_representatives,
+    pack_rows,
+    short_vector_table,
+)
 from .qseries import sigma_pow
 
 # mask elements (ball rows x targets) per chunk of a ball scan, small
@@ -226,13 +245,16 @@ class FiberSweepEngine:
 
     `scan` selects how each recursion cell gathers candidates:
     "optimized" scans the smaller of the two balls, one cell of each
-    mirror pair at weight 2 (weight 1 for a self-mirror cell), and
-    answers radius-zero cells without a scan; "oracle" scans the full
-    short-vector table of every cell at weight 1, mirroring the
-    brute-force box enumeration.  Both form each cell's distances the
-    same way (see _scan_cell) and must produce identical value tables;
-    running both and comparing is part of the acceptance checks.  ENGINE,
-    below, is the process-wide optimized instance.
+    mirror pair at weight 2 (weight 1 for a self-mirror cell), reads one
+    ball row per orbit of the stabilizer of the dominant conjugate of the
+    class E8 part, counted with the orbit's size, and answers radius-zero
+    cells without a scan; "oracle" scans the full short-vector table of
+    every cell around the E8 part as given, each row at weight 1,
+    mirroring the brute-force box enumeration.  Both form each cell's
+    distances the same way (see _scan_cell) and must produce identical
+    value tables; running both and comparing, which checks the orbit
+    weights, is part of the acceptance checks.  ENGINE, below, is the
+    process-wide optimized instance.
 
     Only the values <1> are stored, by key (b2, square, orbit id), see
     key_for, which names the orbit through orbit_ids for every modulus;
@@ -304,8 +326,12 @@ class FiberSweepEngine:
                              % (b1 * b2, _MAX_CELLS))
         # refused before the first scan, or built once at its full size
         short_vector_table(self.largest_ball(b1, b2))
-        earr = np.asarray(e, dtype=np.int64)
         oracle = self.scan == "oracle"
+        if not oracle:
+            # scan around the dominant W(E8)-conjugate of e (see _scan_cell);
+            # it keeps the key, as orbit ids are W-invariant
+            e = dominant(e)
+        earr = np.asarray(e, dtype=np.int64)
         total = Fraction(0)
         # decompositions with an n*v1 part on either side (pairing n*b2);
         # the complement keeps b2 and the E8 part, hence the orbit id
@@ -341,11 +367,13 @@ class FiberSweepEngine:
                 got = self._scan_cell(earr, b1, b2, b1p, b2p)
                 if got is None:
                     continue
-                e1, e2, s1, s2 = got
+                e1, e2, s1, s2, w = got
                 id1 = orbit_ids(b2p, e1)
                 id2 = orbit_ids(m2, e2)
                 pk = pack_part_keys(s1, id1, s2, id2)
-                _, first, counts = np.unique(pk, return_index=True, return_counts=True)
+                _, first, group = np.unique(pk, return_index=True, return_inverse=True)
+                counts = np.zeros(len(first), dtype=np.int64)
+                np.add.at(counts, group, w)
                 for fi, cnt in zip(first.tolist(), counts.tolist()):
                     sa = int(s1[fi])
                     sb = int(s2[fi])
@@ -368,13 +396,25 @@ class FiberSweepEngine:
         restricted to candidates with both part squares nonnegative.
         Both scan modes form the distances <e - a, e - a> =
         <e,e> + <a,a> - 2 a.Ce over the rows a of the ball they scan, in
-        place in one int64 array.  Returns (e1, e2, s1, s2) arrays or None
-        for an empty cell."""
+        place in one int64 array.  The optimized mode scans only the rows
+        of lattice.orbit_representatives for the nodes J with
+        (C e)_j = 0, whose reflections fix e, unless J is empty; _eval
+        makes e dominant, so that W_J is its whole stabilizer.  The
+        oracle scans the whole ball.  Returns
+        (e1, e2, s1, s2, w) arrays, w the int64 number of candidates each
+        row stands for, or None for an empty cell."""
         r1 = 2 * b1p * b2p
         r2 = 2 * (b1 - b1p) * (b2 - b2p)
-        shifted = self.scan == "optimized" and r2 < r1
-        a, nrm = short_vector_table(r2 if shifted else r1)
+        optimized = self.scan == "optimized"
+        shifted = optimized and r2 < r1
+        bound = r2 if shifted else r1
+        a, nrm = short_vector_table(bound)
         ce = _CARTAN_NP @ earr
+        J = tuple(np.flatnonzero(ce == 0).tolist()) if optimized else ()
+        w = None
+        if J:
+            idx, w = orbit_representatives(bound, J)
+            a, nrm = a[idx], nrm[idx]
         d = a @ ce
         d *= -2
         d += nrm
@@ -383,9 +423,10 @@ class FiberSweepEngine:
         if not mask.any():
             return None
         f = a[mask]
+        w = np.ones(len(f), dtype=np.int64) if w is None else w[mask]
         if shifted:
-            return earr[None, :] - f, f, r1 - d[mask], r2 - nrm[mask]
-        return f, earr[None, :] - f, r1 - nrm[mask], r2 - d[mask]
+            return earr[None, :] - f, f, r1 - d[mask], r2 - nrm[mask], w
+        return f, earr[None, :] - f, r1 - nrm[mask], r2 - d[mask], w
 
 
 #: the process-wide engine behind every production entry point

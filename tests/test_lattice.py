@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -269,3 +271,122 @@ def test_decompositions_of_isotropic_multiples():
 def test_decompositions_require_positive_class():
     with pytest.raises(ValueError):
         enumerate_decompositions(LatticeVector((-1, 0) + (0,) * 8))
+
+
+# -- W(E8): dominant vectors, parabolic orders and orbit representatives ----
+
+CARTAN = np.array(CARTAN_E8, dtype=np.int64)
+ALL_NODES = tuple(range(8))
+
+
+def _reflect(rows, j):
+    """The simple reflection s_j on rows of E8 coordinates."""
+    out = rows.copy()
+    out[:, j] -= rows @ CARTAN[j]
+    return out
+
+
+def _orbit_size(start, J):
+    """Brute-force size of the orbit of `start` under the simple
+    reflections of J, by closure."""
+    seen = {start.tobytes()}
+    frontier = start[None, :]
+    while J and len(frontier):
+        images = np.unique(np.concatenate([_reflect(frontier, j) for j in J]), axis=0)
+        new = [row for row in images if row.tobytes() not in seen]
+        seen.update(row.tobytes() for row in new)
+        frontier = np.array(new, dtype=np.int64).reshape(-1, 8)
+    return len(seen)
+
+
+def test_weyl_orders_match_the_orbit_of_rho():
+    # rho, the sum of the fundamental weights, has C rho = 1: it is
+    # regular, so its orbit under W_J has |W_J| elements
+    rho = np.linalg.solve(CARTAN, np.ones(8)).round().astype(np.int64)
+    assert np.array_equal(CARTAN @ rho, np.ones(8, dtype=np.int64))
+    assert lattice.weyl_order(()) == 1 and lattice.weyl_order(ALL_NODES) == 696729600
+    assert lattice.weyl_order((0, 2, 3, 4, 5, 6, 7)) == 40320          # A7
+    assert lattice.weyl_order((1, 2, 3, 4, 5, 6, 7)) == 322560         # D7
+    assert lattice.weyl_order((0, 1, 2, 3, 4, 5, 6)) == 2903040        # E7
+    # every J but E8, E7, D7 and E6 x A1
+    checked = 0
+    for r in range(9):
+        for J in itertools.combinations(range(8), r):
+            if lattice.weyl_order(J) <= 51840:
+                assert _orbit_size(rho, J) == lattice.weyl_order(J), J
+                checked += 1
+    assert checked == 252
+
+
+def _ball_orbit_labels(bound, J):
+    """Brute-force W_J-orbit labels of the rows of the ball of norm <=
+    bound: each row's smallest row index over its orbit, found by closing
+    the simple reflections of J as permutations of the ball."""
+    a, _ = short_vector_table(bound)
+    codes = lattice.pack_rows(a)
+    order = np.argsort(codes)
+    perms = [order[np.searchsorted(codes[order], lattice.pack_rows(_reflect(a, j)))] for j in J]
+    labels = np.arange(len(a))
+    while True:
+        before = labels.copy()
+        for p in perms:
+            np.minimum(labels, labels[p], out=labels)
+        np.minimum(labels, labels[labels], out=labels)
+        if np.array_equal(labels, before):
+            return labels
+
+
+def _stabilizer(e):
+    labels = CARTAN @ np.array(lattice.dominant(e))
+    return tuple(np.flatnonzero(labels == 0).tolist())
+
+
+ROOT_J = _stabilizer((1, 0, 0, 0, 0, 0, 0, 0))
+NORM4_J = _stabilizer((1, 1, 0, 0, 0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("J", [(), *((j,) for j in range(8)), ALL_NODES, ROOT_J, NORM4_J])
+def test_orbit_representative_weights_are_brute_force_orbit_sizes(J):
+    assert len(ROOT_J) == len(NORM4_J) == 7 and ROOT_J != NORM4_J
+    labels = _ball_orbit_labels(8, J)
+    idx, w = lattice.orbit_representatives(8, J)
+    # one representative per orbit, counted with the orbit's size
+    assert np.array_equal(np.sort(labels[idx]), np.unique(labels))
+    assert np.array_equal(w, np.bincount(labels)[labels[idx]])
+    a, _ = short_vector_table(8)
+    assert (a[idx] @ CARTAN[:, list(J)] >= 0).all()
+
+
+def test_orbit_representatives_extend_a_prefix_and_go_with_the_table(monkeypatch):
+    monkeypatch.setattr(lattice, "_TABLE", [None])
+    J = (0, 3, 4)
+    small = lattice.orbit_representatives(4, J)
+    large = lattice.orbit_representatives(8, J)
+    assert lattice._TABLE[0][3][J][0] == len(short_vector_table(8)[0])
+    again = lattice.orbit_representatives(4, J)
+    for s_arr, l_arr, a_arr in zip(small, large, again):
+        assert np.array_equal(l_arr[: len(s_arr)], s_arr) and np.array_equal(a_arr, s_arr)
+    monkeypatch.setattr(lattice, "_TABLE", [None])
+    fresh = lattice.orbit_representatives(8, J)
+    assert all(np.array_equal(f, l) for f, l in zip(fresh, large))
+    short_vector_table(10)
+    assert lattice._TABLE[0][3] == {}
+
+
+@pytest.mark.parametrize("corrupt", ["filter", "weight"])
+def test_orbit_representatives_refuse_weights_off_the_theta_shells(monkeypatch, corrupt):
+    monkeypatch.setattr(lattice, "_TABLE", [None])
+    short_vector_table(8)
+    if corrupt == "filter":
+        # labels from a wrong diagonal entry keep the wrong rows; the check
+        # is necessary, not sufficient: any one half-space at weights 2
+        # and 1 (on its wall) passes it on a ball symmetric under -1
+        bad = CARTAN.copy()
+        bad[3, 3] = 1
+        monkeypatch.setattr(lattice, "_CARTAN_NP", bad)
+    else:
+        order = lattice.weyl_order
+        monkeypatch.setattr(lattice, "weyl_order", lambda J: order(J) * (1 + (len(J) == 1)))
+    with pytest.raises(ValueError, match="do not add up to the theta shells of norm <= 8"):
+        lattice.orbit_representatives(8, (2, 3))
+    assert lattice._TABLE[0][3] == {}

@@ -13,6 +13,7 @@ from enriques_gw.km_model import km_fiber_prediction
 from enriques_gw.lattice import (
     CARTAN_E8,
     LatticeVector,
+    dominant,
     enumerate_decompositions,
     pair,
     short_vector_table,
@@ -208,6 +209,17 @@ def test_orbit_counts_match_affine_mark_solutions():
         points = np.array(_alcove_solutions(m), dtype=np.int64) @ inv_cartan.T
         assert np.array_equal(alcove_points(points, m), points @ _ROOTS2)
         assert len(set(orbit_ids(m, points).tolist())) == count
+
+
+def test_dominant_conjugates_keep_the_orbit_ids_of_the_box_parts():
+    parts, norms = short_vector_table(4)
+    dom = np.array([dominant(e) for e in parts.tolist()], dtype=np.int64)
+    assert (dom @ CARTAN >= 0).all()
+    assert np.array_equal(np.einsum("ij,jk,ik->i", dom, CARTAN, dom), norms)
+    # the dominant vectors of norm 0, 2 and 4: 0, the highest root, w1
+    assert len(np.unique(dom, axis=0)) == 3
+    for m in range(1, 13):
+        assert np.array_equal(orbit_ids(m, dom), orbit_ids(m, parts)), m
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -429,8 +441,9 @@ def test_optimized_engine_scans_each_mirror_pair_once(monkeypatch, scan):
     eval_, scan_cell = FiberSweepEngine._eval, FiberSweepEngine._scan_cell
 
     def counting_eval(self, key, b1, e):
+        # the optimized engine scans around the dominant conjugate of e
         if key[1]:
-            evaluated.append((b1, key[0], tuple(e)))
+            evaluated.append((b1, key[0], dominant(e) if scan == "optimized" else tuple(e)))
         return eval_(self, key, b1, e)
 
     def counting_scan(self, earr, b1, b2, b1p, b2p):
