@@ -209,8 +209,7 @@ def pack_rows(arr):
     the weights 64**7..64**0, ordered as (x_0, .., x_7): each 6-bit field
     holds x_j + 32, so ValueError is raised unless |x_j| < 32, true for
     norm <= 34 since |x_j| = |<x, w_j>| <= sqrt(30 norm) for the
-    fundamental weight w_j.  Linear: pack(x - y) = pack(x) - y.P while
-    x - y is in range."""
+    fundamental weight w_j."""
     a = np.asarray(arr, dtype=np.int64)
     if a.size and (int(a.max()) >= 32 or int(a.min()) <= -32):
         raise ValueError("coordinates out of packing range")
@@ -281,6 +280,20 @@ def _fincke_pohst(bound: int) -> np.ndarray:
 MAX_BALL_VECTORS = 4845121
 
 
+def theta_shells(bound: int):
+    """Sizes of the shells of norm 0, 2, 4, .. <= bound of the E8 ball,
+    from the theta series 1 + 240 sum_k sigma_3(k) q^(2k), without
+    building it.  Raises ValueError at the first partial sum past
+    MAX_BALL_VECTORS."""
+    shells = [1]
+    while len(shells) <= bound // 2:
+        shells.append(240 * int(sigma_pow(3, len(shells))))
+        if sum(shells) > MAX_BALL_VECTORS:
+            raise ValueError("the E8 ball of norm <= %d holds more than %d vectors"
+                             % (bound, MAX_BALL_VECTORS))
+    return shells
+
+
 # the one short-vector table: (bound, coordinates, norms, {J: orbit
 # representatives of a prefix}), see orbit_representatives
 _TABLE = [None]
@@ -294,19 +307,13 @@ def short_vector_table(bound: int):
     so far is kept; a smaller bound reads a prefix.
 
     Raises ValueError, before building, if the ball holds more than
-    MAX_BALL_VECTORS vectors, counted by the theta series
-    1 + 240 sum_k sigma_3(k) q^(2k) shell by shell up to the first
-    partial sum past the cap; and, keeping no table, if the built ball
-    has another size.  Its rows are distinct, so no shell can exceed its
-    count and equal sizes make each exact: NRM repeats shell norms."""
+    MAX_BALL_VECTORS vectors (see theta_shells); and, keeping no table,
+    if the built ball has another size.  Its rows are distinct, so no
+    shell can exceed its count and equal sizes make each exact: NRM
+    repeats shell norms."""
     tab = _TABLE[0]
     if tab is None or tab[0] < bound:
-        shells = [1]
-        while len(shells) <= bound // 2:
-            shells.append(240 * int(sigma_pow(3, len(shells))))
-            if sum(shells) > MAX_BALL_VECTORS:
-                raise ValueError("the E8 ball of norm <= %d holds more than %d vectors"
-                                 % (bound, MAX_BALL_VECTORS))
+        shells = theta_shells(bound)
         # the smaller table is let go first, so the two are never held
         # together (views callers keep stay valid)
         tab = _TABLE[0] = None

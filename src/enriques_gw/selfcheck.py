@@ -131,11 +131,12 @@ def criterion_1():
 
 @_criterion(2, "enumeration agreement", 30.0)
 def criterion_2():
-    """Decomposition enumeration agrees with brute force everywhere in the
-    box, and the genus-1 values of gw_engine.ENGINE are identical to those
-    of a fresh oracle-scan engine.  One shared-memo oracle recursion gives
-    ENGINE's value on a sample, and enumerate_decompositions equals the box
-    oracle on the sample and on every class whose decompositions it read."""
+    """The engine's cell scan agrees with a brute-force ball scan on every
+    cell shape of the box, and the genus-1 values of gw_engine.ENGINE are
+    identical to those of a fresh oracle-scan engine.  One shared-memo
+    oracle recursion gives ENGINE's value on a sample, and
+    enumerate_decompositions equals the box oracle on the sample and on
+    every class whose decompositions it read."""
     # the largest ball read below is the oracle engine's: building it
     # first, on a near-empty heap, sets the peak memory and leaves every
     # later ball a prefix of the kept table

@@ -70,24 +70,14 @@ box tables, the self-check and scripts) evaluates <1> on it.  A second
 engine is made only as the oracle-scan reference of the acceptance
 checks and of tests.
 
-The module also contains the brute-force vs optimized decomposition
-agreement sweep, built on one routine that scans an E8 ball against
-every E8 part of a coordinate box at once.  For each cell shape
-(r1, r2) the brute-force side scans the r1 ball; the optimized side
-makes the engine's choice, the r2 ball shifted by the class E8 part
-when r2 < r1.  For r1 <= r2 both sides are the same scan, so those
-shapes are only counted.  A radius-zero ball holds only its centre and
-is answered by direct comparison.  Cells whose complement is a multiple
-of v1 reduce to scalar predicates and are counted analytically.
-
-The ball scan decides distances with float32 matrix products whose
-terms are integers; it raises ValueError unless the sum of their
-absolute values stays below 2**24, so the products it uses are exact.
-It walks the ball in chunks of about 2**16 mask elements (ball rows x
-targets), so one chunk stays in cache, and reads each chunk's hits off
-the flat indices of its mask.  Records are sums of per-target and
-per-row packed values, since packing is linear; on the shifted side
-that holds by a norm bound on the candidates, checked on entry.
+The module also contains the decomposition agreement sweep of the
+acceptance checks, which holds the engine's own cell scan against brute
+force.  Per cell shape (r1, r2) and per W(E8)-orbit of the box's E8
+parts, the brute-force side scans the whole r1 ball in int64 and the
+other side is _scan_cell, the orbit-weighted and, when r2 < r1, shifted
+scan; their part squares must agree with their weights.  Cells whose
+complement is a multiple of v1 reduce to scalar predicates and are
+counted analytically.
 """
 
 from __future__ import annotations
@@ -100,20 +90,14 @@ import numpy as np
 
 from .lattice import (
     _CARTAN_NP,
-    _PACK_WEIGHTS,
     dominant,
     e8_norm,
     orbit_representatives,
     pack_rows,
     short_vector_table,
+    theta_shells,
 )
 from .qseries import sigma_pow
-
-# mask elements (ball rows x targets) per chunk of a ball scan, small
-# enough that one chunk's products and mask stay in cache; 2**16 was
-# among the fastest of 2**14..2**20 for criterion 2's sweep on a 2-core
-# Xeon with 4 MiB of L2
-_SCAN_CHUNK = 1 << 16
 
 # twice the simple roots alpha1..alpha8 in orthonormal coordinates
 # (Bourbaki, Plate VII); E8 coordinates e map to doubled orthonormal
@@ -456,8 +440,8 @@ def box_classes(max_b1, max_b2, norm_bound):
 
 
 def box_class_count(max_b1, max_b2, norm_bound):
-    """The number of classes box_classes yields for the same box."""
-    n_parts = len(short_vector_table(norm_bound)[0])
+    """The number of classes box_classes yields, without building a ball."""
+    n_parts = sum(theta_shells(norm_bound))
     return max_b1 + (max_b1 + 1) * max_b2 * n_parts
 
 
@@ -475,111 +459,40 @@ def genus1_box_table(max_b1=4, max_b2=4, norm_bound=4, engine=ENGINE):
     return table
 
 
-# -- brute-force vs optimized decomposition agreement -------------------
+# -- brute-force vs engine-scan decomposition agreement -----------------
 
 
-def _ball_scan_records(scan_bound, radius, targets, t_norms, shifted=False, count_only=False):
-    """Per-target survivors of one ball scan.
-
-    Scans all f with <f,f> <= scan_bound and keeps, for each target t,
-    those at squared distance <= radius from t.  Returns (records, count):
-    the survivors as sorted int64 records (target index << 48) | packed
-    candidate, the candidate being f itself or t - f when `shifted`, and
-    their number; with `count_only` records is None and nothing is kept.
-
-    radius == 0 asks for f = t (the Cartan form is positive definite) and
-    is answered by direct comparison.  Otherwise <f-t,f-t> <= radius is
-    rearranged into 2 f.Ct - <t,t> + (radius - <f,f>) >= 0 and decided by
-    one float32 matrix product per chunk, the last two terms folded in as
-    a ninth and a tenth column, so the mask compares with zero.  Every
-    term is an integer, so the product is exact while the sum of the
-    absolute values of its terms, 16 max|f| max|Ct| + max <t,t> +
-    max|radius - <f,f>|, stays below 2**24; that bound is checked before
-    the first product.  The target count, which must fit the 15 bits
-    above the 48 of packed coordinates, is checked on entry.
-
-    Chunks hold _SCAN_CHUNK mask elements (at least one ball row).  The
-    hits of a chunk are the flat indices of its mask, split into (ball
-    row, target) by divmod with the target count.  The packing of
-    lattice.pack_rows is linear, pack(t - f) = pack(t) - f.P with P its
-    weights 64**7..64**0, so a record is the sum of a per-target and a
-    per-row int64, both formed once on entry: (index << 48) + pack(t)
-    and -f.P when `shifted`, index << 48 and pack(f) otherwise.
-    Unshifted candidates are rows of the ball, whose range pack_rows
-    checks once.  A shifted candidate x = t - f has norm <= radius, so
-    |x_j| <= sqrt(30 radius) (see pack_rows), below 32 for radius <= 34.
-    A shifted scan with a larger radius is refused on entry.
-    """
-    n_t = len(targets)
-    if n_t >= 1 << 15:
-        raise ValueError("%d targets overflow the record index field" % n_t)
-    if shifted and 30 * radius >= 32 ** 2:
-        raise ValueError("shifted candidates of norm %d overflow the packing range" % radius)
-    if radius == 0:
-        cols = np.nonzero(t_norms <= scan_bound)[0]
-        if count_only:
-            return None, len(cols)
-        cand = np.zeros_like(targets[cols]) if shifted else targets[cols]
-        return (cols.astype(np.int64) << 48) | pack_rows(cand), len(cols)
-    a, nrm = short_vector_table(scan_bound)
-    ct = targets @ _CARTAN_NP
-    slack = radius - nrm
-    terms = (16 * int(np.abs(a).max()) * int(np.abs(ct).max(initial=0))
-             + int(t_norms.max(initial=0)) + int(np.abs(slack).max()))
-    if terms >= 1 << 24:
-        raise ValueError("dot products up to %d are not exact in float32" % terms)
-    a32 = np.empty((len(a), 10), dtype=np.float32)
-    a32[:, :8] = a
-    a32[:, 8] = 1
-    a32[:, 9] = slack
-    ct32 = np.empty((10, n_t), dtype=np.float32)
-    ct32[:8] = 2 * ct.T
-    ct32[8] = -t_norms
-    ct32[9] = 1
-    step = max(1, _SCAN_CHUNK // max(n_t, 1))
-    dots = np.empty((min(step, len(a)), n_t), dtype=np.float32)
-    mask = np.empty_like(dots, dtype=bool)
-    if not count_only:
-        # record = col_rec[target] + row_rec[ball row], by linearity of packing
-        col_rec = np.arange(n_t, dtype=np.int64) << 48
-        if shifted:
-            col_rec += pack_rows(targets)
-            row_rec = -(a @ _PACK_WEIGHTS)
-        else:
-            row_rec = pack_rows(a)
-    recs = [np.empty(0, dtype=np.int64)]
-    count = 0
-    for lo in range(0, len(a), step):
-        hi = min(lo + step, len(a))
-        d = dots[:hi - lo]
-        m = mask[:hi - lo]
-        np.matmul(a32[lo:hi], ct32, out=d)
-        np.greater_equal(d, 0, out=m)
-        if count_only:
-            count += int(np.count_nonzero(m))
-            continue
-        rows, cols = np.divmod(np.flatnonzero(m), n_t)
-        count += len(rows)
-        recs.append(col_rec[cols] + row_rec[lo:hi][rows])
-    if count_only:
-        return None, count
-    out = np.concatenate(recs)
-    out.sort()
-    return out, count
+def _add_histogram(hist, weight, s1, s2, w):
+    """Add `weight` times the (s1, s2) -> summed w histogram of one scan's
+    rows to the dict `hist`, keyed by s1 * 2**32 + s2."""
+    keys, group = np.unique(s1 * (1 << 32) + s2, return_inverse=True)
+    sums = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(sums, group, w)
+    for k, v in zip(keys.tolist(), sums.tolist()):
+        hist[k] = hist.get(k, 0) + weight * v
 
 
 def decomposition_agreement(max_b1=4, max_b2=4, norm_bound=4):
-    """Compare brute-force and optimized decomposition enumeration for
-    every positive class in the box, recursion cell by recursion cell.
+    """Compare brute-force decomposition enumeration with the engine's own
+    cell scan for every positive class in the box, recursion cell by
+    recursion cell.
 
     Cells with both parts of positive v1-degree pairing reduce to ball
-    scans depending only on (r1, r2) and the class E8 part, so they are
-    deduplicated across (b1, b2, b1', b2').  Cells with an n*v1 part on
-    either side admit at most one candidate (a radius-zero ball), and
-    both enumerations keep it exactly when the complement square is
-    nonnegative; these are counted analytically.  Returns a report dict.
+    scans depending only on (r1, r2) and the class E8 part t, and their
+    survivors are W(E8)-invariant in t: each shape is scanned at one
+    dominant t per orbit of the box's E8 parts, weighted by the orbit's
+    size.  Brute force keeps the f of the whole r1 ball with
+    <t - f, t - f> <= r2, in int64; ENGINE._scan_cell scans one cell of
+    the shape (radius-zero ones too, which _eval keys without a scan).
+    A shape agrees when both give each part-square pair (s1, s2) the
+    same weight.  Cells with an n*v1 part admit at most one candidate,
+    kept when the complement square is nonnegative; these are counted
+    analytically.  Returns a report dict.
     """
     targets, t_norms = short_vector_table(norm_bound)
+    idx, t_weights = orbit_representatives(norm_bound, tuple(range(8)))
+    reps, rep_norms, t_weights = targets[idx], t_norms[idx], t_weights.tolist()
+    reps_ct = _CARTAN_NP @ reps.T
     cell_shapes = {}
     for b1 in range(0, max_b1 + 1):
         for b2 in range(1, max_b2 + 1):
@@ -592,17 +505,24 @@ def decomposition_agreement(max_b1=4, max_b2=4, norm_bound=4):
     total_pairs = 0
     per_shape = {}
     for (r1, r2), cells in sorted(cell_shapes.items()):
-        if r1 <= r2:
-            # the smaller-ball scan is the brute-force scan of the r1 ball
-            _, n_surv = _ball_scan_records(r1, r2, targets, t_norms, count_only=True)
-            agree = True
-        else:
-            brute, n_surv = _ball_scan_records(r1, r2, targets, t_norms)
-            optimized, _ = _ball_scan_records(r2, r1, targets, t_norms, shifted=True)
-            agree = np.array_equal(brute, optimized)
-            del brute, optimized
-            if not agree:
-                mismatches.append({"shape": (r1, r2), "cells": cells})
+        a, nrm = short_vector_table(r1)
+        # d[f, t] = <t - f, t - f> over the whole r1 ball
+        d = a @ reps_ct
+        d *= -2
+        d += nrm[:, None]
+        d += rep_norms
+        brute, scanned = {}, {}
+        n_surv = 0
+        for j, weight in enumerate(t_weights):
+            keep = d[:, j] <= r2
+            n_surv += weight * int(np.count_nonzero(keep))
+            _add_histogram(brute, weight, r1 - nrm[keep], r2 - d[keep, j], 1)
+            got = ENGINE._scan_cell(reps[j], *cells[0])
+            if got is not None:
+                _add_histogram(scanned, weight, got[2], got[3], got[4])
+        agree = brute == scanned
+        if not agree:
+            mismatches.append({"shape": (r1, r2), "cells": cells})
         total_pairs += n_surv * len(cells)
         per_shape[(r1, r2)] = {
             "cells": len(cells),

@@ -13,7 +13,7 @@ import pytest
 import sympy
 
 import enriques_gw
-from enriques_gw import cli, km_model, qseries
+from enriques_gw import cli, km_model, lattice, qseries
 from enriques_gw.gw_engine import enriques_genus1, n_invariant
 from enriques_gw.lattice import (
     LatticeVector,
@@ -22,6 +22,7 @@ from enriques_gw.lattice import (
     parse_vector,
     square,
 )
+from enriques_gw.sweeps import FiberSweepEngine
 
 FIBER = "1,0,0,0,0,0,0,0,0,0"
 SECTION_SUM = "1,1,0,0,0,0,0,0,0,0"
@@ -250,6 +251,37 @@ def test_table_bytes_are_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, "table", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_table_builds_its_largest_ball_once(capsys, monkeypatch):
+    # on a fresh table and engine, the benchmark's table-g1-deep box builds
+    # the norm-18 ball its largest class reads once, before the first row,
+    # where growing it class by class built norms 4, 6, 8, 12 and 18; a
+    # genus-0 table reads no <1> and builds only its E8 parts' ball; a
+    # table refused by --limit builds none
+    build = lattice._short_vector_array
+    builds = []
+
+    def spy(bound):
+        builds.append(bound)
+        return build(bound)
+
+    monkeypatch.setattr(lattice, "_short_vector_array", spy)
+    argv = ["--max-b1", "6", "--max-b2", "6", "--max-e8-norm", "4", "--format", "csv"]
+    for genus, want in [("1", [18]), ("0", [4])]:
+        monkeypatch.setattr(lattice, "_TABLE", [None])
+        monkeypatch.setattr(cli, "ENGINE", FiberSweepEngine())
+        builds.clear()
+        code, out, _ = run(capsys, "table", "--genus", genus, *argv)
+        assert code == 0 and builds == want
+        if genus == "1":
+            digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+            assert digest == "f19ccde1853ae2652dc1afd5d05bb40061ebea73967da89101b88d2b5147b8ae"
+    # the row count checked against --limit comes from the theta series
+    monkeypatch.setattr(lattice, "_TABLE", [None])
+    builds.clear()
+    code, _, err = run(capsys, "table", "--genus", "1", *argv, "--limit", "1")
+    assert code == 2 and "exceed the limit" in err and builds == []
 
 
 @pytest.mark.parametrize("genus", [1, 2])

@@ -22,7 +22,6 @@ from enriques_gw.lattice import (
 from enriques_gw.sweeps import (
     _ROOTS2,
     FiberSweepEngine,
-    _ball_scan_records,
     alcove_points,
     box_class_count,
     box_classes,
@@ -305,90 +304,78 @@ def test_box_table_covers_expected_classes():
     assert eng.evals <= len(table)
 
 
-def _exact_ball_records(scan_bound, radius, targets, t_norms):
-    """Brute-force survivors of a ball scan in int64 arithmetic."""
-    vecs, norms = short_vector_table(scan_bound)
-    dist2 = norms[:, None] + t_norms[None, :] - 2 * (vecs @ CARTAN @ targets.T)
-    rows, cols = np.nonzero(dist2 <= radius)
-    recs = (cols.astype(np.int64) << 48) | pack_rows(vecs[rows])
-    recs.sort()
-    return recs
+def _brute_cell_histograms(r1, r2, targets, t_norms):
+    """{(target index * 64 + s1) * 64 + s2: count} over the whole ball of
+    norm <= r1, in int64: the rows f with <t - f, t - f> <= r2,
+    s1 = r1 - <f, f> and s2 = r2 - <t - f, t - f> (both below 64 here)."""
+    vecs, norms = short_vector_table(r1)
+    got = {}
+    for lo in range(0, len(targets), 256):
+        t = targets[lo:lo + 256]
+        dist2 = norms[:, None] + t_norms[None, lo:lo + 256] - 2 * (vecs @ CARTAN @ t.T)
+        rows, cols = np.nonzero(dist2 <= r2)
+        keys, counts = np.unique(((lo + cols) * 64 + r1 - norms[rows]) * 64
+                                 + r2 - dist2[rows, cols], return_counts=True)
+        got.update(zip(keys.tolist(), counts.tolist()))
+    return got
 
 
-@pytest.mark.parametrize("shape", [(2, 0), (6, 0), (4, 2), (6, 2), (8, 2), (8, 4)])
-def test_shifted_smaller_ball_records_match_brute_force(shape):
-    r1, r2 = shape
-    targets, t_norms = short_vector_table(2)
-    brute, n_brute = _ball_scan_records(r1, r2, targets, t_norms)
-    shifted, n_shifted = _ball_scan_records(r2, r1, targets, t_norms, shifted=True)
-    assert n_brute == n_shifted == len(brute) > 0
-    assert np.array_equal(brute, shifted)
-    assert np.array_equal(brute, _exact_ball_records(r1, r2, targets, t_norms))
-    assert _ball_scan_records(r1, r2, targets, t_norms, count_only=True) == (None, n_brute)
+# cells (b1, b2, b1', b2'), named by their radii r1-r2: unshifted
+# (r1 <= r2), shifted (r2 < r1) and the two radius-zero balls
+SCAN_CELLS = {
+    "unshifted-2-8": (3, 3, 1, 1),
+    "self-mirror-2-2": (2, 2, 1, 1),
+    "shifted-4-2": (3, 2, 2, 1),
+    "shifted-6-2": (4, 2, 3, 1),
+    "radius-zero-0-4": (2, 2, 0, 1),
+    "radius-zero-4-0": (2, 2, 2, 1),
+}
 
 
-@pytest.mark.parametrize("shape", [(8, 2), (6, 0)])
-@pytest.mark.parametrize("rows", [1, 7, None])
-def test_chunking_does_not_change_the_scan(monkeypatch, shape, rows):
-    # chunks of 1 and 7 ball rows put hits on chunk edges; the two balls
-    # of (8, 2), 26641 and 241 rows, leave a partial last chunk of 7
-    # rows; (6, 0) scans a one-row ball on its shifted side
-    r1, r2 = shape
-    targets, t_norms = short_vector_table(2)
-    calls = [(r1, r2, {}), (r1, r2, {"count_only": True}),
-             (r2, r1, {"shifted": True}), (r2, r1, {"count_only": True})]
-    want = [_ball_scan_records(*c[:2], targets, t_norms, **c[2]) for c in calls]
-    assert np.array_equal(want[0][0], _exact_ball_records(r1, r2, targets, t_norms))
-    if rows is not None:
-        monkeypatch.setattr(sweeps, "_SCAN_CHUNK", rows * len(targets))
-    for (bound, radius, kw), (recs, count) in zip(calls, want):
-        got, n = _ball_scan_records(bound, radius, targets, t_norms, **kw)
-        assert n == count > 0
-        assert (got is None and recs is None) or np.array_equal(got, recs)
-
-
-def test_ball_scan_refuses_inexact_products_and_record_overflow():
-    big = np.array([[1 << 20] + [0] * 7], dtype=np.int64)
-    with pytest.raises(ValueError, match="float32"):
-        _ball_scan_records(2, 2, big, 2 * big[:, 0] ** 2)
-    many = np.zeros((1 << 15, 8), dtype=np.int64)
-    with pytest.raises(ValueError, match="record index"):
-        _ball_scan_records(2, 2, many, np.zeros(1 << 15, dtype=np.int64))
-
-
-def test_shifted_scan_refuses_a_packing_overflow_before_any_product(monkeypatch):
-    # a shifted candidate of norm r has |x_j| <= sqrt(30 r), below 32 up
-    # to r = 34; radius 34 around the zero ball keeps every target
-    targets, t_norms = short_vector_table(2)
-    recs, n = _ball_scan_records(0, 34, targets, t_norms, shifted=True)
-    want = (np.arange(len(targets), dtype=np.int64) << 48) | pack_rows(targets)
-    assert n == len(targets) and np.array_equal(recs, want)
-
-    def no_scan(bound):
-        raise AssertionError("ball fetched for a refused scan")
-
-    monkeypatch.setattr(sweeps, "short_vector_table", no_scan)
-    with pytest.raises(ValueError, match="packing range"):
-        _ball_scan_records(0, 35, targets, t_norms, shifted=True)
-
-
-@pytest.mark.parametrize("shape", [(4, 2), (6, 2)])
-def test_ball_scan_records_at_criterion_2_hit_density(shape):
-    # a slice of the norm-4 targets criterion 2 scans against, of a size
-    # that is not a power of two, so flat hit indices split by divmod
-    r1, r2 = shape
+@pytest.mark.parametrize("cell", SCAN_CELLS.values(), ids=SCAN_CELLS.keys())
+def test_scan_cell_matches_a_full_ball_brute_force_scan(cell):
+    # at every E8 part of norm <= 4, dominant or not, the orbit-weighted
+    # (and, for r2 < r1, shifted) scan gives each pair of part squares
+    # the number of rows of the whole r1 ball that a brute-force scan does
+    b1, b2, b1p, b2p = cell
+    r1, r2 = 2 * b1p * b2p, 2 * (b1 - b1p) * (b2 - b2p)
     targets, t_norms = short_vector_table(4)
-    targets, t_norms = targets[::5], t_norms[::5]
-    assert len(targets) == 481
-    want = _exact_ball_records(r1, r2, targets, t_norms)
-    for got, n in [_ball_scan_records(r1, r2, targets, t_norms),
-                   _ball_scan_records(r2, r1, targets, t_norms, shifted=True)]:
-        assert n == len(want) and np.array_equal(got, want)
+    want = _brute_cell_histograms(r1, r2, targets, t_norms)
+    eng = FiberSweepEngine()
+    got = {}
+    for i, t in enumerate(targets):
+        scan = eng._scan_cell(t, *cell)
+        if scan is None:
+            continue
+        e1, e2, s1, s2, w = scan
+        assert np.array_equal(e1 + e2, np.broadcast_to(t, e1.shape))
+        for k, n in zip(((i * 64 + s1) * 64 + s2).tolist(), w.tolist()):
+            got[k] = got.get(k, 0) + n
+    assert got == want
+    assert len({k // 4096 for k in want}) > 1
+
+
+def test_agreement_fails_when_the_engine_scan_drops_boundary_rows(monkeypatch):
+    # the sweep runs the engine's own scan: one that loses the rows on the
+    # mask's boundary (a part square of 0) must show as a mismatch
+    scan_cell = FiberSweepEngine._scan_cell
+
+    def drop_boundary(self, earr, b1, b2, b1p, b2p):
+        got = scan_cell(self, earr, b1, b2, b1p, b2p)
+        if got is None:
+            return None
+        keep = (got[2] != 0) & (got[3] != 0)
+        return tuple(x[keep] for x in got)
+
+    monkeypatch.setattr(FiberSweepEngine, "_scan_cell", drop_boundary)
+    report = decomposition_agreement(2, 2, 2)
+    assert not report["all_agree"]
+    assert report["mismatches"]
+    assert not all(v["agree"] for v in report["per_shape"].values())
 
 
 def test_agreement_survivors_are_symmetric_in_the_cell_shape():
-    # e1 -> e - e1 maps the survivors of shape (a, b) onto those of (b, a);
-    # shapes with a <= b are only counted, the others are compared
+    # e1 -> e - e1 maps the survivors of shape (a, b) onto those of (b, a)
     per_shape = decomposition_agreement(max_b1=2, max_b2=3, norm_bound=2)["per_shape"]
     shapes = {tuple(int(x) for x in k.strip("()").split(",")): v for k, v in per_shape.items()}
     assert any(a < b for a, b in shapes)
