@@ -192,8 +192,8 @@ def e2_corollary_check(beta, order: int = 20) -> dict:
     beta = as_vector(beta)
     if beta.is_zero() or not is_positive(beta):
         raise ValueError("check requires a nonzero positive class")
-    lhs = [n_invariant(2, (beta, d)) for d in range(0, order + 1)]
     e2 = eisenstein(2, order)
+    lhs = [n_invariant(2, (beta, d)) for d in range(0, order + 1)]
     rhs = [e2.coeff(d) * lhs[0] for d in range(0, order + 1)]
     first_mismatch = None
     for d, (a, b) in enumerate(zip(lhs, rhs)):

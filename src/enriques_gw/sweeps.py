@@ -34,8 +34,8 @@ thousands of decompositions).  Two observations make full boxes cheap:
     point is memoized.
 
 2.  The decomposition sum itself is, cell by cell in (b1', b2'), a scan
-    over lattice points of the smaller of two balls (directly, or
-    shifted by the class E8 part when the complement ball is smaller).
+    over the lattice points e1 of the ball of norm r1 = 2 b1' b2' around
+    0, keeping those with <e - e1, e - e1> <= r2 = 2 (b1 - b1') (b2 - b2').
     Aggregating candidates by cache key with numpy leaves only a handful
     of exact Fraction multiplications per cell.  Each evaluation refuses
     a class of more than _MAX_CELLS cells b1*b2, then asks
@@ -52,17 +52,15 @@ thousands of decompositions).  Two observations make full boxes cheap:
     parabolic subgroup W_J does; the evaluation first conjugates e to be
     dominant, C e >= 0, which keeps its key and makes W_J the whole
     stabilizer (Humphreys 1.12).  The ball rows read are
-    lattice.orbit_representatives(bound, J), weighted |W_J| / |W_K|.
+    lattice.orbit_representatives(r1, J), weighted |W_J| / |W_K|.
     J is empty only for a dominant centre of norm >= |rho|^2 = 620,
     whose cells scan the whole ball at weight 1.
 
     The summand <1>_beta1 <1>_beta2 <beta1, beta2> is symmetric, and the
     cell (b1 - b1', b2 - b2') holds the candidates of (b1', b2') with the
-    parts swapped.  So of each such mirror pair only the cell with the
-    smaller (b2', b1') is scanned, at weight 2; a cell that is its own
-    mirror keeps weight 1.  A cell with b1' = 0 or b1' = b1 has a
-    radius-zero ball: its one candidate pairs n*v2 with (b1, b2 - n, e)
-    and is keyed without a scan.
+    parts, so r1 and r2, swapped: FiberSweepEngine.cells reads one cell
+    of each mirror pair, the one with the smaller ball.  A cell with
+    b1' b2' = 0 has a radius-zero ball, keyed without a scan.
 
 The one production engine is ENGINE, defined here beside its class and
 re-exported by gw_engine: every entry point (invariant records, tables,
@@ -74,10 +72,10 @@ The module also contains the decomposition agreement sweep of the
 acceptance checks, which holds the engine's own cell scan against brute
 force.  Per cell shape (r1, r2) and per W(E8)-orbit of the box's E8
 parts, the brute-force side scans the whole r1 ball in int64 and the
-other side is _scan_cell, the orbit-weighted and, when r2 < r1, shifted
-scan; their part squares must agree with their weights.  Cells whose
-complement is a multiple of v1 reduce to scalar predicates and are
-counted analytically.
+other side is _scan_cell, the orbit-weighted scan, read for a shape
+with r1 > r2 off its mirror cell; their part squares must agree with
+their weights.  Cells whose complement is a multiple of v1 reduce to
+scalar predicates and are counted analytically.
 """
 
 from __future__ import annotations
@@ -227,18 +225,18 @@ def pack_part_keys(s1, id1, s2, id2):
 class FiberSweepEngine:
     """Genus-1 surface invariants over large class boxes.
 
-    `scan` selects how each recursion cell gathers candidates:
-    "optimized" scans the smaller of the two balls, one cell of each
-    mirror pair at weight 2 (weight 1 for a self-mirror cell), reads one
-    ball row per orbit of the stabilizer of the dominant conjugate of the
-    class E8 part, counted with the orbit's size, and answers radius-zero
-    cells without a scan; "oracle" scans the full short-vector table of
-    every cell around the E8 part as given, each row at weight 1,
-    mirroring the brute-force box enumeration.  Both form each cell's
-    distances the same way (see _scan_cell) and must produce identical
-    value tables; running both and comparing, which checks the orbit
-    weights, is part of the acceptance checks.  ENGINE, below, is the
-    process-wide optimized instance.
+    `scan` selects which recursion cells are read (see cells) and how
+    each gathers candidates: "optimized" reads one cell of each mirror
+    pair, the one with the smaller ball, reads one ball row per orbit of
+    the stabilizer of the dominant conjugate of the class E8 part,
+    counted with the orbit's size, and answers radius-zero cells without
+    a scan; "oracle" scans the whole ball of every cell with b2' >= 1
+    against the E8 part as given, each row at weight 1, mirroring the
+    brute-force box enumeration.  Both form each cell's distances the
+    same way (see _scan_cell) and must produce identical value tables;
+    running both and comparing, which checks the orbit weights, is part
+    of the acceptance checks.  ENGINE, below, is the process-wide
+    optimized instance.
 
     Only the values <1> are stored, by key (b2, square, orbit id), see
     key_for, which names the orbit through orbit_ids for every modulus;
@@ -284,22 +282,33 @@ class FiberSweepEngine:
             return got
         return self._eval(key, b1, e)
 
+    def cells(self, b1, b2):
+        """The cells (b1', b2', weight) a class (b1, b2, e) reads, with
+        0 <= b2' < b2, 0 <= b1' <= b1 and (0, 0) left out; the weight
+        counts the ordered cells of the sum it stands for, itself and its
+        mirror (b1 - b1', b2 - b2').  The oracle reads each cell with
+        b2' >= 1 at weight 1 and each edge (b1', 0), part b1' v1, at 2.
+        The optimized engine reads, of each mirror pair, the cell with the
+        smaller (b1' b2', b2', b1'), at weight 2, or 1 if it is its own
+        mirror."""
+        oracle = self.scan == "oracle"
+        for b2p in range(b2):
+            for b1p in range(0 if b2p else 1, b1 + 1):
+                if oracle:
+                    yield b1p, b2p, 1 if b2p else 2
+                    continue
+                cell = (b1p * b2p, b2p, b1p)
+                mirror = ((b1 - b1p) * (b2 - b2p), b2 - b2p, b1 - b1p)
+                if cell <= mirror:
+                    yield b1p, b2p, 1 if cell == mirror else 2
+
     def largest_ball(self, b1, b2):
-        """Norm bound of the largest ball the cells of a class (b1, b2, e)
-        scan (see _scan_cell).  Per b2', min(b1' b2', (b1 - b1') (b2 - b2'))
-        peaks at the floor or the ceiling of b1 (b2 - b2') / b2, and the
-        ceiling's value is the floor's at the mirror b2 - b2'."""
-        if self.scan == "oracle":
-            return 2 * b1 * max(b2 - 1, 0)
-        best = 0
-        for b2p in range(1, b2):
-            m2 = b2 - b2p
-            x = b1 * m2 // b2
-            best = max(best, min(x * b2p, (b1 - x) * m2))
-        return 2 * best
+        """Norm bound 2 b1' b2' of the largest ball the cells of a class
+        (b1, b2, e) scan (see cells and _scan_cell)."""
+        return max((2 * b1p * b2p for b1p, b2p, _ in self.cells(b1, b2)), default=0)
 
     def _eval(self, key, b1, e):
-        b2, s, oid = key
+        b2, s, _ = key
         self.evals += 1
         if s == 0:
             value = isotropic_genus1(math.gcd(b1, b2, *(abs(x) for x in e)))
@@ -317,99 +326,75 @@ class FiberSweepEngine:
             e = dominant(e)
         earr = np.asarray(e, dtype=np.int64)
         total = Fraction(0)
-        # decompositions with an n*v1 part on either side (pairing n*b2);
-        # the complement keeps b2 and the E8 part, hence the orbit id
-        for n in range(1, b1 + 1):
-            s2 = s - 2 * n * b2
-            if s2 < 0:
-                break
-            v2 = self._value((b2, s2, oid), b1 - n, e)
-            if v2:
-                total += 2 * isotropic_genus1(n) * v2 * (n * b2)
-        for b2p in range(1, b2):
+        for b1p, b2p, weight in self.cells(b1, b2):
             m2 = b2 - b2p
-            for b1p in range(0, b1 + 1):
-                weight = 1
-                if not oracle:
-                    # the mirror cell (b1 - b1', b2 - b2') gives the same
-                    # candidates with the parts swapped: scan the first
-                    # of the two for both
-                    mirror = (m2, b1 - b1p)
-                    if (b2p, b1p) > mirror:
-                        continue
-                    if (b2p, b1p) < mirror:
-                        weight = 2
-                    if b1p in (0, b1):
-                        # a radius-zero ball holds only 0: the one candidate
-                        # pairs n*v2 with (b1, b2 - n, e), as the n*v1 sum above
-                        n = b2p if b1p == 0 else m2
-                        s2 = s - 2 * n * b1
-                        if s2 >= 0:
-                            v2 = self._value(self.key_for(b2 - n, s2, e), b1, e)
-                            total += weight * isotropic_genus1(n) * v2 * (n * b1)
-                        continue
-                got = self._scan_cell(earr, b1, b2, b1p, b2p)
-                if got is None:
+            if b2p == 0 or (b1p == 0 and not oracle):
+                # a radius-zero ball holds only 0: the part is (b1' + b2')
+                # times v1 or v2, and its complement keeps the E8 part
+                pairing = b1p * m2 + b2p * (b1 - b1p)
+                s2 = s - 2 * pairing
+                if s2 >= 0:
+                    v2 = self._value(self.key_for(m2, s2, e), b1 - b1p, e)
+                    total += weight * isotropic_genus1(b1p + b2p) * v2 * pairing
+                continue
+            got = self._scan_cell(earr, b1, b2, b1p, b2p)
+            if got is None:
+                continue
+            e1, e2, s1, s2, w = got
+            id1 = orbit_ids(b2p, e1)
+            id2 = orbit_ids(m2, e2)
+            pk = pack_part_keys(s1, id1, s2, id2)
+            _, first, group = np.unique(pk, return_index=True, return_inverse=True)
+            counts = np.zeros(len(first), dtype=np.int64)
+            np.add.at(counts, group, w)
+            for fi, cnt in zip(first.tolist(), counts.tolist()):
+                sa = int(s1[fi])
+                sb = int(s2[fi])
+                fac = (s - sa - sb) // 2
+                if fac == 0:
                     continue
-                e1, e2, s1, s2, w = got
-                id1 = orbit_ids(b2p, e1)
-                id2 = orbit_ids(m2, e2)
-                pk = pack_part_keys(s1, id1, s2, id2)
-                _, first, group = np.unique(pk, return_index=True, return_inverse=True)
-                counts = np.zeros(len(first), dtype=np.int64)
-                np.add.at(counts, group, w)
-                for fi, cnt in zip(first.tolist(), counts.tolist()):
-                    sa = int(s1[fi])
-                    sb = int(s2[fi])
-                    fac = (s - sa - sb) // 2
-                    if fac == 0:
-                        continue
-                    va = self._value((b2p, sa, int(id1[fi])), b1p, tuple(e1[fi].tolist()))
-                    if not va:
-                        continue
-                    vb = self._value((m2, sb, int(id2[fi])), b1 - b1p, tuple(e2[fi].tolist()))
-                    if not vb:
-                        continue
-                    total += weight * cnt * va * vb * fac
+                va = self._value((b2p, sa, int(id1[fi])), b1p, tuple(e1[fi].tolist()))
+                if not va:
+                    continue
+                vb = self._value((m2, sb, int(id2[fi])), b1 - b1p, tuple(e2[fi].tolist()))
+                if not vb:
+                    continue
+                total += weight * cnt * va * vb * fac
         value = Fraction(8, s) * total
         self.values[key] = value
         return value
 
     def _scan_cell(self, earr, b1, b2, b1p, b2p):
         """Candidate E8 splittings e = e1 + e2 for one recursion cell,
-        restricted to candidates with both part squares nonnegative.
-        Both scan modes form the distances <e - a, e - a> =
-        <e,e> + <a,a> - 2 a.Ce over the rows a of the ball they scan, in
-        place in one int64 array.  The optimized mode scans only the rows
-        of lattice.orbit_representatives for the nodes J with
-        (C e)_j = 0, whose reflections fix e, unless J is empty; _eval
-        makes e dominant, so that W_J is its whole stabilizer.  The
-        oracle scans the whole ball.  Returns
-        (e1, e2, s1, s2, w) arrays, w the int64 number of candidates each
-        row stands for, or None for an empty cell."""
+        restricted to candidates with both part squares nonnegative: the
+        rows e1 of the ball of norm r1 = 2 b1' b2' around 0 with
+        <e - e1, e - e1> <= r2 = 2 (b1 - b1') (b2 - b2').  Both scan modes
+        form these distances as <e,e> + <e1,e1> - 2 e1.Ce, in place in one
+        int64 array.  The optimized mode scans only the rows of
+        lattice.orbit_representatives for the nodes J with (C e)_j = 0,
+        whose reflections fix e, unless J is empty; _eval makes e
+        dominant, so that W_J is its whole stabilizer.  The oracle scans
+        the whole ball.  Returns (e1, e2, s1, s2, w) arrays, w the int64
+        number of candidates each row stands for, or None for an empty
+        cell."""
         r1 = 2 * b1p * b2p
         r2 = 2 * (b1 - b1p) * (b2 - b2p)
-        optimized = self.scan == "optimized"
-        shifted = optimized and r2 < r1
-        bound = r2 if shifted else r1
-        a, nrm = short_vector_table(bound)
+        a, nrm = short_vector_table(r1)
         ce = _CARTAN_NP @ earr
-        J = tuple(np.flatnonzero(ce == 0).tolist()) if optimized else ()
+        J = tuple(np.flatnonzero(ce == 0).tolist()) if self.scan == "optimized" else ()
         w = None
         if J:
-            idx, w = orbit_representatives(bound, J)
+            idx, w = orbit_representatives(r1, J)
             a, nrm = a[idx], nrm[idx]
         d = a @ ce
         d *= -2
         d += nrm
         d += int(earr @ ce)
-        mask = d <= (r1 if shifted else r2)
+        mask = d <= r2
         if not mask.any():
             return None
         f = a[mask]
         w = np.ones(len(f), dtype=np.int64) if w is None else w[mask]
-        if shifted:
-            return earr[None, :] - f, f, r1 - d[mask], r2 - nrm[mask], w
         return f, earr[None, :] - f, r1 - nrm[mask], r2 - d[mask], w
 
 
@@ -483,7 +468,9 @@ def decomposition_agreement(max_b1=4, max_b2=4, norm_bound=4):
     dominant t per orbit of the box's E8 parts, weighted by the orbit's
     size.  Brute force keeps the f of the whole r1 ball with
     <t - f, t - f> <= r2, in int64; ENGINE._scan_cell scans one cell of
-    the shape (radius-zero ones too, which _eval keys without a scan).
+    the shape (radius-zero ones too, which _eval keys without a scan), or
+    for r1 > r2 its mirror cell, with the part squares swapped, as _eval
+    reads it.
     A shape agrees when both give each part-square pair (s1, s2) the
     same weight.  Cells with an n*v1 part admit at most one candidate,
     kept when the complement square is nonnegative; these are counted
@@ -511,15 +498,22 @@ def decomposition_agreement(max_b1=4, max_b2=4, norm_bound=4):
         d *= -2
         d += nrm[:, None]
         d += rep_norms
+        # as in _eval, a shape with r1 > r2 is read off the engine's scan
+        # of its mirror cell, with the part squares swapped
+        b1, b2, b1p, b2p = cells[0]
+        mirrored = r1 > r2
+        if mirrored:
+            b1p, b2p = b1 - b1p, b2 - b2p
         brute, scanned = {}, {}
         n_surv = 0
         for j, weight in enumerate(t_weights):
             keep = d[:, j] <= r2
             n_surv += weight * int(np.count_nonzero(keep))
             _add_histogram(brute, weight, r1 - nrm[keep], r2 - d[keep, j], 1)
-            got = ENGINE._scan_cell(reps[j], *cells[0])
+            got = ENGINE._scan_cell(reps[j], b1, b2, b1p, b2p)
             if got is not None:
-                _add_histogram(scanned, weight, got[2], got[3], got[4])
+                s1, s2 = (got[3], got[2]) if mirrored else (got[2], got[3])
+                _add_histogram(scanned, weight, s1, s2, got[4])
         agree = brute == scanned
         if not agree:
             mismatches.append({"shape": (r1, r2), "cells": cells})

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -200,3 +201,10 @@ def test_e2_corollary_check_reports():
         e2_corollary_check(ZERO)
     with pytest.raises(ValueError):
         e2_corollary_check(-1 * V1)
+
+
+def test_e2_corollary_check_refuses_a_long_order_before_any_value():
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        e2_corollary_check(V1 + V2, order=10**6)
+    assert time.perf_counter() - t0 < 0.1

@@ -321,12 +321,14 @@ def _brute_cell_histograms(r1, r2, targets, t_norms):
 
 
 # cells (b1, b2, b1', b2'), named by their radii r1-r2: unshifted
-# (r1 <= r2), shifted (r2 < r1) and the two radius-zero balls
+# (r1 <= r2), r1 > r2 (only the oracle scans these as they stand; the
+# optimized engine reads them off their mirrors) and the two radius-zero
+# balls
 SCAN_CELLS = {
     "unshifted-2-8": (3, 3, 1, 1),
     "self-mirror-2-2": (2, 2, 1, 1),
-    "shifted-4-2": (3, 2, 2, 1),
-    "shifted-6-2": (4, 2, 3, 1),
+    "r1-above-r2-4-2": (3, 2, 2, 1),
+    "r1-above-r2-6-2": (4, 2, 3, 1),
     "radius-zero-0-4": (2, 2, 0, 1),
     "radius-zero-4-0": (2, 2, 2, 1),
 }
@@ -335,8 +337,8 @@ SCAN_CELLS = {
 @pytest.mark.parametrize("cell", SCAN_CELLS.values(), ids=SCAN_CELLS.keys())
 def test_scan_cell_matches_a_full_ball_brute_force_scan(cell):
     # at every E8 part of norm <= 4, dominant or not, the orbit-weighted
-    # (and, for r2 < r1, shifted) scan gives each pair of part squares
-    # the number of rows of the whole r1 ball that a brute-force scan does
+    # scan gives each pair of part squares the number of rows of the whole
+    # r1 ball that a brute-force scan does, also for r1 > r2
     b1, b2, b1p, b2p = cell
     r1, r2 = 2 * b1p * b2p, 2 * (b1 - b1p) * (b2 - b2p)
     targets, t_norms = short_vector_table(4)
@@ -391,6 +393,22 @@ def test_decomposition_agreement_small_box():
     assert report["classes"] == 2 + 3 * 2 * len(vecs)
     assert report["ordered_pairs_including_multiplicity"] > 0
     assert all(v["agree"] for v in report["per_shape"].values())
+
+
+@pytest.mark.parametrize("scan", ["optimized", "oracle"])
+def test_cells_count_every_ordered_cell_once(scan):
+    eng = FiberSweepEngine(scan)
+    for b1 in range(13):
+        for b2 in range(1, 13):
+            got = list(eng.cells(b1, b2))
+            assert sum(w for _, _, w in got) == (b1 + 1) * (b2 + 1) - 2, (b1, b2)
+            # a weight-2 cell stands for itself and its mirror
+            covered = [(b1p, b2p) for b1p, b2p, _ in got]
+            covered += [(b1 - b1p, b2 - b2p) for b1p, b2p, w in got if w == 2]
+            every = [(b1p, b2p) for b2p in range(b2 + 1) for b1p in range(b1 + 1)]
+            assert sorted(covered) == sorted(every[1:-1]), (b1, b2)
+            if scan == "optimized":
+                assert all(b1p * b2p <= (b1 - b1p) * (b2 - b2p) for b1p, b2p, _ in got)
 
 
 @pytest.mark.parametrize("scan", ["optimized", "oracle"])
@@ -449,12 +467,14 @@ def test_optimized_engine_scans_each_mirror_pair_once(monkeypatch, scan):
     assert len(cells) > 20
     for (b1, b2, _), got in cells.items():
         every = {(b1p, b2p) for b2p in range(1, b2) for b1p in range(b1 + 1)}
+        assert max((2 * b1p * b2p for b1p, b2p in got), default=0) == eng.largest_ball(b1, b2)
         if scan == "oracle":
             assert got == every
             continue
-        # one cell of each mirror pair, none with a radius-zero ball
-        want = {(b1p, b2p) for b1p, b2p in every
-                if 0 < b1p < b1 and (b2p, b1p) <= (b2 - b2p, b1 - b1p)}
+        # one cell of each mirror pair, the one with the smaller
+        # (b1' b2', b2', b1'), none with a radius-zero ball
+        want = {(b1p, b2p) for b1p, b2p in every if b1p > 0 and
+                (b1p * b2p, b2p, b1p) <= ((b1 - b1p) * (b2 - b2p), b2 - b2p, b1 - b1p)}
         assert got == want, (b1, b2)
         assert all((b1 - b1p, b2 - b2p) not in got or (2 * b1p, 2 * b2p) == (b1, b2)
                    for b1p, b2p in got)
