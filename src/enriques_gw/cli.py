@@ -269,7 +269,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, KeyError, ZeroDivisionError) as exc:
+    except (ValueError, OverflowError, KeyError, ZeroDivisionError) as exc:
         sys.stderr.write("%s: %s\n" % (args.command, exc))
         return EXIT_COMPUTE
     except RecursionError:

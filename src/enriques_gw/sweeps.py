@@ -26,12 +26,12 @@ thousands of decompositions).  Two observations make full boxes cheap:
     model of E8 (Bourbaki, Lie Groups VI, Plate VII, whose node
     numbering CARTAN_E8 uses) the walls of the W(D7) subgroup amount to
     sorting absolute values, so a batch of rows is reduced with a few
-    vectorized rounds.  Each row's canonical point is then looked up in
-    the modulus' dict of points, which gives it the next small integer id
-    when it is first met; for small moduli a residue table also remembers
-    the id of every residue already seen.  One class is keyed the same
-    way, as a batch of one row; past the residue tables its canonical
-    point is memoized.
+    vectorized rounds.  orbit_ids names each residue row mod m once, in
+    a per-modulus residue memo: the rows of a batch new to it are reduced
+    together, and their canonical points are looked up in the modulus'
+    dict of points, which gives each point the next small integer id when
+    it is first met.  One class is keyed the same way, as a batch of one
+    row.  Both dicts grow with what is keyed (see orbit_ids).
 
 2.  The decomposition sum itself is, cell by cell in (b1', b2'), a scan
     over the lattice points e1 of the ball of norm r1 = 2 b1' b2' around
@@ -116,9 +116,9 @@ _ALPHA1 = _ROOTS2[0]
 # largest_ball's loop and the chain of parts would run away at every level
 _MAX_CELLS = 4096
 
-# moduli m with m**8 <= this keep an int32 residue -> orbit id table
-_RESIDUE_MEMO_MAX = 8 ** 8
-# modulus -> (residue table or None, {canonical point bytes: orbit id})
+# one int64 residue row, as the key of the residue memo
+_ROW_BYTES = np.dtype((np.void, 64))
+# modulus -> ({residue row bytes: orbit id}, {canonical point bytes: orbit id})
 _ORBITS = {}
 
 
@@ -166,50 +166,24 @@ def alcove_points(e_arr, m):
     return out
 
 
-def _orbit_state(m):
-    state = _ORBITS.get(m)
-    if state is None:
-        table = np.zeros(m ** 8, dtype=np.int32) if m ** 8 <= _RESIDUE_MEMO_MAX else None
-        state = _ORBITS[m] = (table, {})
-    return state
-
-
-@lru_cache(maxsize=1 << 12)
-def _one_alcove_point(m, residue):
-    """alcove_points of one residue row mod m, as bytes in and out, for
-    moduli without a residue table: keying one class at a time meets the
-    same residues again and again, which these would reduce anew.  The
-    4096 most recently used (m, residue) pairs are cached.  Points, not
-    ids, are cached, so ids stay those of the modulus' dict of points."""
-    row = np.frombuffer(residue, dtype=np.int64).reshape(1, 8)
-    return alcove_points(row, m)[0].tobytes()
-
-
-def _canonical_ids(m, residues):
-    table, names = _orbit_state(m)
-    if table is None and len(residues) == 1:
-        points = [_one_alcove_point(m, residues[0].tobytes())]
-    else:
-        points = [p.tobytes() for p in alcove_points(residues, m)]
-    return np.array([names.setdefault(p, len(names) + 1) for p in points], dtype=np.int64)
-
-
 def orbit_ids(m, e_arr):
     """Orbit ids (int64, >= 1) of the E8 coordinate rows of e_arr under
     W x| m*Q, i.e. of their residues mod m under the reflection group.
-    Ids are stable for the life of the process."""
-    res = np.mod(np.asarray(e_arr, dtype=np.int64).reshape(-1, 8), m)
-    table, _ = _orbit_state(m)
-    if table is None:
-        return _canonical_ids(m, res)
-    idx = res @ (m ** np.arange(8, dtype=np.int64))
-    ids = table[idx]
-    miss = ids == 0
-    if miss.any():
-        new, first = np.unique(idx[miss], return_index=True)
-        table[new] = _canonical_ids(m, res[miss][first])
-        ids = table[idx]
-    return ids.astype(np.int64)
+    The modulus' residue memo gives the id of every residue row keyed
+    before; the rows new to it are reduced in one alcove_points call and
+    named through the modulus' dict of canonical points, which hands out
+    the ids, so they are stable for the life of the process.  Neither
+    dict is bounded: the memo grows by one entry per distinct residue
+    row keyed, the dict of points by one per orbit met."""
+    res = np.mod(np.asarray(e_arr, dtype=np.int64, order="C").reshape(-1, 8), m)
+    by_residue, by_point = _ORBITS.setdefault(m, ({}, {}))
+    rows = res.view(_ROW_BYTES).ravel().tolist()
+    new = dict.fromkeys([r for r in rows if r not in by_residue])
+    if new:
+        points = alcove_points(np.frombuffer(b"".join(new), dtype=np.int64).reshape(-1, 8), m)
+        for r, p in zip(new, points):
+            by_residue[r] = by_point.setdefault(p.tobytes(), len(by_point) + 1)
+    return np.fromiter(map(by_residue.__getitem__, rows), dtype=np.int64, count=len(rows))
 
 
 def pack_part_keys(s1, id1, s2, id2):
@@ -220,6 +194,12 @@ def pack_part_keys(s1, id1, s2, id2):
     if 2 * width > 63:
         raise ValueError("part keys need %d bits, more than int64 holds" % (2 * width))
     return ((s1 << id_bits | id1) << width) | (s2 << id_bits | id2)
+
+
+def _largest_ball(cells):
+    """Norm bound 2 b1' b2' of the largest ball the cells (b1', b2',
+    weight) of a class scan."""
+    return max((2 * b1p * b2p for b1p, b2p, _ in cells), default=0)
 
 
 class FiberSweepEngine:
@@ -305,7 +285,7 @@ class FiberSweepEngine:
     def largest_ball(self, b1, b2):
         """Norm bound 2 b1' b2' of the largest ball the cells of a class
         (b1, b2, e) scan (see cells and _scan_cell)."""
-        return max((2 * b1p * b2p for b1p, b2p, _ in self.cells(b1, b2)), default=0)
+        return _largest_ball(self.cells(b1, b2))
 
     def _eval(self, key, b1, e):
         b2, s, _ = key
@@ -317,8 +297,9 @@ class FiberSweepEngine:
         if b1 * b2 > _MAX_CELLS:
             raise ValueError("a class with b1*b2 = %d > %d recursion cells is refused"
                              % (b1 * b2, _MAX_CELLS))
+        cells = list(self.cells(b1, b2))
         # refused before the first scan, or built once at its full size
-        short_vector_table(self.largest_ball(b1, b2))
+        short_vector_table(_largest_ball(cells))
         oracle = self.scan == "oracle"
         if not oracle:
             # scan around the dominant W(E8)-conjugate of e (see _scan_cell);
@@ -326,7 +307,7 @@ class FiberSweepEngine:
             e = dominant(e)
         earr = np.asarray(e, dtype=np.int64)
         total = Fraction(0)
-        for b1p, b2p, weight in self.cells(b1, b2):
+        for b1p, b2p, weight in cells:
             m2 = b2 - b2p
             if b2p == 0 or (b1p == 0 and not oracle):
                 # a radius-zero ball holds only 0: the part is (b1' + b2')

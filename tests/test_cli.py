@@ -377,6 +377,23 @@ def test_runaway_inputs_exit_2_at_once(capsys, argv, err):
     assert time.perf_counter() - t0 < 1.0
 
 
+BIG = 10 ** 20
+
+
+@pytest.mark.parametrize("argv", [
+    ("invariant", "--genus", "1", "--beta", "3,%d,0,0,0,0,0,0,0,0" % BIG),
+    ("invariant", "--genus", "1", "--beta", "%d,%d,%d,0,0,0,0,0,0,0" % (BIG, BIG, BIG // 10)),
+    ("invariant", "--genus", "2", "--degree", "1", "--beta", "3,%d,0,0,0,0,0,0,0,0" % BIG),
+])
+def test_coordinates_past_int64_exit_2_at_once(capsys, argv):
+    # numpy's overflow message is not pinned, only its one line
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("invariant: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_km_check_walks_only_the_divisors_of_a_large_multiple(capsys):
     t0 = time.perf_counter()
     code, out, _ = run(capsys, "km-check", "--genus", "1", "--beta",

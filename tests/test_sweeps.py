@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -176,14 +177,29 @@ def test_orbit_ids_are_stable_across_calls(monkeypatch, batch_first):
     n = len(base)
     for m in range(1, 13):
         monkeypatch.setattr(sweeps, "_ORBITS", {})
+        # the batch holds every row twice, and then its translate by m,
+        # which has the same residue
+        repeated = np.concatenate([rows, rows, rows + m])
         if batch_first:
-            batch = orbit_ids(m, rows).tolist()
+            batch = orbit_ids(m, repeated).tolist()
             single = [int(orbit_ids(m, row)[0]) for row in rows]
         else:
             single = [int(orbit_ids(m, row)[0]) for row in rows]
-            batch = orbit_ids(m, rows).tolist()
-        assert batch == single, m
-        assert batch[:n] == batch[n:][::-1], m
+            batch = orbit_ids(m, repeated).tolist()
+        assert batch == 3 * single, m
+        assert single[:n] == single[n:][::-1], m
+
+
+def test_keying_one_row_allocates_no_residue_table(monkeypatch):
+    # the residue memo grows by the rows keyed, not by m**8
+    monkeypatch.setattr(sweeps, "_ORBITS", {})
+    tracemalloc.start()
+    try:
+        assert orbit_ids(8, ROOT).tolist() == [1]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @settings(max_examples=60, deadline=None)
@@ -197,7 +213,7 @@ def test_alcove_points_are_dominant_below_the_affine_wall(m, row):
 
 
 def test_orbit_counts_match_affine_mark_solutions():
-    # m <= 8 name orbits through residue tables, m >= 9 without them
+    # one orbit of W x| m*Q per lattice point of the alcove scaled by m
     counts = [len(_alcove_solutions(m)) for m in range(1, 13)]
     assert counts == [1, 3, 5, 10, 15, 27, 39, 63, 90, 135, 187, 270]
     inv_cartan = np.linalg.inv(CARTAN).round().astype(np.int64)
@@ -230,7 +246,7 @@ def test_orbit_partition_equals_reflection_closure(m):
     assert len(np.unique(np.stack([labels, ids], axis=1), axis=0)) == n_orbits
 
 
-def test_classes_beyond_the_residue_memo_match_the_recursion():
+def test_classes_keyed_at_m_8_and_9_match_the_recursion():
     root = (1,) + (0,) * 7
     eng = FiberSweepEngine()
     for coords in [(1, 8) + ZERO8, (1, 9) + root]:
@@ -551,7 +567,7 @@ def test_acceptance_box_keys_match_the_full_prediction():
 
 @pytest.mark.parametrize("coords", [(6, 6) + ZERO8, (5, 7, 1) + ZERO8[1:], (1, 100) + ZERO8])
 def test_deep_classes_match_the_full_prediction(coords):
-    # balls of norm 16-18 from the short-vector table, the residue tables
-    # of m = 6 and 7, and one-row keys past m = 8
+    # balls of norm 16-18 from the short-vector table, and residue memos
+    # of moduli up to 100 keyed one row at a time
     want = km_fiber_prediction(1, coords, "full") / 4
     assert FiberSweepEngine().class_value(coords[0], coords[1], coords[2:]) == want
