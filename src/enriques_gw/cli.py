@@ -54,19 +54,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, "%s: error: %s\n" % (self.prog, message))
 
 
-def _write_lines(fmt, lines, out):
+def _write_lines(fmt, lines):
     if fmt == "csv":
-        out.write(",".join(CSV_HEADER) + "\n")
-    out.writelines(lines)
+        sys.stdout.write(",".join(CSV_HEADER) + "\n")
+    sys.stdout.writelines(lines)
 
 
-def cmd_invariant(args, out=None):
-    out = out if out is not None else sys.stdout
+def cmd_invariant(args):
     record = invariant_record(args.genus, (parse_vector(args.beta), args.degree))
     head, sep, tail = _TABLE_LINES[args.format]
     line = (head % (record.genus, sep.join(map(str, record.cls.beta.coords)))
             + tail % (record.cls.d, record.value, record.rule))
-    _write_lines(args.format, [line], out)
+    _write_lines(args.format, [line])
     return EXIT_OK
 
 
@@ -98,8 +97,7 @@ def _table_rows(args):
             yield prefix + line
 
 
-def cmd_table(args, out=None):
-    out = out if out is not None else sys.stdout
+def cmd_table(args):
     for name, cap in TABLE_CAPS.items():
         if getattr(args, name) > cap:
             sys.stderr.write("table: --%s exceeds the cap %d\n"
@@ -114,7 +112,7 @@ def cmd_table(args, out=None):
         sys.stderr.write("table: %d rows exceed the limit %d "
                          "(raise --limit to proceed)\n" % (n_rows, args.limit))
         return EXIT_COMPUTE
-    _write_lines(args.format, _table_rows(args), out)
+    _write_lines(args.format, _table_rows(args))
     return EXIT_OK
 
 
@@ -132,28 +130,26 @@ _SERIES = {
 }
 
 
-def cmd_series(args, out=None):
-    out = out if out is not None else sys.stdout
+def cmd_series(args):
     series = _SERIES[args.what](args.order)
     pairs = [(n, str(series.coeff(n)))
              for n in range(series.offset, series.trunc + 1)]
     if args.format == "json":
-        out.write(json.dumps({"what": args.what, "order": args.order,
-                              "coefficients": pairs}) + "\n")
+        sys.stdout.write(json.dumps({"what": args.what, "order": args.order,
+                                     "coefficients": pairs}) + "\n")
     else:
         for n, value in pairs:
-            out.write("%d\t%s\n" % (n, value))
+            sys.stdout.write("%d\t%s\n" % (n, value))
     return EXIT_OK
 
 
-def cmd_km_check(args, out=None):
-    out = out if out is not None else sys.stdout
+def cmd_km_check(args):
     beta = parse_vector(args.beta)
     if args.f56:
         report = km_model.km_f56_check(beta, args.convention, args.order)
     else:
         report = km_model.compare_engine_vs_km(args.genus, beta, args.order)
-    out.write(json.dumps(report) + "\n")
+    sys.stdout.write(json.dumps(report) + "\n")
     return EXIT_OK
 
 
@@ -164,10 +160,9 @@ def _parse_alphas(text):
     return [int(part) for part in text.split(",")]
 
 
-def cmd_local(args, out=None):
-    out = out if out is not None else sys.stdout
+def cmd_local(args):
     if args.s2n is not None:
-        out.write(json.dumps(local_surface.s2n_numerics(args.s2n)) + "\n")
+        sys.stdout.write(json.dumps(local_surface.s2n_numerics(args.s2n)) + "\n")
         return EXIT_OK
     alphas = _parse_alphas(args.alphas)
     if args.dimension:
@@ -175,19 +170,18 @@ def cmd_local(args, out=None):
             alphas=tuple(alphas), m=args.m, g=args.genus, d=args.ddeg,
             g_C=args.gc, sign=args.sign)
         ok = local_surface.dimension_check(spec, _parse_alphas(args.alphas_tilde))
-        out.write(json.dumps({"satisfied": ok}) + "\n")
+        sys.stdout.write(json.dumps({"satisfied": ok}) + "\n")
         return EXIT_OK
     if args.local_degree == 1:
         value = local_surface.local_degree1(alphas, args.sign)
     else:
         value = local_surface.local_degree2(alphas, args.gc, args.sign)
-    out.write(json.dumps({"degree": args.local_degree, "alphas": alphas,
-                          "sign": args.sign, "value": str(value)}) + "\n")
+    sys.stdout.write(json.dumps({"degree": args.local_degree, "alphas": alphas,
+                                 "sign": args.sign, "value": str(value)}) + "\n")
     return EXIT_OK
 
 
-def cmd_selfcheck(args, out=None):
-    out = out if out is not None else sys.stdout
+def cmd_selfcheck(args):
     numbers = None
     if args.only:
         known = {str(n): n for n in range(1, len(selfcheck.ALL_CRITERIA) + 1)}
@@ -198,7 +192,7 @@ def cmd_selfcheck(args, out=None):
             return EXIT_USAGE
         numbers = {known[part] for part in parts}
     results = selfcheck.run_all(numbers)
-    out.write(selfcheck.format_results(results) + "\n")
+    sys.stdout.write(selfcheck.format_results(results) + "\n")
     return EXIT_OK if all(r.passed for r in results) else EXIT_SELFCHECK
 
 

@@ -491,11 +491,18 @@ def decompositions_box_oracle(beta):
 
 
 def parse_vector(text: str) -> LatticeVector:
-    """Parse the wire format 'b1,b2,e1,...,e8' used by the CLI and JSON."""
+    """Parse the wire format 'b1,b2,e1,...,e8' used by the CLI and JSON.
+    Every coordinate must be at most 2**63 - 1 in absolute value, so that
+    it fits the int64 arrays of the engine."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != RANK:
         raise ValueError("expected 10 comma-separated integers, got %d" % len(parts))
     try:
-        return LatticeVector(int(p) for p in parts)
+        coords = [int(p) for p in parts]
     except ValueError:
         raise ValueError("malformed lattice vector: %r" % (text,))
+    for i, x in enumerate(coords, 1):
+        if abs(x) >= 1 << 63:
+            raise ValueError("coordinate %d exceeds the int64 limit %d in absolute value"
+                             % (i, (1 << 63) - 1))
+    return LatticeVector(coords)

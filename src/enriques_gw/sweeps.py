@@ -26,31 +26,31 @@ thousands of decompositions).  Two observations make full boxes cheap:
     model of E8 (Bourbaki, Lie Groups VI, Plate VII, whose node
     numbering CARTAN_E8 uses) the walls of the W(D7) subgroup amount to
     sorting absolute values, so a batch of rows is reduced with a few
-    vectorized rounds.  orbit_ids names each residue row mod m once, in
-    a per-modulus residue memo: the rows of a batch new to it are reduced
-    together, and their canonical points are looked up in the modulus'
-    dict of points, which gives each point the next small integer id when
-    it is first met.  One class is keyed the same way, as a batch of one
-    row.  Both dicts grow with what is keyed (see orbit_ids).
+    vectorized rounds.  That point, as 64 bytes, is the orbit's name in
+    every key.  orbit_ids reduces each residue row mod m once and keeps
+    its name in a per-modulus residue memo; the rows of a batch new to it
+    are reduced together, and one class is keyed as a batch of one row.
+    The memo grows with what is keyed (see orbit_ids), and clearing it
+    changes no name.
 
 2.  The decomposition sum itself is, cell by cell in (b1', b2'), a scan
     over the lattice points e1 of the ball of norm r1 = 2 b1' b2' around
     0, keeping those with <e - e1, e - e1> <= r2 = 2 (b1 - b1') (b2 - b2').
-    Aggregating candidates by cache key with numpy leaves only a handful
-    of exact Fraction multiplications per cell.  Each evaluation refuses
-    a class of more than _MAX_CELLS cells b1*b2, then asks
-    lattice.short_vector_table for the largest ball its cells scan, so a
-    ball past the table's cap is refused before any scan.  Each
+    Grouping each cell's candidates by the keys of their parts leaves
+    only a handful of exact Fraction multiplications per cell.  Each
+    evaluation refuses a class of more than _MAX_CELLS cells b1*b2, then
+    asks lattice.short_vector_table for the largest ball its cells scan,
+    so a ball past the table's cap is refused before any scan.  Each
     cell then forms, over its own ball, the distances
     <e - a, e - a> = <e,e> + <a,a> - 2 a.Ce to the class E8 part e, from
     the table's norms and the 8-vector Ce, in both scan modes alike.
 
     The stabilizer of e in W(E8) maps a cell's candidates to candidates
-    with the same part squares and orbit ids, so the optimized scan reads
-    one ball row per orbit of a subgroup of it, counted with the orbit's
-    size.  The simple reflections s_j with (C e)_j = 0 fix e, so their
-    parabolic subgroup W_J does; the evaluation first conjugates e to be
-    dominant, C e >= 0, which keeps its key and makes W_J the whole
+    with the same part squares and orbit names, so the optimized scan
+    reads one ball row per orbit of a subgroup of it, counted with the
+    orbit's size.  The simple reflections s_j with (C e)_j = 0 fix e, so
+    their parabolic subgroup W_J does; the evaluation first conjugates e
+    to be dominant, C e >= 0, which keeps its key and makes W_J the whole
     stabilizer (Humphreys 1.12).  The ball rows read are
     lattice.orbit_representatives(r1, J), weighted |W_J| / |W_K|.
     J is empty only for a dominant centre of norm >= |rho|^2 = 620,
@@ -116,9 +116,9 @@ _ALPHA1 = _ROOTS2[0]
 # largest_ball's loop and the chain of parts would run away at every level
 _MAX_CELLS = 4096
 
-# one int64 residue row, as the key of the residue memo
+# one int64 row as 64 bytes: a residue row, or a canonical point
 _ROW_BYTES = np.dtype((np.void, 64))
-# modulus -> ({residue row bytes: orbit id}, {canonical point bytes: orbit id})
+# modulus -> {residue row bytes: canonical point bytes}
 _ORBITS = {}
 
 
@@ -167,33 +167,21 @@ def alcove_points(e_arr, m):
 
 
 def orbit_ids(m, e_arr):
-    """Orbit ids (int64, >= 1) of the E8 coordinate rows of e_arr under
-    W x| m*Q, i.e. of their residues mod m under the reflection group.
-    The modulus' residue memo gives the id of every residue row keyed
-    before; the rows new to it are reduced in one alcove_points call and
-    named through the modulus' dict of canonical points, which hands out
-    the ids, so they are stable for the life of the process.  Neither
-    dict is bounded: the memo grows by one entry per distinct residue
-    row keyed, the dict of points by one per orbit met."""
+    """Names of the orbits of the E8 coordinate rows of e_arr under
+    W x| m*Q, i.e. of their residues mod m under the reflection group: a
+    list of one 64-byte string per row, the int64 bytes of the orbit's
+    canonical point (alcove_points).  The modulus' residue memo holds the
+    name of every residue row keyed before; the rows new to it are reduced
+    in one alcove_points call.  The memo is not bounded: it grows by one
+    entry per distinct residue row keyed."""
     res = np.mod(np.asarray(e_arr, dtype=np.int64, order="C").reshape(-1, 8), m)
-    by_residue, by_point = _ORBITS.setdefault(m, ({}, {}))
+    names = _ORBITS.setdefault(m, {})
     rows = res.view(_ROW_BYTES).ravel().tolist()
-    new = dict.fromkeys([r for r in rows if r not in by_residue])
+    new = dict.fromkeys([r for r in rows if r not in names])
     if new:
         points = alcove_points(np.frombuffer(b"".join(new), dtype=np.int64).reshape(-1, 8), m)
-        for r, p in zip(new, points):
-            by_residue[r] = by_point.setdefault(p.tobytes(), len(by_point) + 1)
-    return np.fromiter(map(by_residue.__getitem__, rows), dtype=np.int64, count=len(rows))
-
-
-def pack_part_keys(s1, id1, s2, id2):
-    """Injective int64 encoding of the rows (s1, id1, s2, id2) of
-    nonnegative integers, field widths sized from the largest entries."""
-    id_bits = int(max(id1.max(), id2.max())).bit_length()
-    width = int(max(s1.max(), s2.max())).bit_length() + id_bits
-    if 2 * width > 63:
-        raise ValueError("part keys need %d bits, more than int64 holds" % (2 * width))
-    return ((s1 << id_bits | id1) << width) | (s2 << id_bits | id2)
+        names.update(zip(new, points.view(_ROW_BYTES).ravel().tolist()))
+    return list(map(names.__getitem__, rows))
 
 
 def _largest_ball(cells):
@@ -218,7 +206,7 @@ class FiberSweepEngine:
     of the acceptance checks.  ENGINE, below, is the process-wide
     optimized instance.
 
-    Only the values <1> are stored, by key (b2, square, orbit id), see
+    Only the values <1> are stored, by key (b2, square, orbit name), see
     key_for, which names the orbit through orbit_ids for every modulus;
     the genus-2 invariants need nothing else (gw_engine.value_rule).
     Methods taking a `key` expect exactly that key of the class they are
@@ -235,7 +223,7 @@ class FiberSweepEngine:
     @staticmethod
     def key_for(b2, s, e):
         """Cache key of a class with b2 >= 1, square s and E8 part e."""
-        return (b2, s, int(orbit_ids(b2, e)[0]))
+        return (b2, s, orbit_ids(b2, e)[0])
 
     def class_value(self, b1, b2, e, key=None):
         """<1> for the class with coordinates (b1, b2, e1..e8)."""
@@ -303,7 +291,7 @@ class FiberSweepEngine:
         oracle = self.scan == "oracle"
         if not oracle:
             # scan around the dominant W(E8)-conjugate of e (see _scan_cell);
-            # it keeps the key, as orbit ids are W-invariant
+            # it keeps the key, as orbit names are W-invariant
             e = dominant(e)
         earr = np.asarray(e, dtype=np.int64)
         total = Fraction(0)
@@ -322,22 +310,19 @@ class FiberSweepEngine:
             if got is None:
                 continue
             e1, e2, s1, s2, w = got
-            id1 = orbit_ids(b2p, e1)
-            id2 = orbit_ids(m2, e2)
-            pk = pack_part_keys(s1, id1, s2, id2)
-            _, first, group = np.unique(pk, return_index=True, return_inverse=True)
-            counts = np.zeros(len(first), dtype=np.int64)
-            np.add.at(counts, group, w)
-            for fi, cnt in zip(first.tolist(), counts.tolist()):
-                sa = int(s1[fi])
-                sb = int(s2[fi])
+            # part keys -> [first row, summed weight], in the order met
+            groups = {}
+            parts = zip(s1.tolist(), orbit_ids(b2p, e1), s2.tolist(), orbit_ids(m2, e2))
+            for i, (part, cnt) in enumerate(zip(parts, w.tolist())):
+                groups.setdefault(part, [i, 0])[1] += cnt
+            for (sa, na, sb, nb), (fi, cnt) in groups.items():
                 fac = (s - sa - sb) // 2
                 if fac == 0:
                     continue
-                va = self._value((b2p, sa, int(id1[fi])), b1p, tuple(e1[fi].tolist()))
+                va = self._value((b2p, sa, na), b1p, tuple(e1[fi].tolist()))
                 if not va:
                     continue
-                vb = self._value((m2, sb, int(id2[fi])), b1 - b1p, tuple(e2[fi].tolist()))
+                vb = self._value((m2, sb, nb), b1 - b1p, tuple(e2[fi].tolist()))
                 if not vb:
                     continue
                 total += weight * cnt * va * vb * fac
@@ -394,15 +379,15 @@ def box_classes(max_b1, max_b2, norm_bound):
     parts = parts[order]
     rows = [tuple(row) for row in parts.tolist()]
     norms = norms[order].tolist()
-    ids = {b2: orbit_ids(b2, parts).tolist() for b2 in range(1, max_b2 + 1)}
+    names = {b2: orbit_ids(b2, parts) for b2 in range(1, max_b2 + 1)}
     zero = (0,) * 8
     for b1 in range(0, max_b1 + 1):
         if b1:
             yield (b1, 0) + zero, 0, None
         for b2 in range(1, max_b2 + 1):
-            for e, ne, oid in zip(rows, norms, ids[b2]):
+            for e, ne, name in zip(rows, norms, names[b2]):
                 s = 2 * b1 * b2 - ne
-                yield (b1, b2) + e, s, ((b2, s, oid) if s >= 0 else None)
+                yield (b1, b2) + e, s, ((b2, s, name) if s >= 0 else None)
 
 
 def box_class_count(max_b1, max_b2, norm_bound):

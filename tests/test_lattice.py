@@ -232,6 +232,14 @@ def test_parse_vector_rejects_garbage():
         parse_vector("a,b,c,d,e,f,g,h,i,j")
 
 
+def test_parse_vector_refuses_coordinates_past_int64():
+    top = (1 << 63) - 1
+    assert parse_vector("0,0,0,0,0,0,0,0,0,%d" % -top).coords[-1] == -top
+    for x in (top + 1, -top - 1):
+        with pytest.raises(ValueError, match="coordinate 10 exceeds the int64 limit %d" % top):
+            parse_vector("0,0,0,0,0,0,0,0,0,%d" % x)
+
+
 small_positive_classes = st.tuples(
     st.integers(min_value=0, max_value=2),
     st.integers(min_value=1, max_value=2),

@@ -29,7 +29,6 @@ from enriques_gw.sweeps import (
     decomposition_agreement,
     genus1_box_table,
     orbit_ids,
-    pack_part_keys,
     pack_rows,
 )
 
@@ -168,9 +167,9 @@ def test_orbit_ids_are_reflection_and_translation_invariant(m, row, shift):
 
 @pytest.mark.parametrize("batch_first", [True, False])
 def test_orbit_ids_are_stable_across_calls(monkeypatch, batch_first):
-    # ids are given out in row order as canonical points are first met;
     # a batch and the same rows keyed one at a time (as key_for keys a
-    # class) must name every orbit alike, whichever call comes first
+    # class) must name every orbit alike, whichever call comes first and
+    # whatever the residue memo held before
     base = np.random.default_rng(11).integers(-40, 41, size=(30, 8))
     # the second half reflects the first, in reverse row order
     rows = np.concatenate([base, base[::-1] @ reflection_matrices()[4].T])
@@ -181,11 +180,11 @@ def test_orbit_ids_are_stable_across_calls(monkeypatch, batch_first):
         # which has the same residue
         repeated = np.concatenate([rows, rows, rows + m])
         if batch_first:
-            batch = orbit_ids(m, repeated).tolist()
-            single = [int(orbit_ids(m, row)[0]) for row in rows]
+            batch = orbit_ids(m, repeated)
+            single = [orbit_ids(m, row)[0] for row in rows]
         else:
-            single = [int(orbit_ids(m, row)[0]) for row in rows]
-            batch = orbit_ids(m, repeated).tolist()
+            single = [orbit_ids(m, row)[0] for row in rows]
+            batch = orbit_ids(m, repeated)
         assert batch == 3 * single, m
         assert single[:n] == single[n:][::-1], m
 
@@ -195,11 +194,21 @@ def test_keying_one_row_allocates_no_residue_table(monkeypatch):
     monkeypatch.setattr(sweeps, "_ORBITS", {})
     tracemalloc.start()
     try:
-        assert orbit_ids(8, ROOT).tolist() == [1]
+        names = orbit_ids(8, ROOT)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+    assert names == [alcove_points(np.array([ROOT]), 8)[0].tobytes()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(b2=st.integers(1, 12), s=st.integers(0, 40), row=E8_ROWS)
+def test_an_orbit_is_named_by_its_canonical_point(b2, s, row):
+    # the key names the orbit by the bytes of its one alcove point, so the
+    # name does not depend on what was keyed before
+    name = FiberSweepEngine.key_for(b2, s, row)[2]
+    assert name == alcove_points(np.array([row]), b2)[0].tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -223,7 +232,7 @@ def test_orbit_counts_match_affine_mark_solutions():
         # every canonical point among them
         points = np.array(_alcove_solutions(m), dtype=np.int64) @ inv_cartan.T
         assert np.array_equal(alcove_points(points, m), points @ _ROOTS2)
-        assert len(set(orbit_ids(m, points).tolist())) == count
+        assert len(set(orbit_ids(m, points))) == count
 
 
 def test_dominant_conjugates_keep_the_orbit_ids_of_the_box_parts():
@@ -234,16 +243,16 @@ def test_dominant_conjugates_keep_the_orbit_ids_of_the_box_parts():
     # the dominant vectors of norm 0, 2 and 4: 0, the highest root, w1
     assert len(np.unique(dom, axis=0)) == 3
     for m in range(1, 13):
-        assert np.array_equal(orbit_ids(m, dom), orbit_ids(m, parts)), m
+        assert orbit_ids(m, dom) == orbit_ids(m, parts), m
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_orbit_partition_equals_reflection_closure(m):
     coords, labels = _reflection_closure_labels(m)
-    ids = orbit_ids(m, coords)
+    names = orbit_ids(m, coords)
     n_orbits = len(np.unique(labels))
-    assert len(np.unique(ids)) == n_orbits
-    assert len(np.unique(np.stack([labels, ids], axis=1), axis=0)) == n_orbits
+    assert len(set(names)) == n_orbits
+    assert len(set(zip(labels.tolist(), names))) == n_orbits
 
 
 def test_classes_keyed_at_m_8_and_9_match_the_recursion():
@@ -252,17 +261,6 @@ def test_classes_keyed_at_m_8_and_9_match_the_recursion():
     for coords in [(1, 8) + ZERO8, (1, 9) + root]:
         want = gw_engine.enriques_genus1(LatticeVector(coords), memo={})
         assert eng.class_value(coords[0], coords[1], coords[2:]) == want
-
-
-def test_part_key_packing_is_injective_for_large_squares():
-    s = np.arange(0, 300, 7, dtype=np.int64)
-    ids = np.arange(1, 40, 3, dtype=np.int64)
-    rows = np.array(list(itertools.product(s[s >= 128], ids, s, ids[:4])), dtype=np.int64)
-    pk = pack_part_keys(rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3])
-    assert len(np.unique(pk)) == len(rows)
-    big = np.array([1 << 30], dtype=np.int64)
-    with pytest.raises(ValueError, match="int64"):
-        pack_part_keys(big, big, big, big)
 
 
 def test_pack_rows_is_injective_and_bounded():
