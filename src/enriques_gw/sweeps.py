@@ -43,10 +43,10 @@ thousands of decompositions).  Two observations make full boxes cheap:
     so a ball past the table's cap is refused before any scan.  Each
     cell then forms, over its own ball, the distances
     <e - a, e - a> = <e,e> + <a,a> - 2 a.Ce to the class E8 part e, from
-    the table's norms and the 8-vector Ce, in both scan modes alike.
+    the table's norms and the 8-vector Ce.
 
     The stabilizer of e in W(E8) maps a cell's candidates to candidates
-    with the same part squares and orbit names, so the optimized scan
+    with the same part squares and orbit names, so the scan
     reads one ball row per orbit of a subgroup of it, counted with the
     orbit's size.  The simple reflections s_j with (C e)_j = 0 fix e, so
     their parabolic subgroup W_J does; the evaluation first conjugates e
@@ -64,18 +64,17 @@ thousands of decompositions).  Two observations make full boxes cheap:
 
 The one production engine is ENGINE, defined here beside its class and
 re-exported by gw_engine: every entry point (invariant records, tables,
-box tables, the self-check and scripts) evaluates <1> on it.  A second
-engine is made only as the oracle-scan reference of the acceptance
-checks and of tests.
+box tables, the self-check and scripts) evaluates <1> on it.
 
 The module also contains the decomposition agreement sweep of the
 acceptance checks, which holds the engine's own cell scan against brute
 force.  Per cell shape (r1, r2) and per W(E8)-orbit of the box's E8
-parts, the brute-force side scans the whole r1 ball in int64 and the
-other side is _scan_cell, the orbit-weighted scan, read for a shape
-with r1 > r2 off its mirror cell; their part squares must agree with
-their weights.  Cells whose complement is a multiple of v1 reduce to
-scalar predicates and are counted analytically.
+parts, the brute-force side walks the whole of the smaller ball in
+int64, every row at weight 1, and the other side is _scan_cell, the
+orbit-weighted scan, read for a shape with r1 > r2 off its mirror cell;
+their part squares must agree with their weights.  Cells whose
+complement is a multiple of v1 reduce to scalar predicates and are
+counted analytically.
 """
 
 from __future__ import annotations
@@ -172,39 +171,32 @@ def orbit_ids(m, e_arr):
     list of one 64-byte string per row, the int64 bytes of the orbit's
     canonical point (alcove_points).  The modulus' residue memo holds the
     name of every residue row keyed before; the rows new to it are reduced
-    in one alcove_points call.  The memo is not bounded: it grows by one
+    in one alcove_points call, and the residues of one orbit among them
+    share one name object.  The memo is not bounded: it grows by one
     entry per distinct residue row keyed."""
     res = np.mod(np.asarray(e_arr, dtype=np.int64, order="C").reshape(-1, 8), m)
     names = _ORBITS.setdefault(m, {})
     rows = res.view(_ROW_BYTES).ravel().tolist()
     new = dict.fromkeys([r for r in rows if r not in names])
     if new:
-        points = alcove_points(np.frombuffer(b"".join(new), dtype=np.int64).reshape(-1, 8), m)
-        names.update(zip(new, points.view(_ROW_BYTES).ravel().tolist()))
+        rows_new = np.frombuffer(b"".join(new), dtype=np.int64).reshape(-1, 8)
+        points = alcove_points(rows_new, m).view(_ROW_BYTES).ravel().tolist()
+        canon = {}  # one name object per orbit met in this call, not per residue
+        names.update(zip(new, [canon.setdefault(p, p) for p in points]))
     return list(map(names.__getitem__, rows))
-
-
-def _largest_ball(cells):
-    """Norm bound 2 b1' b2' of the largest ball the cells (b1', b2',
-    weight) of a class scan."""
-    return max((2 * b1p * b2p for b1p, b2p, _ in cells), default=0)
 
 
 class FiberSweepEngine:
     """Genus-1 surface invariants over large class boxes.
 
-    `scan` selects which recursion cells are read (see cells) and how
-    each gathers candidates: "optimized" reads one cell of each mirror
-    pair, the one with the smaller ball, reads one ball row per orbit of
-    the stabilizer of the dominant conjugate of the class E8 part,
-    counted with the orbit's size, and answers radius-zero cells without
-    a scan; "oracle" scans the whole ball of every cell with b2' >= 1
-    against the E8 part as given, each row at weight 1, mirroring the
-    brute-force box enumeration.  Both form each cell's distances the
-    same way (see _scan_cell) and must produce identical value tables;
-    running both and comparing, which checks the orbit weights, is part
-    of the acceptance checks.  ENGINE, below, is the process-wide
-    optimized instance.
+    An evaluation reads one recursion cell of each mirror pair, the one
+    with the smaller ball (see cells), answers radius-zero cells without
+    a scan, and in every other cell reads one ball row per orbit of the
+    stabilizer of the dominant conjugate of the class E8 part, counted
+    with the orbit's size (see _scan_cell).  The acceptance checks hold
+    that scan against a brute-force walk of the smaller ball
+    (decomposition_agreement) and the values against the heterotic
+    closed form.  ENGINE, below, is the process-wide instance.
 
     Only the values <1> are stored, by key (b2, square, orbit name), see
     key_for, which names the orbit through orbit_ids for every modulus;
@@ -214,9 +206,9 @@ class FiberSweepEngine:
     """
 
     def __init__(self, scan="optimized"):
-        if scan not in ("optimized", "oracle"):
-            raise ValueError("scan must be 'optimized' or 'oracle'")
-        self.scan = scan
+        # the engine has one scan, still named by perfbench/probes.py
+        if scan != "optimized":
+            raise ValueError("scan must be 'optimized', the engine's one scan")
         self.values = {}
         self.evals = 0
 
@@ -246,25 +238,17 @@ class FiberSweepEngine:
 
     def _value(self, key, b1, e):
         got = self.values.get(key)
-        if got is not None:
-            return got
-        return self._eval(key, b1, e)
+        return self._eval(key, b1, e) if got is None else got
 
-    def cells(self, b1, b2):
+    @staticmethod
+    def cells(b1, b2):
         """The cells (b1', b2', weight) a class (b1, b2, e) reads, with
-        0 <= b2' < b2, 0 <= b1' <= b1 and (0, 0) left out; the weight
-        counts the ordered cells of the sum it stands for, itself and its
-        mirror (b1 - b1', b2 - b2').  The oracle reads each cell with
-        b2' >= 1 at weight 1 and each edge (b1', 0), part b1' v1, at 2.
-        The optimized engine reads, of each mirror pair, the cell with the
-        smaller (b1' b2', b2', b1'), at weight 2, or 1 if it is its own
-        mirror."""
-        oracle = self.scan == "oracle"
+        0 <= b2' < b2, 0 <= b1' <= b1 and (0, 0) left out: of each mirror
+        pair (b1', b2'), (b1 - b1', b2 - b2') the cell with the smaller
+        (b1' b2', b2', b1'), at weight 2, or 1 if it is its own mirror.
+        The weight counts the ordered cells of the sum it stands for."""
         for b2p in range(b2):
             for b1p in range(0 if b2p else 1, b1 + 1):
-                if oracle:
-                    yield b1p, b2p, 1 if b2p else 2
-                    continue
                 cell = (b1p * b2p, b2p, b1p)
                 mirror = ((b1 - b1p) * (b2 - b2p), b2 - b2p, b1 - b1p)
                 if cell <= mirror:
@@ -273,7 +257,7 @@ class FiberSweepEngine:
     def largest_ball(self, b1, b2):
         """Norm bound 2 b1' b2' of the largest ball the cells of a class
         (b1, b2, e) scan (see cells and _scan_cell)."""
-        return _largest_ball(self.cells(b1, b2))
+        return max((2 * b1p * b2p for b1p, b2p, _ in self.cells(b1, b2)), default=0)
 
     def _eval(self, key, b1, e):
         b2, s, _ = key
@@ -285,19 +269,16 @@ class FiberSweepEngine:
         if b1 * b2 > _MAX_CELLS:
             raise ValueError("a class with b1*b2 = %d > %d recursion cells is refused"
                              % (b1 * b2, _MAX_CELLS))
-        cells = list(self.cells(b1, b2))
         # refused before the first scan, or built once at its full size
-        short_vector_table(_largest_ball(cells))
-        oracle = self.scan == "oracle"
-        if not oracle:
-            # scan around the dominant W(E8)-conjugate of e (see _scan_cell);
-            # it keeps the key, as orbit names are W-invariant
-            e = dominant(e)
+        short_vector_table(self.largest_ball(b1, b2))
+        # scan around the dominant W(E8)-conjugate of e (see _scan_cell);
+        # it keeps the key, as orbit names are W-invariant
+        e = dominant(e)
         earr = np.asarray(e, dtype=np.int64)
         total = Fraction(0)
-        for b1p, b2p, weight in cells:
+        for b1p, b2p, weight in self.cells(b1, b2):
             m2 = b2 - b2p
-            if b2p == 0 or (b1p == 0 and not oracle):
+            if b1p * b2p == 0:
                 # a radius-zero ball holds only 0: the part is (b1' + b2')
                 # times v1 or v2, and its complement keeps the E8 part
                 pairing = b1p * m2 + b2p * (b1 - b1p)
@@ -334,20 +315,19 @@ class FiberSweepEngine:
         """Candidate E8 splittings e = e1 + e2 for one recursion cell,
         restricted to candidates with both part squares nonnegative: the
         rows e1 of the ball of norm r1 = 2 b1' b2' around 0 with
-        <e - e1, e - e1> <= r2 = 2 (b1 - b1') (b2 - b2').  Both scan modes
-        form these distances as <e,e> + <e1,e1> - 2 e1.Ce, in place in one
-        int64 array.  The optimized mode scans only the rows of
-        lattice.orbit_representatives for the nodes J with (C e)_j = 0,
-        whose reflections fix e, unless J is empty; _eval makes e
-        dominant, so that W_J is its whole stabilizer.  The oracle scans
-        the whole ball.  Returns (e1, e2, s1, s2, w) arrays, w the int64
-        number of candidates each row stands for, or None for an empty
-        cell."""
+        <e - e1, e - e1> <= r2 = 2 (b1 - b1') (b2 - b2'), formed as
+        <e,e> + <e1,e1> - 2 e1.Ce in place in one int64 array.  Only the
+        rows of lattice.orbit_representatives for the nodes J with
+        (C e)_j = 0, whose reflections fix e, are scanned, unless J is
+        empty and the whole ball is; _eval makes e dominant, so that W_J
+        is its whole stabilizer.  Returns (e1, e2, s1, s2, w) arrays, w
+        the int64 number of candidates each row stands for, or None for
+        an empty cell."""
         r1 = 2 * b1p * b2p
         r2 = 2 * (b1 - b1p) * (b2 - b2p)
         a, nrm = short_vector_table(r1)
         ce = _CARTAN_NP @ earr
-        J = tuple(np.flatnonzero(ce == 0).tolist()) if self.scan == "optimized" else ()
+        J = tuple(np.flatnonzero(ce == 0).tolist())
         w = None
         if J:
             idx, w = orbit_representatives(r1, J)
@@ -423,6 +403,24 @@ def _add_histogram(hist, weight, s1, s2, w):
         hist[k] = hist.get(k, 0) + weight * v
 
 
+def _brute_force_histogram(r1, r2, targets, t_norms, weights):
+    """(hist, survivors): the _add_histogram of (s1, s2) and the number of
+    the f of the r1 ball with <t - f, t - f> <= r2, over the target rows t
+    counted `weights` times.  It walks the whole smaller ball, each row at
+    weight 1: for r1 > r2, the g = t - f of the r2 ball with
+    <t - g, t - g> <= r1, s1 and s2 swapped."""
+    near_r, far_r = sorted((r1, r2))
+    a, nrm = short_vector_table(near_r)
+    # d[g, t] = <t - g, t - g> over the whole smaller ball
+    d = nrm[:, None] + t_norms - 2 * (a @ (_CARTAN_NP @ targets.T))
+    g, t = np.nonzero(d <= far_r)
+    near, far = near_r - nrm[g], far_r - d[g, t]
+    w = np.asarray(weights, dtype=np.int64)[t]
+    hist = {}
+    _add_histogram(hist, 1, *((far, near) if r1 > r2 else (near, far)), w)
+    return hist, int(w.sum())
+
+
 def decomposition_agreement(max_b1=4, max_b2=4, norm_bound=4):
     """Compare brute-force decomposition enumeration with the engine's own
     cell scan for every positive class in the box, recursion cell by
@@ -432,8 +430,9 @@ def decomposition_agreement(max_b1=4, max_b2=4, norm_bound=4):
     scans depending only on (r1, r2) and the class E8 part t, and their
     survivors are W(E8)-invariant in t: each shape is scanned at one
     dominant t per orbit of the box's E8 parts, weighted by the orbit's
-    size.  Brute force keeps the f of the whole r1 ball with
-    <t - f, t - f> <= r2, in int64; ENGINE._scan_cell scans one cell of
+    size.  Brute force keeps the f of the r1 ball with <t - f, t - f> <= r2,
+    walking the whole of the smaller ball (_brute_force_histogram), so no
+    ball past norm min(r1, r2) is built; ENGINE._scan_cell scans one cell of
     the shape (radius-zero ones too, which _eval keys without a scan), or
     for r1 > r2 its mirror cell, with the part squares swapped, as _eval
     reads it.
@@ -445,7 +444,6 @@ def decomposition_agreement(max_b1=4, max_b2=4, norm_bound=4):
     targets, t_norms = short_vector_table(norm_bound)
     idx, t_weights = orbit_representatives(norm_bound, tuple(range(8)))
     reps, rep_norms, t_weights = targets[idx], t_norms[idx], t_weights.tolist()
-    reps_ct = _CARTAN_NP @ reps.T
     cell_shapes = {}
     for b1 in range(0, max_b1 + 1):
         for b2 in range(1, max_b2 + 1):
@@ -458,24 +456,15 @@ def decomposition_agreement(max_b1=4, max_b2=4, norm_bound=4):
     total_pairs = 0
     per_shape = {}
     for (r1, r2), cells in sorted(cell_shapes.items()):
-        a, nrm = short_vector_table(r1)
-        # d[f, t] = <t - f, t - f> over the whole r1 ball
-        d = a @ reps_ct
-        d *= -2
-        d += nrm[:, None]
-        d += rep_norms
+        brute, n_surv = _brute_force_histogram(r1, r2, reps, rep_norms, t_weights)
         # as in _eval, a shape with r1 > r2 is read off the engine's scan
         # of its mirror cell, with the part squares swapped
         b1, b2, b1p, b2p = cells[0]
         mirrored = r1 > r2
         if mirrored:
             b1p, b2p = b1 - b1p, b2 - b2p
-        brute, scanned = {}, {}
-        n_surv = 0
+        scanned = {}
         for j, weight in enumerate(t_weights):
-            keep = d[:, j] <= r2
-            n_surv += weight * int(np.count_nonzero(keep))
-            _add_histogram(brute, weight, r1 - nrm[keep], r2 - d[keep, j], 1)
             got = ENGINE._scan_cell(reps[j], b1, b2, b1p, b2p)
             if got is not None:
                 s1, s2 = (got[3], got[2]) if mirrored else (got[2], got[3])
@@ -484,11 +473,7 @@ def decomposition_agreement(max_b1=4, max_b2=4, norm_bound=4):
         if not agree:
             mismatches.append({"shape": (r1, r2), "cells": cells})
         total_pairs += n_surv * len(cells)
-        per_shape[(r1, r2)] = {
-            "cells": len(cells),
-            "survivors": n_surv,
-            "agree": bool(agree),
-        }
+        per_shape[(r1, r2)] = {"cells": len(cells), "survivors": n_surv, "agree": bool(agree)}
     # edge cells: part n*v1 on either side, complement (b1-n, b2, e);
     # the pair survives exactly when the complement square s - 2*n*b2
     # is nonnegative (ordered pairs: factor 2)

@@ -77,25 +77,34 @@ def test_engine_edge_classes():
     assert eng.class_value(1, 1, (1, 1, 0, 0, 0, 0, 0, 0)) == 0
 
 
-@pytest.mark.parametrize("scan,ball", [("optimized", 50), ("oracle", 180)])
-def test_engine_refuses_a_runaway_ball_before_scanning(monkeypatch, scan, ball):
+def test_engine_refuses_a_runaway_ball_before_scanning(monkeypatch):
     def refuse(bound):
         raise AssertionError("built a ball of norm %d" % bound)
 
     monkeypatch.setattr(lattice, "_short_vector_array", refuse)
-    eng = FiberSweepEngine(scan)
-    with pytest.raises(ValueError, match="norm <= %d " % ball):
+    eng = FiberSweepEngine()
+    with pytest.raises(ValueError, match="norm <= 50 "):
         eng.class_value(10, 10, ZERO8)
     assert eng.evals == 1 and not eng.values
 
 
-def test_scan_modes_produce_identical_tables():
-    box = {"max_b1": 3, "max_b2": 3, "norm_bound": 2}
-    table_opt = genus1_box_table(**box, engine=FiberSweepEngine("optimized"))
-    table_orc = genus1_box_table(**box, engine=FiberSweepEngine("oracle"))
-    assert table_opt == table_orc
-    with pytest.raises(ValueError):
-        FiberSweepEngine(scan="fast")
+def _full_prediction(coords):
+    """<1> by the heterotic closed form, "full" convention: an oracle that
+    shares no evaluation code with the engine."""
+    return km_fiber_prediction(1, coords, "full") / 4
+
+
+def test_engine_box_table_matches_the_full_prediction():
+    table = genus1_box_table(3, 3, 2, engine=FiberSweepEngine())
+    keyed = [coords for coords, _, key in box_classes(3, 3, 2) if key is not None]
+    assert len(keyed) == 3 + 3 * 3 * 241
+    for coords in keyed:
+        assert table[coords] == _full_prediction(coords), coords
+    # the engine has one scan: the oracle-scan mode is gone
+    FiberSweepEngine("optimized")
+    for scan in ("oracle", "fast"):
+        with pytest.raises(ValueError, match="one scan"):
+            FiberSweepEngine(scan)
 
 
 def test_key_collapses_equal_square_classes_correctly():
@@ -200,6 +209,17 @@ def test_keying_one_row_allocates_no_residue_table(monkeypatch):
         tracemalloc.stop()
     assert peak < 1 << 20
     assert names == [alcove_points(np.array([ROOT]), 8)[0].tobytes()]
+
+
+def test_residues_of_one_orbit_keyed_in_one_call_share_one_name_object(monkeypatch):
+    # ROOT and its reflection -ROOT have distinct residues mod 8 but one
+    # orbit; the memo holds one name object for both, not one per residue
+    monkeypatch.setattr(sweeps, "_ORBITS", {})
+    minus = tuple(-x for x in ROOT)
+    names = orbit_ids(8, np.array([ROOT, minus, ROOT]))
+    assert len(sweeps._ORBITS[8]) == 2
+    assert names[0] is names[1] is names[2]
+    assert orbit_ids(8, minus)[0] is names[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -335,9 +355,8 @@ def _brute_cell_histograms(r1, r2, targets, t_norms):
 
 
 # cells (b1, b2, b1', b2'), named by their radii r1-r2: unshifted
-# (r1 <= r2), r1 > r2 (only the oracle scans these as they stand; the
-# optimized engine reads them off their mirrors) and the two radius-zero
-# balls
+# (r1 <= r2), r1 > r2 (the engine reads these off their mirrors, but its
+# scan must hold on them as they stand) and the two radius-zero balls
 SCAN_CELLS = {
     "unshifted-2-8": (3, 3, 1, 1),
     "self-mirror-2-2": (2, 2, 1, 1),
@@ -369,6 +388,28 @@ def test_scan_cell_matches_a_full_ball_brute_force_scan(cell):
             got[k] = got.get(k, 0) + n
     assert got == want
     assert len({k // 4096 for k in want}) > 1
+
+
+@pytest.mark.parametrize("cell", SCAN_CELLS.values(), ids=SCAN_CELLS.keys())
+def test_smaller_ball_brute_force_matches_the_full_ball_scan(monkeypatch, cell):
+    # the sweep's brute force walks only the smaller ball, each row at
+    # weight 1; its histogram must equal the whole r1 ball's, also for
+    # r1 > r2, where it walks t - f
+    b1, b2, b1p, b2p = cell
+    r1, r2 = 2 * b1p * b2p, 2 * (b1 - b1p) * (b2 - b2p)
+    targets, t_norms = short_vector_table(4)
+    want, n_want = {}, 0
+    for k, n in _brute_cell_histograms(r1, r2, targets, t_norms).items():
+        s1, s2 = k // 64 % 64, k % 64
+        want[s1 * (1 << 32) + s2] = want.get(s1 * (1 << 32) + s2, 0) + n
+        n_want += n
+    built = []
+    table = lattice.short_vector_table
+    monkeypatch.setattr(sweeps, "short_vector_table",
+                        lambda bound: built.append(bound) or table(bound))
+    got = sweeps._brute_force_histogram(r1, r2, targets, t_norms, [1] * len(targets))
+    assert got == (want, n_want)
+    assert built == [min(r1, r2)]
 
 
 def test_agreement_fails_when_the_engine_scan_drops_boundary_rows(monkeypatch):
@@ -409,9 +450,8 @@ def test_decomposition_agreement_small_box():
     assert all(v["agree"] for v in report["per_shape"].values())
 
 
-@pytest.mark.parametrize("scan", ["optimized", "oracle"])
-def test_cells_count_every_ordered_cell_once(scan):
-    eng = FiberSweepEngine(scan)
+def test_cells_count_every_ordered_cell_once():
+    eng = FiberSweepEngine()
     for b1 in range(13):
         for b2 in range(1, 13):
             got = list(eng.cells(b1, b2))
@@ -421,48 +461,44 @@ def test_cells_count_every_ordered_cell_once(scan):
             covered += [(b1 - b1p, b2 - b2p) for b1p, b2p, w in got if w == 2]
             every = [(b1p, b2p) for b2p in range(b2 + 1) for b1p in range(b1 + 1)]
             assert sorted(covered) == sorted(every[1:-1]), (b1, b2)
-            if scan == "optimized":
-                assert all(b1p * b2p <= (b1 - b1p) * (b2 - b2p) for b1p, b2p, _ in got)
+            assert all(b1p * b2p <= (b1 - b1p) * (b2 - b2p) for b1p, b2p, _ in got)
 
 
-@pytest.mark.parametrize("scan", ["optimized", "oracle"])
-def test_largest_ball_matches_the_cell_loop(scan):
-    eng = FiberSweepEngine(scan)
+def test_largest_ball_matches_the_cell_loop():
+    eng = FiberSweepEngine()
     for b1 in range(0, 41):
         for b2 in range(1, 41):
-            want = max((2 * b1p * b2p if scan == "oracle"
-                        else 2 * min(b1p * b2p, (b1 - b1p) * (b2 - b2p))
+            want = max((2 * min(b1p * b2p, (b1 - b1p) * (b2 - b2p))
                         for b2p in range(1, b2) for b1p in range(b1 + 1)), default=0)
             assert eng.largest_ball(b1, b2) == want, (b1, b2)
 
 
-def _assert_engines_agree(classes):
-    opt, orc = FiberSweepEngine(), FiberSweepEngine("oracle")
+def _assert_full_prediction(classes):
+    eng = FiberSweepEngine()
     for b1, b2, e in classes:
-        assert opt.class_value(b1, b2, e) == orc.class_value(b1, b2, e), (b1, b2, e)
+        assert eng.class_value(b1, b2, e) == _full_prediction((b1, b2) + e), (b1, b2, e)
 
 
 def test_radius_zero_cells_match_the_oracle():
-    # every cell of (1, b2, 0^8) has a radius-zero ball, which the
-    # optimized engine answers without a scan
-    _assert_engines_agree([(1, b2, ZERO8) for b2 in range(1, 11)])
-    _assert_engines_agree([(b1, b2, ROOT) for b1 in range(1, 5) for b2 in range(1, 5)])
+    # every cell of (1, b2, 0^8) has a radius-zero ball, which the engine
+    # answers without a scan; the oracle is the closed form
+    _assert_full_prediction([(1, b2, ZERO8) for b2 in range(1, 11)])
+    _assert_full_prediction([(b1, b2, ROOT) for b1 in range(1, 5) for b2 in range(1, 5)])
 
 
 def test_self_mirror_cells_match_the_oracle():
     # (b1/2, b2/2) is its own mirror cell in each of these classes
-    _assert_engines_agree([(2, 2, ZERO8), (4, 2, ROOT), (2, 4, ZERO8), (4, 4, ZERO8)])
+    _assert_full_prediction([(2, 2, ZERO8), (4, 2, ROOT), (2, 4, ZERO8), (4, 4, ZERO8)])
 
 
-@pytest.mark.parametrize("scan", ["optimized", "oracle"])
-def test_optimized_engine_scans_each_mirror_pair_once(monkeypatch, scan):
+def test_engine_scans_each_mirror_pair_once(monkeypatch):
     evaluated, scanned = [], []
     eval_, scan_cell = FiberSweepEngine._eval, FiberSweepEngine._scan_cell
 
     def counting_eval(self, key, b1, e):
-        # the optimized engine scans around the dominant conjugate of e
+        # the engine scans around the dominant conjugate of e
         if key[1]:
-            evaluated.append((b1, key[0], dominant(e) if scan == "optimized" else tuple(e)))
+            evaluated.append((b1, key[0], dominant(e)))
         return eval_(self, key, b1, e)
 
     def counting_scan(self, earr, b1, b2, b1p, b2p):
@@ -471,7 +507,7 @@ def test_optimized_engine_scans_each_mirror_pair_once(monkeypatch, scan):
 
     monkeypatch.setattr(FiberSweepEngine, "_eval", counting_eval)
     monkeypatch.setattr(FiberSweepEngine, "_scan_cell", counting_scan)
-    eng = FiberSweepEngine(scan)
+    eng = FiberSweepEngine()
     for b1, b2, e in [(4, 4, ZERO8), (3, 4, ROOT), (4, 3, ZERO8), (2, 5, ROOT)]:
         eng.class_value(b1, b2, e)
     assert len(set(scanned)) == len(scanned)
@@ -482,9 +518,6 @@ def test_optimized_engine_scans_each_mirror_pair_once(monkeypatch, scan):
     for (b1, b2, _), got in cells.items():
         every = {(b1p, b2p) for b2p in range(1, b2) for b1p in range(b1 + 1)}
         assert max((2 * b1p * b2p for b1p, b2p in got), default=0) == eng.largest_ball(b1, b2)
-        if scan == "oracle":
-            assert got == every
-            continue
         # one cell of each mirror pair, the one with the smaller
         # (b1' b2', b2', b1'), none with a radius-zero ball
         want = {(b1p, b2p) for b1p, b2p in every if b1p > 0 and
