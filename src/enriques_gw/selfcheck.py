@@ -144,17 +144,12 @@ def criterion_2():
     every class whose decompositions it read."""
     report = sweeps.decomposition_agreement(**BOX)
     table = sweeps.genus1_box_table(**BOX)
-    closed_form, off, n_keyed = {}, [], 0
-    for c, s, key in sweeps.box_classes(**BOX):
-        if key is None:
-            continue
-        n_keyed += 1
-        # the closed form depends on the square and the divisibility alone
-        pair = (s, math.gcd(*c))
-        if pair not in closed_form:
-            closed_form[pair] = km_model.km_fiber_prediction(1, c, "full") / 4
-        if table[c] != closed_form[pair]:
-            off.append(c)
+    # the closed form depends on the square and the divisibility alone:
+    # one prediction per pair, at the last class met with it
+    keyed = [(c, (s, math.gcd(*c))) for c, s, key in sweeps.box_classes(**BOX) if key is not None]
+    beta = {pair: c for c, pair in keyed}
+    closed_form = {pair: km_model.km_fiber_prediction(1, c, "full") / 4 for pair, c in beta.items()}
+    off = [c for c, pair in keyed if table[c] != closed_form[pair]]
     v1 = (1, 1) + (0,) * 8
     v2 = (2, 1) + (0,) * 8
     spots_ok = table[v1] == Fraction(32) and table[v2] == Fraction(288)
@@ -170,7 +165,7 @@ def criterion_2():
               "%d of %d keyed classes equal the full closed form (%d pairs)" % (
                   report["classes"], report["cell_shapes"] - len(report["mismatches"]),
                   report["cell_shapes"], report["ordered_pairs_including_multiplicity"],
-                  n_keyed - len(off), n_keyed, len(closed_form)))
+                  len(keyed) - len(off), len(keyed), len(closed_form)))
     if off:
         detail += "; first off %r" % off[:3]
     return (report["all_agree"] and not off and spots_ok and sample_ok,

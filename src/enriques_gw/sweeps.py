@@ -71,8 +71,8 @@ acceptance checks, which holds the engine's own cell scan against brute
 force.  Per cell shape (r1, r2) and per W(E8)-orbit of the box's E8
 parts, the brute-force side walks the whole of the smaller ball in
 int64, every row at weight 1, and the other side is _scan_cell, the
-orbit-weighted scan, read for a shape with r1 > r2 off its mirror cell;
-their part squares must agree with their weights.  Cells whose
+orbit-weighted scan, on the cell with that ball; their part squares must
+agree with their weights.  Cells whose
 complement is a multiple of v1 reduce to scalar predicates and are
 counted analytically.
 """
@@ -238,7 +238,9 @@ class FiberSweepEngine:
 
     def _value(self, key, b1, e):
         got = self.values.get(key)
-        return self._eval(key, b1, e) if got is None else got
+        if got is not None:
+            return got
+        return self._eval(key, b1, e)
 
     @staticmethod
     def cells(b1, b2):
@@ -393,31 +395,29 @@ def genus1_box_table(max_b1=4, max_b2=4, norm_bound=4, engine=ENGINE):
 # -- brute-force vs engine-scan decomposition agreement -----------------
 
 
-def _add_histogram(hist, weight, s1, s2, w):
-    """Add `weight` times the (s1, s2) -> summed w histogram of one scan's
-    rows to the dict `hist`, keyed by s1 * 2**32 + s2."""
+def _add_histogram(hist, s1, s2, w):
+    """Add the (s1, s2) -> summed w histogram of one scan's rows to the
+    dict `hist`, keyed by s1 * 2**32 + s2."""
     keys, group = np.unique(s1 * (1 << 32) + s2, return_inverse=True)
     sums = np.zeros(len(keys), dtype=np.int64)
     np.add.at(sums, group, w)
     for k, v in zip(keys.tolist(), sums.tolist()):
-        hist[k] = hist.get(k, 0) + weight * v
+        hist[k] = hist.get(k, 0) + v
 
 
-def _brute_force_histogram(r1, r2, targets, t_norms, weights):
-    """(hist, survivors): the _add_histogram of (s1, s2) and the number of
-    the f of the r1 ball with <t - f, t - f> <= r2, over the target rows t
-    counted `weights` times.  It walks the whole smaller ball, each row at
-    weight 1: for r1 > r2, the g = t - f of the r2 ball with
-    <t - g, t - g> <= r1, s1 and s2 swapped."""
-    near_r, far_r = sorted((r1, r2))
-    a, nrm = short_vector_table(near_r)
-    # d[g, t] = <t - g, t - g> over the whole smaller ball
+def _brute_force_histogram(r, r_far, targets, t_norms, weights):
+    """(hist, survivors) of a cell shape read off its smaller ball, of norm
+    r <= r_far: the g of the whole r ball with <t - g, t - g> <= r_far,
+    each row at weight 1, at the target rows t counted by the int64 array
+    `weights`; hist is the _add_histogram of
+    (r - <g, g>, r_far - <t - g, t - g>) and survivors their number."""
+    a, nrm = short_vector_table(r)
+    # d[g, t] = <t - g, t - g>
     d = nrm[:, None] + t_norms - 2 * (a @ (_CARTAN_NP @ targets.T))
-    g, t = np.nonzero(d <= far_r)
-    near, far = near_r - nrm[g], far_r - d[g, t]
-    w = np.asarray(weights, dtype=np.int64)[t]
+    g, t = np.nonzero(d <= r_far)
+    w = weights[t]
     hist = {}
-    _add_histogram(hist, 1, *((far, near) if r1 > r2 else (near, far)), w)
+    _add_histogram(hist, r - nrm[g], r_far - d[g, t], w)
     return hist, int(w.sum())
 
 
@@ -430,20 +430,21 @@ def decomposition_agreement(max_b1=4, max_b2=4, norm_bound=4):
     scans depending only on (r1, r2) and the class E8 part t, and their
     survivors are W(E8)-invariant in t: each shape is scanned at one
     dominant t per orbit of the box's E8 parts, weighted by the orbit's
-    size.  Brute force keeps the f of the r1 ball with <t - f, t - f> <= r2,
-    walking the whole of the smaller ball (_brute_force_histogram), so no
-    ball past norm min(r1, r2) is built; ENGINE._scan_cell scans one cell of
-    the shape (radius-zero ones too, which _eval keys without a scan), or
-    for r1 > r2 its mirror cell, with the part squares swapped, as _eval
-    reads it.
-    A shape agrees when both give each part-square pair (s1, s2) the
-    same weight.  Cells with an n*v1 part admit at most one candidate,
-    kept when the complement square is nonnegative; these are counted
-    analytically.  Returns a report dict.
+    size.  Both sides read a shape off its smaller ball, as _eval does:
+    for r1 > r2, f -> t - f maps the f of the r1 ball with
+    <t - f, t - f> <= r2 onto the candidates of the mirror shape (r2, r1),
+    with the part squares swapped, so no ball past norm min(r1, r2) is
+    built.  Brute force walks the whole smaller ball
+    (_brute_force_histogram); ENGINE._scan_cell scans one cell of the
+    shape, or for r1 > r2 its mirror cell (radius-zero ones too, which
+    _eval keys without a scan).  A shape agrees when both give each
+    part-square pair the same weight.  Cells with an n*v1 part admit at
+    most one candidate, kept when the complement square is nonnegative;
+    these are counted analytically.  Returns a report dict.
     """
     targets, t_norms = short_vector_table(norm_bound)
     idx, t_weights = orbit_representatives(norm_bound, tuple(range(8)))
-    reps, rep_norms, t_weights = targets[idx], t_norms[idx], t_weights.tolist()
+    reps, rep_norms = targets[idx], t_norms[idx]
     cell_shapes = {}
     for b1 in range(0, max_b1 + 1):
         for b2 in range(1, max_b2 + 1):
@@ -456,24 +457,25 @@ def decomposition_agreement(max_b1=4, max_b2=4, norm_bound=4):
     total_pairs = 0
     per_shape = {}
     for (r1, r2), cells in sorted(cell_shapes.items()):
-        brute, n_surv = _brute_force_histogram(r1, r2, reps, rep_norms, t_weights)
-        # as in _eval, a shape with r1 > r2 is read off the engine's scan
-        # of its mirror cell, with the part squares swapped
+        brute, n_surv = _brute_force_histogram(min(r1, r2), max(r1, r2),
+                                               reps, rep_norms, t_weights)
         b1, b2, b1p, b2p = cells[0]
-        mirrored = r1 > r2
-        if mirrored:
+        if r1 > r2:
             b1p, b2p = b1 - b1p, b2 - b2p
         scanned = {}
         for j, weight in enumerate(t_weights):
             got = ENGINE._scan_cell(reps[j], b1, b2, b1p, b2p)
             if got is not None:
-                s1, s2 = (got[3], got[2]) if mirrored else (got[2], got[3])
-                _add_histogram(scanned, weight, s1, s2, got[4])
+                _add_histogram(scanned, got[2], got[3], weight * got[4])
         agree = brute == scanned
         if not agree:
             mismatches.append({"shape": (r1, r2), "cells": cells})
         total_pairs += n_surv * len(cells)
-        per_shape[(r1, r2)] = {"cells": len(cells), "survivors": n_surv, "agree": bool(agree)}
+        per_shape[(r1, r2)] = {
+            "cells": len(cells),
+            "survivors": n_surv,
+            "agree": bool(agree),
+        }
     # edge cells: part n*v1 on either side, complement (b1-n, b2, e);
     # the pair survives exactly when the complement square s - 2*n*b2
     # is nonnegative (ordered pairs: factor 2)

@@ -394,20 +394,22 @@ def test_scan_cell_matches_a_full_ball_brute_force_scan(cell):
 def test_smaller_ball_brute_force_matches_the_full_ball_scan(monkeypatch, cell):
     # the sweep's brute force walks only the smaller ball, each row at
     # weight 1; its histogram must equal the whole r1 ball's, also for
-    # r1 > r2, where it walks t - f
+    # r1 > r2, where it walks t - f and the part squares swap
     b1, b2, b1p, b2p = cell
     r1, r2 = 2 * b1p * b2p, 2 * (b1 - b1p) * (b2 - b2p)
     targets, t_norms = short_vector_table(4)
     want, n_want = {}, 0
     for k, n in _brute_cell_histograms(r1, r2, targets, t_norms).items():
         s1, s2 = k // 64 % 64, k % 64
-        want[s1 * (1 << 32) + s2] = want.get(s1 * (1 << 32) + s2, 0) + n
+        key = s2 * (1 << 32) + s1 if r1 > r2 else s1 * (1 << 32) + s2
+        want[key] = want.get(key, 0) + n
         n_want += n
     built = []
     table = lattice.short_vector_table
     monkeypatch.setattr(sweeps, "short_vector_table",
                         lambda bound: built.append(bound) or table(bound))
-    got = sweeps._brute_force_histogram(r1, r2, targets, t_norms, [1] * len(targets))
+    got = sweeps._brute_force_histogram(min(r1, r2), max(r1, r2), targets, t_norms,
+                                        np.ones(len(targets), dtype=np.int64))
     assert got == (want, n_want)
     assert built == [min(r1, r2)]
 
