@@ -24,7 +24,7 @@ import sys
 
 from . import km_model, local_surface, qseries, selfcheck, sweeps
 from .gw_engine import ENGINE, invariant_record, value_rule
-from .lattice import parse_vector, short_vector_table
+from .lattice import parse_vector
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -79,10 +79,6 @@ def _table_rows(args):
     head, sep, tail = _TABLE_LINES[args.format]
     genus = args.genus
     suffixes = {}
-    if genus >= 1:
-        # the largest ball any class of the box reads, built once rather
-        # than grown class by class (largest_ball is monotone in b1, b2)
-        short_vector_table(max(args.max_e8_norm, ENGINE.largest_ball(args.max_b1, args.max_b2)))
     for coords, s, key in sweeps.box_classes(args.max_b1, args.max_b2, args.max_e8_norm):
         b1, b2, e = coords[0], coords[1], coords[2:]
         skey = key if key is not None else ("isotropic", b1) if s == 0 else "negative"

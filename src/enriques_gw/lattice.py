@@ -11,14 +11,18 @@ Enriques surface are positive in this sense; the reference isotropic
 vector v1 is fixed once and for all (the recursion below depends on this
 choice of reference, which we document rather than vary).
 
-E8 balls are prefixes of one short-vector table of coordinates and
-norms, kept at the largest norm bound asked.  The E8 theta series
-(Conway-Sloane, SPLAG, Ch. 4 section 8.1) gives each ball's size and
-norms: a ball past the cap is refused, and a built ball of another size
-raises.  pack_rows is the one int64 code of E8 coordinate rows.  The
-Weyl group W(E8) enters through dominant vectors, the orders of its
-parabolic subgroups W_J, and one representative per W_J-orbit of a ball,
-kept with the table and checked against its theta shells.
+E8 balls and their W_J cones come from one enumeration.  E8 is
+unimodular, so in the coordinates y = C f the cone of the f with
+(C f)_j >= 0 for j in J is a sign clip on the layers of one Fincke-Pohst
+search (Fincke-Pohst, Math. Comp. 44, 1985).  orbit_representatives
+keeps each cone at the largest norm bound asked, and a smaller bound
+reads a prefix; J = () gives the whole ball, short_vector_table.  The E8
+theta series (Conway-Sloane, SPLAG, Ch. 4 section 8.1) gives each ball's
+shell sizes: a ball past the cap is refused, and a built cone whose
+orbit sizes do not add up to them raises.  pack_rows is the one int64
+code of E8 coordinate rows.  The Weyl group W(E8) enters through
+dominant vectors, the orders of its parabolic subgroups W_J, and the
+cones, which hold one representative per W_J-orbit of a ball.
 """
 
 from __future__ import annotations
@@ -185,12 +189,16 @@ def divisibility(beta) -> int:
 # ---------------------------------------------------------------------------
 
 _CARTAN_NP = np.array(CARTAN_E8, dtype=np.int64)
+#: C^-1, the Gram matrix of the fundamental weights: an integer matrix,
+#: since E8 is unimodular, so y = C f is integral exactly when f is
+_CARTAN_INV = np.rint(np.linalg.inv(_CARTAN_NP)).astype(np.int64)
+assert (_CARTAN_INV @ _CARTAN_NP == np.eye(8, dtype=np.int64)).all()
 
 
-def _ldl_e8():
-    """float64 LDL data for the Cartan form, by Schur complements:
-    Q(x) = sum_i d[i]*(x[i] + sum_{j>i} mu[i][j]x[j])^2."""
-    a = _CARTAN_NP.astype(np.float64)
+def _ldl(gram):
+    """float64 LDL data of a positive-definite 8x8 Gram matrix, by Schur
+    complements: Q(y) = sum_i d[i]*(y[i] + sum_{j>i} mu[i][j]y[j])^2."""
+    a = np.array(gram, dtype=np.float64)
     d = np.empty(8)
     mu = np.zeros((8, 8))
     for i in range(8):
@@ -200,7 +208,7 @@ def _ldl_e8():
     return d, mu
 
 
-_LDL_D, _LDL_MU = _ldl_e8()
+_LDL_D, _LDL_MU = _ldl(_CARTAN_INV)
 _PACK_WEIGHTS = 64 ** np.arange(7, -1, -1, dtype=np.int64)
 
 
@@ -217,14 +225,14 @@ def pack_rows(arr):
     return a @ _PACK_WEIGHTS + 32 * int(_PACK_WEIGHTS.sum())
 
 
-def _short_vector_array(bound: int) -> np.ndarray:
-    """All integer x in the E8 coordinate lattice with Cartan norm <= bound.
+def _short_vector_array(bound: int, J=()) -> np.ndarray:
+    """The integer x in the E8 coordinate lattice with Cartan norm <= bound
+    and (C x)_j >= 0 for the nodes j of the tuple J: the whole ball for
+    J = ().
 
-    Returns an uncached (N, 8) int64 array.  Enumeration is layer-by-layer
-    branch and bound on the float64 LDL factorization, with interval
-    bounds padded by a small slack; an exact integer filter at the end
-    removes any overshoot, and short_vector_table checks that no vector
-    is missed.
+    Returns an uncached (N, 8) int64 array: x = y C^-1 for the rows y of
+    _fincke_pohst, after an exact integer filter that removes any
+    overshoot; orbit_representatives checks that no vector is missed.
 
     Rows are in norm-major order, lexicographic within a norm shell, so
     the array for a smaller bound is a prefix of the one for a larger:
@@ -236,20 +244,26 @@ def _short_vector_array(bound: int) -> np.ndarray:
     if bound < 2:
         return np.zeros((1, 8), dtype=np.int64)
 
-    x = _fincke_pohst(bound)
-    norms = np.einsum("ij,jk,ik->i", x, _CARTAN_NP, x)
+    y = _fincke_pohst(bound, J)
+    x = y @ _CARTAN_INV
+    # the Cartan norm x.C.x is x.y, as y = C x
+    norms = np.einsum("ij,ij->i", x, y)
+    del y
     keep = norms <= bound
     x, norms = x[keep], norms[keep]
     return x[np.argsort((norms << 48) | pack_rows(x))]
 
 
-def _fincke_pohst(bound: int) -> np.ndarray:
-    """Unordered candidate rows for _short_vector_array(bound), a superset
-    of the ball; the per-row temporaries die on return."""
+def _fincke_pohst(bound: int, J=()) -> np.ndarray:
+    """Unordered candidate rows y = C x for _short_vector_array(bound, J),
+    a superset of the y with y.C^-1.y <= bound and y_j >= 0 for j in J;
+    the per-row temporaries die on return.  Layer-by-layer branch and
+    bound on the float64 LDL of C^-1, with interval bounds padded by a
+    small slack; the layer of each j in J starts at max(lo, 0)."""
     d, mu = _LDL_D, _LDL_MU
     slack = 1e-7
 
-    # suffix holds coordinates (x_{i+1}, .., x_7); part holds the accumulated
+    # suffix holds coordinates (y_{i+1}, .., y_7); part holds the accumulated
     # quadratic value of the already-fixed layers
     suffix = np.zeros((1, 0), dtype=np.int64)
     part = np.zeros(1)
@@ -258,18 +272,20 @@ def _fincke_pohst(bound: int) -> np.ndarray:
         radius = np.sqrt(np.maximum(bound - part, 0.0) / d[i]) + slack
         lo = np.ceil(-t - radius).astype(np.int64)
         hi = np.floor(-t + radius).astype(np.int64)
+        if i in J:
+            np.maximum(lo, 0, out=lo)
         counts = np.maximum(hi - lo + 1, 0)
         total = int(counts.sum())
         rows = np.repeat(np.arange(len(part)), counts)
         # first new coordinate value per row, then a running offset
         starts = np.repeat(lo, counts)
         offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        xi = starts + offsets
-        part = part[rows] + d[i] * (xi + (t[rows] if len(t) else 0.0)) ** 2
+        yi = starts + offsets
+        part = part[rows] + d[i] * (yi + (t[rows] if len(t) else 0.0)) ** 2
         # one new column-major layer, the old coordinates gathered one
         # contiguous column at a time: no full-size gathered copy
         layer = np.empty((total, 8 - i), dtype=np.int64, order="F")
-        layer[:, 0] = xi
+        layer[:, 0] = yi
         for j in range(7 - i):
             layer[:, j + 1] = suffix[rows, j]
         suffix = layer
@@ -294,39 +310,13 @@ def theta_shells(bound: int):
     return shells
 
 
-# the one short-vector table: (bound, coordinates, norms, {J: orbit
-# representatives of a prefix}), see orbit_representatives
-_TABLE = [None]
-
-
 def short_vector_table(bound: int):
     """(A, NRM) for the E8 coordinate vectors of Cartan norm <= bound:
     int64 coordinates and norms, read-only, in the norm-major order of
     _short_vector_array.  Readers needing the pairings A C e form the
-    8-vector C e themselves.  Only the table at the largest bound asked
-    so far is kept; a smaller bound reads a prefix.
-
-    Raises ValueError, before building, if the ball holds more than
-    MAX_BALL_VECTORS vectors (see theta_shells); and, keeping no table,
-    if the built ball has another size.  Its rows are distinct, so no
-    shell can exceed its count and equal sizes make each exact: NRM
-    repeats shell norms."""
-    tab = _TABLE[0]
-    if tab is None or tab[0] < bound:
-        shells = theta_shells(bound)
-        # the smaller table is let go first, so the two are never held
-        # together (views callers keep stay valid)
-        tab = _TABLE[0] = None
-        a = _short_vector_array(bound)
-        if len(a) != sum(shells):
-            raise ValueError("the E8 ball of norm <= %d was built with %d vectors, "
-                             "not the %d of the theta series" % (bound, len(a), sum(shells)))
-        tab = (bound, a, np.repeat(np.arange(0, 2 * len(shells), 2, dtype=np.int64), shells), {})
-        for arr in tab[1:3]:
-            arr.setflags(write=False)
-        _TABLE[0] = tab
-    n = int(np.searchsorted(tab[2], bound, side="right"))
-    return tab[1][:n], tab[2][:n]
+    8-vector C e themselves.  This is the whole ball, the J = () cone of
+    orbit_representatives, with its cache and its refusals."""
+    return orbit_representatives(bound, ())[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -381,40 +371,58 @@ def weyl_order(J):
     return order
 
 
-def orbit_representatives(bound, J):
-    """(idx, weights) for the ball of norm <= bound and a tuple J of E8
-    nodes: idx are the table rows f of the ball with (C f)_j >= 0 for j in
-    J, ascending, which hold exactly one vector of each orbit of the
-    parabolic subgroup W_J, and weights the int64 orbit sizes
-    |W_J| / |W_K|, K = {j in J : (C f)_j = 0} the nodes of J fixing f
-    (Humphreys, Reflection Groups and Coxeter Groups, 1.12).
+# J -> (bound, rows, norms, weights), the cone of J at the largest bound
+# asked; see orbit_representatives
+_CONES = {}
 
-    The rows of each J are kept with the table, for the largest prefix
-    asked, and a larger ball labels only the rows past it: one int64
-    index and one int64 weight per kept row, for at most the 256 subsets
-    J, all let go when the table is rebuilt.  At every labelling the
-    weights of each new theta shell must add up to the shell's size, or
-    ValueError is raised and nothing is kept."""
-    a, nrm = short_vector_table(bound)
-    reps = _TABLE[0][3]
-    n, idx, w = reps.get(J, (0, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)))
-    if n < len(a):
-        labels = a[n:] @ _CARTAN_NP[:, list(J)]
-        new = np.flatnonzero((labels >= 0).all(axis=1))
-        # the nodes K of J fixing each new row, as one boolean row each
-        ks, which = np.unique(labels[new] == 0, axis=0, return_inverse=True)
-        sizes = [weyl_order(J) // weyl_order(tuple(np.compress(k, J).tolist())) for k in ks]
-        new_w = np.array(sizes, dtype=np.int64)[which]
-        shells = nrm[n:] // 2
-        got = np.zeros(int(shells[-1]) + 1, dtype=np.int64)
-        np.add.at(got, shells[new], new_w)
-        if not np.array_equal(got[shells[0]:], np.bincount(shells)[shells[0]:]):
+
+def orbit_representatives(bound, J):
+    """(rows, norms, weights) for the ball of norm <= bound and a tuple J
+    of E8 nodes: the rows f of the ball with (C f)_j >= 0 for j in J, in
+    the order of _short_vector_array, which hold exactly one vector of
+    each orbit of the parabolic subgroup W_J; their int64 norms; and the
+    int64 orbit sizes |W_J| / |W_K|, K = {j in J : (C f)_j = 0} the
+    nodes of J fixing f (Humphreys, Reflection Groups and Coxeter Groups,
+    1.12).  J = () gives the whole ball, every row at weight 1.  The
+    arrays are read-only.
+
+    Raises ValueError, before building, if the ball holds more than
+    MAX_BALL_VECTORS vectors (see theta_shells); and, keeping nothing for
+    J, if the weights of some theta shell do not add up to the shell's
+    size.  For J = () that is the ball's size, shell by shell.
+
+    Each J keeps one cone, built at the largest bound asked, and a
+    smaller bound reads a prefix.  A J asked at a larger bound drops its
+    old cone before it builds; after a build, the oldest other cones are
+    dropped until those held hold at most MAX_BALL_VECTORS rows together."""
+    got = _CONES.get(J)
+    if got is None or got[0] < bound:
+        shells = theta_shells(bound)
+        _CONES.pop(J, None)
+        a = _short_vector_array(bound, J)
+        nrm = np.einsum("ij,ij->i", a, a @ _CARTAN_NP)
+        # the nodes K of J fixing each row, as a bit mask, and the orbit
+        # size of each mask met
+        masks, which = np.unique((a @ _CARTAN_NP[:, list(J)] == 0) @ (1 << np.arange(len(J))),
+                                 return_inverse=True)
+        sizes = [weyl_order(J) // weyl_order(tuple(j for b, j in enumerate(J) if k >> b & 1))
+                 for k in masks.tolist()]
+        w = np.array(sizes, dtype=np.int64)[which]
+        sums = np.zeros(len(shells), dtype=np.int64)
+        np.add.at(sums, nrm // 2, w)
+        if sums.tolist() != shells:
             raise ValueError("the W_J-orbit sizes of J = %s do not add up to the "
                              "theta shells of norm <= %d" % (J, bound))
-        n, idx, w = len(a), np.concatenate([idx, n + new]), np.concatenate([w, new_w])
-        reps[J] = (n, idx, w)
-    k = int(np.searchsorted(idx, len(a)))
-    return idx[:k], w[:k]
+        for arr in (a, nrm, w):
+            arr.setflags(write=False)
+        got = _CONES[J] = (bound, a, nrm, w)
+        held = sum(len(c[1]) for c in _CONES.values())
+        for old in [k for k in _CONES if k != J]:
+            if held <= MAX_BALL_VECTORS:
+                break
+            held -= len(_CONES.pop(old)[1])
+    n = int(np.searchsorted(got[2], bound, side="right"))
+    return got[1][:n], got[2][:n], got[3][:n]
 
 
 # ---------------------------------------------------------------------------

@@ -39,11 +39,11 @@ thousands of decompositions).  Two observations make full boxes cheap:
     Grouping each cell's candidates by the keys of their parts leaves
     only a handful of exact Fraction multiplications per cell.  Each
     evaluation refuses a class of more than _MAX_CELLS cells b1*b2, then
-    asks lattice.short_vector_table for the largest ball its cells scan,
-    so a ball past the table's cap is refused before any scan.  Each
-    cell then forms, over its own ball, the distances
+    counts the largest ball its cells scan by lattice.theta_shells, so a
+    ball past the cap is refused before any scan.  Each cell then forms,
+    over the rows it reads, the distances
     <e - a, e - a> = <e,e> + <a,a> - 2 a.Ce to the class E8 part e, from
-    the table's norms and the 8-vector Ce.
+    the rows' norms and the 8-vector Ce.
 
     The stabilizer of e in W(E8) maps a cell's candidates to candidates
     with the same part squares and orbit names, so the scan
@@ -51,10 +51,10 @@ thousands of decompositions).  Two observations make full boxes cheap:
     orbit's size.  The simple reflections s_j with (C e)_j = 0 fix e, so
     their parabolic subgroup W_J does; the evaluation first conjugates e
     to be dominant, C e >= 0, which keeps its key and makes W_J the whole
-    stabilizer (Humphreys 1.12).  The ball rows read are
-    lattice.orbit_representatives(r1, J), weighted |W_J| / |W_K|.
-    J is empty only for a dominant centre of norm >= |rho|^2 = 620,
-    whose cells scan the whole ball at weight 1.
+    stabilizer (Humphreys 1.12).  The ball rows read are the cone
+    lattice.orbit_representatives(r1, J), enumerated directly and
+    weighted |W_J| / |W_K|.  J is empty only for a dominant centre of
+    norm >= |rho|^2 = 620, whose cone is the whole ball at weight 1.
 
     The summand <1>_beta1 <1>_beta2 <beta1, beta2> is symmetric, and the
     cell (b1 - b1', b2 - b2') holds the candidates of (b1', b2') with the
@@ -257,8 +257,9 @@ class FiberSweepEngine:
                     yield b1p, b2p, 1 if cell == mirror else 2
 
     def largest_ball(self, b1, b2):
-        """Norm bound 2 b1' b2' of the largest ball the cells of a class
-        (b1, b2, e) scan (see cells and _scan_cell)."""
+        """Norm bound 2 b1' b2' of the largest ball whose cone the cells
+        of a class (b1, b2, e) scan (see cells and _scan_cell); _eval
+        refuses a class whose ball is past the cap of theta_shells."""
         return max((2 * b1p * b2p for b1p, b2p, _ in self.cells(b1, b2)), default=0)
 
     def _eval(self, key, b1, e):
@@ -271,8 +272,8 @@ class FiberSweepEngine:
         if b1 * b2 > _MAX_CELLS:
             raise ValueError("a class with b1*b2 = %d > %d recursion cells is refused"
                              % (b1 * b2, _MAX_CELLS))
-        # refused before the first scan, or built once at its full size
-        short_vector_table(self.largest_ball(b1, b2))
+        # a ball past the cap is refused before the first scan
+        theta_shells(self.largest_ball(b1, b2))
         # scan around the dominant W(E8)-conjugate of e (see _scan_cell);
         # it keeps the key, as orbit names are W-invariant
         e = dominant(e)
@@ -319,21 +320,16 @@ class FiberSweepEngine:
         rows e1 of the ball of norm r1 = 2 b1' b2' around 0 with
         <e - e1, e - e1> <= r2 = 2 (b1 - b1') (b2 - b2'), formed as
         <e,e> + <e1,e1> - 2 e1.Ce in place in one int64 array.  Only the
-        rows of lattice.orbit_representatives for the nodes J with
-        (C e)_j = 0, whose reflections fix e, are scanned, unless J is
-        empty and the whole ball is; _eval makes e dominant, so that W_J
-        is its whole stabilizer.  Returns (e1, e2, s1, s2, w) arrays, w
-        the int64 number of candidates each row stands for, or None for
-        an empty cell."""
+        rows of the cone lattice.orbit_representatives(r1, J), for the
+        nodes J with (C e)_j = 0, whose reflections fix e, are scanned
+        (the whole ball when J is empty); _eval makes e dominant, so that
+        W_J is its whole stabilizer.  Returns (e1, e2, s1, s2, w) arrays,
+        w the int64 number of candidates each row stands for, or None
+        for an empty cell."""
         r1 = 2 * b1p * b2p
         r2 = 2 * (b1 - b1p) * (b2 - b2p)
-        a, nrm = short_vector_table(r1)
         ce = _CARTAN_NP @ earr
-        J = tuple(np.flatnonzero(ce == 0).tolist())
-        w = None
-        if J:
-            idx, w = orbit_representatives(r1, J)
-            a, nrm = a[idx], nrm[idx]
+        a, nrm, w = orbit_representatives(r1, tuple(np.flatnonzero(ce == 0).tolist()))
         d = a @ ce
         d *= -2
         d += nrm
@@ -342,8 +338,7 @@ class FiberSweepEngine:
         if not mask.any():
             return None
         f = a[mask]
-        w = np.ones(len(f), dtype=np.int64) if w is None else w[mask]
-        return f, earr[None, :] - f, r1 - nrm[mask], r2 - d[mask], w
+        return f, earr[None, :] - f, r1 - nrm[mask], r2 - d[mask], w[mask]
 
 
 #: the process-wide engine behind every production entry point
@@ -442,9 +437,7 @@ def decomposition_agreement(max_b1=4, max_b2=4, norm_bound=4):
     most one candidate, kept when the complement square is nonnegative;
     these are counted analytically.  Returns a report dict.
     """
-    targets, t_norms = short_vector_table(norm_bound)
-    idx, t_weights = orbit_representatives(norm_bound, tuple(range(8)))
-    reps, rep_norms = targets[idx], t_norms[idx]
+    reps, rep_norms, t_weights = orbit_representatives(norm_bound, tuple(range(8)))
     cell_shapes = {}
     for b1 in range(0, max_b1 + 1):
         for b2 in range(1, max_b2 + 1):
@@ -478,13 +471,14 @@ def decomposition_agreement(max_b1=4, max_b2=4, norm_bound=4):
         }
     # edge cells: part n*v1 on either side, complement (b1-n, b2, e);
     # the pair survives exactly when the complement square s - 2*n*b2
-    # is nonnegative (ordered pairs: factor 2)
+    # is nonnegative (ordered pairs: factor 2), counted per dominant e
+    # with its orbit's size
     edge_pairs = 0
     for b1 in range(0, max_b1 + 1):
         for b2 in range(1, max_b2 + 1):
-            s_arr = 2 * b1 * b2 - t_norms
+            s_arr = 2 * b1 * b2 - rep_norms
             for n in range(1, b1 + 1):
-                edge_pairs += 2 * int((s_arr - 2 * n * b2 >= 0).sum())
+                edge_pairs += 2 * int(t_weights[s_arr - 2 * n * b2 >= 0].sum())
     total_pairs += edge_pairs
     for n in range(2, max_b1 + 1):
         total_pairs += n - 1

@@ -86,8 +86,8 @@ def test_criterion_2_builds_no_ball_past_norm_8(monkeypatch):
     # past norm 8, the largest min(r1, r2) of the box, is built
     built = []
     build = lattice._short_vector_array
-    monkeypatch.setattr(lattice, "_TABLE", [None])
+    monkeypatch.setattr(lattice, "_CONES", {})
     monkeypatch.setattr(lattice, "_short_vector_array",
-                        lambda bound: built.append(bound) or build(bound))
+                        lambda bound, J=(): built.append(bound) or build(bound, J))
     assert selfcheck.criterion_2().passed
     assert max(built) == 8

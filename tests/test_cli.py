@@ -254,31 +254,34 @@ def test_table_bytes_are_pinned(capsys, argv, digest):
 
 
 def test_table_builds_its_largest_ball_once(capsys, monkeypatch):
-    # on a fresh table and engine, the benchmark's table-g1-deep box builds
-    # the norm-18 ball its largest class reads once, before the first row,
-    # where growing it class by class built norms 4, 6, 8, 12 and 18; a
-    # genus-0 table reads no <1> and builds only its E8 parts' ball; a
-    # table refused by --limit builds none
+    # on a fresh cache and engine, the benchmark's table-g1-deep box builds
+    # one whole ball, the norm-4 ball of its E8 parts, and its cells read
+    # only cones (see lattice.orbit_representatives); a genus-0 table reads
+    # no <1> and builds only that ball; a table refused by --limit builds
+    # nothing
     build = lattice._short_vector_array
     builds = []
 
-    def spy(bound):
-        builds.append(bound)
-        return build(bound)
+    def spy(bound, J=()):
+        builds.append((bound, J))
+        return build(bound, J)
 
     monkeypatch.setattr(lattice, "_short_vector_array", spy)
     argv = ["--max-b1", "6", "--max-b2", "6", "--max-e8-norm", "4", "--format", "csv"]
-    for genus, want in [("1", [18]), ("0", [4])]:
-        monkeypatch.setattr(lattice, "_TABLE", [None])
+    for genus in ("1", "0"):
+        monkeypatch.setattr(lattice, "_CONES", {})
         monkeypatch.setattr(cli, "ENGINE", FiberSweepEngine())
         builds.clear()
         code, out, _ = run(capsys, "table", "--genus", genus, *argv)
-        assert code == 0 and builds == want
+        assert code == 0 and [bound for bound, J in builds if not J] == [4]
         if genus == "1":
+            assert len(builds) > 1
             digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
             assert digest == "f19ccde1853ae2652dc1afd5d05bb40061ebea73967da89101b88d2b5147b8ae"
+        else:
+            assert len(builds) == 1
     # the row count checked against --limit comes from the theta series
-    monkeypatch.setattr(lattice, "_TABLE", [None])
+    monkeypatch.setattr(lattice, "_CONES", {})
     builds.clear()
     code, _, err = run(capsys, "table", "--genus", "1", *argv, "--limit", "1")
     assert code == 2 and "exceed the limit" in err and builds == []

@@ -129,28 +129,29 @@ def test_pack_rows_refuses_values_past_its_6_bit_fields(monkeypatch):
     assert np.array_equal(rows[np.argsort(codes, kind="stable")], rows[np.lexsort(rows.T[::-1])])
     # candidate rows outside the ball, one past the coordinate field, are
     # dropped before keying and refuse nothing
+    # (the enumeration yields y = C x, so the injected rows are C x)
     want = _short_vector_array(6)
     fincke_pohst = lattice._fincke_pohst
     extra = np.array([[32, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, -32],
                       [64, 0, 0, 0, 0, 0, 0, 0], [2, 0, 0, 0, 0, 0, 0, 0]])
-    monkeypatch.setattr(lattice, "_fincke_pohst",
-                        lambda bound: np.concatenate([extra, fincke_pohst(bound)]))
+    monkeypatch.setattr(lattice, "_fincke_pohst", lambda bound, J=(): np.concatenate(
+        [extra @ np.array(CARTAN_E8), fincke_pohst(bound, J)]))
     assert np.array_equal(_short_vector_array(6), want)
 
 
 def test_short_vector_table_keeps_one_table_and_serves_prefixes(monkeypatch):
     builds = []
 
-    def build(bound):
+    def build(bound, J=()):
         builds.append(bound)
-        return _short_vector_array(bound)
+        return _short_vector_array(bound, J)
 
-    monkeypatch.setattr(lattice, "_TABLE", [None])
+    monkeypatch.setattr(lattice, "_CONES", {})
     monkeypatch.setattr(lattice, "_short_vector_array", build)
     large = short_vector_table(12)
     small = short_vector_table(6)
     assert builds == [12]
-    assert lattice._TABLE[0][0] == 12
+    assert lattice._CONES[()][0] == 12
     fresh = _short_vector_array(6)
     assert np.array_equal(small[0], fresh)
     assert np.array_equal(small[1], np.einsum("ij,jk,ik->i", fresh, np.array(CARTAN_E8), fresh))
@@ -159,23 +160,23 @@ def test_short_vector_table_keeps_one_table_and_serves_prefixes(monkeypatch):
         assert np.shares_memory(s_arr, l_arr) and not s_arr.flags.writeable
         assert np.array_equal(l_arr[: len(s_arr)], s_arr)
     short_vector_table(14)
-    assert builds == [12, 14] and lattice._TABLE[0][0] == 14
+    assert builds == [12, 14] and lattice._CONES[()][0] == 14
 
 
 def test_ball_cap_is_the_theta_count_at_norm_32(monkeypatch):
     assert lattice.MAX_BALL_VECTORS == 1 + 240 * sum(sigma3(m) for m in range(1, 17))
     builds = []
 
-    def fake(bound):
+    def fake(bound, J=()):
         # a stand-in for the 4.8 million vectors of norm <= 32
         builds.append(bound)
         return np.zeros((1, 8), dtype=np.int64)
 
-    monkeypatch.setattr(lattice, "_TABLE", [None])
+    monkeypatch.setattr(lattice, "_CONES", {})
     monkeypatch.setattr(lattice, "_short_vector_array", fake)
-    with pytest.raises(ValueError, match="norm <= 33 was built with 1 vectors, not the 4845121"):
+    with pytest.raises(ValueError, match=r"J = \(\) do not add up to the theta shells of norm <= 33"):
         short_vector_table(33)
-    assert lattice._TABLE[0] is None
+    assert lattice._CONES == {}
     for bound in (34, 50, 100):
         with pytest.raises(ValueError, match="norm <= %d holds more than 4845121" % bound):
             short_vector_table(bound)
@@ -184,17 +185,19 @@ def test_ball_cap_is_the_theta_count_at_norm_32(monkeypatch):
 
 def test_table_refuses_a_build_that_misses_a_vector(monkeypatch):
     fincke_pohst = lattice._fincke_pohst
+    gram = np.rint(np.linalg.inv(np.array(CARTAN_E8))).astype(np.int64)
 
-    def drop_one(bound):
-        x = fincke_pohst(bound)
-        inside = np.einsum("ij,jk,ik->i", x, np.array(CARTAN_E8), x) <= bound
-        return np.delete(x, np.flatnonzero(inside)[-1], axis=0)
+    def drop_one(bound, J=()):
+        # the enumeration yields y = C x, of norm y.C^-1.y
+        y = fincke_pohst(bound, J)
+        inside = np.einsum("ij,jk,ik->i", y, gram, y) <= bound
+        return np.delete(y, np.flatnonzero(inside)[-1], axis=0)
 
-    monkeypatch.setattr(lattice, "_TABLE", [None])
+    monkeypatch.setattr(lattice, "_CONES", {})
     monkeypatch.setattr(lattice, "_fincke_pohst", drop_one)
-    with pytest.raises(ValueError, match="norm <= 8 was built with 26640 vectors, not the 26641"):
+    with pytest.raises(ValueError, match=r"J = \(\) do not add up to the theta shells of norm <= 8"):
         short_vector_table(8)
-    assert lattice._TABLE[0] is None
+    assert lattice._CONES == {}
 
 
 def test_positivity():
@@ -353,48 +356,118 @@ ROOT_J = _stabilizer((1, 0, 0, 0, 0, 0, 0, 0))
 NORM4_J = _stabilizer((1, 1, 0, 0, 0, 0, 0, 0))
 
 
+def _ball_index(bound, rows, norms):
+    """Positions of the rows (with their norms) in the ball of norm <=
+    bound, which is sorted by the key (norm << 48) | pack_rows."""
+    a, nrm = short_vector_table(bound)
+    keys = (nrm << 48) | lattice.pack_rows(a)
+    idx = np.searchsorted(keys, (norms << 48) | lattice.pack_rows(rows))
+    assert np.array_equal(a[idx], rows)
+    return idx
+
+
 @pytest.mark.parametrize("J", [(), *((j,) for j in range(8)), ALL_NODES, ROOT_J, NORM4_J])
 def test_orbit_representative_weights_are_brute_force_orbit_sizes(J):
     assert len(ROOT_J) == len(NORM4_J) == 7 and ROOT_J != NORM4_J
     labels = _ball_orbit_labels(8, J)
-    idx, w = lattice.orbit_representatives(8, J)
+    rows, norms, w = lattice.orbit_representatives(8, J)
+    idx = _ball_index(8, rows, norms)
     # one representative per orbit, counted with the orbit's size
     assert np.array_equal(np.sort(labels[idx]), np.unique(labels))
     assert np.array_equal(w, np.bincount(labels)[labels[idx]])
-    a, _ = short_vector_table(8)
-    assert (a[idx] @ CARTAN[:, list(J)] >= 0).all()
+    assert (rows @ CARTAN[:, list(J)] >= 0).all()
 
 
-def test_orbit_representatives_extend_a_prefix_and_go_with_the_table(monkeypatch):
-    monkeypatch.setattr(lattice, "_TABLE", [None])
+def _labelled_cone(bound, J):
+    """The cone of J read off the whole ball by labels: the ball rows f
+    with (C f)_j >= 0 for j in J, in the ball's order, their norms, and
+    the weights |W_J| / |W_K|, K the nodes of J with (C f)_j = 0."""
+    a, nrm = short_vector_table(bound)
+    labels = a @ CARTAN[:, list(J)]
+    keep = (labels >= 0).all(axis=1)
+    ks, which = np.unique(labels[keep] == 0, axis=0, return_inverse=True)
+    sizes = [lattice.weyl_order(J) // lattice.weyl_order(tuple(np.compress(k, J).tolist()))
+             for k in ks]
+    return a[keep], nrm[keep], np.array(sizes, dtype=np.int64)[which.ravel()]
+
+
+def test_every_cone_at_norm_8_is_the_labelled_ball(monkeypatch):
+    monkeypatch.setattr(lattice, "_CONES", {})
+    subsets = [J for r in range(9) for J in itertools.combinations(range(8), r)]
+    assert len(subsets) == 256
+    for J in subsets:
+        got = lattice.orbit_representatives(8, J)
+        want = _labelled_cone(8, J)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), J
+
+
+def test_orbit_representatives_keep_each_cone_at_its_largest_bound(monkeypatch):
+    monkeypatch.setattr(lattice, "_CONES", {})
     J = (0, 3, 4)
     small = lattice.orbit_representatives(4, J)
     large = lattice.orbit_representatives(8, J)
-    assert lattice._TABLE[0][3][J][0] == len(short_vector_table(8)[0])
+    assert lattice._CONES[J][0] == 8
     again = lattice.orbit_representatives(4, J)
     for s_arr, l_arr, a_arr in zip(small, large, again):
         assert np.array_equal(l_arr[: len(s_arr)], s_arr) and np.array_equal(a_arr, s_arr)
-    monkeypatch.setattr(lattice, "_TABLE", [None])
+        assert np.shares_memory(a_arr, l_arr) and not a_arr.flags.writeable
+    monkeypatch.setattr(lattice, "_CONES", {})
     fresh = lattice.orbit_representatives(8, J)
     assert all(np.array_equal(f, l) for f, l in zip(fresh, large))
+    # the whole ball is one more entry beside the cones
     short_vector_table(10)
-    assert lattice._TABLE[0][3] == {}
+    assert list(lattice._CONES) == [J, ()]
+
+
+def test_cones_held_together_stay_under_the_ball_cap(monkeypatch):
+    # with the cap lowered to 30000 rows, the norm-8 ball (26641 rows) and
+    # one half-space cone of it do not fit together: after each build the
+    # oldest other cones go; a cone asked at a larger bound drops its old
+    # entry before it builds, and a refused bound keeps it
+    monkeypatch.setattr(lattice, "MAX_BALL_VECTORS", 30000)
+    monkeypatch.setattr(lattice, "_CONES", {})
+    build = lattice._short_vector_array
+    builds = []
+
+    def spy(bound, J=()):
+        builds.append((bound, J, J in lattice._CONES))
+        return build(bound, J)
+
+    monkeypatch.setattr(lattice, "_short_vector_array", spy)
+
+    def held():
+        return sum(len(c[1]) for c in lattice._CONES.values())
+
+    lattice.orbit_representatives(4, (0,))
+    lattice.orbit_representatives(8, (1, 2))
+    assert list(lattice._CONES) == [(0,), (1, 2)] and held() <= 30000
+    lattice.orbit_representatives(8, (0,))
+    assert builds[-1] == (8, (0,), False)
+    assert list(lattice._CONES) == [(1, 2), (0,)] and held() <= 30000
+    short_vector_table(8)
+    assert list(lattice._CONES) == [()] and held() == 26641
+    lattice.orbit_representatives(8, (0,))
+    assert list(lattice._CONES) == [(0,)] and held() <= 30000
+    with pytest.raises(ValueError, match="norm <= 10 holds more than 30000 vectors"):
+        lattice.orbit_representatives(10, (0,))
+    assert list(lattice._CONES) == [(0,)] and len(builds) == 5
 
 
 @pytest.mark.parametrize("corrupt", ["filter", "weight"])
 def test_orbit_representatives_refuse_weights_off_the_theta_shells(monkeypatch, corrupt):
-    monkeypatch.setattr(lattice, "_TABLE", [None])
-    short_vector_table(8)
+    monkeypatch.setattr(lattice, "_CONES", {})
+    J = (2, 3)
+    lattice.orbit_representatives(4, J)
     if corrupt == "filter":
-        # labels from a wrong diagonal entry keep the wrong rows; the check
+        # a clip that misses node 2 keeps rows outside the cone; the check
         # is necessary, not sufficient: any one half-space at weights 2
         # and 1 (on its wall) passes it on a ball symmetric under -1
-        bad = CARTAN.copy()
-        bad[3, 3] = 1
-        monkeypatch.setattr(lattice, "_CARTAN_NP", bad)
+        fincke_pohst = lattice._fincke_pohst
+        monkeypatch.setattr(lattice, "_fincke_pohst",
+                            lambda bound, J=(): fincke_pohst(bound, J[1:]))
     else:
         order = lattice.weyl_order
         monkeypatch.setattr(lattice, "weyl_order", lambda J: order(J) * (1 + (len(J) == 1)))
     with pytest.raises(ValueError, match="do not add up to the theta shells of norm <= 8"):
-        lattice.orbit_representatives(8, (2, 3))
-    assert lattice._TABLE[0][3] == {}
+        lattice.orbit_representatives(8, J)
+    assert lattice._CONES == {}

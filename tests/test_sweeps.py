@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import itertools
 import tracemalloc
@@ -86,6 +87,26 @@ def test_engine_refuses_a_runaway_ball_before_scanning(monkeypatch):
     with pytest.raises(ValueError, match="norm <= 50 "):
         eng.class_value(10, 10, ZERO8)
     assert eng.evals == 1 and not eng.values
+
+
+def test_engine_reads_cones_and_builds_no_whole_ball(monkeypatch):
+    # a dominant centre of norm < 620 has a node with (C e)_j = 0, so every
+    # scanned cell reads a cone with J nonempty: on an empty cache the
+    # engine enumerates no whole ball, and its value and evaluations stay
+    build = lattice._short_vector_array
+    cones = []
+
+    def spy(bound, J=()):
+        cones.append(J)
+        return build(bound, J)
+
+    monkeypatch.setattr(lattice, "_CONES", {})
+    monkeypatch.setattr(lattice, "_short_vector_array", spy)
+    eng = FiberSweepEngine()
+    value = eng.class_value(6, 6, ZERO8)
+    assert cones and () not in cones
+    assert hashlib.sha256(str(value).encode()).hexdigest().startswith("29450681")
+    assert eng.evals == 115
 
 
 def _full_prediction(coords):
