@@ -262,10 +262,6 @@ def main(argv=None):
     except (ValueError, OverflowError, KeyError, ZeroDivisionError) as exc:
         sys.stderr.write("%s: %s\n" % (args.command, exc))
         return EXIT_COMPUTE
-    except RecursionError:
-        # the engine recurses once per class along a chain of parts
-        sys.stderr.write("%s: the recursion for this input is too deep\n" % args.command)
-        return EXIT_COMPUTE
 
 
 if __name__ == "__main__":

@@ -37,11 +37,8 @@ thousands of decompositions).  Two observations make full boxes cheap:
     over the lattice points e1 of the ball of norm r1 = 2 b1' b2' around
     0, keeping those with <e - e1, e - e1> <= r2 = 2 (b1 - b1') (b2 - b2').
     Grouping each cell's candidates by the keys of their parts leaves
-    only a handful of exact Fraction multiplications per cell.  Each
-    evaluation refuses a class of more than _MAX_CELLS cells b1*b2, then
-    counts the largest ball its cells scan by lattice.theta_shells, so a
-    ball past the cap is refused before any scan.  Each cell then forms,
-    over the rows it reads, the distances
+    only a handful of exact Fraction multiplications per cell.  Each cell
+    forms, over the rows it reads, the distances
     <e - a, e - a> = <e,e> + <a,a> - 2 a.Ce to the class E8 part e, from
     the rows' norms and the 8-vector Ce.
 
@@ -61,6 +58,15 @@ thousands of decompositions).  Two observations make full boxes cheap:
     parts, so r1 and r2, swapped: FiberSweepEngine.cells reads one cell
     of each mirror pair, the one with the smaller ball.  A cell with
     b1' b2' = 0 has a radius-zero ball, keyed without a scan.
+
+The parts of a class are evaluated before it, depth first, on an
+explicit stack of generators (FiberSweepEngine._value), so no chain of
+parts meets the interpreter's recursion limit.  Only the class asked is
+checked, once, where it misses the cache: it is refused if it has more
+than _MAX_CELLS cells b1*b2, or if the largest ball its cells scan,
+counted by lattice.theta_shells, is past the ball cap.  No part has more
+cells or a larger ball than its class, so that check covers every
+evaluation on the stack, and nothing is scanned before it.
 
 The one production engine is ENGINE, defined here beside its class and
 re-exported by gw_engine: every entry point (invariant records, tables,
@@ -111,9 +117,12 @@ _ROOTS2 = np.array([
 ], dtype=np.int64)
 _ALPHA1 = _ROOTS2[0]
 
-# most recursion cells b1 * b2 of a class the engine evaluates; past it
-# largest_ball's loop and the chain of parts would run away at every level
-_MAX_CELLS = 4096
+# most recursion cells b1 * b2 of a class the engine evaluates.  The ball
+# cap already bounds the classes with b1, b2 >= 2 (at most 75 cells, 3,25);
+# this bounds the chains, b1 = 1 or b2 = 1, whose cells are all radius-zero
+# and whose work grows faster than b1 b2: 1,495 answers in about 2 s,
+# 1,1000 took 7 s
+_MAX_CELLS = 495
 
 # one int64 row as 64 bytes: a residue row, or a canonical point
 _ROW_BYTES = np.dtype((np.void, 64))
@@ -193,7 +202,9 @@ class FiberSweepEngine:
     with the smaller ball (see cells), answers radius-zero cells without
     a scan, and in every other cell reads one ball row per orbit of the
     stabilizer of the dominant conjugate of the class E8 part, counted
-    with the orbit's size (see _scan_cell).  The acceptance checks hold
+    with the orbit's size (see _scan_cell).  Evaluations run on an
+    explicit stack, after one check of the cell and ball caps where the
+    class asked misses the cache (see _value).  The acceptance checks hold
     that scan against a brute-force walk of the smaller ball
     (decomposition_agreement) and the values against the heterotic
     closed form.  ENGINE, below, is the process-wide instance.
@@ -237,10 +248,35 @@ class FiberSweepEngine:
         return self._value(self.key_for(b2, s, e), b1, e)
 
     def _value(self, key, b1, e):
+        """<1> of the class (b1, b2, e) with key (b2, s, name).  A miss is
+        checked against the caps once, then evaluated on an explicit stack
+        of _eval generators: each yields the (key, b1, e) of a part it
+        needs, and a part missing from `values` is evaluated on top of it,
+        depth first, before the evaluation that needs it reads on."""
         got = self.values.get(key)
         if got is not None:
             return got
-        return self._eval(key, b1, e)
+        b2, s, _ = key
+        if s:
+            # every part (b1', b2') is coordinatewise <= (b1, b2), and
+            # largest_ball is monotone in both: the caps checked here hold
+            # for every evaluation on the stack, before its first scan
+            if b1 * b2 > _MAX_CELLS:
+                raise ValueError("a class with b1*b2 = %d > %d recursion cells is refused"
+                                 % (b1 * b2, _MAX_CELLS))
+            theta_shells(self.largest_ball(b1, b2))
+        stack = [self._eval(key, b1, e)]
+        while stack:
+            try:
+                part = stack[-1].send(got)
+            except StopIteration as done:
+                stack.pop()
+                got = done.value
+                continue
+            got = self.values.get(part[0])
+            if got is None:
+                stack.append(self._eval(*part))
+        return got
 
     @staticmethod
     def cells(b1, b2):
@@ -258,22 +294,20 @@ class FiberSweepEngine:
 
     def largest_ball(self, b1, b2):
         """Norm bound 2 b1' b2' of the largest ball whose cone the cells
-        of a class (b1, b2, e) scan (see cells and _scan_cell); _eval
+        of a class (b1, b2, e) scan (see cells and _scan_cell); _value
         refuses a class whose ball is past the cap of theta_shells."""
         return max((2 * b1p * b2p for b1p, b2p, _ in self.cells(b1, b2)), default=0)
 
     def _eval(self, key, b1, e):
+        """Generator of one evaluation, run by _value: it yields the
+        (key, b1, e) of each part it reads and is sent the part's value;
+        it stores and returns the class value."""
         b2, s, _ = key
         self.evals += 1
         if s == 0:
             value = isotropic_genus1(math.gcd(b1, b2, *(abs(x) for x in e)))
             self.values[key] = value
             return value
-        if b1 * b2 > _MAX_CELLS:
-            raise ValueError("a class with b1*b2 = %d > %d recursion cells is refused"
-                             % (b1 * b2, _MAX_CELLS))
-        # a ball past the cap is refused before the first scan
-        theta_shells(self.largest_ball(b1, b2))
         # scan around the dominant W(E8)-conjugate of e (see _scan_cell);
         # it keeps the key, as orbit names are W-invariant
         e = dominant(e)
@@ -287,7 +321,7 @@ class FiberSweepEngine:
                 pairing = b1p * m2 + b2p * (b1 - b1p)
                 s2 = s - 2 * pairing
                 if s2 >= 0:
-                    v2 = self._value(self.key_for(m2, s2, e), b1 - b1p, e)
+                    v2 = yield self.key_for(m2, s2, e), b1 - b1p, e
                     total += weight * isotropic_genus1(b1p + b2p) * v2 * pairing
                 continue
             got = self._scan_cell(earr, b1, b2, b1p, b2p)
@@ -303,10 +337,10 @@ class FiberSweepEngine:
                 fac = (s - sa - sb) // 2
                 if fac == 0:
                     continue
-                va = self._value((b2p, sa, na), b1p, tuple(e1[fi].tolist()))
+                va = yield (b2p, sa, na), b1p, tuple(e1[fi].tolist())
                 if not va:
                     continue
-                vb = self._value((m2, sb, nb), b1 - b1p, tuple(e2[fi].tolist()))
+                vb = yield (m2, sb, nb), b1 - b1p, tuple(e2[fi].tolist())
                 if not vb:
                     continue
                 total += weight * cnt * va * vb * fac

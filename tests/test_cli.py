@@ -351,22 +351,26 @@ def test_cli_import_leaves_sympy_unloaded():
     assert out.strip() == "False"
 
 
-def test_invariant_too_deep_a_recursion_exits_2():
-    # every part of (1, 3000, 0^8) is a ray or a radius-zero cell, one
-    # nested evaluation per b2, deeper than the interpreter's stack limit
+@pytest.mark.parametrize("b1,b2", [(1, 3000), (3000, 1), (1, 4096)])
+def test_invariant_long_chain_exits_2_at_the_cell_cap_in_a_fresh_process(b1, b2):
+    # every cell of a chain (b1 = 1 or b2 = 1) is radius-zero, so no ball
+    # stops it: the cell cap refuses it before its first evaluation
     src = os.path.dirname(os.path.dirname(os.path.abspath(enriques_gw.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    argv = ["invariant", "--genus", "1", "--beta", "1,3000,0,0,0,0,0,0,0,0"]
+    argv = ["invariant", "--genus", "1", "--beta", "%d,%d,0,0,0,0,0,0,0,0" % (b1, b2)]
+    t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "enriques_gw.cli"] + argv, env=env,
                           capture_output=True, text=True)
+    assert time.perf_counter() - t0 < 1.0
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "invariant: the recursion for this input is too deep\n"
+    assert proc.stderr == ("invariant: a class with b1*b2 = %d > 495 recursion cells is refused\n"
+                           % (b1 * b2))
 
 
 @pytest.mark.parametrize("argv,err", [
     # every ball of (1, b2, 0^8) has radius 0: the chain, not a ball, runs away
     (("invariant", "--genus", "1", "--beta", "1,10000000,0,0,0,0,0,0,0,0"),
-     "invariant: a class with b1*b2 = 10000000 > 4096 recursion cells is refused\n"),
+     "invariant: a class with b1*b2 = 10000000 > 495 recursion cells is refused\n"),
     (("invariant", "--genus", "2", "--beta", SECTION_SUM, "--degree", str(10 ** 14)),
      "invariant: %d exceeds the divisor cap %d\n" % (10 ** 14, qseries.MAX_DIVISOR_ARG)),
     (("invariant", "--genus", "1", "--beta", "%d,0,0,0,0,0,0,0,0,0" % 10 ** 15),

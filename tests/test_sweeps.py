@@ -1,6 +1,9 @@
 import hashlib
 import inspect
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -86,7 +89,8 @@ def test_engine_refuses_a_runaway_ball_before_scanning(monkeypatch):
     eng = FiberSweepEngine()
     with pytest.raises(ValueError, match="norm <= 50 "):
         eng.class_value(10, 10, ZERO8)
-    assert eng.evals == 1 and not eng.values
+    # refused where the class misses the cache, before its evaluation
+    assert eng.evals == 0 and not eng.values
 
 
 def test_engine_reads_cones_and_builds_no_whole_ball(monkeypatch):
@@ -344,8 +348,63 @@ def test_engine_refuses_a_class_past_the_cell_cap_before_its_ball(monkeypatch):
         raise AssertionError("walked the cells of (%d, %d)" % (b1, b2))
 
     monkeypatch.setattr(FiberSweepEngine, "largest_ball", refuse)
-    with pytest.raises(ValueError, match="b1\\*b2 = 4097 > 4096"):
-        FiberSweepEngine().class_value(1, 4097, ZERO8)
+    with pytest.raises(ValueError, match="b1\\*b2 = 496 > 495"):
+        FiberSweepEngine().class_value(1, 496, ZERO8)
+
+
+@pytest.mark.parametrize("b1,b2,e,digest,evals", [
+    (2, 16, ZERO8, "e1244f58", 124),
+    (5, 7, ROOT, "f506a006", 153),
+    (2, 24, ROOT, "a356bda3", 350),
+    (1, 100, ZERO8, "29c5b915", 200),
+    (100, 1, ZERO8, "29c5b915", 101),
+])
+def test_engine_values_and_evaluation_counts_are_pinned(b1, b2, e, digest, evals):
+    # deep classes: the SHA-256 prefix of str(<1>) and the evaluations a
+    # fresh engine makes for it, chains (b1 = 1 or b2 = 1) among them
+    eng = FiberSweepEngine()
+    value = eng.class_value(b1, b2, e)
+    assert (hashlib.sha256(str(value).encode()).hexdigest()[:8], eng.evals) == (digest, evals)
+
+
+def test_engine_evaluation_does_not_use_the_interpreter_stack():
+    # (1, 200, 0^8) nests its parts 200 deep, past what nested calls could
+    # reach under a recursion limit of 150
+    code = ("import sys\n"
+            "from enriques_gw.sweeps import FiberSweepEngine\n"
+            "sys.setrecursionlimit(150)\n"
+            "eng = FiberSweepEngine()\n"
+            "print(eng.class_value(1, 200, (0,) * 8), eng.evals)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sweeps.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         check=True, capture_output=True, text=True).stdout
+    eng = FiberSweepEngine()
+    assert out == "%s %d\n" % (eng.class_value(1, 200, ZERO8), eng.evals)
+
+
+@pytest.mark.parametrize("b1,b2", [(2, 33), (495, 1)])
+def test_the_caps_checked_at_the_entry_hold_for_every_evaluation(monkeypatch, b1, b2):
+    # only the class asked is checked; each evaluation below it is of a
+    # part coordinatewise no larger, so within both caps (norm 32 is the
+    # largest ball under lattice.MAX_BALL_VECTORS)
+    seen = []
+    evaluate = FiberSweepEngine._eval
+
+    def record(self, key, part_b1, e):
+        seen.append((part_b1, key[0]))
+        return evaluate(self, key, part_b1, e)
+
+    monkeypatch.setattr(FiberSweepEngine, "_eval", record)
+    eng = FiberSweepEngine()
+    eng.class_value(b1, b2, ZERO8)
+    assert len(seen) == eng.evals
+    for part_b1, part_b2 in seen:
+        assert part_b1 <= b1 and part_b2 <= b2
+        assert part_b1 * part_b2 <= sweeps._MAX_CELLS
+        assert eng.largest_ball(part_b1, part_b2) <= 32
+    lattice.theta_shells(32)
+    with pytest.raises(ValueError):
+        lattice.theta_shells(34)
 
 
 def test_box_table_covers_expected_classes():
