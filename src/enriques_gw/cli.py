@@ -6,11 +6,14 @@ All output is exact (fractions, never decimals) and deterministic:
 rows are emitted in lexicographic class order, JSON objects have a
 fixed key order, and nothing depends on hashing or threads.
 
-`table` builds its rows once per engine key rather than once per row:
-the value and rule of every degree are formatted into a finished line
-suffix the first time a key is met, and each row is the class's
-coordinate prefix joined to that suffix.  The bytes equal those of
-serializing one dict per row; `invariant` writes its row the same way.
+`table` builds its lines per (b1, b2) slice of the box
+(sweeps.box_slices), not per row: each E8 part's coordinate string is
+formatted once for the table, each slice's head (genus, b1, b2) once
+for the slice, and the value and rule of every degree once per engine
+key, into a finished line suffix.  A row is slice head + part string +
+suffix; no class is formatted as a whole.  The bytes equal those of
+serializing one dict per row; `invariant` writes its row from the same
+three pieces.
 
 Exit codes: 0 success, 1 usage error, 2 computation error or resource
 refusal, 3 self-check failure.
@@ -36,13 +39,14 @@ DEFAULT_ROW_LIMIT = 200000
 
 CSV_HEADER = ["genus"] + ["b%d" % i for i in range(1, 11)] + ["d", "value", "rule"]
 
-# output lines per format: class prefix (genus, joined coordinates), the
-# coordinate separator, and degree suffix (d, value, rule); values and
-# rules need no quoting or escaping, so the lines equal those csv.writer
-# and json.dumps give for the same rows
+# output lines per format, in three pieces: slice head (genus, b1, b2),
+# E8 part (e1..e8, with the bracket closing beta in json) and degree
+# suffix (d, value, rule); values and rules need no quoting or escaping,
+# so the lines equal those csv.writer and json.dumps give for the same rows
 _TABLE_LINES = {
-    "csv": ("%d,%s,", ",", "%d,%s,%s\n"),
-    "json": ('{"genus": %d, "beta": [%s], "d": ', ", ", '%d, "value": "%s", "rule": "%s"}\n'),
+    "csv": ("%d,%d,%d,", "%d," * 8, "%d,%s,%s\n"),
+    "json": ('{"genus": %d, "beta": [%d, %d, ', "%d, " * 7 + '%d], "d": ',
+             '%d, "value": "%s", "rule": "%s"}\n'),
 }
 
 
@@ -62,35 +66,41 @@ def _write_lines(fmt, lines):
 
 def cmd_invariant(args):
     record = invariant_record(args.genus, (parse_vector(args.beta), args.degree))
-    head, sep, tail = _TABLE_LINES[args.format]
-    line = (head % (record.genus, sep.join(map(str, record.cls.beta.coords)))
+    head, part, tail = _TABLE_LINES[args.format]
+    c = record.cls.beta.coords
+    line = (head % (record.genus, c[0], c[1]) + part % c[2:]
             + tail % (record.cls.d, record.value, record.rule))
     _write_lines(args.format, [line])
     return EXIT_OK
 
 
 def _table_rows(args):
-    """The table's output lines, one per (class, degree) row.
+    """The table's output lines, one per (class, degree) row, built per
+    (b1, b2) slice of sweeps.box_slices.
 
-    A row's value and rule depend on its class only through the engine
-    key (n*v1 through b1, negative squares not at all), so the line
-    suffixes of a key's degrees are formatted once and each row is one
-    class prefix plus one cached suffix."""
-    head, sep, tail = _TABLE_LINES[args.format]
+    Each E8 part's string is formatted once for the table and each
+    slice's head once for the slice.  A row's value and rule depend on
+    its class only through the engine key (n*v1 through b1, negative
+    squares not at all), so the line suffixes of a key's degrees are
+    formatted once, and a row is slice head + part string + suffix."""
+    head, part, tail = _TABLE_LINES[args.format]
     genus = args.genus
+    parts, slices = sweeps.box_slices(args.max_b1, args.max_b2, args.max_e8_norm)
+    part_strs = [part % e for e in parts]
     suffixes = {}
-    for coords, s, key in sweeps.box_classes(args.max_b1, args.max_b2, args.max_e8_norm):
-        b1, b2, e = coords[0], coords[1], coords[2:]
-        skey = key if key is not None else ("isotropic", b1) if s == 0 else "negative"
-        lines = suffixes.get(skey)
-        if lines is None:
-            value1 = lambda: ENGINE.class_value(b1, b2, e, key)
-            lines = suffixes[skey] = [
-                tail % ((d,) + value_rule(genus, d, s, value1))
-                for d in range(args.max_degree + 1)]
-        prefix = head % (genus, sep.join(map(str, coords)))
-        for line in lines:
-            yield prefix + line
+    for b1, b2, cols, squares, keys in slices:
+        slice_head = head % (genus, b1, b2)
+        for e, e_str, s, key in zip(parts[cols], part_strs[cols], squares, keys):
+            skey = key if key is not None else "negative" if b2 else ("isotropic", b1)
+            lines = suffixes.get(skey)
+            if lines is None:
+                value1 = lambda: ENGINE.class_value(b1, b2, e, key)
+                lines = suffixes[skey] = [
+                    tail % ((d,) + value_rule(genus, d, s, value1))
+                    for d in range(args.max_degree + 1)]
+            prefix = slice_head + e_str
+            for line in lines:
+                yield prefix + line
 
 
 def cmd_table(args):

@@ -401,16 +401,17 @@ def orbit_representatives(bound, J):
         _CONES.pop(J, None)
         a = _short_vector_array(bound, J)
         nrm = np.einsum("ij,ij->i", a, a @ _CARTAN_NP)
-        # the nodes K of J fixing each row, as a bit mask, and the orbit
-        # size of each mask met
-        masks, which = np.unique((a @ _CARTAN_NP[:, list(J)] == 0) @ (1 << np.arange(len(J))),
-                                 return_inverse=True)
-        sizes = [weyl_order(J) // weyl_order(tuple(j for b, j in enumerate(J) if k >> b & 1))
-                 for k in masks.tolist()]
-        w = np.array(sizes, dtype=np.int64)[which]
-        sums = np.zeros(len(shells), dtype=np.int64)
-        np.add.at(sums, nrm // 2, w)
-        if sums.tolist() != shells:
+        if J:
+            # the nodes K of J fixing each row, as a bit mask, and the
+            # orbit size of each mask met
+            masks, which = np.unique((a @ _CARTAN_NP[:, list(J)] == 0) @ (1 << np.arange(len(J))),
+                                     return_inverse=True)
+            sizes = [weyl_order(J) // weyl_order(tuple(j for b, j in enumerate(J) if k >> b & 1))
+                     for k in masks.tolist()]
+            w = np.array(sizes, dtype=np.int64)[which]
+        else:
+            w = np.ones(len(a), dtype=np.int64)
+        if np.bincount(nrm // 2, weights=w, minlength=len(shells)).tolist() != shells:
             raise ValueError("the W_J-orbit sizes of J = %s do not add up to the "
                              "theta shells of norm <= %d" % (J, bound))
         for arr in (a, nrm, w):

@@ -30,8 +30,8 @@ thousands of decompositions).  Two observations make full boxes cheap:
     every key.  orbit_ids reduces each residue row mod m once and keeps
     its name in a per-modulus residue memo; the rows of a batch new to it
     are reduced together, and one class is keyed as a batch of one row.
-    The memo grows with what is keyed (see orbit_ids), and clearing it
-    changes no name.
+    The memo grows with what is keyed, up to a fixed entry bound past
+    which it is cleared (see orbit_ids); clearing it changes no name.
 
 2.  The decomposition sum itself is, cell by cell in (b1', b2'), a scan
     over the lattice points e1 of the ball of norm r1 = 2 b1' b2' around
@@ -128,6 +128,9 @@ _MAX_CELLS = 495
 _ROW_BYTES = np.dtype((np.void, 64))
 # modulus -> {residue row bytes: canonical point bytes}
 _ORBITS = {}
+# entries a modulus' residue memo may hold before it is cleared (about
+# 232 bytes an entry); table-g1-deep's largest holds 2,701
+_ORBIT_MEMO_ENTRIES = 1 << 16
 
 
 @lru_cache(maxsize=1024)
@@ -181,12 +184,18 @@ def orbit_ids(m, e_arr):
     canonical point (alcove_points).  The modulus' residue memo holds the
     name of every residue row keyed before; the rows new to it are reduced
     in one alcove_points call, and the residues of one orbit among them
-    share one name object.  The memo is not bounded: it grows by one
-    entry per distinct residue row keyed."""
+    share one name object.  The memo grows by one entry per distinct
+    residue row keyed; when adding a call's new rows would take it past
+    _ORBIT_MEMO_ENTRIES (65,536) entries, it is cleared first and the
+    call's rows are reduced afresh.  A name is the canonical point, so
+    clearing changes none."""
     res = np.mod(np.asarray(e_arr, dtype=np.int64, order="C").reshape(-1, 8), m)
     names = _ORBITS.setdefault(m, {})
     rows = res.view(_ROW_BYTES).ravel().tolist()
     new = dict.fromkeys([r for r in rows if r not in names])
+    if new and len(names) + len(new) > _ORBIT_MEMO_ENTRIES:
+        names.clear()
+        new = dict.fromkeys(rows)
     if new:
         rows_new = np.frombuffer(b"".join(new), dtype=np.int64).reshape(-1, 8)
         points = alcove_points(rows_new, m).view(_ROW_BYTES).ravel().tolist()
@@ -379,26 +388,51 @@ class FiberSweepEngine:
 ENGINE = FiberSweepEngine()
 
 
+def box_slices(max_b1, max_b2, norm_bound):
+    """The coordinate box of box_classes as (parts, slices), one walk
+    that box_classes and the table share.  `parts` lists the E8 parts of
+    norm <= norm_bound as tuples in lexicographic order.  `slices` yields
+    the (b1, b2) slices of the box in lexicographic order, each as
+    (b1, b2, cols, squares, keys): the slice object picking its classes'
+    E8 parts out of `parts`, the list of their squares and an iterable of
+    their engine keys.  A slice with b2 = 0 is the one class b1*v1,
+    1 <= b1 <= max_b1, with key None; a slice with b2 >= 1 holds every
+    part, with key None where the square is negative, and makes its keys
+    one at a time, so no slice holds a list of them.  The parts are
+    sorted once, and each b2 is keyed in one orbit_ids call."""
+    a, norms = short_vector_table(norm_bound)
+    order = np.argsort(pack_rows(a))
+    a = a[order]
+    parts = [tuple(row) for row in a.tolist()]
+    norms = norms[order].tolist()
+    names = {b2: orbit_ids(b2, a) for b2 in range(1, max_b2 + 1)}
+    k = parts.index((0,) * 8)
+    zero, every = slice(k, k + 1), slice(None)
+
+    def slices():
+        for b1 in range(0, max_b1 + 1):
+            if b1:
+                yield b1, 0, zero, [0], [None]
+            for b2 in range(1, max_b2 + 1):
+                squares = [2 * b1 * b2 - ne for ne in norms]
+                yield b1, b2, every, squares, (
+                    (b2, s, name) if s >= 0 else None
+                    for s, name in zip(squares, names[b2]))
+
+    return parts, slices()
+
+
 def box_classes(max_b1, max_b2, norm_bound):
     """Every class of the coordinate box in lexicographic order, as
     (coords, square, key): n*v1 for 1 <= n <= max_b1, and (b1, b2, e)
     with 0 <= b1 <= max_b1, 1 <= b2 <= max_b2, e a short vector of norm
     <= norm_bound.  `key` is the engine key of the class, or None when
-    b2 = 0 or the square is negative; each b2 slice is keyed in one call."""
-    parts, norms = short_vector_table(norm_bound)
-    order = np.argsort(pack_rows(parts))
-    parts = parts[order]
-    rows = [tuple(row) for row in parts.tolist()]
-    norms = norms[order].tolist()
-    names = {b2: orbit_ids(b2, parts) for b2 in range(1, max_b2 + 1)}
-    zero = (0,) * 8
-    for b1 in range(0, max_b1 + 1):
-        if b1:
-            yield (b1, 0) + zero, 0, None
-        for b2 in range(1, max_b2 + 1):
-            for e, ne, name in zip(rows, norms, names[b2]):
-                s = 2 * b1 * b2 - ne
-                yield (b1, b2) + e, s, ((b2, s, name) if s >= 0 else None)
+    b2 = 0 or the square is negative.  The classes are read off
+    box_slices."""
+    parts, slices = box_slices(max_b1, max_b2, norm_bound)
+    for b1, b2, cols, squares, keys in slices:
+        for e, s, key in zip(parts[cols], squares, keys):
+            yield (b1, b2) + e, s, key
 
 
 def box_class_count(max_b1, max_b2, norm_bound):

@@ -14,8 +14,9 @@ import sympy
 
 import enriques_gw
 from enriques_gw import cli, km_model, lattice, qseries
-from enriques_gw.gw_engine import enriques_genus1, n_invariant
+from enriques_gw.gw_engine import enriques_genus1, invariant_record, n_invariant
 from enriques_gw.lattice import (
+    CARTAN_E8,
     LatticeVector,
     enumerate_decompositions,
     pair,
@@ -327,6 +328,55 @@ def test_table_rows_match_independent_ingredients(capsys, genus):
     n_parts = 1 + 240
     assert len(classes) == len(set(classes)) == 2 + 3 * 2 * n_parts
     assert [row["d"] for row in rows] == [0, 1, 2, 3] * len(classes)
+
+
+def _roots_by_reflection():
+    """The 240 roots of E8 in simple-root coordinates, closed under the
+    simple reflections x -> x - (C x)_i alpha_i from the simple roots."""
+    roots = set()
+    todo = [tuple(int(i == j) for j in range(8)) for i in range(8)]
+    while todo:
+        x = todo.pop()
+        if x in roots:
+            continue
+        roots.add(x)
+        for i in range(8):
+            c = sum(CARTAN_E8[i][j] * x[j] for j in range(8))
+            todo.append(tuple(x[j] - c * (i == j) for j in range(8)))
+    return roots
+
+
+@pytest.mark.parametrize("genus", [0, 1, 2])
+def test_table_bytes_equal_serialized_invariant_records(capsys, genus):
+    # the box holds n*v1 rows (n <= 3), negative-square classes (b1 = 0 and
+    # a root) and three degrees; every byte must equal the rows built here
+    # from invariant_record, in lexicographic class order, written by
+    # csv.writer and json.dumps
+    roots = _roots_by_reflection()
+    assert len(roots) == 240
+    parts = [(0,) * 8] + sorted(roots)
+    classes = sorted([(b1, 0) + (0,) * 8 for b1 in range(1, 4)]
+                     + [(b1, b2) + e for b1 in range(4) for b2 in (1, 2) for e in parts])
+    records = [invariant_record(genus, (LatticeVector(c), d))
+               for c in classes for d in range(3)]
+    assert any(square(r.cls.beta) < 0 for r in records)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["genus"] + ["b%d" % i for i in range(1, 11)] + ["d", "value", "rule"])
+    for r in records:
+        writer.writerow([r.genus, *r.cls.beta.coords, r.cls.d, str(r.value), r.rule])
+    want = {
+        "csv": buf.getvalue(),
+        "json": "".join(json.dumps({"genus": r.genus, "beta": list(r.cls.beta.coords),
+                                    "d": r.cls.d, "value": str(r.value), "rule": r.rule}) + "\n"
+                        for r in records),
+    }
+    for fmt, text in want.items():
+        code, out, _ = run(capsys, "table", "--genus", str(genus), "--max-b1", "3",
+                           "--max-b2", "2", "--max-e8-norm", "2", "--max-degree", "2",
+                           "--format", fmt)
+        assert code == 0
+        assert out == text, fmt
 
 
 def test_table_isotropic_ray_rows_follow_the_multiplicity(capsys):

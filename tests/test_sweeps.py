@@ -247,6 +247,41 @@ def test_residues_of_one_orbit_keyed_in_one_call_share_one_name_object(monkeypat
     assert orbit_ids(8, minus)[0] is names[0]
 
 
+def test_a_residue_memo_cleared_at_its_bound_changes_no_name(monkeypatch, capsys):
+    # with the bound at 1,000 entries each memo is cleared many times over
+    # a table-g1-deep run, and every name and every output byte stays
+    from enriques_gw import cli
+
+    rows = short_vector_table(4)[0]
+    monkeypatch.setattr(sweeps, "_ORBITS", {})
+    want = {m: orbit_ids(m, rows) for m in range(1, 7)}
+    monkeypatch.setattr(sweeps, "_ORBIT_MEMO_ENTRIES", 1000)
+    monkeypatch.setattr(sweeps, "_ORBITS", {})
+    for m in range(1, 7):
+        for start, stop in [(0, 600), (600, 1200), (0, len(rows)), (1200, 1300)]:
+            assert orbit_ids(m, rows[start:stop]) == want[m][start:stop], (m, start)
+    monkeypatch.setattr(cli, "ENGINE", FiberSweepEngine())
+    sizes = []
+    keyed = sweeps.orbit_ids
+
+    def spy(m, e_arr):
+        before = len(sweeps._ORBITS.get(m, ()))
+        names = keyed(m, e_arr)
+        sizes.append((before, len(sweeps._ORBITS[m]), len(names)))
+        return names
+
+    monkeypatch.setattr(sweeps, "orbit_ids", spy)
+    assert cli.main(["table", "--genus", "1", "--max-b1", "6", "--max-b2", "6",
+                     "--max-e8-norm", "4", "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "f19ccde1853ae2652dc1afd5d05bb40061ebea73967da89101b88d2b5147b8ae")
+    # a call that adds to a memo leaves at most the bound, or its own rows
+    # when the memo was cleared for them; the engine's keying clears some
+    assert all(after <= max(1000, n) for before, after, n in sizes if after > before)
+    assert any(after < before for before, after, _ in sizes)
+
+
 @settings(max_examples=60, deadline=None)
 @given(b2=st.integers(1, 12), s=st.integers(0, 40), row=E8_ROWS)
 def test_an_orbit_is_named_by_its_canonical_point(b2, s, row):
