@@ -477,24 +477,59 @@ def enumerate_decompositions(beta):
     return found
 
 
-def decompositions_box_oracle(beta):
-    """Brute-force reference for enumerate_decompositions.
+def _part_mask(c1, c2, zero, nrm):
+    """Rows where the part (c1, c2, g) is nonzero, positive and of square
+    >= 0, for ints c1, c2 and per-row arrays: `zero` marks g = 0 and
+    `nrm` holds the Cartan norm of g."""
+    nonzero = ~zero | (c1 != 0) | (c2 != 0)
+    positive = (c2 > 0) | ((c2 == 0) & (c1 > 0) & zero)
+    return nonzero & positive & (2 * c1 * c2 - nrm >= 0)
 
-    Scans the whole box 0 <= b2' <= b2, 0 <= b1' <= b1 with the E8 part of
-    beta1 drawn from short_vector_table(2*b1'*b2'), and filters each candidate
-    with the public predicates.  Slow on purpose; used for agreement tests.
+
+def decompositions_box_oracle(beta):
+    """Brute-force reference for enumerate_decompositions, used for
+    agreement tests.
+
+    Scans the whole box 0 <= b2' <= b2, 0 <= b1' <= b1, reading the whole
+    ball short_vector_table(2*b1'*b2') as the E8 parts f of beta1 =
+    (b1', b2', f); no cone, orbit, mirror or smaller-ball rule enters.
+    Each slice is filtered by int64 masks requiring both beta1 and beta2 =
+    beta - beta1 to be nonzero, positive and of square >= 0, the norm of
+    the E8 part e - f of beta2 taken as <e,e> - 2 f.Ce + <f,f>.  Only the
+    survivors become LatticeVector pairs, and each is checked again with
+    _part_ok; a survivor failing it raises RuntimeError.
+
+    The masks are exact: every int64 intermediate is at most
+    4*b1*b2 + <e,e> + 16 * max|f| * max|Ce| in absolute value, f over the
+    largest ball (norm 2*b1*b2), and ValueError is raised before any
+    product unless this bound is below 2**63.  Below it, e and Ce fit
+    int64 too, as |e_j|**2 <= 30<e,e> and |(Ce)_j|**2 <= 2<e,e>.
     """
     beta = as_vector(beta)
     if not is_positive(beta):
         raise ValueError("decompositions are only defined for positive classes")
+    b1, b2, e = beta.b1, beta.b2, beta.e8
+    ce = [sum(c * x for c, x in zip(row, e)) for row in CARTAN_E8]
+    ee = sum(x * y for x, y in zip(e, ce))
+    max_f = int(np.abs(short_vector_table(2 * b1 * b2)[0]).max())
+    bound = 4 * b1 * b2 + ee + 16 * max_f * max(abs(y) for y in ce)
+    if bound >= 1 << 63:
+        raise ValueError("the box oracle's int64 bound %d exceeds 2**63" % bound)
+    e_np = np.array(e, dtype=np.int64)
+    ce_np = np.array(ce, dtype=np.int64)
     found = []
-    for b2p in range(0, beta.b2 + 1):
-        for b1p in range(0, beta.b1 + 1):
-            for row in short_vector_table(2 * b1p * b2p)[0].tolist():
+    for b2p in range(0, b2 + 1):
+        for b1p in range(0, b1 + 1):
+            a, nrm = short_vector_table(2 * b1p * b2p)
+            keep = (_part_mask(b1p, b2p, ~a.any(axis=1), nrm)
+                    & _part_mask(b1 - b1p, b2 - b2p, (a == e_np).all(axis=1),
+                                 ee - 2 * (a @ ce_np) + nrm))
+            for row in a[keep].tolist():
                 beta1 = from_parts(b1p, b2p, row)
                 beta2 = beta - beta1
-                if _part_ok(beta1) and _part_ok(beta2):
-                    found.append((beta1, beta2))
+                if not (_part_ok(beta1) and _part_ok(beta2)):
+                    raise RuntimeError("the box oracle's masks kept %r" % (beta1,))
+                found.append((beta1, beta2))
     found.sort(key=lambda p: p[0].coords)
     return found
 

@@ -136,20 +136,26 @@ def criterion_1():
 def criterion_2():
     """The engine's cell scan agrees with a brute-force walk of the
     smaller ball on every cell shape of the box, and gw_engine.ENGINE's
-    box table equals the heterotic closed form in the "full" convention,
-    km_fiber_prediction(1, beta, "full") / 4, on every keyed class (the
-    verdicts of criterion 9 stay diagnostic).  One shared-memo oracle
-    recursion gives ENGINE's value on a sample, and
+    box table, read in one walk of the box, equals the heterotic closed
+    form in the "full" convention, km_fiber_prediction(1, beta, "full") / 4,
+    on every keyed class (the verdicts of criterion 9 stay diagnostic).
+    One shared-memo oracle recursion gives ENGINE's value on a sample, and
     enumerate_decompositions equals the box oracle on the sample and on
     every class whose decompositions it read."""
     report = sweeps.decomposition_agreement(**BOX)
-    table = sweeps.genus1_box_table(**BOX)
     # the closed form depends on the square and the divisibility alone:
-    # one prediction per pair, at the last class met with it
-    keyed = [(c, (s, math.gcd(*c))) for c, s, key in sweeps.box_classes(**BOX) if key is not None]
-    beta = {pair: c for c, pair in keyed}
-    closed_form = {pair: km_model.km_fiber_prediction(1, c, "full") / 4 for pair, c in beta.items()}
-    off = [c for c, pair in keyed if table[c] != closed_form[pair]]
+    # one prediction per pair, at the first class met with it
+    table, closed_form, keyed, off = {}, {}, 0, []
+    for c, s, key, value in sweeps.genus1_box_rows(**BOX):
+        table[c] = value
+        if key is None:
+            continue
+        keyed += 1
+        pair = (s, math.gcd(*c))
+        if pair not in closed_form:
+            closed_form[pair] = km_model.km_fiber_prediction(1, c, "full") / 4
+        if value != closed_form[pair]:
+            off.append(c)
     v1 = (1, 1) + (0,) * 8
     v2 = (2, 1) + (0,) * 8
     spots_ok = table[v1] == Fraction(32) and table[v2] == Fraction(288)
@@ -165,7 +171,7 @@ def criterion_2():
               "%d of %d keyed classes equal the full closed form (%d pairs)" % (
                   report["classes"], report["cell_shapes"] - len(report["mismatches"]),
                   report["cell_shapes"], report["ordered_pairs_including_multiplicity"],
-                  len(keyed) - len(off), len(keyed), len(closed_form)))
+                  keyed - len(off), keyed, len(closed_form)))
     if off:
         detail += "; first off %r" % off[:3]
     return (report["all_agree"] and not off and spots_ok and sample_ok,

@@ -441,18 +441,24 @@ def box_class_count(max_b1, max_b2, norm_bound):
     return max_b1 + (max_b1 + 1) * max_b2 * n_parts
 
 
-def genus1_box_table(max_b1=4, max_b2=4, norm_bound=4, engine=ENGINE):
-    """<1> for every positive class in the coordinate box of box_classes,
-    evaluated on `engine` (the process-wide ENGINE by default), as a dict
-    from 10-tuples of coordinates to exact values in lexicographic order.
-    """
-    table = {}
+def genus1_box_rows(max_b1, max_b2, norm_bound, engine=ENGINE):
+    """(coords, square, key, <1>) for every class of box_classes, in its
+    order, with <1> evaluated on `engine` (the process-wide ENGINE by
+    default) and 0 where the square is negative."""
     for coords, s, key in box_classes(max_b1, max_b2, norm_bound):
         if s < 0:
-            table[coords] = Fraction(0)
+            yield coords, s, key, Fraction(0)
         else:
-            table[coords] = engine.class_value(coords[0], coords[1], coords[2:], key)
-    return table
+            yield coords, s, key, engine.class_value(coords[0], coords[1], coords[2:], key)
+
+
+def genus1_box_table(max_b1=4, max_b2=4, norm_bound=4, engine=ENGINE):
+    """<1> for every positive class in the coordinate box of box_classes,
+    as a dict from 10-tuples of coordinates to the exact values of
+    genus1_box_rows, in lexicographic order.
+    """
+    return {coords: value for coords, _, _, value in
+            genus1_box_rows(max_b1, max_b2, norm_bound, engine)}
 
 
 # -- brute-force vs engine-scan decomposition agreement -----------------

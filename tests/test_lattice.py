@@ -258,6 +258,79 @@ def test_enumeration_matches_box_oracle(beta):
     assert fast == slow
 
 
+# the first root of the norm-major ball, as selfcheck takes it
+E8_ROOT = tuple(short_vector_table(2)[0][1].tolist())
+E8_ZERO = (0,) * 8
+
+
+def _per_candidate_filter(beta):
+    """The box oracle's reference: every candidate of the box built as a
+    LatticeVector pair and kept when _part_ok holds on both parts."""
+    found = []
+    for b2p in range(beta.b2 + 1):
+        for b1p in range(beta.b1 + 1):
+            for row in short_vector_table(2 * b1p * b2p)[0].tolist():
+                beta1 = lattice.from_parts(b1p, b2p, row)
+                beta2 = beta - beta1
+                if lattice._part_ok(beta1) and lattice._part_ok(beta2):
+                    found.append((beta1, beta2))
+    found.sort(key=lambda p: p[0].coords)
+    return found
+
+
+def test_box_oracle_matches_the_per_candidate_filter():
+    neg_root = tuple(-x for x in E8_ROOT)
+    negative = LatticeVector((2, 2, 2, 1, 0, 0, 0, 0, 0, 0))
+    assert square(negative) < 0
+    classes = [n * V1 for n in (1, 2, 3)] + [
+        LatticeVector(c) for c in ((0, 2) + E8_ZERO, (1, 1) + E8_ROOT,
+                                   (2, 1) + neg_root, (2, 2) + E8_ROOT)] + [negative]
+    counts = []
+    for beta in classes:
+        got = decompositions_box_oracle(beta)
+        assert got == _per_candidate_filter(beta), beta
+        counts.append(len(got))
+    # the b2' = 0 edges (n*v1) and the cross term (2, 2, root) are met
+    assert counts[:3] == [0, 1, 2] and counts[6] == 62
+    for beta in ((-1, 0) + E8_ZERO, (1, 0) + E8_ROOT, (0,) * 10, (2, -1) + E8_ZERO):
+        with pytest.raises(ValueError, match="positive classes"):
+            decompositions_box_oracle(beta)
+
+
+def test_box_oracle_raises_on_a_survivor_failing_part_ok(monkeypatch):
+    monkeypatch.setattr(lattice, "_part_mask", lambda c1, c2, zero, nrm: np.ones_like(zero))
+    with pytest.raises(RuntimeError, match="masks kept"):
+        decompositions_box_oracle(2 * V1)
+
+
+def test_box_oracle_refuses_past_the_int64_bound(monkeypatch):
+    # e = k * (first simple root coordinate): <e,e> = 2k^2, max|Ce| = 2k
+    max_f = int(np.abs(short_vector_table(2)[0]).max())
+    k = 2 ** 62
+    bound = 4 + 2 * k * k + 16 * max_f * 2 * k
+    monkeypatch.setattr(lattice, "_part_mask",
+                        lambda *args: pytest.fail("a mask was formed past the bound"))
+    with pytest.raises(ValueError, match=r"int64 bound %d exceeds 2\*\*63" % bound):
+        decompositions_box_oracle((1, 1, k) + (0,) * 7)
+    monkeypatch.undo()
+    # just under the bound, the masks agree with the per-candidate filter
+    k = 2 * 10 ** 9
+    assert 4 + 2 * k * k + 16 * max_f * 2 * k < 2 ** 63
+    beta = LatticeVector((1, 1, k) + (0,) * 7)
+    assert decompositions_box_oracle(beta) == _per_candidate_filter(beta)
+
+
+@pytest.mark.parametrize("coords", [(3, 2) + E8_ROOT, (2, 3) + E8_ROOT,
+                                    (3, 3) + E8_ROOT, (3, 3) + E8_ZERO])
+def test_enumeration_matches_box_oracle_on_larger_classes(monkeypatch, coords):
+    # the oracle reads balls up to norm 18; an empty cone cache drops them
+    # with the test
+    monkeypatch.setattr(lattice, "_CONES", {})
+    fast = enumerate_decompositions(coords)
+    assert fast
+    assert fast == decompositions_box_oracle(coords)
+
+
 @settings(max_examples=30, deadline=None)
 @given(small_positive_classes)
 def test_decomposition_postconditions(beta):
