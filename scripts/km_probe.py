@@ -13,7 +13,6 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from enriques_gw import km_model, sweeps
-from enriques_gw.lattice import as_vector, square
 
 
 def main():
@@ -24,13 +23,10 @@ def main():
     parser.add_argument("--max-square", type=int, default=None)
     args = parser.parse_args()
 
-    table = sweeps.genus1_box_table(args.max_b1, args.max_b2, args.max_e8_norm)
     order = max(2 * args.max_b1 * args.max_b2 + 2, 4)
-    probes = []
-    for coords, value in sorted(table.items()):
-        s = square(as_vector(coords))
-        if args.max_square is None or s <= args.max_square:
-            probes.append((coords, s, value))
+    probes = [(coords, s, value) for coords, s, _, value in
+              sweeps.genus1_box_rows(args.max_b1, args.max_b2, args.max_e8_norm)
+              if args.max_square is None or s <= args.max_square]
     _, counts, f56_holds = km_model.km_verdicts(probes, order)
 
     print("%d classes probed" % len(probes))

@@ -25,7 +25,7 @@ import argparse
 import json
 import sys
 
-from . import km_model, local_surface, qseries, selfcheck, sweeps
+from . import km_model, local_surface, qseries, sweeps
 from .gw_engine import ENGINE, invariant_record, value_rule
 from .lattice import parse_vector
 
@@ -188,6 +188,9 @@ def cmd_local(args):
 
 
 def cmd_selfcheck(args):
+    # imported here, so the other commands do not load the criteria
+    from . import selfcheck
+
     numbers = None
     if args.only:
         known = {str(n): n for n in range(1, len(selfcheck.ALL_CRITERIA) + 1)}

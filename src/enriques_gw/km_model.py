@@ -143,31 +143,35 @@ def km_verdicts(probes, order):
     `probes` is an iterable of (coords, square, <1>) triples of positive
     classes; the engine side is N_{g,(beta,0)} by gw_engine.value_rule.
     Predictions depend only on (genus, square, divisibility, convention),
-    so each is computed once, at truncation `order`, and reused for every
-    class sharing it.  Returns (verdicts, counts, consistency): verdicts
-    maps (coords, genus, convention) to "match" or "mismatch", counts maps
-    (genus, convention) to the number of each, and consistency maps each
-    convention to whether the genus-2/genus-1 relation of km_f56_check
-    holds on every probed class of positive square.
+    so each is computed once per (square, divisibility), at truncation
+    `order`, and each verdict once per (square, divisibility, <1>).
+    Returns (verdicts, counts, consistency): verdicts maps (coords, genus,
+    convention) to "match" or "mismatch", counts maps (genus, convention)
+    to the number of each, and consistency maps each convention to
+    whether the genus-2/genus-1 relation of km_f56_check holds on every
+    probed class of positive square.
     """
     conventions = ("full", "half")
-    pred_cache = {}
     counts = {(g, conv): {"match": 0, "mismatch": 0} for g in (1, 2) for conv in conventions}
     consistency = dict.fromkeys(conventions, True)
     verdicts = {}
+    groups = {}
     for coords, s, value in probes:
-        div = divisibility(as_vector(coords))
-        engine = {g: value_rule(g, 0, s, lambda: value)[0] for g in (1, 2)}
-        for g in (1, 2):
-            for conv in conventions:
-                key = (g, s, div, conv)
-                if key not in pred_cache:
-                    pred_cache[key] = km_fiber_prediction(g, coords, conv, order)
-                verdict = "match" if pred_cache[key] == engine[g] else "mismatch"
-                counts[(g, conv)][verdict] += 1
-                verdicts[(coords, g, conv)] = verdict
+        pair = (s, divisibility(as_vector(coords)))
+        groups.setdefault(pair, {}).setdefault(value, []).append(coords)
+    for (s, _), by_value in groups.items():
+        rep = next(iter(by_value.values()))[0]
+        pred = {(g, conv): km_fiber_prediction(g, rep, conv, order)
+                for g in (1, 2) for conv in conventions}
         if s > 0:
             for conv in conventions:
-                if pred_cache[(2, s, div, conv)] != _f56_rhs(pred_cache[(1, s, div, conv)], s):
+                if pred[(2, conv)] != _f56_rhs(pred[(1, conv)], s):
                     consistency[conv] = False
+        for value, members in by_value.items():
+            for g in (1, 2):
+                engine = value_rule(g, 0, s, lambda: value)[0]
+                for conv in conventions:
+                    verdict = "match" if pred[(g, conv)] == engine else "mismatch"
+                    counts[(g, conv)][verdict] += len(members)
+                    verdicts.update(((coords, g, conv), verdict) for coords in members)
     return verdicts, counts, consistency

@@ -9,11 +9,12 @@ gw_engine.ENGINE, the engine the production functions run, or from an
 independent oracle.
 
 Oracles are recomputed inside the runners from independent ingredients
-(sympy divisor sums, brute-force enumeration, the heterotic closed form,
-forward substitution) rather than read back from the modules under test
-wherever the checked statement is nontrivial.  Criterion 2 holds the
-engine's box values to the closed form's "full" index convention;
-criterion 9 compares both conventions and only reports.
+(trial-division divisor sums, brute-force enumeration, the heterotic
+closed form, forward substitution) rather than read back from the
+modules under test wherever the checked statement is nontrivial.
+Criterion 2 holds the engine's box values to the closed form's "full"
+index convention; criterion 9 compares both conventions and only
+reports.
 """
 
 from __future__ import annotations
@@ -46,16 +47,18 @@ class CriterionResult:
             self.number, self.name, status, self.seconds, self.budget, self.detail)
 
 
-# sympy is the independent oracle of criteria 1 and 4; it is imported
-# only here, so criteria that do not use it never load it
+# the divisor sums of criteria 1 and 4 by trial division over 1..n: an
+# oracle that shares no code with qseries.divisors, which stops at sqrt(n)
+def _divisors(n: int) -> list:
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
 def _sigma_minus1(n: int) -> Fraction:
-    import sympy
-    return sum(Fraction(1, d) for d in sympy.divisors(n))
+    return sum(Fraction(1, d) for d in _divisors(n))
 
 
 def _sigma1(n: int) -> int:
-    import sympy
-    return int(sympy.divisor_sigma(n, 1))
+    return sum(_divisors(n))
 
 
 ALL_CRITERIA = []
@@ -91,15 +94,14 @@ def _genus2_series(order):
     """(classes, series) for the square > 0 classes of the acceptance box:
     classes lists (coords, engine key), series maps each key to (square,
     <1>, [N_{2,(beta,d)} for d <= order]), by gw_engine.value_rule once
-    per key with <1> read from gw_engine.ENGINE."""
+    per key with <1> read from sweeps.genus1_box_rows."""
     classes = []
     series = {}
-    for coords, s, key in sweeps.box_classes(**BOX):
+    for coords, s, key, value in sweeps.genus1_box_rows(**BOX):
         if key is None or s <= 0:
             continue
         classes.append((coords, key))
         if key not in series:
-            value = gw_engine.ENGINE.class_value(coords[0], coords[1], coords[2:], key)
             series[key] = (s, value, [gw_engine.value_rule(2, d, s, lambda: value)[0]
                                       for d in range(order + 1)])
     return classes, series
@@ -108,8 +110,8 @@ def _genus2_series(order):
 @_criterion(1, "isotropic multiples", 1.0)
 def criterion_1():
     """Genus-1 invariants of isotropic multiples match the divisor-sum
-    closed form, recomputed here from sympy divisors, on the oracle and
-    on the production engine (N_{1,(beta,0)} = 4 <1>)."""
+    closed form, recomputed here by trial division, on the oracle and on
+    the production engine (N_{1,(beta,0)} = 4 <1>)."""
     root = _root_vector()
     rays = [lattice.basis_vector(1), lattice.basis_vector(2),
             lattice.as_vector((1, 1) + root)]
@@ -204,8 +206,9 @@ def criterion_3():
 
 @_criterion(4, "series anchors", 1.0)
 def criterion_4():
-    """Series anchors: E2 against sympy divisor sums, P1 = E2/12, the
-    printed P2 constant term, and a nonempty P2 discrepancy report."""
+    """Series anchors: E2 against divisor sums by trial division,
+    P1 = E2/12, the printed P2 constant term, and a nonempty P2
+    discrepancy report."""
     order = 30
     e2 = qseries.eisenstein(2, order)
     e2_ok = e2.coeff(0) == 1 and all(
@@ -322,8 +325,8 @@ def criterion_9():
     order = 16
 
     engine = gw_engine.ENGINE
-    probes = [(coords, s, engine.class_value(coords[0], coords[1], coords[2:], key))
-              for coords, s, key in sweeps.box_classes(**BOX) if s <= 12]
+    probes = [(coords, s, value)
+              for coords, s, _, value in sweeps.genus1_box_rows(**BOX) if s <= 12]
     for n in range(5, 11):
         for coords in ((n, 0) + (0,) * 8, (0, n) + (0,) * 8):
             probes.append((coords, 0, engine.class_value(coords[0], coords[1], coords[2:])))

@@ -70,7 +70,7 @@ evaluation on the stack, and nothing is scanned before it.
 
 The one production engine is ENGINE, defined here beside its class and
 re-exported by gw_engine: every entry point (invariant records, tables,
-box tables, the self-check and scripts) evaluates <1> on it.
+box rows, the self-check and scripts) evaluates <1> on it.
 
 The module also contains the decomposition agreement sweep of the
 acceptance checks, which holds the engine's own cell scan against brute
@@ -389,13 +389,13 @@ ENGINE = FiberSweepEngine()
 
 
 def box_slices(max_b1, max_b2, norm_bound):
-    """The coordinate box of box_classes as (parts, slices), one walk
-    that box_classes and the table share.  `parts` lists the E8 parts of
-    norm <= norm_bound as tuples in lexicographic order.  `slices` yields
-    the (b1, b2) slices of the box in lexicographic order, each as
-    (b1, b2, cols, squares, keys): the slice object picking its classes'
-    E8 parts out of `parts`, the list of their squares and an iterable of
-    their engine keys.  A slice with b2 = 0 is the one class b1*v1,
+    """The coordinate box of genus1_box_rows as (parts, slices), one
+    walk that genus1_box_rows and the table share.  `parts` lists the E8
+    parts of norm <= norm_bound as tuples in lexicographic order.
+    `slices` yields the (b1, b2) slices of the box in lexicographic
+    order, each as (b1, b2, cols, squares, keys): the slice object
+    picking its classes' E8 parts out of `parts`, the list of their
+    squares and an iterable of their engine keys.  A slice with b2 = 0 is the one class b1*v1,
     1 <= b1 <= max_b1, with key None; a slice with b2 >= 1 holds every
     part, with key None where the square is negative, and makes its keys
     one at a time, so no slice holds a list of them.  The parts are
@@ -422,43 +422,25 @@ def box_slices(max_b1, max_b2, norm_bound):
     return parts, slices()
 
 
-def box_classes(max_b1, max_b2, norm_bound):
-    """Every class of the coordinate box in lexicographic order, as
-    (coords, square, key): n*v1 for 1 <= n <= max_b1, and (b1, b2, e)
-    with 0 <= b1 <= max_b1, 1 <= b2 <= max_b2, e a short vector of norm
-    <= norm_bound.  `key` is the engine key of the class, or None when
-    b2 = 0 or the square is negative.  The classes are read off
-    box_slices."""
-    parts, slices = box_slices(max_b1, max_b2, norm_bound)
-    for b1, b2, cols, squares, keys in slices:
-        for e, s, key in zip(parts[cols], squares, keys):
-            yield (b1, b2) + e, s, key
-
-
 def box_class_count(max_b1, max_b2, norm_bound):
-    """The number of classes box_classes yields, without building a ball."""
+    """The number of classes of genus1_box_rows, without building a ball."""
     n_parts = sum(theta_shells(norm_bound))
     return max_b1 + (max_b1 + 1) * max_b2 * n_parts
 
 
 def genus1_box_rows(max_b1, max_b2, norm_bound, engine=ENGINE):
-    """(coords, square, key, <1>) for every class of box_classes, in its
-    order, with <1> evaluated on `engine` (the process-wide ENGINE by
-    default) and 0 where the square is negative."""
-    for coords, s, key in box_classes(max_b1, max_b2, norm_bound):
-        if s < 0:
-            yield coords, s, key, Fraction(0)
-        else:
-            yield coords, s, key, engine.class_value(coords[0], coords[1], coords[2:], key)
-
-
-def genus1_box_table(max_b1=4, max_b2=4, norm_bound=4, engine=ENGINE):
-    """<1> for every positive class in the coordinate box of box_classes,
-    as a dict from 10-tuples of coordinates to the exact values of
-    genus1_box_rows, in lexicographic order.
-    """
-    return {coords: value for coords, _, _, value in
-            genus1_box_rows(max_b1, max_b2, norm_bound, engine)}
+    """(coords, square, key, <1>) for every class of the coordinate box,
+    read off box_slices in its lexicographic order: n*v1 for
+    1 <= n <= max_b1, and (b1, b2, e) with 0 <= b1 <= max_b1,
+    1 <= b2 <= max_b2, e a short vector of norm <= norm_bound.  `key` is
+    the engine key of the class, or None when b2 = 0 or the square is
+    negative; <1> is evaluated on `engine` (the process-wide ENGINE by
+    default), and is 0 where the square is negative."""
+    parts, slices = box_slices(max_b1, max_b2, norm_bound)
+    for b1, b2, cols, squares, keys in slices:
+        for e, s, key in zip(parts[cols], squares, keys):
+            value = Fraction(0) if s < 0 else engine.class_value(b1, b2, e, key)
+            yield (b1, b2) + e, s, key, value
 
 
 # -- brute-force vs engine-scan decomposition agreement -----------------

@@ -62,7 +62,7 @@ def test_criterion_2_report(results):
 
 
 def test_criterion_2_fails_on_one_wrong_box_value(monkeypatch):
-    # genus1_box_table binds ENGINE as its default engine when it is
+    # genus1_box_rows binds ENGINE as its default engine when it is
     # defined, so the engine's answer is changed on its class instead: one
     # keyed class outside the recursion sample is off by one
     off = (4, 4) + (0,) * 8

@@ -395,10 +395,25 @@ def test_table_isotropic_ray_rows_follow_the_multiplicity(capsys):
 def test_cli_import_leaves_sympy_unloaded():
     src = os.path.dirname(os.path.dirname(os.path.abspath(enriques_gw.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, enriques_gw.cli; print('sympy' in sys.modules)"
+    code = ("import sys, enriques_gw.cli\n"
+            "print([m for m in ('sympy', 'enriques_gw.selfcheck') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
+
+
+def test_selfcheck_divisor_sum_criteria_leave_sympy_unloaded():
+    # criteria 1 and 4 take their divisor sums by trial division, so the
+    # self-check runs without sympy
+    src = os.path.dirname(os.path.dirname(os.path.abspath(enriques_gw.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys\n"
+            "from enriques_gw import cli\n"
+            "code = cli.main(['selfcheck', '--only', '1,4'])\n"
+            "print(code, 'sympy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-2:] == ["2/2 criteria passed", "0 False"]
 
 
 @pytest.mark.parametrize("b1,b2", [(1, 3000), (3000, 1), (1, 4096)])
@@ -636,7 +651,7 @@ def test_selfcheck_only_without_a_criterion_is_a_usage_error(capsys, monkeypatch
     def refuse(numbers):
         raise AssertionError("ran criteria %r" % (numbers,))
 
-    monkeypatch.setattr(cli.selfcheck, "run_all", refuse)
+    monkeypatch.setattr("enriques_gw.selfcheck.run_all", refuse)
     assert run(capsys, "selfcheck", "--only", only) == (
         1, "", "selfcheck: --only takes criterion numbers 1..9, not %r\n" % only)
 

@@ -21,6 +21,7 @@ ABSENT = {
     "sweeps.orbit_labels",
     "sweeps.agreement.oracle",
     "sweeps.agreement.optimized",
+    "sweeps.box_table",
     "cli.emit",
 }
 

@@ -29,9 +29,9 @@ from enriques_gw.sweeps import (
     FiberSweepEngine,
     alcove_points,
     box_class_count,
-    box_classes,
+    box_slices,
     decomposition_agreement,
-    genus1_box_table,
+    genus1_box_rows,
     orbit_ids,
     pack_rows,
 )
@@ -120,11 +120,11 @@ def _full_prediction(coords):
 
 
 def test_engine_box_table_matches_the_full_prediction():
-    table = genus1_box_table(3, 3, 2, engine=FiberSweepEngine())
-    keyed = [coords for coords, _, key in box_classes(3, 3, 2) if key is not None]
+    keyed = [(coords, value) for coords, _, key, value in
+             genus1_box_rows(3, 3, 2, engine=FiberSweepEngine()) if key is not None]
     assert len(keyed) == 3 + 3 * 3 * 241
-    for coords in keyed:
-        assert table[coords] == _full_prediction(coords), coords
+    for coords, value in keyed:
+        assert value == _full_prediction(coords), coords
     # the engine has one scan: the oracle-scan mode is gone
     FiberSweepEngine("optimized")
     for scan in ("oracle", "fast"):
@@ -375,7 +375,8 @@ def test_genus2_core_matches_engine_module():
 
 @pytest.mark.parametrize("box", [(0, 0, 0), (3, 0, 2), (0, 3, 2), (2, 3, 4), (1, 1, 0)])
 def test_box_class_count_counts_box_classes(box):
-    assert box_class_count(*box) == sum(1 for _ in box_classes(*box))
+    parts, slices = box_slices(*box)
+    assert box_class_count(*box) == sum(len(parts[cols]) for _, _, cols, _, _ in slices)
 
 
 def test_engine_refuses_a_class_past_the_cell_cap_before_its_ball(monkeypatch):
@@ -396,10 +397,12 @@ def test_engine_refuses_a_class_past_the_cell_cap_before_its_ball(monkeypatch):
 ])
 def test_engine_values_and_evaluation_counts_are_pinned(b1, b2, e, digest, evals):
     # deep classes: the SHA-256 prefix of str(<1>) and the evaluations a
-    # fresh engine makes for it, chains (b1 = 1 or b2 = 1) among them
+    # fresh engine makes for it, chains (b1 = 1 or b2 = 1) among them,
+    # and the heterotic closed form, which shares no code with the engine
     eng = FiberSweepEngine()
     value = eng.class_value(b1, b2, e)
     assert (hashlib.sha256(str(value).encode()).hexdigest()[:8], eng.evals) == (digest, evals)
+    assert value == _full_prediction((b1, b2) + e)
 
 
 def test_engine_evaluation_does_not_use_the_interpreter_stack():
@@ -443,9 +446,10 @@ def test_the_caps_checked_at_the_entry_hold_for_every_evaluation(monkeypatch, b1
 
 
 def test_box_table_covers_expected_classes():
-    assert inspect.signature(genus1_box_table).parameters["engine"].default is gw_engine.ENGINE
+    assert inspect.signature(genus1_box_rows).parameters["engine"].default is gw_engine.ENGINE
     eng = FiberSweepEngine()
-    table = genus1_box_table(max_b1=2, max_b2=2, norm_bound=2, engine=eng)
+    table = {coords: value for coords, _, _, value in
+             genus1_box_rows(max_b1=2, max_b2=2, norm_bound=2, engine=eng)}
     vecs, _ = short_vector_table(2)
     assert len(table) == 2 + 3 * 2 * len(vecs)
     assert table[(1, 0) + ZERO8] == 2
@@ -702,15 +706,13 @@ def test_b2_one_slice_with_a_norm_30_part_matches_the_eta_quotient():
 
 
 def test_acceptance_box_keys_match_the_full_prediction():
-    eng = FiberSweepEngine()
     keys = {}
-    for coords, s, key in box_classes(4, 4, 4):
+    for coords, s, key, value in genus1_box_rows(4, 4, 4, engine=FiberSweepEngine()):
         if key is not None and s > 0:
-            keys.setdefault(key, coords)
+            keys.setdefault(key, (coords, value))
     assert len(keys) == 39
-    for key, coords in keys.items():
-        want = km_fiber_prediction(1, coords, "full") / 4
-        assert eng.class_value(coords[0], coords[1], coords[2:], key=key) == want, coords
+    for coords, value in keys.values():
+        assert value == km_fiber_prediction(1, coords, "full") / 4, coords
 
 
 @pytest.mark.parametrize("coords", [(6, 6) + ZERO8, (5, 7, 1) + ZERO8[1:], (1, 100) + ZERO8])
