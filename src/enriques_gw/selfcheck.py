@@ -145,26 +145,30 @@ def criterion_2():
     enumerate_decompositions equals the box oracle on the sample and on
     every class whose decompositions it read."""
     report = sweeps.decomposition_agreement(**BOX)
+    v1 = (1, 1) + (0,) * 8
+    v2 = (2, 1) + (0,) * 8
+    root = _root_vector()
+    sample = dict.fromkeys([v1, v2, (1, 2) + (0,) * 8, (1, 1) + root, (2, 2) + root])
     # the closed form depends on the square and the divisibility alone:
-    # one prediction per pair, at the first class met with it
-    table, closed_form, keyed, off = {}, {}, 0, []
+    # one prediction per pair, at the first class met with it, compared
+    # as (numerator, denominator)
+    closed_form, keyed, off = {}, 0, []
     for c, s, key, value in sweeps.genus1_box_rows(**BOX):
-        table[c] = value
+        if c in sample:
+            sample[c] = value
         if key is None:
             continue
         keyed += 1
         pair = (s, math.gcd(*c))
-        if pair not in closed_form:
-            closed_form[pair] = km_model.km_fiber_prediction(1, c, "full") / 4
-        if value != closed_form[pair]:
+        want = closed_form.get(pair)
+        if want is None:
+            f = km_model.km_fiber_prediction(1, c, "full") / 4
+            want = closed_form[pair] = (f.numerator, f.denominator)
+        if (value.numerator, value.denominator) != want:
             off.append(c)
-    v1 = (1, 1) + (0,) * 8
-    v2 = (2, 1) + (0,) * 8
-    spots_ok = table[v1] == Fraction(32) and table[v2] == Fraction(288)
-    root = _root_vector()
-    sample = [v1, v2, (1, 2) + (0,) * 8, (1, 1) + root, (2, 2) + root]
+    spots_ok = sample[v1] == Fraction(32) and sample[v2] == Fraction(288)
     memo = {}
-    values_ok = all(gw_engine.enriques_genus1(c, memo=memo) == table[c] for c in sample)
+    values_ok = all(gw_engine.enriques_genus1(c, memo=memo) == v for c, v in sample.items())
     read = set(sample).union(c for c in memo if lattice.square(lattice.as_vector(c)) > 0)
     sample_ok = values_ok and all(
         lattice.enumerate_decompositions(c) == lattice.decompositions_box_oracle(c)

@@ -37,7 +37,10 @@ thousands of decompositions).  Two observations make full boxes cheap:
     over the lattice points e1 of the ball of norm r1 = 2 b1' b2' around
     0, keeping those with <e - e1, e - e1> <= r2 = 2 (b1 - b1') (b2 - b2').
     Grouping each cell's candidates by the keys of their parts leaves
-    only a handful of exact Fraction multiplications per cell.  Each cell
+    only a handful of products per cell, of integers: an evaluation sums
+    one numerator per denominator of its parts' values and forms one
+    exact Fraction at the end.  Its cells are scanned first, and their
+    part rows are named in one orbit_ids call per modulus.  Each cell
     forms, over the rows it reads, the distances
     <e - a, e - a> = <e,e> + <a,a> - 2 a.Ce to the class E8 part e, from
     the rows' norms and the 8-vector Ce.
@@ -57,7 +60,9 @@ thousands of decompositions).  Two observations make full boxes cheap:
     cell (b1 - b1', b2 - b2') holds the candidates of (b1', b2') with the
     parts, so r1 and r2, swapped: FiberSweepEngine.cells reads one cell
     of each mirror pair, the one with the smaller ball.  A cell with
-    b1' b2' = 0 has a radius-zero ball, keyed without a scan.
+    b1' b2' = 0 has a radius-zero ball, keyed without a scan: its
+    complement keeps the E8 part, whose name per modulus is kept in a
+    memo bounded like the residue memo.
 
 The parts of a class are evaluated before it, depth first, on an
 explicit stack of generators (FiberSweepEngine._value), so no chain of
@@ -88,6 +93,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -120,8 +126,8 @@ _ALPHA1 = _ROOTS2[0]
 # most recursion cells b1 * b2 of a class the engine evaluates.  The ball
 # cap already bounds the classes with b1, b2 >= 2 (at most 75 cells, 3,25);
 # this bounds the chains, b1 = 1 or b2 = 1, whose cells are all radius-zero
-# and whose work grows faster than b1 b2: 1,495 answers in about 2 s,
-# 1,1000 took 7 s
+# and whose work grows faster than b1 b2: 1,495 answers in about 0.6 s,
+# 1,1000 took 2.4 s
 _MAX_CELLS = 495
 
 # one int64 row as 64 bytes: a residue row, or a canonical point
@@ -131,6 +137,9 @@ _ORBITS = {}
 # entries a modulus' residue memo may hold before it is cleared (about
 # 232 bytes an entry); table-g1-deep's largest holds 2,701
 _ORBIT_MEMO_ENTRIES = 1 << 16
+# (modulus, dominant E8 part) -> orbit name, for the complements of the
+# radius-zero cells; cleared at _ORBIT_MEMO_ENTRIES entries like _ORBITS
+_ZERO_NAMES = {}
 
 
 @lru_cache(maxsize=1024)
@@ -260,8 +269,9 @@ class FiberSweepEngine:
         """<1> of the class (b1, b2, e) with key (b2, s, name).  A miss is
         checked against the caps once, then evaluated on an explicit stack
         of _eval generators: each yields the (key, b1, e) of a part it
-        needs, and a part missing from `values` is evaluated on top of it,
-        depth first, before the evaluation that needs it reads on."""
+        needs that is missing from `values`, and the part is evaluated on
+        top of it, depth first, before the evaluation that needs it reads
+        on."""
         got = self.values.get(key)
         if got is not None:
             return got
@@ -282,9 +292,8 @@ class FiberSweepEngine:
                 stack.pop()
                 got = done.value
                 continue
-            got = self.values.get(part[0])
-            if got is None:
-                stack.append(self._eval(*part))
+            stack.append(self._eval(*part))
+            got = None
         return got
 
     @staticmethod
@@ -308,53 +317,88 @@ class FiberSweepEngine:
         return max((2 * b1p * b2p for b1p, b2p, _ in self.cells(b1, b2)), default=0)
 
     def _eval(self, key, b1, e):
-        """Generator of one evaluation, run by _value: it yields the
-        (key, b1, e) of each part it reads and is sent the part's value;
-        it stores and returns the class value."""
+        """Generator of one evaluation, run by _value: it reads each part
+        it needs from `values`, yields the (key, b1, e) of a part missing
+        there and is sent the part's value; it stores and returns the
+        class value.  The sum runs in integers, one numerator per
+        denominator, and the value is one Fraction."""
         b2, s, _ = key
         self.evals += 1
         if s == 0:
             value = isotropic_genus1(math.gcd(b1, b2, *(abs(x) for x in e)))
             self.values[key] = value
             return value
+        values = self.values
+        sums = {}  # denominator -> numerator of the sum over the cells
         # scan around the dominant W(E8)-conjugate of e (see _scan_cell);
         # it keeps the key, as orbit names are W-invariant
         e = dominant(e)
         earr = np.asarray(e, dtype=np.int64)
-        total = Fraction(0)
+        scanned = []
         for b1p, b2p, weight in self.cells(b1, b2):
             m2 = b2 - b2p
-            if b1p * b2p == 0:
-                # a radius-zero ball holds only 0: the part is (b1' + b2')
-                # times v1 or v2, and its complement keeps the E8 part
-                pairing = b1p * m2 + b2p * (b1 - b1p)
-                s2 = s - 2 * pairing
-                if s2 >= 0:
-                    v2 = yield self.key_for(m2, s2, e), b1 - b1p, e
-                    total += weight * isotropic_genus1(b1p + b2p) * v2 * pairing
+            if b1p * b2p:
+                scanned.append((b1p, b2p, weight))
                 continue
+            # a radius-zero ball holds only 0: the part is (b1' + b2')
+            # times v1 or v2, and its complement keeps the E8 part
+            pairing = b1p * m2 + b2p * (b1 - b1p)
+            s2 = s - 2 * pairing
+            if s2 < 0:
+                continue
+            name = _ZERO_NAMES.get((m2, e))
+            if name is None:
+                if len(_ZERO_NAMES) >= _ORBIT_MEMO_ENTRIES:
+                    _ZERO_NAMES.clear()
+                name = _ZERO_NAMES[m2, e] = orbit_ids(m2, earr)[0]
+            k2 = (m2, s2, name)
+            v2 = values.get(k2)
+            if v2 is None:
+                v2 = yield k2, b1 - b1p, e
+            iso = isotropic_genus1(b1p + b2p)
+            d = iso.denominator * v2.denominator
+            sums[d] = sums.get(d, 0) + weight * pairing * iso.numerator * v2.numerator
+        # scan every other cell, then name the rows of each modulus, e1 of
+        # modulus b2' and e2 of b2 - b2', in one orbit_ids call
+        cells, rows = [], {}
+        for b1p, b2p, weight in scanned:
             got = self._scan_cell(earr, b1, b2, b1p, b2p)
-            if got is None:
-                continue
-            e1, e2, s1, s2, w = got
+            if got is not None:
+                cells.append((b1p, b2p, weight) + got)
+                rows.setdefault(b2p, []).append(got[0])
+                rows.setdefault(b2 - b2p, []).append(got[1])
+        named = {m: iter(orbit_ids(m, np.concatenate(r))) for m, r in rows.items()}
+        for b1p, b2p, weight, e1, e2, s1, s2, w in cells:
+            m2 = b2 - b2p
+            # each cell's names, taken in the order its rows were batched
+            # (e1 then e2, which share one iterator when b2' = b2 - b2')
+            n1 = list(islice(named[b2p], len(e1)))
+            n2 = list(islice(named[m2], len(e2)))
             # part keys -> [first row, summed weight], in the order met
             groups = {}
-            parts = zip(s1.tolist(), orbit_ids(b2p, e1), s2.tolist(), orbit_ids(m2, e2))
-            for i, (part, cnt) in enumerate(zip(parts, w.tolist())):
-                groups.setdefault(part, [i, 0])[1] += cnt
+            for i, part in enumerate(zip(s1.tolist(), n1, s2.tolist(), n2, w.tolist())):
+                groups.setdefault(part[:4], [i, 0])[1] += part[4]
             for (sa, na, sb, nb), (fi, cnt) in groups.items():
                 fac = (s - sa - sb) // 2
                 if fac == 0:
                     continue
-                va = yield (b2p, sa, na), b1p, tuple(e1[fi].tolist())
+                ka = (b2p, sa, na)
+                va = values.get(ka)
+                if va is None:
+                    va = yield ka, b1p, tuple(e1[fi].tolist())
                 if not va:
                     continue
-                vb = yield (m2, sb, nb), b1 - b1p, tuple(e2[fi].tolist())
+                kb = (m2, sb, nb)
+                vb = values.get(kb)
+                if vb is None:
+                    vb = yield kb, b1 - b1p, tuple(e2[fi].tolist())
                 if not vb:
                     continue
-                total += weight * cnt * va * vb * fac
-        value = Fraction(8, s) * total
-        self.values[key] = value
+                d = va.denominator * vb.denominator
+                sums[d] = sums.get(d, 0) + weight * cnt * fac * va.numerator * vb.numerator
+        den = math.lcm(*sums)
+        value = Fraction(8 * sum(n * (den // d) for d, n in sums.items()), s * den)
+        values[key] = value
         return value
 
     def _scan_cell(self, earr, b1, b2, b1p, b2p):
@@ -484,14 +528,15 @@ def decomposition_agreement(max_b1=4, max_b2=4, norm_bound=4):
     size.  Both sides read a shape off its smaller ball, as _eval does:
     for r1 > r2, f -> t - f maps the f of the r1 ball with
     <t - f, t - f> <= r2 onto the candidates of the mirror shape (r2, r1),
-    with the part squares swapped, so no ball past norm min(r1, r2) is
-    built.  Brute force walks the whole smaller ball
+    with the part squares swapped, so a shape with r1 > r2 takes the
+    survivors and the verdict of its mirror, and no ball past norm
+    min(r1, r2) is built.  Brute force walks the whole smaller ball
     (_brute_force_histogram); ENGINE._scan_cell scans one cell of the
-    shape, or for r1 > r2 its mirror cell (radius-zero ones too, which
-    _eval keys without a scan).  A shape agrees when both give each
-    part-square pair the same weight.  Cells with an n*v1 part admit at
-    most one candidate, kept when the complement square is nonnegative;
-    these are counted analytically.  Returns a report dict.
+    shape (radius-zero ones too, which _eval keys without a scan).  A
+    shape agrees when both give each part-square pair the same weight.
+    Cells with an n*v1 part admit at most one candidate, kept when the
+    complement square is nonnegative; these are counted analytically.
+    Returns a report dict.
     """
     reps, rep_norms, t_weights = orbit_representatives(norm_bound, tuple(range(8)))
     cell_shapes = {}
@@ -505,18 +550,21 @@ def decomposition_agreement(max_b1=4, max_b2=4, norm_bound=4):
     mismatches = []
     total_pairs = 0
     per_shape = {}
+    mirrored = {}  # (r1, r2) with r1 <= r2 -> (survivors, agree)
     for (r1, r2), cells in sorted(cell_shapes.items()):
-        brute, n_surv = _brute_force_histogram(min(r1, r2), max(r1, r2),
-                                               reps, rep_norms, t_weights)
-        b1, b2, b1p, b2p = cells[0]
         if r1 > r2:
-            b1p, b2p = b1 - b1p, b2 - b2p
-        scanned = {}
-        for j, weight in enumerate(t_weights):
-            got = ENGINE._scan_cell(reps[j], b1, b2, b1p, b2p)
-            if got is not None:
-                _add_histogram(scanned, got[2], got[3], weight * got[4])
-        agree = brute == scanned
+            # read off the same ball and cell as (r2, r1), sorted before it
+            n_surv, agree = mirrored[r2, r1]
+        else:
+            brute, n_surv = _brute_force_histogram(r1, r2, reps, rep_norms, t_weights)
+            b1, b2, b1p, b2p = cells[0]
+            scanned = {}
+            for j, weight in enumerate(t_weights):
+                got = ENGINE._scan_cell(reps[j], b1, b2, b1p, b2p)
+                if got is not None:
+                    _add_histogram(scanned, got[2], got[3], weight * got[4])
+            agree = brute == scanned
+            mirrored[r1, r2] = n_surv, agree
         if not agree:
             mismatches.append({"shape": (r1, r2), "cells": cells})
         total_pairs += n_surv * len(cells)

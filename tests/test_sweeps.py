@@ -388,13 +388,16 @@ def test_engine_refuses_a_class_past_the_cell_cap_before_its_ball(monkeypatch):
         FiberSweepEngine().class_value(1, 496, ZERO8)
 
 
-@pytest.mark.parametrize("b1,b2,e,digest,evals", [
+PINNED = [
     (2, 16, ZERO8, "e1244f58", 124),
     (5, 7, ROOT, "f506a006", 153),
     (2, 24, ROOT, "a356bda3", 350),
     (1, 100, ZERO8, "29c5b915", 200),
     (100, 1, ZERO8, "29c5b915", 101),
-])
+]
+
+
+@pytest.mark.parametrize("b1,b2,e,digest,evals", PINNED)
 def test_engine_values_and_evaluation_counts_are_pinned(b1, b2, e, digest, evals):
     # deep classes: the SHA-256 prefix of str(<1>) and the evaluations a
     # fresh engine makes for it, chains (b1 = 1 or b2 = 1) among them,
@@ -403,6 +406,71 @@ def test_engine_values_and_evaluation_counts_are_pinned(b1, b2, e, digest, evals
     value = eng.class_value(b1, b2, e)
     assert (hashlib.sha256(str(value).encode()).hexdigest()[:8], eng.evals) == (digest, evals)
     assert value == _full_prediction((b1, b2) + e)
+
+
+@pytest.mark.parametrize("b1,b2,e,digest,evals", PINNED)
+def test_engine_yields_only_parts_missing_from_the_cache(monkeypatch, b1, b2, e, digest, evals):
+    # _eval reads cached parts itself: every part it yields is a miss, so
+    # a fresh engine yields one part per evaluation below the class asked
+    yielded = []
+    evaluate = FiberSweepEngine._eval
+
+    def spy(self, key, part_b1, part_e):
+        gen = evaluate(self, key, part_b1, part_e)
+        got = None
+        while True:
+            try:
+                part = gen.send(got)
+            except StopIteration as done:
+                return done.value
+            yielded.append(part[0] not in self.values)
+            got = yield part
+
+    monkeypatch.setattr(FiberSweepEngine, "_eval", spy)
+    eng = FiberSweepEngine()
+    value = eng.class_value(b1, b2, e)
+    assert hashlib.sha256(str(value).encode()).hexdigest()[:8] == digest
+    assert (len(yielded), eng.evals) == (evals - 1, evals)
+    assert all(yielded)
+
+
+def test_a_radius_zero_name_cache_cleared_at_its_bound_changes_nothing(monkeypatch, capsys):
+    # with both memos bounded at 8 entries they are cleared over and over,
+    # and the table, a long chain's value and its evaluations stay
+    from enriques_gw import cli
+
+    monkeypatch.setattr(sweeps, "_ORBIT_MEMO_ENTRIES", 8)
+    monkeypatch.setattr(sweeps, "_ORBITS", {})
+    monkeypatch.setattr(sweeps, "_ZERO_NAMES", {})
+    sizes = []
+    names = sweeps._ZERO_NAMES
+    keyed = sweeps.orbit_ids
+
+    def spy(m, e_arr):
+        sizes.append(len(names))
+        return keyed(m, e_arr)
+
+    monkeypatch.setattr(sweeps, "orbit_ids", spy)
+    monkeypatch.setattr(cli, "ENGINE", FiberSweepEngine())
+    assert cli.main(["table", "--genus", "1", "--max-b1", "6", "--max-b2", "6",
+                     "--max-e8-norm", "4", "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "f19ccde1853ae2652dc1afd5d05bb40061ebea73967da89101b88d2b5147b8ae")
+    eng = FiberSweepEngine()
+    value = eng.class_value(1, 300, ZERO8)
+    assert (hashlib.sha256(str(value).encode()).hexdigest()[:8], eng.evals) == ("3ade5b73", 600)
+    assert max(sizes) == 8 and sizes.count(8) > 10 and len(names) <= 8
+
+
+def test_self_mirror_moduli_match_the_recursion():
+    # the cell (b1/2, b2/2) names its parts e1 and e2 in one orbit_ids call
+    # of modulus b2/2, read back in order; the oracle is the per-class
+    # recursion
+    memo = {}
+    for b1, b2, e in [(2, 2, ROOT), (2, 4, ROOT), (2, 4, ZERO8), (2, 6, ZERO8)]:
+        want = gw_engine.enriques_genus1(as_vector(b1, b2, e), memo=memo)
+        assert FiberSweepEngine().class_value(b1, b2, e) == want, (b1, b2, e)
 
 
 def test_engine_evaluation_does_not_use_the_interpreter_stack():
@@ -559,6 +627,29 @@ def test_agreement_survivors_are_symmetric_in_the_cell_shape():
     assert any(a < b for a, b in shapes)
     for (a, b), v in shapes.items():
         assert v["survivors"] == shapes[(b, a)]["survivors"], (a, b)
+
+
+def test_agreement_computes_each_mirror_pair_of_shapes_once(monkeypatch):
+    # a shape (r1, r2) with r1 > r2 reads the ball and the cell of (r2, r1)
+    # and takes its result: one brute-force walk and one scan per pair
+    walked, scanned = [], []
+    brute, scan_cell = sweeps._brute_force_histogram, FiberSweepEngine._scan_cell
+
+    def walk(r, r_far, *args):
+        walked.append((r, r_far))
+        return brute(r, r_far, *args)
+
+    def scan(self, earr, b1, b2, b1p, b2p):
+        scanned.append((2 * b1p * b2p, 2 * (b1 - b1p) * (b2 - b2p)))
+        return scan_cell(self, earr, b1, b2, b1p, b2p)
+
+    monkeypatch.setattr(sweeps, "_brute_force_histogram", walk)
+    monkeypatch.setattr(FiberSweepEngine, "_scan_cell", scan)
+    per_shape = decomposition_agreement(max_b1=3, max_b2=3, norm_bound=2)["per_shape"]
+    shapes = {tuple(int(x) for x in k.strip("()").split(",")) for k in per_shape}
+    assert sorted(walked) == sorted({(a, b) for a, b in shapes if a <= b})
+    assert len(walked) < len(shapes)
+    assert set(scanned) == set(walked)
 
 
 def test_decomposition_agreement_small_box():
