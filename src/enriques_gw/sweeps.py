@@ -334,6 +334,8 @@ class FiberSweepEngine:
         # it keeps the key, as orbit names are W-invariant
         e = dominant(e)
         earr = np.asarray(e, dtype=np.int64)
+        # the radius-zero cells are read first, so that no scan is held
+        # while their complements, the longest chains, are evaluated
         scanned = []
         for b1p, b2p, weight in self.cells(b1, b2):
             m2 = b2 - b2p
