@@ -28,10 +28,10 @@ thousands of decompositions).  Two observations make full boxes cheap:
     sorting absolute values, so a batch of rows is reduced with a few
     vectorized rounds.  That point, as 64 bytes, is the orbit's name in
     every key.  orbit_ids reduces each residue row mod m once and keeps
-    its name in a per-modulus residue memo; the rows of a batch new to it
-    are reduced together, and one class is keyed as a batch of one row.
-    The memo grows with what is keyed, up to a fixed entry bound past
-    which it is cleared (see orbit_ids); clearing it changes no name.
+    its name in one memo for all moduli; the rows of a batch new to it,
+    of one modulus or one a row, are reduced together, and one class is
+    keyed as a batch of one row.  The memo is cleared past one entry
+    bound for all moduli together (see orbit_ids); that changes no name.
 
 2.  The decomposition sum itself is, cell by cell in (b1', b2'), a scan
     over the lattice points e1 of the ball of norm r1 = 2 b1' b2' around
@@ -39,8 +39,8 @@ thousands of decompositions).  Two observations make full boxes cheap:
     Grouping each cell's candidates by the keys of their parts leaves
     only a handful of products per cell, of integers: an evaluation sums
     one numerator per denominator of its parts' values and forms one
-    exact Fraction at the end.  Its cells are scanned first, and their
-    part rows are named in one orbit_ids call per modulus.  Each cell
+    exact Fraction at the end.  Its cells are scanned first, and all their
+    part rows are named in one orbit_ids call, read back by offset.  Each cell
     forms, over the rows it reads, the distances
     <e - a, e - a> = <e,e> + <a,a> - 2 a.Ce to the class E8 part e, from
     the rows' norms and the 8-vector Ce.
@@ -61,8 +61,8 @@ thousands of decompositions).  Two observations make full boxes cheap:
     parts, so r1 and r2, swapped: FiberSweepEngine.cells reads one cell
     of each mirror pair, the one with the smaller ball.  A cell with
     b1' b2' = 0 has a radius-zero ball, keyed without a scan: its
-    complement keeps the E8 part, whose name per modulus is kept in a
-    memo bounded like the residue memo.
+    complement keeps the E8 part, and takes the class's name if b2' = 0;
+    the other complements are named together in one orbit_ids call.
 
 The parts of a class are evaluated before it, depth first, on an
 explicit stack of generators (FiberSweepEngine._value), so no chain of
@@ -93,7 +93,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 
 import numpy as np
 
@@ -130,16 +129,14 @@ _ALPHA1 = _ROOTS2[0]
 # 1,1000 took 2.4 s
 _MAX_CELLS = 495
 
-# one int64 row as 64 bytes: a residue row, or a canonical point
+# a canonical point as 64 bytes; a modulus and a residue row as 72 bytes
 _ROW_BYTES = np.dtype((np.void, 64))
-# modulus -> {residue row bytes: canonical point bytes}
+_KEY_BYTES = np.dtype((np.void, 72))
+# (modulus, residue row) bytes -> canonical point bytes, for every modulus
 _ORBITS = {}
-# entries a modulus' residue memo may hold before it is cleared (about
-# 232 bytes an entry); table-g1-deep's largest holds 2,701
+# entries the memo may hold, over all moduli, before it is cleared: at
+# most about 15 MB, 242 bytes an entry if no two share an orbit
 _ORBIT_MEMO_ENTRIES = 1 << 16
-# (modulus, dominant E8 part) -> orbit name, for the complements of the
-# radius-zero cells; cleared at _ORBIT_MEMO_ENTRIES entries like _ORBITS
-_ZERO_NAMES = {}
 
 
 @lru_cache(maxsize=1024)
@@ -159,9 +156,9 @@ def alcove_points(e_arr, m):
     e_arr (E8 coordinates), in doubled orthonormal coordinates: the one
     point of each orbit in the closed fundamental alcove scaled by m,
     i.e. dominant with <x, theta> <= m for the highest root
-    theta = e7 + e8."""
-    h = m // 2
-    y = (np.mod(np.asarray(e_arr, dtype=np.int64) + h, m) - h) @ _ROOTS2
+    theta = e7 + e8.  m is one modulus, or one modulus per row."""
+    m = np.broadcast_to(m, len(e_arr))[:, None]
+    y = (np.mod(np.asarray(e_arr, dtype=np.int64) + m // 2, m) - m // 2) @ _ROOTS2
     out = np.empty_like(y)
     rows = np.arange(len(y))
     while len(rows):
@@ -176,7 +173,7 @@ def alcove_points(e_arr, m):
         neg = p < 0
         y[neg] -= (p[neg] // 4)[:, None] * _ALPHA1
         # affine reflection x -> x - (<x, theta> - m) theta
-        over = (y[:, 6] + y[:, 7]) // 2 - m
+        over = (y[:, 6] + y[:, 7]) // 2 - m[rows, 0]
         far = over > 0
         y[far, 6:] -= 2 * over[far, None]
         done = ~(neg | far)
@@ -188,29 +185,32 @@ def alcove_points(e_arr, m):
 
 def orbit_ids(m, e_arr):
     """Names of the orbits of the E8 coordinate rows of e_arr under
-    W x| m*Q, i.e. of their residues mod m under the reflection group: a
-    list of one 64-byte string per row, the int64 bytes of the orbit's
-    canonical point (alcove_points).  The modulus' residue memo holds the
-    name of every residue row keyed before; the rows new to it are reduced
-    in one alcove_points call, and the residues of one orbit among them
-    share one name object.  The memo grows by one entry per distinct
-    residue row keyed; when adding a call's new rows would take it past
-    _ORBIT_MEMO_ENTRIES (65,536) entries, it is cleared first and the
-    call's rows are reduced afresh.  A name is the canonical point, so
-    clearing changes none."""
-    res = np.mod(np.asarray(e_arr, dtype=np.int64, order="C").reshape(-1, 8), m)
-    names = _ORBITS.setdefault(m, {})
-    rows = res.view(_ROW_BYTES).ravel().tolist()
-    new = dict.fromkeys([r for r in rows if r not in names])
-    if new and len(names) + len(new) > _ORBIT_MEMO_ENTRIES:
-        names.clear()
+    W x| m*Q (m one modulus, or one per row), i.e. of their residues mod
+    m under the reflection group: a list of one 64-byte string per row,
+    the int64 bytes of the orbit's canonical point (alcove_points).  The
+    memo _ORBITS holds the name of every (modulus, residue row) keyed
+    before; the rows new to it are reduced in one alcove_points call, and
+    the residues of one orbit among them share one name object.  The memo
+    grows by one entry per distinct (modulus, residue row) keyed; when
+    adding a call's new rows would take it past _ORBIT_MEMO_ENTRIES
+    (65,536) entries for all moduli together, it is cleared first and
+    the call's rows are reduced afresh.  A name is the canonical point,
+    so clearing changes none."""
+    e = np.asarray(e_arr, dtype=np.int64).reshape(-1, 8)
+    res = np.empty((len(e), 9), dtype=np.int64)
+    res[:, 0] = m
+    np.mod(e, res[:, :1], out=res[:, 1:])
+    rows = res.view(_KEY_BYTES).ravel().tolist()
+    new = dict.fromkeys([r for r in rows if r not in _ORBITS])
+    if new and len(_ORBITS) + len(new) > _ORBIT_MEMO_ENTRIES:
+        _ORBITS.clear()
         new = dict.fromkeys(rows)
     if new:
-        rows_new = np.frombuffer(b"".join(new), dtype=np.int64).reshape(-1, 8)
-        points = alcove_points(rows_new, m).view(_ROW_BYTES).ravel().tolist()
+        keyed = np.frombuffer(b"".join(new), dtype=np.int64).reshape(-1, 9)
+        points = alcove_points(keyed[:, 1:], keyed[:, 0]).view(_ROW_BYTES).ravel().tolist()
         canon = {}  # one name object per orbit met in this call, not per residue
-        names.update(zip(new, [canon.setdefault(p, p) for p in points]))
-    return list(map(names.__getitem__, rows))
+        _ORBITS.update(zip(new, [canon.setdefault(p, p) for p in points]))
+    return list(map(_ORBITS.__getitem__, rows))
 
 
 class FiberSweepEngine:
@@ -228,8 +228,8 @@ class FiberSweepEngine:
     closed form.  ENGINE, below, is the process-wide instance.
 
     Only the values <1> are stored, by key (b2, square, orbit name), see
-    key_for, which names the orbit through orbit_ids for every modulus;
-    the genus-2 invariants need nothing else (gw_engine.value_rule).
+    key_for; an evaluation names its parts in at most two orbit_ids
+    calls.  The genus-2 invariants need nothing else (gw_engine.value_rule).
     Methods taking a `key` expect exactly that key of the class they are
     given.
     """
@@ -322,7 +322,7 @@ class FiberSweepEngine:
         there and is sent the part's value; it stores and returns the
         class value.  The sum runs in integers, one numerator per
         denominator, and the value is one Fraction."""
-        b2, s, _ = key
+        b2, s, name = key
         self.evals += 1
         if s == 0:
             value = isotropic_genus1(math.gcd(b1, b2, *(abs(x) for x in e)))
@@ -335,7 +335,11 @@ class FiberSweepEngine:
         e = dominant(e)
         earr = np.asarray(e, dtype=np.int64)
         # the radius-zero cells are read first, so that no scan is held
-        # while their complements, the longest chains, are evaluated
+        # while their complements, the longest chains, are evaluated.  A
+        # complement keeps e; the cells (0, b2') with s2 >= 0 are those
+        # with b2' <= top, their complements named at names[b2' - 1]
+        top = min(b2 - 1, s // (2 * b1))
+        names = orbit_ids(b2 - np.arange(1, top + 1), earr[None].repeat(top, 0))
         scanned = []
         for b1p, b2p, weight in self.cells(b1, b2):
             m2 = b2 - b2p
@@ -343,39 +347,35 @@ class FiberSweepEngine:
                 scanned.append((b1p, b2p, weight))
                 continue
             # a radius-zero ball holds only 0: the part is (b1' + b2')
-            # times v1 or v2, and its complement keeps the E8 part
+            # times v1 or v2; for b2' = 0 the complement has the class's name
             pairing = b1p * m2 + b2p * (b1 - b1p)
             s2 = s - 2 * pairing
             if s2 < 0:
                 continue
-            name = _ZERO_NAMES.get((m2, e))
-            if name is None:
-                if len(_ZERO_NAMES) >= _ORBIT_MEMO_ENTRIES:
-                    _ZERO_NAMES.clear()
-                name = _ZERO_NAMES[m2, e] = orbit_ids(m2, earr)[0]
-            k2 = (m2, s2, name)
+            k2 = (m2, s2, names[b2p - 1] if b2p else name)
             v2 = values.get(k2)
             if v2 is None:
                 v2 = yield k2, b1 - b1p, e
             iso = isotropic_genus1(b1p + b2p)
             d = iso.denominator * v2.denominator
             sums[d] = sums.get(d, 0) + weight * pairing * iso.numerator * v2.numerator
-        # scan every other cell, then name the rows of each modulus, e1 of
+        # scan every other cell, then name all their part rows, e1 of
         # modulus b2' and e2 of b2 - b2', in one orbit_ids call
-        cells, rows = [], {}
+        cells, rows, moduli = [], [], []
         for b1p, b2p, weight in scanned:
             got = self._scan_cell(earr, b1, b2, b1p, b2p)
             if got is not None:
                 cells.append((b1p, b2p, weight) + got)
-                rows.setdefault(b2p, []).append(got[0])
-                rows.setdefault(b2 - b2p, []).append(got[1])
-        named = {m: iter(orbit_ids(m, np.concatenate(r))) for m, r in rows.items()}
+                rows += got[:2]
+                moduli += [b2p, b2 - b2p]
+        if rows:
+            names = orbit_ids(np.repeat(moduli, [len(r) for r in rows]), np.concatenate(rows))
+        at = 0
         for b1p, b2p, weight, e1, e2, s1, s2, w in cells:
             m2 = b2 - b2p
-            # each cell's names, taken in the order its rows were batched
-            # (e1 then e2, which share one iterator when b2' = b2 - b2')
-            n1 = list(islice(named[b2p], len(e1)))
-            n2 = list(islice(named[m2], len(e2)))
+            # the cell's names at its offset in the batch, e1's then e2's
+            n1, n2 = names[at:at + len(e1)], names[at + len(e1):at + 2 * len(e1)]
+            at += 2 * len(e1)
             # part keys -> [first row, summed weight], in the order met
             groups = {}
             for i, part in enumerate(zip(s1.tolist(), n1, s2.tolist(), n2, w.tolist())):

@@ -506,6 +506,25 @@ def test_p2_report_script_json_is_the_report():
     assert json.loads(out) == qseries.p2_discrepancy_report(12)
 
 
+def test_src_lines_script_counts_total_and_code_only_lines(tmp_path):
+    # blank lines, comments and docstrings are not code; a string that is
+    # a value is, and a file that is not Python is not counted
+    (tmp_path / "a.py").write_text('"""Doc\nstring."""\n\n# comment\nx = 1  # trailing\n'
+                                   'y = """not\na docstring"""\n\n\ndef f():\n'
+                                   '    """Doc."""\n    return x\n')
+    (tmp_path / "notes.txt").write_text("x = 1\n")
+    out = subprocess.run([sys.executable, _script("src_lines.py"), str(tmp_path)], check=True,
+                         capture_output=True, text=True).stdout
+    assert [line.split() for line in out.splitlines()] == [
+        ["module", "total", "code"], ["a.py", "12", "5"], ["total", "12", "5"]]
+    # by default it counts every module of the package, and the totals add up
+    out = subprocess.run([sys.executable, _script("src_lines.py")], check=True,
+                         capture_output=True, text=True).stdout
+    rows = [line.split() for line in out.splitlines()[1:]]
+    assert "sweeps.py" in [r[0] for r in rows] and rows[-1][0] == "total"
+    assert [sum(int(r[i]) for r in rows[:-1]) for i in (1, 2)] == [int(x) for x in rows[-1][1:]]
+
+
 def test_series_text(capsys):
     code, out, _ = run(capsys, "series", "--what", "E2", "--order", "3")
     assert code == 0

@@ -199,26 +199,33 @@ def test_orbit_ids_are_reflection_and_translation_invariant(m, row, shift):
     assert orbit_ids(m, e + m * np.array(shift))[0] == want
 
 
-@pytest.mark.parametrize("batch_first", [True, False])
+@pytest.mark.parametrize("batch_first", [True, False, None])
 def test_orbit_ids_are_stable_across_calls(monkeypatch, batch_first):
     # a batch and the same rows keyed one at a time (as key_for keys a
     # class) must name every orbit alike, whichever call comes first and
-    # whatever the residue memo held before
+    # whatever the residue memo held before; with batch_first None the
+    # batches of every modulus are keyed first, in one call with one
+    # modulus per row, and each modulus' share of it is compared
     base = np.random.default_rng(11).integers(-40, 41, size=(30, 8))
     # the second half reflects the first, in reverse row order
     rows = np.concatenate([base, base[::-1] @ reflection_matrices()[4].T])
     n = len(base)
-    for m in range(1, 13):
+    moduli = range(1, 13)
+    # each modulus' batch holds every row twice, and then its translate
+    # by m, which has the same residue
+    batches = [np.concatenate([rows, rows, rows + m]) for m in moduli]
+    k = len(batches[0])
+    monkeypatch.setattr(sweeps, "_ORBITS", {})
+    if batch_first is None:
+        mixed = orbit_ids(np.repeat(moduli, k), np.concatenate(batches))
+    for i, (m, repeated) in enumerate(zip(moduli, batches)):
         monkeypatch.setattr(sweeps, "_ORBITS", {})
-        # the batch holds every row twice, and then its translate by m,
-        # which has the same residue
-        repeated = np.concatenate([rows, rows, rows + m])
         if batch_first:
             batch = orbit_ids(m, repeated)
             single = [orbit_ids(m, row)[0] for row in rows]
         else:
             single = [orbit_ids(m, row)[0] for row in rows]
-            batch = orbit_ids(m, repeated)
+            batch = orbit_ids(m, repeated) if batch_first is False else mixed[i * k:(i + 1) * k]
         assert batch == 3 * single, m
         assert single[:n] == single[n:][::-1], m
 
@@ -242,14 +249,15 @@ def test_residues_of_one_orbit_keyed_in_one_call_share_one_name_object(monkeypat
     monkeypatch.setattr(sweeps, "_ORBITS", {})
     minus = tuple(-x for x in ROOT)
     names = orbit_ids(8, np.array([ROOT, minus, ROOT]))
-    assert len(sweeps._ORBITS[8]) == 2
+    assert len(sweeps._ORBITS) == 2
     assert names[0] is names[1] is names[2]
     assert orbit_ids(8, minus)[0] is names[0]
 
 
 def test_a_residue_memo_cleared_at_its_bound_changes_no_name(monkeypatch, capsys):
-    # with the bound at 1,000 entries each memo is cleared many times over
-    # a table-g1-deep run, and every name and every output byte stays
+    # with the bound at 1,000 entries the memo is cleared many times over
+    # a table-g1-deep run, and every name and every output byte stays; at
+    # 8 entries a long chain keeps its value and its evaluations
     from enriques_gw import cli
 
     rows = short_vector_table(4)[0]
@@ -265,9 +273,9 @@ def test_a_residue_memo_cleared_at_its_bound_changes_no_name(monkeypatch, capsys
     keyed = sweeps.orbit_ids
 
     def spy(m, e_arr):
-        before = len(sweeps._ORBITS.get(m, ()))
+        before = len(sweeps._ORBITS)
         names = keyed(m, e_arr)
-        sizes.append((before, len(sweeps._ORBITS[m]), len(names)))
+        sizes.append((before, len(sweeps._ORBITS), len(names)))
         return names
 
     monkeypatch.setattr(sweeps, "orbit_ids", spy)
@@ -276,10 +284,36 @@ def test_a_residue_memo_cleared_at_its_bound_changes_no_name(monkeypatch, capsys
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "f19ccde1853ae2652dc1afd5d05bb40061ebea73967da89101b88d2b5147b8ae")
-    # a call that adds to a memo leaves at most the bound, or its own rows
-    # when the memo was cleared for them; the engine's keying clears some
+    # a call that adds to the memo leaves at most the bound, or its own
+    # rows when the memo was cleared for them; the engine's keying clears
+    # some
     assert all(after <= max(1000, n) for before, after, n in sizes if after > before)
     assert any(after < before for before, after, _ in sizes)
+
+    class Memo(dict):
+        clears = 0
+
+        def clear(self):
+            Memo.clears += 1
+            super().clear()
+
+    monkeypatch.setattr(sweeps, "_ORBIT_MEMO_ENTRIES", 8)
+    monkeypatch.setattr(sweeps, "_ORBITS", Memo())
+    eng = FiberSweepEngine()
+    value = eng.class_value(1, 300, ZERO8)
+    assert (hashlib.sha256(str(value).encode()).hexdigest()[:8], eng.evals) == ("3ade5b73", 600)
+    assert Memo.clears > 0
+
+
+def test_the_residue_memo_is_bounded_over_all_moduli_together(monkeypatch):
+    # one bound for every modulus at once: keying a few rows at each of
+    # 40 moduli under a bound of 16 entries never leaves more than 16
+    monkeypatch.setattr(sweeps, "_ORBIT_MEMO_ENTRIES", 16)
+    monkeypatch.setattr(sweeps, "_ORBITS", {})
+    rows = np.random.default_rng(5).integers(-40, 41, size=(3, 8))
+    for m in range(1, 41):
+        orbit_ids(m, rows)
+        assert len(sweeps._ORBITS) <= sweeps._ORBIT_MEMO_ENTRIES, m
 
 
 @settings(max_examples=60, deadline=None)
@@ -434,39 +468,10 @@ def test_engine_yields_only_parts_missing_from_the_cache(monkeypatch, b1, b2, e,
     assert all(yielded)
 
 
-def test_a_radius_zero_name_cache_cleared_at_its_bound_changes_nothing(monkeypatch, capsys):
-    # with both memos bounded at 8 entries they are cleared over and over,
-    # and the table, a long chain's value and its evaluations stay
-    from enriques_gw import cli
-
-    monkeypatch.setattr(sweeps, "_ORBIT_MEMO_ENTRIES", 8)
-    monkeypatch.setattr(sweeps, "_ORBITS", {})
-    monkeypatch.setattr(sweeps, "_ZERO_NAMES", {})
-    sizes = []
-    names = sweeps._ZERO_NAMES
-    keyed = sweeps.orbit_ids
-
-    def spy(m, e_arr):
-        sizes.append(len(names))
-        return keyed(m, e_arr)
-
-    monkeypatch.setattr(sweeps, "orbit_ids", spy)
-    monkeypatch.setattr(cli, "ENGINE", FiberSweepEngine())
-    assert cli.main(["table", "--genus", "1", "--max-b1", "6", "--max-b2", "6",
-                     "--max-e8-norm", "4", "--format", "csv"]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-        "f19ccde1853ae2652dc1afd5d05bb40061ebea73967da89101b88d2b5147b8ae")
-    eng = FiberSweepEngine()
-    value = eng.class_value(1, 300, ZERO8)
-    assert (hashlib.sha256(str(value).encode()).hexdigest()[:8], eng.evals) == ("3ade5b73", 600)
-    assert max(sizes) == 8 and sizes.count(8) > 10 and len(names) <= 8
-
-
 def test_self_mirror_moduli_match_the_recursion():
-    # the cell (b1/2, b2/2) names its parts e1 and e2 in one orbit_ids call
-    # of modulus b2/2, read back in order; the oracle is the per-class
-    # recursion
+    # the cell (b1/2, b2/2) names its parts e1 and e2 at one modulus b2/2,
+    # in the evaluation's one orbit_ids call, read back by offset; the
+    # oracle is the per-class recursion
     memo = {}
     for b1, b2, e in [(2, 2, ROOT), (2, 4, ROOT), (2, 4, ZERO8), (2, 6, ZERO8)]:
         want = gw_engine.enriques_genus1(as_vector(b1, b2, e), memo=memo)
@@ -618,15 +623,6 @@ def test_agreement_fails_when_the_engine_scan_drops_boundary_rows(monkeypatch):
     assert not report["all_agree"]
     assert report["mismatches"]
     assert not all(v["agree"] for v in report["per_shape"].values())
-
-
-def test_agreement_survivors_are_symmetric_in_the_cell_shape():
-    # e1 -> e - e1 maps the survivors of shape (a, b) onto those of (b, a)
-    per_shape = decomposition_agreement(max_b1=2, max_b2=3, norm_bound=2)["per_shape"]
-    shapes = {tuple(int(x) for x in k.strip("()").split(",")): v for k, v in per_shape.items()}
-    assert any(a < b for a, b in shapes)
-    for (a, b), v in shapes.items():
-        assert v["survivors"] == shapes[(b, a)]["survivors"], (a, b)
 
 
 def test_agreement_computes_each_mirror_pair_of_shapes_once(monkeypatch):
