@@ -256,8 +256,7 @@ def test_residues_of_one_orbit_keyed_in_one_call_share_one_name_object(monkeypat
 
 def test_a_residue_memo_cleared_at_its_bound_changes_no_name(monkeypatch, capsys):
     # with the bound at 1,000 entries the memo is cleared many times over
-    # a table-g1-deep run, and every name and every output byte stays; at
-    # 8 entries a long chain keeps its value and its evaluations
+    # a table-g1-deep run, and every name and every output byte stays
     from enriques_gw import cli
 
     rows = short_vector_table(4)[0]
@@ -289,20 +288,6 @@ def test_a_residue_memo_cleared_at_its_bound_changes_no_name(monkeypatch, capsys
     # some
     assert all(after <= max(1000, n) for before, after, n in sizes if after > before)
     assert any(after < before for before, after, _ in sizes)
-
-    class Memo(dict):
-        clears = 0
-
-        def clear(self):
-            Memo.clears += 1
-            super().clear()
-
-    monkeypatch.setattr(sweeps, "_ORBIT_MEMO_ENTRIES", 8)
-    monkeypatch.setattr(sweeps, "_ORBITS", Memo())
-    eng = FiberSweepEngine()
-    value = eng.class_value(1, 300, ZERO8)
-    assert (hashlib.sha256(str(value).encode()).hexdigest()[:8], eng.evals) == ("3ade5b73", 600)
-    assert Memo.clears > 0
 
 
 def test_the_residue_memo_is_bounded_over_all_moduli_together(monkeypatch):
@@ -466,6 +451,46 @@ def test_engine_yields_only_parts_missing_from_the_cache(monkeypatch, b1, b2, e,
     assert hashlib.sha256(str(value).encode()).hexdigest()[:8] == digest
     assert (len(yielded), eng.evals) == (evals - 1, evals)
     assert all(yielded)
+
+
+def test_a_radius_zero_name_cache_cleared_at_its_bound_changes_nothing(monkeypatch, capsys):
+    # radius-zero complements are named through the residue memo; with it
+    # bounded at 8 entries it is cleared over and over, and the table, a
+    # long chain's value and its evaluations stay
+    from enriques_gw import cli
+
+    class Memo(dict):
+        clears = 0
+
+        def clear(self):
+            Memo.clears += 1
+            super().clear()
+
+    monkeypatch.setattr(sweeps, "_ORBIT_MEMO_ENTRIES", 8)
+    monkeypatch.setattr(sweeps, "_ORBITS", Memo())
+    sizes = []
+    keyed = sweeps.orbit_ids
+
+    def spy(m, e_arr):
+        before = len(sweeps._ORBITS)
+        names = keyed(m, e_arr)
+        sizes.append((before, len(sweeps._ORBITS), len(names)))
+        return names
+
+    monkeypatch.setattr(sweeps, "orbit_ids", spy)
+    monkeypatch.setattr(cli, "ENGINE", FiberSweepEngine())
+    assert cli.main(["table", "--genus", "1", "--max-b1", "6", "--max-b2", "6",
+                     "--max-e8-norm", "4", "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "f19ccde1853ae2652dc1afd5d05bb40061ebea73967da89101b88d2b5147b8ae")
+    eng = FiberSweepEngine()
+    value = eng.class_value(1, 300, ZERO8)
+    assert (hashlib.sha256(str(value).encode()).hexdigest()[:8], eng.evals) == ("3ade5b73", 600)
+    # a call that adds to the memo leaves at most the bound, or its own
+    # rows when the memo was cleared for them
+    assert all(after <= max(8, n) for before, after, n in sizes if after > before)
+    assert Memo.clears > 10 and any(after == 8 for _, after, _ in sizes)
 
 
 def test_self_mirror_moduli_match_the_recursion():
