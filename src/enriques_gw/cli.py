@@ -7,13 +7,15 @@ rows are emitted in lexicographic class order, JSON objects have a
 fixed key order, and nothing depends on hashing or threads.
 
 `table` builds its lines per (b1, b2) slice of the box
-(sweeps.box_slices), not per row: each E8 part's coordinate string is
-formatted once for the table, each slice's head (genus, b1, b2) once
-for the slice, and the value and rule of every degree once per engine
-key, into a finished line suffix.  A row is slice head + part string +
-suffix; no class is formatted as a whole.  The bytes equal those of
-serializing one dict per row; `invariant` writes its row from the same
-three pieces.
+(sweeps.box_slices), not per row.  Each E8 part's coordinate string is
+formatted once for the table and each slice's head (genus, b1, b2) once
+for the slice.  A slice groups its parts by engine key up to b1, and
+the lines of every degree (d, value, rule) are formatted once per
+group.  A class's lines are the group's lines, each prefixed by slice
+head + part string, joined in C over chunks of about a thousand lines
+(_table_rows); no class is formatted as a whole and no Python step runs
+per row.  The bytes equal those of serializing one dict per row;
+`invariant` writes its row from the same three pieces.
 
 Exit codes: 0 success, 1 usage error, 2 computation error or resource
 refusal, 3 self-check failure.
@@ -36,6 +38,12 @@ EXIT_SELFCHECK = 3
 
 TABLE_CAPS = {"max_b1": 6, "max_b2": 6, "max_e8_norm": 8, "max_degree": 20}
 DEFAULT_ROW_LIMIT = 200000
+
+# lines a table chunk joins into one string before it is written (about
+# 0.1 KB a line): enough that the C-level joins, not the loop around them,
+# take the time.  Chunks of 2048 lines or more joined slower, and 8192
+# raised the genus-2 benchmark table's peak RSS by 1.5 MB
+_CHUNK_LINES = 1024
 
 CSV_HEADER = ["genus"] + ["b%d" % i for i in range(1, 11)] + ["d", "value", "rule"]
 
@@ -75,32 +83,41 @@ def cmd_invariant(args):
 
 
 def _table_rows(args):
-    """The table's output lines, one per (class, degree) row, built per
-    (b1, b2) slice of sweeps.box_slices.
+    """The table's output lines, built per (b1, b2) slice of
+    sweeps.box_slices and yielded in chunks: one string of at most
+    _CHUNK_LINES lines, or one class's lines if that is more, never
+    splitting a class.
 
     Each E8 part's string is formatted once for the table and each
     slice's head once for the slice.  A row's value and rule depend on
-    its class only through the engine key (n*v1 through b1, negative
-    squares not at all), so the line suffixes of a key's degrees are
-    formatted once, and a row is slice head + part string + suffix."""
+    its class only through the slice's group (the engine key; negative
+    squares not at all), so each group's degree lines are formatted once
+    as the tails ("", line_0, ..., line_D), and a class's lines are
+    (slice head + part string).join(tails): a chunk is built by C-level
+    joins, with no Python step per row or per class."""
     head, part, tail = _TABLE_LINES[args.format]
     genus = args.genus
+    degrees = range(args.max_degree + 1)
+    step = max(1, _CHUNK_LINES // len(degrees))  # classes per chunk
     parts, slices = sweeps.box_slices(args.max_b1, args.max_b2, args.max_e8_norm)
     part_strs = [part % e for e in parts]
     suffixes = {}
-    for b1, b2, cols, squares, keys in slices:
-        slice_head = head % (genus, b1, b2)
-        for e, e_str, s, key in zip(parts[cols], part_strs[cols], squares, keys):
+    for b1, b2, cols, idx, classes in slices:
+        tails = []
+        for e, s, key in classes:
             skey = key if key is not None else "negative" if b2 else ("isotropic", b1)
             lines = suffixes.get(skey)
             if lines is None:
                 value1 = lambda: ENGINE.class_value(b1, b2, e, key)
-                lines = suffixes[skey] = [
-                    tail % ((d,) + value_rule(genus, d, s, value1))
-                    for d in range(args.max_degree + 1)]
-            prefix = slice_head + e_str
-            for line in lines:
-                yield prefix + line
+                lines = suffixes[skey] = ("",) + tuple(
+                    tail % ((d,) + value_rule(genus, d, s, value1)) for d in degrees)
+            tails.append(lines)
+        prefix = (head % (genus, b1, b2)).__add__
+        strs = part_strs[cols]
+        for lo in range(0, len(strs), step):
+            hi = lo + step
+            yield "".join(map(str.join, map(prefix, strs[lo:hi]),
+                              map(tails.__getitem__, idx[lo:hi])))
 
 
 def cmd_table(args):

@@ -129,6 +129,13 @@ _ALPHA1 = _ROOTS2[0]
 # 1,1000 took 2.4 s
 _MAX_CELLS = 495
 
+# values FiberSweepEngine.values holds at most when a class asked misses
+# it; at this many it is cleared first.  About 3.5 MB at the 210 bytes an
+# entry measured on deep classes, plus what one class adds (990 values for
+# 1,495, the most measured).  The largest table within the CLI's caps
+# stores 215 values and a full selfcheck 65
+_MAX_VALUES = 1 << 14
+
 # a canonical point as 64 bytes; a modulus and a residue row as 72 bytes
 _ROW_BYTES = np.dtype((np.void, 64))
 _KEY_BYTES = np.dtype((np.void, 72))
@@ -229,7 +236,10 @@ class FiberSweepEngine:
 
     Only the values <1> are stored, by key (b2, square, orbit name), see
     key_for; an evaluation names its parts in at most two orbit_ids
-    calls.  The genus-2 invariants need nothing else (gw_engine.value_rule).
+    calls.  The genus-2 invariants need nothing else
+    (gw_engine.value_rule).  `values` is cleared where a class asked
+    misses it holding _MAX_VALUES (16,384) values, before that class's
+    stack starts, so no evaluation loses a part it has read.
     Methods taking a `key` expect exactly that key of the class they are
     given.
     """
@@ -271,7 +281,8 @@ class FiberSweepEngine:
         of _eval generators: each yields the (key, b1, e) of a part it
         needs that is missing from `values`, and the part is evaluated on
         top of it, depth first, before the evaluation that needs it reads
-        on."""
+        on.  `values` is cleared before the stack starts if it holds
+        _MAX_VALUES values; a clear changes no value."""
         got = self.values.get(key)
         if got is not None:
             return got
@@ -284,6 +295,8 @@ class FiberSweepEngine:
                 raise ValueError("a class with b1*b2 = %d > %d recursion cells is refused"
                                  % (b1 * b2, _MAX_CELLS))
             theta_shells(self.largest_ball(b1, b2))
+        if len(self.values) >= _MAX_VALUES:
+            self.values.clear()
         stack = [self._eval(key, b1, e)]
         while stack:
             try:
@@ -439,31 +452,42 @@ def box_slices(max_b1, max_b2, norm_bound):
     walk that genus1_box_rows and the table share.  `parts` lists the E8
     parts of norm <= norm_bound as tuples in lexicographic order.
     `slices` yields the (b1, b2) slices of the box in lexicographic
-    order, each as (b1, b2, cols, squares, keys): the slice object
-    picking its classes' E8 parts out of `parts`, the list of their
-    squares and an iterable of their engine keys.  A slice with b2 = 0 is the one class b1*v1,
-    1 <= b1 <= max_b1, with key None; a slice with b2 >= 1 holds every
-    part, with key None where the square is negative, and makes its keys
-    one at a time, so no slice holds a list of them.  The parts are
-    sorted once, and each b2 is keyed in one orbit_ids call."""
+    order, each as (b1, b2, cols, idx, classes): `cols` is the slice
+    object picking the slice's E8 parts out of `parts`, `classes` holds
+    one (e, square, key) per group of those parts, and `idx` gives, for
+    each part, the index of its group in `classes`.  A slice with b2 = 0
+    is the one class b1*v1, 1 <= b1 <= max_b1, with key None.  A slice
+    with b2 >= 1 holds every part, grouped by (E8 norm, orbit_ids(b2, e)
+    name), which is the engine key up to b1: a group's e is its first
+    part, its square 2 b1 b2 - norm and its key (b2, square, name), or
+    None where the square is negative.  The parts are sorted once, and
+    each b2 is keyed in one orbit_ids call and grouped once, for every
+    b1."""
     a, norms = short_vector_table(norm_bound)
     order = np.argsort(pack_rows(a))
     a = a[order]
     parts = [tuple(row) for row in a.tolist()]
     norms = norms[order].tolist()
-    names = {b2: orbit_ids(b2, a) for b2 in range(1, max_b2 + 1)}
+    groups = {}  # b2 -> (idx, [(first part, norm, name)] per group)
+    for b2 in range(1, max_b2 + 1):
+        first = {}  # (norm, name) -> (group index, index of its first part)
+        idx = [first.setdefault(g, (len(first), i))[0]
+               for i, g in enumerate(zip(norms, orbit_ids(b2, a)))]
+        groups[b2] = idx, [(parts[i], ne, name) for (ne, name), (_, i) in first.items()]
     k = parts.index((0,) * 8)
     zero, every = slice(k, k + 1), slice(None)
 
     def slices():
         for b1 in range(0, max_b1 + 1):
             if b1:
-                yield b1, 0, zero, [0], [None]
+                yield b1, 0, zero, [0], [(parts[k], 0, None)]
             for b2 in range(1, max_b2 + 1):
-                squares = [2 * b1 * b2 - ne for ne in norms]
-                yield b1, b2, every, squares, (
-                    (b2, s, name) if s >= 0 else None
-                    for s, name in zip(squares, names[b2]))
+                idx, heads = groups[b2]
+                classes = []
+                for e, ne, name in heads:
+                    s = 2 * b1 * b2 - ne
+                    classes.append((e, s, (b2, s, name) if s >= 0 else None))
+                yield b1, b2, every, idx, classes
 
     return parts, slices()
 
@@ -480,12 +504,16 @@ def genus1_box_rows(max_b1, max_b2, norm_bound, engine=ENGINE):
     1 <= n <= max_b1, and (b1, b2, e) with 0 <= b1 <= max_b1,
     1 <= b2 <= max_b2, e a short vector of norm <= norm_bound.  `key` is
     the engine key of the class, or None when b2 = 0 or the square is
-    negative; <1> is evaluated on `engine` (the process-wide ENGINE by
-    default), and is 0 where the square is negative."""
+    negative.  <1> is 0 where the square is negative; otherwise it is
+    evaluated on `engine` (the process-wide ENGINE by default) once per
+    group of a slice, at the group's first part, and shared by the
+    group's rows."""
     parts, slices = box_slices(max_b1, max_b2, norm_bound)
-    for b1, b2, cols, squares, keys in slices:
-        for e, s, key in zip(parts[cols], squares, keys):
-            value = Fraction(0) if s < 0 else engine.class_value(b1, b2, e, key)
+    for b1, b2, cols, idx, classes in slices:
+        rows = [(s, key, Fraction(0) if s < 0 else engine.class_value(b1, b2, e, key))
+                for e, s, key in classes]
+        for e, j in zip(parts[cols], idx):
+            s, key, value = rows[j]
             yield (b1, b2) + e, s, key, value
 
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -286,6 +287,40 @@ def test_table_builds_its_largest_ball_once(capsys, monkeypatch):
     builds.clear()
     code, _, err = run(capsys, "table", "--genus", "1", *argv, "--limit", "1")
     assert code == 2 and "exceed the limit" in err and builds == []
+
+
+WORKLOADS = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                        / "workloads.json").read_text(encoding="utf-8"))["workloads"]
+
+
+@pytest.mark.parametrize("workload", ["table-g1-deep", "table-g2-wide"])
+def test_table_chunks_of_an_odd_size_keep_the_goldens(capsys, monkeypatch, workload):
+    # with 7-line chunks a chunk holds 7 one-line classes of the genus-1
+    # smoke table, or 2 three-line classes of the genus-2 one (--max-degree
+    # 2): never a split class, and the bytes stay the benchmark's goldens
+    monkeypatch.setattr(cli, "_CHUNK_LINES", 7)
+    smoke = WORKLOADS[workload]["smoke"]
+    args = cli.build_parser().parse_args(smoke["argv"])
+    per_class = args.max_degree + 1
+    chunks = list(cli._table_rows(args))
+    counts = [chunk.count("\n") for chunk in chunks]
+    assert sum(counts) == smoke["lines"] - (args.format == "csv")  # less the header
+    assert all(n % per_class == 0 and n <= 7 // per_class * per_class for n in counts)
+    assert counts.count(7 // per_class * per_class) > len(counts) // 2
+    code, out, _ = run(capsys, *smoke["argv"])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == smoke["sha256"]
+
+
+def test_table_workloads_evaluate_the_pinned_number_of_classes(capsys, monkeypatch):
+    # a fresh engine evaluates each engine key of a benchmark table once
+    for workload, evals in [("table-g1-deep", 178), ("table-g2-wide", 24)]:
+        eng = FiberSweepEngine()
+        monkeypatch.setattr(cli, "ENGINE", eng)
+        full = WORKLOADS[workload]["full"]
+        code, out, _ = run(capsys, *full["argv"])
+        assert code == 0 and eng.evals == len(eng.values) == evals
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == full["sha256"]
 
 
 @pytest.mark.parametrize("genus", [1, 2])

@@ -9,9 +9,10 @@ which pairs are absent, so a rename cannot zero another metric unseen.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
-from enriques_gw import lattice, sweeps
+from enriques_gw import cli, lattice, sweeps
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -55,3 +56,9 @@ def test_live_probe_targets_exist_and_run():
     engine = sweeps.FiberSweepEngine("optimized")
     assert engine.class_value(2, 2, (0,) * 8) > 0
     assert engine.evals > 0
+
+
+def test_table_rows_stay_a_generator():
+    # the tracer's "gen" wrapper drives cli._table_rows with next(); a
+    # plain function returning an iterable would no longer be timed
+    assert inspect.isgeneratorfunction(cli._table_rows)

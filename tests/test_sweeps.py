@@ -395,7 +395,62 @@ def test_genus2_core_matches_engine_module():
 @pytest.mark.parametrize("box", [(0, 0, 0), (3, 0, 2), (0, 3, 2), (2, 3, 4), (1, 1, 0)])
 def test_box_class_count_counts_box_classes(box):
     parts, slices = box_slices(*box)
-    assert box_class_count(*box) == sum(len(parts[cols]) for _, _, cols, _, _ in slices)
+    count = 0
+    for _, _, cols, idx, _ in slices:
+        assert len(idx) == len(parts[cols])
+        count += len(idx)
+    assert box_class_count(*box) == count
+
+
+@pytest.mark.parametrize("box", [(2, 3, 4), (3, 3, 2)])
+def test_box_slices_group_parts_by_norm_and_orbit_name(box):
+    parts, slices = box_slices(*box)
+    n_slices = 0
+    for b1, b2, cols, idx, classes in slices:
+        n_slices += 1
+        sliced = parts[cols]
+        if b2 == 0:
+            assert sliced == [ZERO8] and idx == [0] and classes == [(ZERO8, 0, None)]
+            continue
+        names = orbit_ids(b2, np.array(sliced))
+        first = {}
+        for e, name, j in zip(sliced, names, idx):
+            head = classes[j][0]
+            assert lattice.e8_norm(e) == lattice.e8_norm(head)
+            assert name == orbit_ids(b2, head)[0]
+            first.setdefault(j, e)
+        # every group is met, each at its head first, and no two share
+        # (norm, name)
+        assert [first[j] for j in range(len(classes))] == [head for head, _, _ in classes]
+        assert len({(lattice.e8_norm(e), orbit_ids(b2, e)[0]) for e, _, _ in classes}) == len(classes)
+        for head, s, key in classes:
+            assert s == 2 * b1 * b2 - lattice.e8_norm(head)
+            assert (key is None) == (s < 0)
+            assert key is None or key == FiberSweepEngine.key_for(b2, s, head)
+    assert n_slices == box[0] + (box[0] + 1) * box[1]
+
+
+def test_box_rows_ask_the_engine_once_per_group():
+    class Counting(FiberSweepEngine):
+        def class_value(self, b1, b2, e, key=None):
+            asked.append((b1, b2, key))
+            return super().class_value(b1, b2, e, key)
+
+    asked = []
+    box = (2, 3, 4)
+    rows = list(genus1_box_rows(*box, engine=Counting()))
+    _, slices = box_slices(*box)
+    groups = [(b1, b2, key) for b1, b2, _, _, classes in slices
+              for _, s, key in classes if s >= 0]
+    assert asked == groups
+    assert len(rows) == box_class_count(*box) > 10 * len(groups)
+    # every row against a fresh engine asked row by row, without keys
+    eng = FiberSweepEngine()
+    for coords, s, key, value in rows:
+        if s < 0:
+            assert key is None and value == 0
+        else:
+            assert value == eng.class_value(coords[0], coords[1], coords[2:]), coords
 
 
 def test_engine_refuses_a_class_past_the_cell_cap_before_its_ball(monkeypatch):
@@ -491,6 +546,29 @@ def test_a_radius_zero_name_cache_cleared_at_its_bound_changes_nothing(monkeypat
     # rows when the memo was cleared for them
     assert all(after <= max(8, n) for before, after, n in sizes if after > before)
     assert Memo.clears > 10 and any(after == 8 for _, after, _ in sizes)
+
+
+def test_engine_values_cleared_at_their_bound_change_nothing(monkeypatch, capsys):
+    # with the value cache bounded at 8 entries, each class asked that
+    # misses it clears it and is evaluated afresh: the table and the pinned
+    # values stay, and each pinned class costs a fresh engine's evaluations
+    from enriques_gw import cli
+
+    monkeypatch.setattr(sweeps, "_MAX_VALUES", 8)
+    eng = FiberSweepEngine()
+    monkeypatch.setattr(cli, "ENGINE", eng)
+    assert cli.main(["table", "--genus", "1", "--max-b1", "6", "--max-b2", "6",
+                     "--max-e8-norm", "4", "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "f19ccde1853ae2652dc1afd5d05bb40061ebea73967da89101b88d2b5147b8ae")
+    assert eng.evals > 178
+    for b1, b2, e, digest, evals in PINNED:
+        before = eng.evals
+        value = eng.class_value(b1, b2, e)
+        assert (hashlib.sha256(str(value).encode()).hexdigest()[:8], eng.evals - before) == (
+            digest, evals)
+        assert len(eng.values) == evals
 
 
 def test_self_mirror_moduli_match_the_recursion():
