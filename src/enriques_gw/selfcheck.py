@@ -23,6 +23,7 @@ import functools
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -138,12 +139,16 @@ def criterion_1():
 def criterion_2():
     """The engine's cell scan agrees with a brute-force walk of the
     smaller ball on every cell shape of the box, and gw_engine.ENGINE's
-    box table, read in one walk of the box, equals the heterotic closed
-    form in the "full" convention, km_fiber_prediction(1, beta, "full") / 4,
-    on every keyed class (the verdicts of criterion 9 stay diagnostic).
-    One shared-memo oracle recursion gives ENGINE's value on a sample, and
-    enumerate_decompositions equals the box oracle on the sample and on
-    every class whose decompositions it read."""
+    box table, read in one walk of the box (sweeps.genus1_box_groups),
+    equals the heterotic closed form in the "full" convention,
+    km_fiber_prediction(1, beta, "full") / 4, on every keyed class (the
+    verdicts of criterion 9 stay diagnostic).  Classes sharing their
+    slice's group and their divisibility share square, value and
+    prediction, so each such (group, divisibility) of a slice is compared
+    once and counts for all its classes; the off classes are listed in
+    box order.  One shared-memo oracle recursion gives ENGINE's value on
+    a sample, and enumerate_decompositions equals the box oracle on the
+    sample and on every class whose decompositions it read."""
     report = sweeps.decomposition_agreement(**BOX)
     v1 = (1, 1) + (0,) * 8
     v2 = (2, 1) + (0,) * 8
@@ -151,21 +156,35 @@ def criterion_2():
     sample = dict.fromkeys([v1, v2, (1, 2) + (0,) * 8, (1, 1) + root, (2, 2) + root])
     # the closed form depends on the square and the divisibility alone:
     # one prediction per pair, at the first class met with it, compared
-    # as (numerator, denominator)
+    # as (numerator, denominator).  The divisibility is gcd(b1, gcd(b2, e)),
+    # and a slice's groups do not depend on b1, so (group, gcd(b2, e)) is
+    # counted over the parts once per b2
     closed_form, keyed, off = {}, 0, []
-    for c, s, key, value in sweeps.genus1_box_rows(**BOX):
-        if c in sample:
-            sample[c] = value
-        if key is None:
-            continue
-        keyed += 1
-        pair = (s, math.gcd(*c))
-        want = closed_form.get(pair)
-        if want is None:
-            f = km_model.km_fiber_prediction(1, c, "full") / 4
-            want = closed_form[pair] = (f.numerator, f.denominator)
-        if (value.numerator, value.denominator) != want:
-            off.append(c)
+    per_b2 = {}  # b2 -> ([(group, gcd(b2, e)) per part], their counts)
+    for b1, b2, sliced, idx, groups in sweeps.genus1_box_groups(**BOX):
+        for c in sample:
+            if c[:2] == (b1, b2):
+                sample[c] = groups[idx[sliced.index(c[2:])]][2]
+        if b2 not in per_b2:
+            by_part = list(zip(idx, [math.gcd(b2, *e) for e in sliced]))
+            per_b2[b2] = by_part, Counter(by_part)
+        by_part, counts = per_b2[b2]
+        bad = set()
+        for (j, g), n in counts.items():
+            s, key, value = groups[j]
+            if key is None:
+                continue
+            keyed += n
+            pair = (s, math.gcd(b1, g))
+            want = closed_form.get(pair)
+            if want is None:
+                c = (b1, b2) + sliced[by_part.index((j, g))]
+                f = km_model.km_fiber_prediction(1, c, "full") / 4
+                want = closed_form[pair] = (f.numerator, f.denominator)
+            if (value.numerator, value.denominator) != want:
+                bad.add((j, g))
+        if bad:
+            off += [(b1, b2) + e for e, jg in zip(sliced, by_part) if jg in bad]
     spots_ok = sample[v1] == Fraction(32) and sample[v2] == Fraction(288)
     memo = {}
     values_ok = all(gw_engine.enriques_genus1(c, memo=memo) == v for c, v in sample.items())

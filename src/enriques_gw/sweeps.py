@@ -32,6 +32,9 @@ thousands of decompositions).  Two observations make full boxes cheap:
     of one modulus or one a row, are reduced together, and one class is
     keyed as a batch of one row.  The memo is cleared past one entry
     bound for all moduli together (see orbit_ids); that changes no name.
+    A box of classes (box_slices) names its E8 parts once per W(E8)-orbit:
+    parts of norm <= N sharing a name mod m, m^2 > 2N, share a W-orbit,
+    so each b2 names one part of each.
 
 2.  The decomposition sum itself is, cell by cell in (b1', b2'), a scan
     over the lattice points e1 of the ball of norm r1 = 2 b1' b2' around
@@ -449,31 +452,45 @@ ENGINE = FiberSweepEngine()
 
 def box_slices(max_b1, max_b2, norm_bound):
     """The coordinate box of genus1_box_rows as (parts, slices), one
-    walk that genus1_box_rows and the table share.  `parts` lists the E8
-    parts of norm <= norm_bound as tuples in lexicographic order.
-    `slices` yields the (b1, b2) slices of the box in lexicographic
-    order, each as (b1, b2, cols, idx, classes): `cols` is the slice
-    object picking the slice's E8 parts out of `parts`, `classes` holds
-    one (e, square, key) per group of those parts, and `idx` gives, for
-    each part, the index of its group in `classes`.  A slice with b2 = 0
-    is the one class b1*v1, 1 <= b1 <= max_b1, with key None.  A slice
-    with b2 >= 1 holds every part, grouped by (E8 norm, orbit_ids(b2, e)
-    name), which is the engine key up to b1: a group's e is its first
-    part, its square 2 b1 b2 - norm and its key (b2, square, name), or
-    None where the square is negative.  The parts are sorted once, and
-    each b2 is keyed in one orbit_ids call and grouped once, for every
-    b1."""
+    walk that genus1_box_rows, genus1_box_groups and the table share.
+    `parts` lists the E8 parts of norm <= norm_bound as tuples in
+    lexicographic order.  `slices` yields the (b1, b2) slices of the box
+    in lexicographic order, each as (b1, b2, cols, idx, classes): `cols`
+    is the slice object picking the slice's E8 parts out of `parts`,
+    `classes` holds one (e, square, key) per group of those parts, and
+    `idx` gives, for each part, the index of its group in `classes`.  A
+    slice with b2 = 0 is the one class b1*v1, 1 <= b1 <= max_b1, with key
+    None.  A slice with b2 >= 1 holds every part, grouped by (E8 norm,
+    orbit_ids(b2, e) name), which is the engine key up to b1: a group's e
+    is its first part, its square 2 b1 b2 - norm and its key
+    (b2, square, name), or None where the square is negative; groups are
+    numbered in the order of their first parts.
+
+    The parts are sorted once and named once per W(E8)-orbit.  A label
+    (norm, orbit_ids(m, e)) with m*m > 2 norm_bound is one W-orbit: two
+    parts of one W x| m*Q orbit differ, after some w in W, by a vector of
+    m*Q of norm <= 4 norm_bound < 2 m^2, the least nonzero norm in m*Q,
+    so by 0.  W lies in every W x| b2*Q, so a label lies in one group of
+    each b2: each b2 names one head part per label in one orbit_ids call,
+    and its idx is a gather of the labels' group indices."""
     a, norms = short_vector_table(norm_bound)
     order = np.argsort(pack_rows(a))
     a = a[order]
     parts = [tuple(row) for row in a.tolist()]
     norms = norms[order].tolist()
+    m = math.isqrt(2 * norm_bound) + 1
+    assert m * m > 2 * norm_bound
+    labels = {}  # (norm, name mod m) -> (label index, index of its first part)
+    label = np.array([labels.setdefault(g, (len(labels), i))[0]
+                      for i, g in enumerate(zip(norms, orbit_ids(m, a)))])
+    heads = [i for _, i in labels.values()]  # each label's first part
     groups = {}  # b2 -> (idx, [(first part, norm, name)] per group)
     for b2 in range(1, max_b2 + 1):
         first = {}  # (norm, name) -> (group index, index of its first part)
-        idx = [first.setdefault(g, (len(first), i))[0]
-               for i, g in enumerate(zip(norms, orbit_ids(b2, a)))]
-        groups[b2] = idx, [(parts[i], ne, name) for (ne, name), (_, i) in first.items()]
+        of_label = [first.setdefault((norms[i], name), (len(first), i))[0]
+                    for i, name in zip(heads, orbit_ids(b2, a[heads]))]
+        groups[b2] = (np.array(of_label)[label].tolist(),
+                      [(parts[i], ne, name) for (ne, name), (_, i) in first.items()])
     k = parts.index((0,) * 8)
     zero, every = slice(k, k + 1), slice(None)
 
@@ -498,23 +515,31 @@ def box_class_count(max_b1, max_b2, norm_bound):
     return max_b1 + (max_b1 + 1) * max_b2 * n_parts
 
 
+def genus1_box_groups(max_b1, max_b2, norm_bound, engine=ENGINE):
+    """The coordinate box of genus1_box_rows per (b1, b2) slice of
+    box_slices, in its lexicographic order: (b1, b2, sliced, idx, groups)
+    with `sliced` the slice's E8 parts as tuples, `groups` one
+    (square, key, <1>) per group of the slice and `idx` each part's
+    group index.  <1> is 0 where the square is negative; otherwise it is
+    evaluated on `engine` (the process-wide ENGINE by default) once per
+    group, at the group's first part, and holds for every part of it."""
+    parts, slices = box_slices(max_b1, max_b2, norm_bound)
+    for b1, b2, cols, idx, classes in slices:
+        yield b1, b2, parts[cols], idx, [
+            (s, key, Fraction(0) if s < 0 else engine.class_value(b1, b2, e, key))
+            for e, s, key in classes]
+
+
 def genus1_box_rows(max_b1, max_b2, norm_bound, engine=ENGINE):
     """(coords, square, key, <1>) for every class of the coordinate box,
-    read off box_slices in its lexicographic order: n*v1 for
+    the rows of genus1_box_groups in its lexicographic order: n*v1 for
     1 <= n <= max_b1, and (b1, b2, e) with 0 <= b1 <= max_b1,
     1 <= b2 <= max_b2, e a short vector of norm <= norm_bound.  `key` is
     the engine key of the class, or None when b2 = 0 or the square is
-    negative.  <1> is 0 where the square is negative; otherwise it is
-    evaluated on `engine` (the process-wide ENGINE by default) once per
-    group of a slice, at the group's first part, and shared by the
-    group's rows."""
-    parts, slices = box_slices(max_b1, max_b2, norm_bound)
-    for b1, b2, cols, idx, classes in slices:
-        rows = [(s, key, Fraction(0) if s < 0 else engine.class_value(b1, b2, e, key))
-                for e, s, key in classes]
-        for e, j in zip(parts[cols], idx):
-            s, key, value = rows[j]
-            yield (b1, b2) + e, s, key, value
+    negative; square, key and <1> are those of the class's group."""
+    for b1, b2, sliced, idx, groups in genus1_box_groups(max_b1, max_b2, norm_bound, engine):
+        for e, j in zip(sliced, idx):
+            yield ((b1, b2) + e,) + groups[j]
 
 
 # -- brute-force vs engine-scan decomposition agreement -----------------
@@ -562,8 +587,10 @@ def decomposition_agreement(max_b1=4, max_b2=4, norm_bound=4):
     survivors and the verdict of its mirror, and no ball past norm
     min(r1, r2) is built.  Brute force walks the whole smaller ball
     (_brute_force_histogram); ENGINE._scan_cell scans one cell of the
-    shape (radius-zero ones too, which _eval keys without a scan).  A
-    shape agrees when both give each part-square pair the same weight.
+    shape (radius-zero ones too, which _eval keys without a scan).  The
+    largest of these balls is built first, so every shape reads a prefix
+    of one build.  A shape agrees when both give each part-square pair
+    the same weight.
     Cells with an n*v1 part admit at most one candidate, kept when the
     complement square is nonnegative; these are counted analytically.
     Returns a report dict.
@@ -577,6 +604,8 @@ def decomposition_agreement(max_b1=4, max_b2=4, norm_bound=4):
                     r1 = 2 * b1p * b2p
                     r2 = 2 * (b1 - b1p) * (b2 - b2p)
                     cell_shapes.setdefault((r1, r2), []).append((b1, b2, b1p, b2p))
+    # the largest ball read, built once: every shape reads a prefix of it
+    short_vector_table(max((min(shape) for shape in cell_shapes), default=0))
     mismatches = []
     total_pairs = 0
     per_shape = {}

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from enriques_gw import lattice, selfcheck, sweeps
+from enriques_gw import km_model, lattice, selfcheck, sweeps
 
 # criterion 2's survivors per cell shape (r1, r2) on the acceptance box
 CRITERION_2_SURVIVORS = {
@@ -61,6 +61,12 @@ def test_criterion_2_report(results):
     assert digest == "99e6b4f2b015543010e9dd20c15d2f655e15ccbc50461e1e5137a9a09e3180a9"
 
 
+def test_criterion_2_detail(results):
+    assert results[2].detail == (
+        "48024 classes, 37 of 37 cell shapes agree, 94146416 ordered pairs; "
+        "36260 of 36260 keyed classes equal the full closed form (21 pairs)")
+
+
 def test_criterion_2_fails_on_one_wrong_box_value(monkeypatch):
     # genus1_box_rows binds ENGINE as its default engine when it is
     # defined, so the engine's answer is changed on its class instead: one
@@ -80,14 +86,41 @@ def test_criterion_2_fails_on_one_wrong_box_value(monkeypatch):
     assert result.data["report"]["all_agree"]
 
 
+def test_criterion_2_counts_a_wrong_group_on_every_row(monkeypatch):
+    # the norm-2 group of slice (b1, b2) = (2, 3), 240 classes, is off by
+    # one; the count and the first off classes must equal those of a walk
+    # row by row against the closed form
+    class_value = sweeps.FiberSweepEngine.class_value
+
+    def group_off(self, b1, b2, e, key=None):
+        value = class_value(self, b1, b2, e, key)
+        return value + 1 if (b1, b2) == (2, 3) and lattice.e8_norm(e) == 2 else value
+
+    monkeypatch.setattr(sweeps.FiberSweepEngine, "class_value", group_off)
+    keyed, off = 0, []
+    for c, s, key, value in sweeps.genus1_box_rows(**selfcheck.BOX):
+        if key is not None:
+            keyed += 1
+            if value != km_model.km_fiber_prediction(1, c, "full") / 4:
+                off.append(c)
+    assert (keyed, len(off)) == (36260, 240)
+    result = selfcheck.criterion_2()
+    assert not result.passed
+    assert "; 36020 of 36260 keyed classes equal the full closed form (21 pairs)" in result.detail
+    assert result.detail.endswith("; first off %r" % off[:3])
+    assert result.data["report"]["all_agree"]
+
+
 def test_criterion_2_builds_no_ball_past_norm_8(monkeypatch):
     # the sweep walks the smaller ball of each shape, and the engine reads
     # the smaller ball of each mirror pair: from an empty table, no ball
-    # past norm 8, the largest min(r1, r2) of the box, is built
+    # past norm 8, the largest min(r1, r2) of the box, is built, and the
+    # whole ball (J = ()) is built once, at norm 8, for every shape
     built = []
     build = lattice._short_vector_array
     monkeypatch.setattr(lattice, "_CONES", {})
     monkeypatch.setattr(lattice, "_short_vector_array",
-                        lambda bound, J=(): built.append(bound) or build(bound, J))
+                        lambda bound, J=(): built.append((bound, J)) or build(bound, J))
     assert selfcheck.criterion_2().passed
-    assert max(built) == 8
+    assert max(bound for bound, _ in built) == 8
+    assert [bound for bound, J in built if J == ()] == [8]

@@ -402,7 +402,7 @@ def test_box_class_count_counts_box_classes(box):
     assert box_class_count(*box) == count
 
 
-@pytest.mark.parametrize("box", [(2, 3, 4), (3, 3, 2)])
+@pytest.mark.parametrize("box", [(2, 3, 4), (3, 3, 2), (2, 1, 4), (1, 5, 4)])
 def test_box_slices_group_parts_by_norm_and_orbit_name(box):
     parts, slices = box_slices(*box)
     n_slices = 0
@@ -428,6 +428,44 @@ def test_box_slices_group_parts_by_norm_and_orbit_name(box):
             assert (key is None) == (s < 0)
             assert key is None or key == FiberSweepEngine.key_for(b2, s, head)
     assert n_slices == box[0] + (box[0] + 1) * box[1]
+
+
+@pytest.mark.parametrize("box", [(2, 1, 4), (1, 5, 4), (2, 3, 6), (1, 2, 8)])
+def test_box_slices_equal_a_per_part_walk(box):
+    # reference: every part named by orbit_ids(b2, .) in one call per b2
+    # and grouped by (norm, name) in part order.  (2, 1, 4) has b2 = 1
+    # alone, where every part shares one name mod 1; at norm 8 two
+    # W(E8)-orbits share a shell
+    max_b1, max_b2, norm_bound = box
+    ref_parts = sorted(tuple(row) for row in short_vector_table(norm_bound)[0].tolist())
+    norms = [lattice.e8_norm(e) for e in ref_parts]
+    ref = {}
+    for b2 in range(1, max_b2 + 1):
+        first = {}
+        idx = [first.setdefault(g, (len(first), e))[0]
+               for e, g in zip(ref_parts, zip(norms, orbit_ids(b2, np.array(ref_parts))))]
+        ref[b2] = idx, [(e, ne, name) for (ne, name), (_, e) in first.items()]
+    parts, slices = box_slices(*box)
+    assert parts == ref_parts
+    n_slices = 0
+    for b1, b2, cols, idx, classes in slices:
+        n_slices += 1
+        if b2 == 0:
+            assert parts[cols] == [ZERO8] and idx == [0] and classes == [(ZERO8, 0, None)]
+            continue
+        assert parts[cols] == ref_parts
+        ref_idx, heads = ref[b2]
+        assert idx == ref_idx
+        want = []
+        for e, ne, name in heads:
+            s = 2 * b1 * b2 - ne
+            want.append((e, s, (b2, s, name) if s >= 0 else None))
+        assert classes == want
+        assert all(type(j) is int for j in idx)
+        for _, s, key in classes:
+            assert type(s) is int
+            assert key is None or [type(x) for x in key] == [int, int, bytes]
+    assert n_slices == max_b1 + (max_b1 + 1) * max_b2
 
 
 def test_box_rows_ask_the_engine_once_per_group():
