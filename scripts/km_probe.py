@@ -12,7 +12,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from enriques_gw import km_model, sweeps
+from enriques_gw import km_model
 
 
 def main():
@@ -24,12 +24,11 @@ def main():
     args = parser.parse_args()
 
     order = max(2 * args.max_b1 * args.max_b2 + 2, 4)
-    probes = [(coords, s, value) for coords, s, _, value in
-              sweeps.genus1_box_rows(args.max_b1, args.max_b2, args.max_e8_norm)
-              if args.max_square is None or s <= args.max_square]
-    _, counts, f56_holds = km_model.km_verdicts(probes, order)
+    groups = list(km_model.box_verdict_groups(args.max_b1, args.max_b2, args.max_e8_norm,
+                                              args.max_square))
+    _, counts, f56_holds = km_model.km_verdicts(groups, order)
 
-    print("%d classes probed" % len(probes))
+    print("%d classes probed" % sum(len(members) for *_, members in groups))
     for g in (1, 2):
         for conv in ("full", "half"):
             print("  genus %d, %-4s convention: %6d match, %6d mismatch"

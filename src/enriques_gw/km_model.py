@@ -24,11 +24,14 @@ which convention satisfies the genus-2/genus-1 consistency relation.
 from __future__ import annotations
 
 import enum
+import math
 from fractions import Fraction
+from types import MappingProxyType
 
 from .gw_engine import n1_fiber, n2_fiber, value_rule
 from .lattice import as_vector, divisibility, is_positive, square
 from .qseries import c_coefficients, divisors, sigma_pow
+from .sweeps import genus1_box_groups
 
 
 class KMConvention(enum.Enum):
@@ -137,41 +140,74 @@ def compare_engine_vs_km(g, beta, order=None):
     }
 
 
-def km_verdicts(probes, order):
+def box_divisibility_split(max_b1, max_b2, norm_bound):
+    """The slices of sweeps.genus1_box_groups on ENGINE, in its order,
+    each as (b1, b2, sliced, idx, groups, split): `split` maps each
+    (group index j, gcd(b2, e)) met to the indices in `sliced` of its
+    parts e, in box order.  The classes (b1, b2, e) of one entry share the
+    square and <1> of group j and the divisibility gcd(b1, gcd(b2, e)),
+    so one prediction, and one verdict, holds for all of them.  A slice's
+    parts and groups depend on b2 alone, so its split is formed once per
+    b2, with math.gcd on ints."""
+    splits = {}
+    for b1, b2, sliced, idx, groups in genus1_box_groups(max_b1, max_b2, norm_bound):
+        split = splits.get(b2)
+        if split is None:
+            split = splits[b2] = {}
+            for i, (j, e) in enumerate(zip(idx, sliced)):
+                split.setdefault((j, math.gcd(b2, *e)), []).append(i)
+        yield b1, b2, sliced, idx, groups, split
+
+
+def box_verdict_groups(max_b1, max_b2, norm_bound, max_square=None):
+    """The km_verdicts groups of the coordinate box of
+    sweeps.genus1_box_rows, of square <= max_square if it is given: one
+    (square, divisibility, <1>, members) per entry of a slice's
+    box_divisibility_split, with the member classes' coordinates in box
+    order."""
+    for b1, b2, sliced, _, groups, split in box_divisibility_split(max_b1, max_b2, norm_bound):
+        for (j, g), members in split.items():
+            s, _, value = groups[j]
+            if max_square is None or s <= max_square:
+                yield s, math.gcd(b1, g), value, [(b1, b2) + sliced[i] for i in members]
+
+
+def km_verdicts(groups, order):
     """Engine vs both prediction conventions over many classes.
 
-    `probes` is an iterable of (coords, square, <1>) triples of positive
-    classes; the engine side is N_{g,(beta,0)} by gw_engine.value_rule.
+    `groups` is an iterable of (square, divisibility, <1>, members)
+    tuples, `members` the coordinate tuples of positive classes sharing
+    that square, divisibility and <1>; two groups may share all three.
+    The engine side is N_{g,(beta,0)} by gw_engine.value_rule.
     Predictions depend only on (genus, square, divisibility, convention),
     so each is computed once per (square, divisibility), at truncation
-    `order`, and each verdict once per (square, divisibility, <1>).
-    Returns (verdicts, counts, consistency): verdicts maps (coords, genus,
-    convention) to "match" or "mismatch", counts maps (genus, convention)
-    to the number of each, and consistency maps each convention to
-    whether the genus-2/genus-1 relation of km_f56_check holds on every
-    probed class of positive square.
+    `order`, on the first member met, and each verdict once per group.
+    Returns (verdicts, counts, consistency): verdicts has one entry per
+    member, mapping its coords to a read-only map of (genus, convention)
+    to "match" or "mismatch", shared by its group; counts maps (genus,
+    convention) to the number of each; and consistency maps each
+    convention to whether the genus-2/genus-1 relation of km_f56_check
+    holds on every probed class of positive square.
     """
     conventions = ("full", "half")
     counts = {(g, conv): {"match": 0, "mismatch": 0} for g in (1, 2) for conv in conventions}
     consistency = dict.fromkeys(conventions, True)
     verdicts = {}
-    groups = {}
-    for coords, s, value in probes:
-        pair = (s, divisibility(as_vector(coords)))
-        groups.setdefault(pair, {}).setdefault(value, []).append(coords)
-    for (s, _), by_value in groups.items():
-        rep = next(iter(by_value.values()))[0]
-        pred = {(g, conv): km_fiber_prediction(g, rep, conv, order)
-                for g in (1, 2) for conv in conventions}
-        if s > 0:
-            for conv in conventions:
-                if pred[(2, conv)] != _f56_rhs(pred[(1, conv)], s):
-                    consistency[conv] = False
-        for value, members in by_value.items():
-            for g in (1, 2):
-                engine = value_rule(g, 0, s, lambda: value)[0]
+    preds = {}  # (square, divisibility) -> {(genus, convention): prediction}
+    for s, div, value, members in groups:
+        pred = preds.get((s, div))
+        if pred is None:
+            pred = preds[(s, div)] = {(g, conv): km_fiber_prediction(g, members[0], conv, order)
+                                      for g in (1, 2) for conv in conventions}
+            if s > 0:
                 for conv in conventions:
-                    verdict = "match" if pred[(g, conv)] == engine else "mismatch"
-                    counts[(g, conv)][verdict] += len(members)
-                    verdicts.update(((coords, g, conv), verdict) for coords in members)
+                    if pred[(2, conv)] != _f56_rhs(pred[(1, conv)], s):
+                        consistency[conv] = False
+        row = {}
+        for g in (1, 2):
+            engine = value_rule(g, 0, s, lambda: value)[0]
+            for conv in conventions:
+                row[(g, conv)] = "match" if pred[(g, conv)] == engine else "mismatch"
+                counts[(g, conv)][row[(g, conv)]] += len(members)
+        verdicts.update(dict.fromkeys(members, MappingProxyType(row)))
     return verdicts, counts, consistency

@@ -59,7 +59,7 @@ class LatticeVector:
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(map(int, coords))
         if len(coords) != RANK:
             raise ValueError("expected 10 coordinates, got %d" % len(coords))
         self.coords = coords
@@ -209,20 +209,20 @@ def _ldl(gram):
 
 
 _LDL_D, _LDL_MU = _ldl(_CARTAN_INV)
-_PACK_WEIGHTS = 64 ** np.arange(7, -1, -1, dtype=np.int64)
+_PACK_WEIGHTS = 128 ** np.arange(7, -1, -1, dtype=np.int64)
 
 
 def pack_rows(arr):
-    """The one int64 code (x + 32).P < 2**48 of E8 coordinate rows x, P
-    the weights 64**7..64**0, ordered as (x_0, .., x_7): each 6-bit field
-    holds x_j + 32, so ValueError is raised unless |x_j| < 32, true for
-    norm <= 34 since |x_j| = |<x, w_j>| <= sqrt(30 norm) for the
+    """The one int64 code (x + 64).P < 2**56 of E8 coordinate rows x, P
+    the weights 128**7..128**0, ordered as (x_0, .., x_7): each 7-bit
+    field holds x_j + 64, so ValueError is raised unless |x_j| < 64, true
+    for norm < 128 since |x_j| = |<x, w_j>| <= sqrt(30 norm) for the
     fundamental weight w_j."""
     a = np.asarray(arr, dtype=np.int64)
-    if a.size and (int(a.max()) >= 32 or int(a.min()) <= -32):
+    if a.size and (int(a.max()) >= 64 or int(a.min()) <= -64):
         raise ValueError("coordinates out of packing range")
-    # (a + 32) @ P, without a shifted copy of a
-    return a @ _PACK_WEIGHTS + 32 * int(_PACK_WEIGHTS.sum())
+    # (a + 64) @ P, without a shifted copy of a
+    return a @ _PACK_WEIGHTS + 64 * int(_PACK_WEIGHTS.sum())
 
 
 def _short_vector_array(bound: int, J=()) -> np.ndarray:
@@ -236,11 +236,14 @@ def _short_vector_array(bound: int, J=()) -> np.ndarray:
 
     Rows are in norm-major order, lexicographic within a norm shell, so
     the array for a smaller bound is a prefix of the one for a larger:
-    one argsort of the int64 keys (norm << 48) | pack_rows(x), which
-    raises ValueError before sorting if a row leaves its range.
+    one argsort of the int64 keys (norm << 56) | pack_rows(x).  A bound
+    of 128 or more, whose norms would not fit beside the code in int64,
+    is refused with ValueError before any enumeration.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
+    if bound >= 128:
+        raise ValueError("the sort key holds norms below 128, not %d" % bound)
     if bound < 2:
         return np.zeros((1, 8), dtype=np.int64)
 
@@ -251,7 +254,7 @@ def _short_vector_array(bound: int, J=()) -> np.ndarray:
     del y
     keep = norms <= bound
     x, norms = x[keep], norms[keep]
-    return x[np.argsort((norms << 48) | pack_rows(x))]
+    return x[np.argsort((norms << 56) | pack_rows(x))]
 
 
 def _fincke_pohst(bound: int, J=()) -> np.ndarray:
@@ -431,7 +434,34 @@ def orbit_representatives(bound, J):
 # ---------------------------------------------------------------------------
 
 def _part_ok(beta1: LatticeVector) -> bool:
-    return (not beta1.is_zero()) and is_positive(beta1) and square(beta1) >= 0
+    # a positive class is nonzero
+    return is_positive(beta1) and square(beta1) >= 0
+
+
+def _part_mask(c1, c2, zero, nrm):
+    """Rows where the part (c1, c2, g) is nonzero, positive and of square
+    >= 0, for ints c1, c2 and per-row arrays: `zero` marks g = 0 and
+    `nrm` holds the Cartan norm of g."""
+    nonzero = ~zero | (c1 != 0) | (c2 != 0)
+    positive = (c2 > 0) | ((c2 == 0) & (c1 > 0) & zero)
+    return nonzero & positive & (2 * c1 * c2 - nrm >= 0)
+
+
+def _mask_terms(b1, b2, e, max_f, who):
+    """(e, Ce, <e,e>) for the int64 masks of a decomposition scan of the
+    class (b1, b2, e) over E8 parts f with |f_j| <= max_f: e and Ce as
+    int64 arrays, <e,e> an int.  The masks form the norm of e - f as
+    <e,e> - 2 f.Ce + <f,f>, so every int64 intermediate is at most
+    4*b1*b2 + <e,e> + 16 * max_f * max|Ce| in absolute value, and
+    ValueError, naming `who`, is raised unless this bound is below 2**63.
+    Below it, e and Ce fit int64 too, as |e_j|**2 <= 30<e,e> and
+    |(Ce)_j|**2 <= 2<e,e>."""
+    ce = [sum(c * x for c, x in zip(row, e)) for row in CARTAN_E8]
+    ee = sum(x * y for x, y in zip(e, ce))
+    bound = 4 * b1 * b2 + ee + 16 * max_f * max(abs(y) for y in ce)
+    if bound >= 1 << 63:
+        raise ValueError("%s's int64 bound %d exceeds 2**63" % (who, bound))
+    return np.array(e, dtype=np.int64), np.array(ce, dtype=np.int64), ee
 
 
 def enumerate_decompositions(beta):
@@ -443,47 +473,52 @@ def enumerate_decompositions(beta):
     square conditions force 0 <= b1' <= b1 and pin the E8 part of beta1 to
     the intersection of a ball around 0 (radius^2 = 2*b1'*b2') and a ball
     around the E8 part of beta (radius^2 = 2*(b1-b1')*(b2-b2')); the scan
-    walks the smaller ball.  The b2' = 0 and b2' = b2 edges only admit
-    multiples of v1 on one side.
+    walks the smaller ball, shifted by e -> e - g when it is the second.
+    The b2' = 0 and b2' = b2 edges only admit multiples of v1 on one side.
+
+    Each cell's ball rows are filtered with the int64 masks of _part_mask
+    before any LatticeVector is built, and every survivor pair is checked
+    again with _part_ok.  The masks are exact under the bound of
+    _mask_terms, with |g_j| <= sqrt(30 r) on the largest ball r walked;
+    past it ValueError is raised before any cell is scanned.  Unlike
+    decompositions_box_oracle, which walks the whole box, this walks one
+    ball per cell, the smaller one.
     """
     beta = as_vector(beta)
     if not is_positive(beta):
         raise ValueError("decompositions are only defined for positive classes")
     b1, b2 = beta.b1, beta.b2
-    e = beta.e8
     found = []
 
-    def emit(beta1):
-        beta2 = beta - beta1
+    def keep(beta1, beta2):
         if _part_ok(beta1) and _part_ok(beta2):
             found.append((beta1, beta2))
 
     for n in range(1, b1 + 1):
-        emit(n * basis_vector(1))                      # b2' = 0 side
+        keep(n * basis_vector(1), beta - n * basis_vector(1))     # b2' = 0 side
         if b2 > 0:
-            emit(beta - n * basis_vector(1))           # b2' = b2 side
-    for b2p in range(1, b2):
-        for b1p in range(0, b1 + 1):
-            r1 = 2 * b1p * b2p
-            r2 = 2 * (b1 - b1p) * (b2 - b2p)
-            if r1 <= r2:
-                for row in short_vector_table(r1)[0].tolist():
-                    emit(from_parts(b1p, b2p, row))
-            else:
-                for row in short_vector_table(r2)[0].tolist():
-                    # shifted ball: e' with e8_norm(e - e') <= r2
-                    emit(from_parts(b1p, b2p, tuple(a - c for a, c in zip(e, row))))
+            keep(beta - n * basis_vector(1), n * basis_vector(1))  # b2' = b2 side
+    cells = [(b1p, b2p, 2 * b1p * b2p, 2 * (b1 - b1p) * (b2 - b2p))
+             for b2p in range(1, b2) for b1p in range(0, b1 + 1)]
+    if cells:
+        r_max = max(min(r1, r2) for _, _, r1, r2 in cells)
+        e, ce, ee = _mask_terms(b1, b2, beta.e8, math.isqrt(30 * r_max), "the enumeration")
+    for b1p, b2p, r1, r2 in cells:
+        g, nrm = short_vector_table(min(r1, r2))
+        zero, at_e = ~g.any(axis=1), (g == e).all(axis=1)
+        far = ee - 2 * (g @ ce) + nrm  # <e - g, e - g>
+        if r1 <= r2:
+            # g is the E8 part of beta1 and e - g that of beta2
+            mask = _part_mask(b1p, b2p, zero, nrm) & _part_mask(b1 - b1p, b2 - b2p, at_e, far)
+            f = g[mask]
+        else:
+            # shifted ball: g is the E8 part of beta2 and e - g that of beta1
+            mask = _part_mask(b1p, b2p, at_e, far) & _part_mask(b1 - b1p, b2 - b2p, zero, nrm)
+            f = e - g[mask]
+        for f1, f2 in zip(f.tolist(), (e - f).tolist()):
+            keep(LatticeVector((b1p, b2p, *f1)), LatticeVector((b1 - b1p, b2 - b2p, *f2)))
     found.sort(key=lambda p: p[0].coords)
     return found
-
-
-def _part_mask(c1, c2, zero, nrm):
-    """Rows where the part (c1, c2, g) is nonzero, positive and of square
-    >= 0, for ints c1, c2 and per-row arrays: `zero` marks g = 0 and
-    `nrm` holds the Cartan norm of g."""
-    nonzero = ~zero | (c1 != 0) | (c2 != 0)
-    positive = (c2 > 0) | ((c2 == 0) & (c1 > 0) & zero)
-    return nonzero & positive & (2 * c1 * c2 - nrm >= 0)
 
 
 def decompositions_box_oracle(beta):
@@ -499,24 +534,16 @@ def decompositions_box_oracle(beta):
     survivors become LatticeVector pairs, and each is checked again with
     _part_ok; a survivor failing it raises RuntimeError.
 
-    The masks are exact: every int64 intermediate is at most
-    4*b1*b2 + <e,e> + 16 * max|f| * max|Ce| in absolute value, f over the
-    largest ball (norm 2*b1*b2), and ValueError is raised before any
-    product unless this bound is below 2**63.  Below it, e and Ce fit
-    int64 too, as |e_j|**2 <= 30<e,e> and |(Ce)_j|**2 <= 2<e,e>.
+    The masks are exact under the int64 bound of _mask_terms, f over the
+    largest ball (norm 2*b1*b2); past it ValueError is raised before any
+    product.
     """
     beta = as_vector(beta)
     if not is_positive(beta):
         raise ValueError("decompositions are only defined for positive classes")
-    b1, b2, e = beta.b1, beta.b2, beta.e8
-    ce = [sum(c * x for c, x in zip(row, e)) for row in CARTAN_E8]
-    ee = sum(x * y for x, y in zip(e, ce))
+    b1, b2 = beta.b1, beta.b2
     max_f = int(np.abs(short_vector_table(2 * b1 * b2)[0]).max())
-    bound = 4 * b1 * b2 + ee + 16 * max_f * max(abs(y) for y in ce)
-    if bound >= 1 << 63:
-        raise ValueError("the box oracle's int64 bound %d exceeds 2**63" % bound)
-    e_np = np.array(e, dtype=np.int64)
-    ce_np = np.array(ce, dtype=np.int64)
+    e_np, ce_np, ee = _mask_terms(b1, b2, beta.e8, max_f, "the box oracle")
     found = []
     for b2p in range(0, b2 + 1):
         for b1p in range(0, b1 + 1):

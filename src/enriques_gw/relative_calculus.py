@@ -16,12 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from .gw_engine import ENGINE
-from .lattice import as_vector, enumerate_decompositions, is_positive, pair, square
+from .lattice import RANK, _CARTAN_NP, as_vector, enumerate_decompositions, is_positive, square
 from .qseries import sigma_pow
+from .sweeps import orbit_ids
 
 
 def p1_relative_coeff(kind: str, d: int, r: int = None) -> Fraction:
@@ -107,10 +110,35 @@ def lemma_d6_d7_prefactor(parity: str, m1: int, m2: int) -> Fraction:
 @lru_cache(maxsize=64)
 def _decomposition_sum(coords) -> Fraction:
     """sum <1>_b1 <1>_b2 <b1,b2> over enumerate_decompositions, <1> from
-    the engine; the sums of the 64 most recently used classes are cached."""
-    value = lambda v: ENGINE.class_value(v.b1, v.b2, v.e8)
-    return sum((value(b1) * value(b2) * pair(b1, b2)
-                for b1, b2 in enumerate_decompositions(as_vector(coords))), Fraction(0))
+    the engine, one term per decomposition.  The parts' squares and the
+    pairings <b1,b2> are formed in int64 from the Gram matrix.  A part of
+    square >= 0 has E8 norm n <= 2 b1 b2, and |f_j|**2 <= 30 n,
+    |(C f)_j|**2 <= 2 n, so every int64 sum stays below 128 b1 b2: exact
+    for any class whose b1 b2 cells can be walked.  All parts with
+    b2' >= 1 are keyed in one orbit_ids call, one modulus b2' per row, and
+    ENGINE.class_value is given each key, so it reads the value from
+    ENGINE.values and evaluates only a miss.  The products are summed in integers, one
+    numerator per denominator, into one Fraction.  The sums of the 64
+    most recently used classes are cached."""
+    pairs = enumerate_decompositions(as_vector(coords))
+    parts = [p for both in pairs for p in both]
+    x = np.array([p.coords for p in parts], dtype=np.int64).reshape(-1, RANK)
+    xc = x[:, 2:] @ _CARTAN_NP
+    squares = (2 * x[:, 0] * x[:, 1] - np.einsum("ij,ij->i", x[:, 2:], xc)).tolist()
+    u, v = x[0::2], x[1::2]
+    pairings = (u[:, 0] * v[:, 1] + u[:, 1] * v[:, 0]
+                - np.einsum("ij,ij->i", xc[0::2], v[:, 2:])).tolist()
+    keyed = x[:, 1] > 0
+    names = iter(orbit_ids(x[keyed, 1], x[keyed, 2:]))
+    values = [ENGINE.class_value(p.b1, b2, p.e8, (b2, s, next(names)) if b2 else None)
+              for p, b2, s in zip(parts, x[:, 1].tolist(), squares)]
+    sums = {}  # denominator -> numerator
+    for v1, v2, pairing in zip(values[0::2], values[1::2], pairings):
+        if v1 and v2:
+            d = v1.denominator * v2.denominator
+            sums[d] = sums.get(d, 0) + v1.numerator * v2.numerator * pairing
+    den = lcm(*sums)
+    return Fraction(sum(n * (den // d) for d, n in sums.items()), den)
 
 
 def genus2_contributions(beta, d: int) -> dict:

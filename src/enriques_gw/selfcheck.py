@@ -15,6 +15,14 @@ modules under test wherever the checked statement is nontrivial.
 Criterion 2 holds the engine's box values to the closed form's "full"
 index convention; criterion 9 compares both conventions and only
 reports.
+
+Each piece of work is done once where its result cannot differ: the
+criteria that read the acceptance box (2, 5, 6 and 9) walk it per orbit
+group of sweeps.genus1_box_groups, split by divisibility where the
+closed form reads it (km_model.box_divisibility_split), never per class.
+Criterion 2 builds its c_1 series at one order and each cone of its
+sweep once; criteria 5 and 6 each build _genus2_series per group; the
+split sample keys each class's parts in one call.
 """
 
 from __future__ import annotations
@@ -92,20 +100,33 @@ def _root_vector():
 
 
 def _genus2_series(order):
-    """(classes, series) for the square > 0 classes of the acceptance box:
-    classes lists (coords, engine key), series maps each key to (square,
-    <1>, [N_{2,(beta,d)} for d <= order]), by gw_engine.value_rule once
-    per key with <1> read from sweeps.genus1_box_rows."""
-    classes = []
-    series = {}
-    for coords, s, key, value in sweeps.genus1_box_rows(**BOX):
-        if key is None or s <= 0:
-            continue
-        classes.append((coords, key))
-        if key not in series:
-            series[key] = (s, value, [gw_engine.value_rule(2, d, s, lambda: value)[0]
-                                      for d in range(order + 1)])
-    return classes, series
+    """(slices, series) for the square > 0 classes of the acceptance box,
+    read per group from sweeps.genus1_box_groups.  `slices` holds one
+    (b1, b2, sliced, idx, keys, count) per slice: keys[j] is the engine key
+    of group j if its square is > 0 and None otherwise, and count the
+    number of the slice's classes of square > 0.  `series` maps each such
+    key to (square, <1>, [N_{2,(beta,d)} for d <= order]), by
+    gw_engine.value_rule once per key.  Criteria 5 and 6 each build it
+    afresh from the engine, so no run reads another's copy."""
+    slices, series = [], {}
+    for b1, b2, sliced, idx, groups in sweeps.genus1_box_groups(**BOX):
+        keys = [key if s > 0 else None for s, key, _ in groups]
+        members = Counter(idx)
+        slices.append((b1, b2, sliced, idx, keys,
+                       sum(n for j, n in members.items() if keys[j] is not None)))
+        for s, key, value in groups:
+            if s > 0 and key not in series:
+                series[key] = (s, value, [gw_engine.value_rule(2, d, s, lambda: value)[0]
+                                          for d in range(order + 1)])
+    return slices, series
+
+
+def _classes_with(slices, keys):
+    """The classes of `slices` (see _genus2_series) whose key is in the
+    set `keys`, in box order."""
+    return [(b1, b2) + sliced[i] for b1, b2, sliced, idx, slice_keys, _ in slices
+            if keys.intersection(slice_keys)
+            for i, j in enumerate(idx) if slice_keys[j] in keys]
 
 
 @_criterion(1, "isotropic multiples", 1.0)
@@ -139,10 +160,10 @@ def criterion_1():
 def criterion_2():
     """The engine's cell scan agrees with a brute-force walk of the
     smaller ball on every cell shape of the box, and gw_engine.ENGINE's
-    box table, read in one walk of the box (sweeps.genus1_box_groups),
-    equals the heterotic closed form in the "full" convention,
-    km_fiber_prediction(1, beta, "full") / 4, on every keyed class (the
-    verdicts of criterion 9 stay diagnostic).  Classes sharing their
+    box table, read in one walk of the box split by divisibility
+    (km_model.box_divisibility_split), equals the heterotic closed form
+    in the "full" convention, km_fiber_prediction(1, beta, "full") / 4,
+    on every keyed class (the verdicts of criterion 9 stay diagnostic).  Classes sharing their
     slice's group and their divisibility share square, value and
     prediction, so each such (group, divisibility) of a slice is compared
     once and counts for all its classes; the off classes are listed in
@@ -156,35 +177,30 @@ def criterion_2():
     sample = dict.fromkeys([v1, v2, (1, 2) + (0,) * 8, (1, 1) + root, (2, 2) + root])
     # the closed form depends on the square and the divisibility alone:
     # one prediction per pair, at the first class met with it, compared
-    # as (numerator, denominator).  The divisibility is gcd(b1, gcd(b2, e)),
-    # and a slice's groups do not depend on b1, so (group, gcd(b2, e)) is
-    # counted over the parts once per b2
+    # as (numerator, denominator), each (group, divisibility) entry of a
+    # slice's split counted for all its classes.  One c_1 series, built
+    # at the order of the box's largest square plus 2, serves every pair
+    order = 2 * BOX["max_b1"] * BOX["max_b2"] + 2
     closed_form, keyed, off = {}, 0, []
-    per_b2 = {}  # b2 -> ([(group, gcd(b2, e)) per part], their counts)
-    for b1, b2, sliced, idx, groups in sweeps.genus1_box_groups(**BOX):
+    for b1, b2, sliced, idx, groups, split in km_model.box_divisibility_split(**BOX):
         for c in sample:
             if c[:2] == (b1, b2):
                 sample[c] = groups[idx[sliced.index(c[2:])]][2]
-        if b2 not in per_b2:
-            by_part = list(zip(idx, [math.gcd(b2, *e) for e in sliced]))
-            per_b2[b2] = by_part, Counter(by_part)
-        by_part, counts = per_b2[b2]
-        bad = set()
-        for (j, g), n in counts.items():
+        bad = []
+        for (j, g), members in split.items():
             s, key, value = groups[j]
             if key is None:
                 continue
-            keyed += n
+            keyed += len(members)
             pair = (s, math.gcd(b1, g))
             want = closed_form.get(pair)
             if want is None:
-                c = (b1, b2) + sliced[by_part.index((j, g))]
-                f = km_model.km_fiber_prediction(1, c, "full") / 4
+                c = (b1, b2) + sliced[members[0]]
+                f = km_model.km_fiber_prediction(1, c, "full", order) / 4
                 want = closed_form[pair] = (f.numerator, f.denominator)
             if (value.numerator, value.denominator) != want:
-                bad.add((j, g))
-        if bad:
-            off += [(b1, b2) + e for e, jg in zip(sliced, by_part) if jg in bad]
+                bad += members
+        off += [(b1, b2) + sliced[i] for i in sorted(bad)]
     spots_ok = sample[v1] == Fraction(32) and sample[v2] == Fraction(288)
     memo = {}
     values_ok = all(gw_engine.enriques_genus1(c, memo=memo) == v for c, v in sample.items())
@@ -255,17 +271,16 @@ def criterion_5():
     box class of positive square."""
     order = 20
     e2 = [qseries.eisenstein(2, order).coeff(n) for n in range(order + 1)]
-    classes, series = _genus2_series(order)
-    bad_keys = {key for key, (_, _, n2) in series.items()
-                if any(n2[d] != e2[d] * n2[0] for d in range(order + 1))}
-    bad = [coords for coords, key in classes if key in bad_keys]
+    slices, series = _genus2_series(order)
+    bad = _classes_with(slices, {key for key, (_, _, n2) in series.items()
+                                 if any(n2[d] != e2[d] * n2[0] for d in range(order + 1))})
     sample_ok = True
     root = _root_vector()
     for coords in [(1, 1) + (0,) * 8, (2, 1) + (0,) * 8, (2, 2) + root]:
         rep = gw_engine.e2_corollary_check(coords, order=order)
         if not rep["equal"]:
             sample_ok = False
-    detail = "%d classes with square > 0, orders 0..%d" % (len(classes), order)
+    detail = "%d classes with square > 0, orders 0..%d" % (sum(c[-1] for c in slices), order)
     if bad:
         detail += "; first failures %r" % bad[:3]
     return not bad and sample_ok, detail
@@ -279,11 +294,10 @@ def criterion_6():
     enumerate_decompositions, reproducing N_{2,(beta,d)} on a sample."""
     order = 20
     sig = [qseries.sigma_pow(1, d) for d in range(order + 1)]
-    classes, series = _genus2_series(order)
-    bad_keys = {key for key, (s, value, n2) in series.items()
-                if any(n2[d] != Fraction(3, 2) * sig[d] * (4 * value) * s
-                       for d in range(1, order + 1))}
-    bad = [coords for coords, key in classes if key in bad_keys]
+    slices, series = _genus2_series(order)
+    bad = _classes_with(slices, {key for key, (s, value, n2) in series.items()
+                                 if any(n2[d] != Fraction(3, 2) * sig[d] * (4 * value) * s
+                                        for d in range(1, order + 1))})
     root = _root_vector()
     sample = [(b1, b2) + e for b1 in (1, 2, 3) for b2 in (1, 2, 3)
               for e in ((0,) * 8, root)]
@@ -296,7 +310,7 @@ def criterion_6():
             if total != gw_engine.n_invariant(2, (coords, d)):
                 split_ok = False
     detail = ("%d classes, d <= %d; split sample of %d classes, d = 1..3: %s" %
-              (len(classes), order, len(sample), split_ok))
+              (sum(c[-1] for c in slices), order, len(sample), split_ok))
     if bad:
         detail += "; first failures %r" % bad[:3]
     return not bad and split_ok, detail
@@ -348,13 +362,13 @@ def criterion_9():
     order = 16
 
     engine = gw_engine.ENGINE
-    probes = [(coords, s, value)
-              for coords, s, _, value in sweeps.genus1_box_rows(**BOX) if s <= 12]
+    probes = list(km_model.box_verdict_groups(**BOX, max_square=12))
     for n in range(5, 11):
         for coords in ((n, 0) + (0,) * 8, (0, n) + (0,) * 8):
-            probes.append((coords, 0, engine.class_value(coords[0], coords[1], coords[2:])))
+            probes.append((0, n, engine.class_value(coords[0], coords[1], coords[2:]), [coords]))
 
     verdict_map, counts, f56_ok = km_model.km_verdicts(probes, order)
+    n_probes = sum(len(members) for *_, members in probes)
 
     # exercise the literal per-class reports on a small sample and check
     # they tell the same story as the bulk pass
@@ -366,18 +380,18 @@ def criterion_9():
         for g in (1, 2):
             rep = km_model.compare_engine_vs_km(g, coords)
             for conv in ("full", "half"):
-                if rep["verdicts"][conv] != verdict_map[(coords, g, conv)]:
+                if rep["verdicts"][conv] != verdict_map[coords][g, conv]:
                     sample_ok = False
     f56_sample = km_model.km_f56_check((1, 1) + (0,) * 8, "full")
     sample_ok = sample_ok and f56_sample["holds"]
 
-    complete = len(verdict_map) == 4 * len(probes)
+    complete = len(verdict_map) == n_probes
     some_f56 = any(f56_ok.values())
     count_str = "; ".join(
         "g=%d %s: %d match / %d mismatch" % (g, conv, c["match"], c["mismatch"])
         for (g, conv), c in sorted(counts.items()))
     detail = ("%d probed classes; %s; consistency relation holds under: %s" % (
-        len(probes), count_str,
+        n_probes, count_str,
         ", ".join(k for k, v in f56_ok.items() if v) or "none"))
     return (complete and some_f56 and sample_ok, detail,
             {"counts": {str(k): v for k, v in counts.items()}, "f56": f56_ok})

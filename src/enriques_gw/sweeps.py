@@ -547,11 +547,17 @@ def genus1_box_rows(max_b1, max_b2, norm_bound, engine=ENGINE):
 
 def _add_histogram(hist, s1, s2, w):
     """Add the (s1, s2) -> summed w histogram of one scan's rows to the
-    dict `hist`, keyed by s1 * 2**32 + s2."""
-    keys, group = np.unique(s1 * (1 << 32) + s2, return_inverse=True)
-    sums = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(sums, group, w)
-    for k, v in zip(keys.tolist(), sums.tolist()):
+    dict `hist`, keyed by s1 * 2**32 + s2: the keys are sorted once and
+    each run of equal keys summed with np.add.reduceat, exactly in int64.
+    Empty rows add nothing."""
+    keys = s1 * (1 << 32) + s2
+    if not len(keys):
+        return
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    sums = np.add.reduceat(np.asarray(w, dtype=np.int64)[order], starts)
+    for k, v in zip(keys[starts].tolist(), sums.tolist()):
         hist[k] = hist.get(k, 0) + v
 
 
@@ -588,14 +594,15 @@ def decomposition_agreement(max_b1=4, max_b2=4, norm_bound=4):
     min(r1, r2) is built.  Brute force walks the whole smaller ball
     (_brute_force_histogram); ENGINE._scan_cell scans one cell of the
     shape (radius-zero ones too, which _eval keys without a scan).  The
-    largest of these balls is built first, so every shape reads a prefix
-    of one build.  A shape agrees when both give each part-square pair
-    the same weight.
+    largest of these balls, the cone of the targets and each target's
+    own cone (those _scan_cell reads) are built first, each once at the
+    largest bound read, so every shape reads prefixes of these builds.
+    A shape agrees when both give each part-square pair the same weight,
+    each side's histogram summed exactly in int64 (_add_histogram).
     Cells with an n*v1 part admit at most one candidate, kept when the
     complement square is nonnegative; these are counted analytically.
     Returns a report dict.
     """
-    reps, rep_norms, t_weights = orbit_representatives(norm_bound, tuple(range(8)))
     cell_shapes = {}
     for b1 in range(0, max_b1 + 1):
         for b2 in range(1, max_b2 + 1):
@@ -604,8 +611,15 @@ def decomposition_agreement(max_b1=4, max_b2=4, norm_bound=4):
                     r1 = 2 * b1p * b2p
                     r2 = 2 * (b1 - b1p) * (b2 - b2p)
                     cell_shapes.setdefault((r1, r2), []).append((b1, b2, b1p, b2p))
-    # the largest ball read, built once: every shape reads a prefix of it
-    short_vector_table(max((min(shape) for shape in cell_shapes), default=0))
+    # the largest ball read, the targets' cone and each target's own cone,
+    # each built once at the largest bound read: every later scan reads a
+    # prefix
+    top = max((min(shape) for shape in cell_shapes), default=0)
+    short_vector_table(top)
+    orbit_representatives(max(top, norm_bound), tuple(range(8)))
+    reps, rep_norms, t_weights = orbit_representatives(norm_bound, tuple(range(8)))
+    for t in reps:
+        orbit_representatives(top, tuple(np.flatnonzero(_CARTAN_NP @ t == 0).tolist()))
     mismatches = []
     total_pairs = 0
     per_shape = {}

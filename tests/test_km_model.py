@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -111,15 +112,40 @@ def test_comparison_report_schema():
 
 def test_bulk_verdicts_match_per_class_reports():
     classes = (V1, 3 * V1, V1 + V2, 2 * V1 + V2, V1 + V2 + ROOT, 2 * (V1 + V2))
-    probes = [(beta.coords, square(beta), enriques_genus1(beta, memo={})) for beta in classes]
-    verdicts, counts, consistency = km_verdicts(probes, 16)
-    assert len(verdicts) == 4 * len(classes)
+    # one group per class, its divisibility from math.gcd on ints
+    groups = [(square(beta), math.gcd(*beta.coords), enriques_genus1(beta, memo={}), [beta.coords])
+              for beta in classes]
+    verdicts, counts, consistency = km_verdicts(groups, 16)
+    assert len(verdicts) == len(classes)
     for beta in classes:
+        assert len(verdicts[beta.coords]) == 4
         for g in (1, 2):
             report = compare_engine_vs_km(g, beta)
             for conv in ("full", "half"):
-                assert verdicts[(beta.coords, g, conv)] == report["verdicts"][conv]
+                assert verdicts[beta.coords][g, conv] == report["verdicts"][conv]
     for (g, conv), c in counts.items():
         assert c["match"] + c["mismatch"] == len(classes)
-        assert c["match"] == sum(verdicts[(b.coords, g, conv)] == "match" for b in classes)
+        assert c["match"] == sum(verdicts[b.coords][g, conv] == "match" for b in classes)
     assert consistency == {"full": True, "half": False}
+
+
+def test_bulk_verdicts_of_a_group_hold_for_each_member():
+    # a group of two members gets each member's per-class verdicts and
+    # counts twice; a second group of the same square and divisibility
+    # reads the same prediction with another <1>
+    members = [V1 + V2, 2 * V1 + V2 + ROOT]
+    assert {(square(b), math.gcd(*b.coords)) for b in members} == {(2, 1)}
+    value = enriques_genus1(members[0], memo={})
+    assert enriques_genus1(members[1], memo={}) == value
+    other = 2 * V1 + V2 - ROOT
+    assert (square(other), math.gcd(*other.coords)) == (2, 1)
+    groups = [(2, 1, value, [b.coords for b in members]), (2, 1, value + 1, [other.coords])]
+    verdicts, counts, _ = km_verdicts(groups, 16)
+    assert len(verdicts) == 3
+    for beta in members:
+        report = compare_engine_vs_km(1, beta)
+        assert verdicts[beta.coords][1, "full"] == report["verdicts"]["full"] == "match"
+    assert verdicts[other.coords][1, "full"] == "mismatch"
+    assert counts[1, "full"] == {"match": 2, "mismatch": 1}
+    with pytest.raises(TypeError):
+        verdicts[members[0].coords][1, "full"] = "mismatch"

@@ -21,6 +21,7 @@ from enriques_gw.lattice import (
     _short_vector_array,
 )
 from enriques_gw import lattice
+from enriques_gw.qseries import sigma_pow
 
 V1 = basis_vector(1)
 V2 = basis_vector(2)
@@ -113,17 +114,18 @@ def test_short_vector_array_is_in_lexsort_order():
         assert np.array_equal(x, x[np.lexsort((*x.T[::-1], norms))]), bound
 
 
-def test_pack_rows_refuses_values_past_its_6_bit_fields(monkeypatch):
-    row = np.array([[31, -31, 0, 0, 0, 0, 0, 1]], dtype=np.int64)
+def test_pack_rows_refuses_values_past_its_7_bit_fields(monkeypatch):
+    row = np.array([[63, -63, 0, 0, 0, 0, 0, 1]], dtype=np.int64)
     assert lattice.pack_rows(row).tolist() == [
-        sum((x + 32) << 6 * (7 - j) for j, x in enumerate(row[0].tolist()))]
-    for coord in (32, -32):
+        sum((x + 64) << 7 * (7 - j) for j, x in enumerate(row[0].tolist()))]
+    assert int(lattice.pack_rows(np.full((1, 8), 63))[0]) < 1 << 56
+    for coord in (64, -64):
         for j in (0, 7):
             with pytest.raises(ValueError, match="packing range"):
                 lattice.pack_rows(np.array([[0] * j + [coord] + [0] * (7 - j)]))
     # codes of in-range rows sort as np.lexsort does, x_0 most significant
     rng = np.random.default_rng(0)
-    rows = rng.integers(-31, 32, size=(2000, 8))
+    rows = rng.integers(-63, 64, size=(2000, 8))
     rows[:1000, :5] = rng.integers(-1, 2, size=(1000, 5))
     codes = lattice.pack_rows(rows)
     assert np.array_equal(rows[np.argsort(codes, kind="stable")], rows[np.lexsort(rows.T[::-1])])
@@ -132,11 +134,29 @@ def test_pack_rows_refuses_values_past_its_6_bit_fields(monkeypatch):
     # (the enumeration yields y = C x, so the injected rows are C x)
     want = _short_vector_array(6)
     fincke_pohst = lattice._fincke_pohst
-    extra = np.array([[32, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, -32],
-                      [64, 0, 0, 0, 0, 0, 0, 0], [2, 0, 0, 0, 0, 0, 0, 0]])
+    extra = np.array([[64, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, -64],
+                      [128, 0, 0, 0, 0, 0, 0, 0], [2, 0, 0, 0, 0, 0, 0, 0]])
     monkeypatch.setattr(lattice, "_fincke_pohst", lambda bound, J=(): np.concatenate(
         [extra @ np.array(CARTAN_E8), fincke_pohst(bound, J)]))
     assert np.array_equal(_short_vector_array(6), want)
+
+
+def test_the_norm_40_dominant_cone_is_sorted_and_fills_the_theta_shells():
+    # its coordinates reach 34, past the 6-bit fields the code once had;
+    # the shells come from the theta series here, without the ball cap
+    rows = _short_vector_array(40, ALL_NODES)
+    assert int(np.abs(rows).max()) >= 32
+    cartan = np.array(CARTAN_E8)
+    labels = rows @ cartan
+    norms = np.einsum("ij,ij->i", rows, labels)
+    assert np.array_equal(rows, rows[np.lexsort((*rows.T[::-1], norms))])
+    assert (labels >= 0).all()
+    sizes = [lattice.weyl_order(ALL_NODES) // lattice.weyl_order(tuple(np.flatnonzero(k == 0)))
+             for k in labels]
+    shells = [1] + [240 * int(sigma_pow(3, k)) for k in range(1, 21)]
+    assert np.bincount(norms // 2, weights=sizes, minlength=21).tolist() == shells
+    with pytest.raises(ValueError, match="norms below 128"):
+        _short_vector_array(128, ALL_NODES)
 
 
 def test_short_vector_table_keeps_one_table_and_serves_prefixes(monkeypatch):
@@ -320,6 +340,21 @@ def test_box_oracle_refuses_past_the_int64_bound(monkeypatch):
     assert decompositions_box_oracle(beta) == _per_candidate_filter(beta)
 
 
+def test_enumeration_refuses_past_the_int64_bound(monkeypatch):
+    # the masks share the oracle's bound; with b2 = 2 there are cells, and
+    # the smaller ball of each is a radius-zero ball (|f_j| <= 0)
+    k = 2 ** 62
+    monkeypatch.setattr(lattice, "_part_mask",
+                        lambda *args: pytest.fail("a mask was formed past the bound"))
+    with pytest.raises(ValueError, match=r"the enumeration's int64 bound %d exceeds 2\*\*63"
+                       % (8 + 2 * k * k)):
+        enumerate_decompositions((1, 2, k) + (0,) * 7)
+    monkeypatch.undo()
+    k = 2 * 10 ** 9
+    beta = LatticeVector((1, 2, k) + (0,) * 7)
+    assert enumerate_decompositions(beta) == decompositions_box_oracle(beta) == []
+
+
 @pytest.mark.parametrize("coords", [(3, 2) + E8_ROOT, (2, 3) + E8_ROOT,
                                     (3, 3) + E8_ROOT, (3, 3) + E8_ZERO])
 def test_enumeration_matches_box_oracle_on_larger_classes(monkeypatch, coords):
@@ -431,10 +466,10 @@ NORM4_J = _stabilizer((1, 1, 0, 0, 0, 0, 0, 0))
 
 def _ball_index(bound, rows, norms):
     """Positions of the rows (with their norms) in the ball of norm <=
-    bound, which is sorted by the key (norm << 48) | pack_rows."""
+    bound, which is sorted by the key (norm << 56) | pack_rows."""
     a, nrm = short_vector_table(bound)
-    keys = (nrm << 48) | lattice.pack_rows(a)
-    idx = np.searchsorted(keys, (norms << 48) | lattice.pack_rows(rows))
+    keys = (nrm << 56) | lattice.pack_rows(a)
+    idx = np.searchsorted(keys, (norms << 56) | lattice.pack_rows(rows))
     assert np.array_equal(a[idx], rows)
     return idx
 

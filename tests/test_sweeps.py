@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -367,7 +368,7 @@ def test_pack_rows_is_injective_and_bounded():
     packed = pack_rows(vecs)
     assert len(np.unique(packed)) == len(vecs)
     with pytest.raises(ValueError, match="packing range"):
-        pack_rows(np.array([[40, 0, 0, 0, 0, 0, 0, 0]]))
+        pack_rows(np.array([[64, 0, 0, 0, 0, 0, 0, 0]]))
     assert sweeps.pack_rows is lattice.pack_rows
 
 
@@ -745,6 +746,25 @@ def test_smaller_ball_brute_force_matches_the_full_ball_scan(monkeypatch, cell):
                                         np.ones(len(targets), dtype=np.int64))
     assert got == (want, n_want)
     assert built == [min(r1, r2)]
+
+
+def test_add_histogram_is_exact_and_adds_nothing_for_no_rows():
+    hist = {5: 1}
+    empty = np.zeros(0, dtype=np.int64)
+    sweeps._add_histogram(hist, empty, empty, empty)
+    assert hist == {5: 1}
+    # weights past 2**53, where a float sum would round, against a Counter
+    rng = np.random.default_rng(3)
+    s1, s2 = rng.integers(0, 4, size=(2, 500))
+    w = rng.integers(2 ** 53, 2 ** 54, size=500)
+    want = Counter()
+    for a, b, x in zip(s1.tolist(), s2.tolist(), w.tolist()):
+        want[a * 2 ** 32 + b] += x
+    hist = {}
+    sweeps._add_histogram(hist, s1, s2, w)
+    sweeps._add_histogram(hist, s1[:1], s2[:1], w[:1])
+    want[s1[0] * 2 ** 32 + s2[0]] += int(w[0])
+    assert hist == dict(want)
 
 
 def test_agreement_fails_when_the_engine_scan_drops_boundary_rows(monkeypatch):
