@@ -140,36 +140,27 @@ def compare_engine_vs_km(g, beta, order=None):
     }
 
 
-def box_divisibility_split(max_b1, max_b2, norm_bound):
-    """The slices of sweeps.genus1_box_groups on ENGINE, in its order,
-    each as (b1, b2, sliced, idx, groups, split): `split` maps each
-    (group index j, gcd(b2, e)) met to the indices in `sliced` of its
-    parts e, in box order.  The classes (b1, b2, e) of one entry share the
-    square and <1> of group j and the divisibility gcd(b1, gcd(b2, e)),
-    so one prediction, and one verdict, holds for all of them.  A slice's
-    parts and groups depend on b2 alone, so its split is formed once per
-    b2, with math.gcd on ints."""
-    splits = {}
-    for b1, b2, sliced, idx, groups in genus1_box_groups(max_b1, max_b2, norm_bound):
-        split = splits.get(b2)
-        if split is None:
-            split = splits[b2] = {}
-            for i, (j, e) in enumerate(zip(idx, sliced)):
-                split.setdefault((j, math.gcd(b2, *e)), []).append(i)
-        yield b1, b2, sliced, idx, groups, split
-
-
 def box_verdict_groups(max_b1, max_b2, norm_bound, max_square=None):
     """The km_verdicts groups of the coordinate box of
     sweeps.genus1_box_rows, of square <= max_square if it is given: one
-    (square, divisibility, <1>, members) per entry of a slice's
-    box_divisibility_split, with the member classes' coordinates in box
-    order."""
-    for b1, b2, sliced, _, groups, split in box_divisibility_split(max_b1, max_b2, norm_bound):
-        for (j, g), members in split.items():
-            s, _, value = groups[j]
+    (square, divisibility, <1>, members) per group of a
+    sweeps.genus1_box_groups slice, in its order, with the member
+    classes' coordinates in box order.
+
+    A group has one divisibility.  The parts e of a group of slice
+    (b1, b2) lie in one orbit of W x| b2*Q.  W(E8) acts on the
+    coordinates by integer matrices with integer inverses, so it keeps
+    every sublattice dQ, and adding b2*q changes no coordinate mod d for
+    any d dividing b2.  So the d dividing b2 with e in dQ, and their
+    largest, gcd(b2, e), are the same on the whole orbit, and every class
+    of the group has the divisibility gcd(b1, b2, e) of its first part."""
+    for b1, b2, sliced, idx, groups in genus1_box_groups(max_b1, max_b2, norm_bound):
+        members = [[] for _ in groups]
+        for e, j in zip(sliced, idx):
+            members[j].append((b1, b2) + e)
+        for (e, s, _, value), classes in zip(groups, members):
             if max_square is None or s <= max_square:
-                yield s, math.gcd(b1, g), value, [(b1, b2) + sliced[i] for i in members]
+                yield s, math.gcd(b1, b2, *e), value, classes
 
 
 def km_verdicts(groups, order):

@@ -19,8 +19,9 @@ keeps each cone at the largest norm bound asked, and a smaller bound
 reads a prefix; J = () gives the whole ball, short_vector_table.  The E8
 theta series (Conway-Sloane, SPLAG, Ch. 4 section 8.1) gives each ball's
 shell sizes: a ball past the cap is refused, and a built cone whose
-orbit sizes do not add up to them raises.  pack_rows is the one int64
-code of E8 coordinate rows.  The Weyl group W(E8) enters through
+orbit sizes do not add up to them raises.  Every ball and cone is
+norm-major, in the enumeration's own order within a norm, so no row is
+ever encoded for a sort.  The Weyl group W(E8) enters through
 dominant vectors, the orders of its parabolic subgroups W_J, and the
 cones, which hold one representative per W_J-orbit of a ball.
 """
@@ -209,20 +210,6 @@ def _ldl(gram):
 
 
 _LDL_D, _LDL_MU = _ldl(_CARTAN_INV)
-_PACK_WEIGHTS = 128 ** np.arange(7, -1, -1, dtype=np.int64)
-
-
-def pack_rows(arr):
-    """The one int64 code (x + 64).P < 2**56 of E8 coordinate rows x, P
-    the weights 128**7..128**0, ordered as (x_0, .., x_7): each 7-bit
-    field holds x_j + 64, so ValueError is raised unless |x_j| < 64, true
-    for norm < 128 since |x_j| = |<x, w_j>| <= sqrt(30 norm) for the
-    fundamental weight w_j."""
-    a = np.asarray(arr, dtype=np.int64)
-    if a.size and (int(a.max()) >= 64 or int(a.min()) <= -64):
-        raise ValueError("coordinates out of packing range")
-    # (a + 64) @ P, without a shifted copy of a
-    return a @ _PACK_WEIGHTS + 64 * int(_PACK_WEIGHTS.sum())
 
 
 def _short_vector_array(bound: int, J=()) -> np.ndarray:
@@ -234,16 +221,14 @@ def _short_vector_array(bound: int, J=()) -> np.ndarray:
     _fincke_pohst, after an exact integer filter that removes any
     overshoot; orbit_representatives checks that no vector is missed.
 
-    Rows are in norm-major order, lexicographic within a norm shell, so
-    the array for a smaller bound is a prefix of the one for a larger:
-    one argsort of the int64 keys (norm << 56) | pack_rows(x).  A bound
-    of 128 or more, whose norms would not fit beside the code in int64,
-    is refused with ValueError before any enumeration.
+    Rows are in norm-major order and, within a norm, in the lexicographic
+    order of (y_7, .., y_0) in which _fincke_pohst yields them; the filter
+    and one stable argsort of the norms keep it.  That order within a norm
+    does not depend on the bound, so the array for a smaller bound is a
+    prefix of the one for a larger.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    if bound >= 128:
-        raise ValueError("the sort key holds norms below 128, not %d" % bound)
     if bound < 2:
         return np.zeros((1, 8), dtype=np.int64)
 
@@ -254,15 +239,17 @@ def _short_vector_array(bound: int, J=()) -> np.ndarray:
     del y
     keep = norms <= bound
     x, norms = x[keep], norms[keep]
-    return x[np.argsort((norms << 56) | pack_rows(x))]
+    return x[np.argsort(norms, kind="stable")]
 
 
 def _fincke_pohst(bound: int, J=()) -> np.ndarray:
-    """Unordered candidate rows y = C x for _short_vector_array(bound, J),
-    a superset of the y with y.C^-1.y <= bound and y_j >= 0 for j in J;
-    the per-row temporaries die on return.  Layer-by-layer branch and
-    bound on the float64 LDL of C^-1, with interval bounds padded by a
-    small slack; the layer of each j in J starts at max(lo, 0)."""
+    """Candidate rows y = C x for _short_vector_array(bound, J), a
+    superset of the y with y.C^-1.y <= bound and y_j >= 0 for j in J, in
+    lexicographic order of (y_7, .., y_0): each layer expands its parents
+    in order, the new coordinate ascending.  The per-row temporaries die
+    on return.  Layer-by-layer branch and bound on the float64 LDL of
+    C^-1, with interval bounds padded by a small slack; the layer of each
+    j in J starts at max(lo, 0)."""
     d, mu = _LDL_D, _LDL_MU
     slack = 1e-7
 

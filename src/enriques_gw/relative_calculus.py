@@ -1,5 +1,5 @@
 """Relative-invariant bookkeeping for degenerations along an elliptic
-fiber: coefficient tables for the two relative-insertion patterns, the
+fiber: the coefficients of the two relative-insertion patterns, the
 triangular recursion those coefficients force on the unknown relative
 invariants, and the split of the genus-2 degree-d invariant into its
 two degeneration contributions.
@@ -13,11 +13,10 @@ than assume it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
-from typing import Dict, List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -47,26 +46,10 @@ def p1_relative_coeff(kind: str, d: int, r: int = None) -> Fraction:
     raise ValueError("unknown pattern kind")
 
 
-@dataclass
-class RelativeCoefficientTable:
-    """Materialized p1_relative_coeff values up to a degree bound."""
-
-    d_max: int
-    full: Dict[int, Fraction] = field(default_factory=dict)
-    mixed: Dict[Tuple[int, int], Fraction] = field(default_factory=dict)
-
-    @classmethod
-    def build(cls, d_max: int) -> "RelativeCoefficientTable":
-        table = cls(d_max)
-        for d in range(1, d_max + 1):
-            table.full[d] = p1_relative_coeff("full", d)
-            for r in range(1, d):
-                table.mixed[(d, r)] = p1_relative_coeff("mixed", d, r)
-        return table
-
-
 def lemma_d5_value(d: int, base) -> Fraction:
-    """Right-hand side of the degree-d relative relation: (2d/(d!)^2) * base."""
+    """Right-hand side of the degree-d relative relation: (2d/(d!)^2) * base.
+    The paper's lemma formula, kept as library API; solve_I_recursion
+    reads it."""
     if d < 1:
         raise ValueError("degree must be positive")
     return Fraction(2 * d, factorial(d) ** 2) * Fraction(base)
@@ -95,7 +78,8 @@ def solve_I_recursion(d_max: int, base) -> List[Fraction]:
 def lemma_d6_d7_prefactor(parity: str, m1: int, m2: int) -> Fraction:
     """Combinatorial prefactor of the two section-pattern families:
     odd pattern 2/((m1!)^2 (m2!)^2), even pattern 2*m1*m2/((m1!)^2 (m2!)^2).
-    The even pattern needs both multiplicities positive."""
+    The even pattern needs both multiplicities positive.  The paper's
+    lemma formula, kept as library API; no computation here reads it."""
     if parity == "odd":
         if m1 < 0 or m2 < 0:
             raise ValueError("multiplicities must be nonnegative")

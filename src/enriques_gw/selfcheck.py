@@ -18,8 +18,10 @@ reports.
 
 Each piece of work is done once where its result cannot differ: the
 criteria that read the acceptance box (2, 5, 6 and 9) walk it per orbit
-group of sweeps.genus1_box_groups, split by divisibility where the
-closed form reads it (km_model.box_divisibility_split), never per class.
+group of sweeps.genus1_box_groups, never per class, and walk it again
+class by class only to list the classes of a failing group.  A group
+fixes the square, <1> and divisibility of its classes (see
+km_model.box_verdict_groups), all that the closed form reads.
 Criterion 2 builds its c_1 series at one order and each cone of its
 sweep once; criteria 5 and 6 each build _genus2_series per group; the
 split sample keys each class's parts in one call.
@@ -94,39 +96,37 @@ def _criterion(number, name, budget):
 
 
 def _root_vector():
+    """The lexicographically least root of E8, as a tuple of ints."""
     parts, norms = lattice.short_vector_table(2)
-    row = parts[norms == 2][0]
-    return tuple(int(x) for x in row)
+    return min(map(tuple, parts[norms == 2].tolist()))
 
 
 def _genus2_series(order):
-    """(slices, series) for the square > 0 classes of the acceptance box,
-    read per group from sweeps.genus1_box_groups.  `slices` holds one
-    (b1, b2, sliced, idx, keys, count) per slice: keys[j] is the engine key
-    of group j if its square is > 0 and None otherwise, and count the
-    number of the slice's classes of square > 0.  `series` maps each such
-    key to (square, <1>, [N_{2,(beta,d)} for d <= order]), by
-    gw_engine.value_rule once per key.  Criteria 5 and 6 each build it
-    afresh from the engine, so no run reads another's copy."""
-    slices, series = [], {}
+    """(count, series) for the square > 0 classes of the acceptance box,
+    read per group from sweeps.genus1_box_groups: `count` is their
+    number, and `series` maps each of their engine keys to (square, <1>,
+    [N_{2,(beta,d)} for d <= order]), by gw_engine.value_rule once per
+    key.  Criteria 5 and 6 each build it afresh from the engine, so no
+    run reads another's copy."""
+    count, series = 0, {}
     for b1, b2, sliced, idx, groups in sweeps.genus1_box_groups(**BOX):
-        keys = [key if s > 0 else None for s, key, _ in groups]
-        members = Counter(idx)
-        slices.append((b1, b2, sliced, idx, keys,
-                       sum(n for j, n in members.items() if keys[j] is not None)))
-        for s, key, value in groups:
-            if s > 0 and key not in series:
-                series[key] = (s, value, [gw_engine.value_rule(2, d, s, lambda: value)[0]
-                                          for d in range(order + 1)])
-    return slices, series
+        sizes = Counter(idx)
+        for j, (_, s, key, value) in enumerate(groups):
+            if s > 0:
+                count += sizes[j]
+                if key not in series:
+                    series[key] = (s, value, [gw_engine.value_rule(2, d, s, lambda: value)[0]
+                                              for d in range(order + 1)])
+    return count, series
 
 
-def _classes_with(slices, keys):
-    """The classes of `slices` (see _genus2_series) whose key is in the
-    set `keys`, in box order."""
-    return [(b1, b2) + sliced[i] for b1, b2, sliced, idx, slice_keys, _ in slices
-            if keys.intersection(slice_keys)
-            for i, j in enumerate(idx) if slice_keys[j] in keys]
+def _classes_with(keys):
+    """The classes of the acceptance box whose engine key is in the set
+    `keys`, in box order: a second walk of the box, made only when `keys`
+    is not empty."""
+    if not keys:
+        return []
+    return [c for c, _, key, _ in sweeps.genus1_box_rows(**BOX) if key in keys]
 
 
 @_criterion(1, "isotropic multiples", 1.0)
@@ -160,47 +160,47 @@ def criterion_1():
 def criterion_2():
     """The engine's cell scan agrees with a brute-force walk of the
     smaller ball on every cell shape of the box, and gw_engine.ENGINE's
-    box table, read in one walk of the box split by divisibility
-    (km_model.box_divisibility_split), equals the heterotic closed form
-    in the "full" convention, km_fiber_prediction(1, beta, "full") / 4,
-    on every keyed class (the verdicts of criterion 9 stay diagnostic).  Classes sharing their
-    slice's group and their divisibility share square, value and
-    prediction, so each such (group, divisibility) of a slice is compared
-    once and counts for all its classes; the off classes are listed in
-    box order.  One shared-memo oracle recursion gives ENGINE's value on
-    a sample, and enumerate_decompositions equals the box oracle on the
-    sample and on every class whose decompositions it read."""
+    box table, read per group of sweeps.genus1_box_groups, equals the
+    heterotic closed form in the "full" convention,
+    km_fiber_prediction(1, beta, "full") / 4, on every keyed class (the
+    verdicts of criterion 9 stay diagnostic).  The classes of a slice's
+    group share square, value and divisibility, gcd(b1, b2, e) at its
+    first part e (see km_model.box_verdict_groups), so each keyed group
+    is compared once and counts for all its classes; the off classes of
+    the failing groups are listed in box order.  One shared-memo oracle
+    recursion gives ENGINE's value on a sample, and
+    enumerate_decompositions equals the box oracle on the sample and on
+    every class whose decompositions it read."""
     report = sweeps.decomposition_agreement(**BOX)
     v1 = (1, 1) + (0,) * 8
     v2 = (2, 1) + (0,) * 8
     root = _root_vector()
     sample = dict.fromkeys([v1, v2, (1, 2) + (0,) * 8, (1, 1) + root, (2, 2) + root])
     # the closed form depends on the square and the divisibility alone:
-    # one prediction per pair, at the first class met with it, compared
-    # as (numerator, denominator), each (group, divisibility) entry of a
-    # slice's split counted for all its classes.  One c_1 series, built
-    # at the order of the box's largest square plus 2, serves every pair
+    # one prediction per pair, at the first group met with it, compared
+    # as (numerator, denominator), each keyed group counted for all its
+    # classes.  One c_1 series, built at the order of the box's largest
+    # square plus 2, serves every pair
     order = 2 * BOX["max_b1"] * BOX["max_b2"] + 2
     closed_form, keyed, off = {}, 0, []
-    for b1, b2, sliced, idx, groups, split in km_model.box_divisibility_split(**BOX):
+    for b1, b2, sliced, idx, groups in sweeps.genus1_box_groups(**BOX):
         for c in sample:
             if c[:2] == (b1, b2):
-                sample[c] = groups[idx[sliced.index(c[2:])]][2]
-        bad = []
-        for (j, g), members in split.items():
-            s, key, value = groups[j]
+                sample[c] = groups[idx[sliced.index(c[2:])]][3]
+        sizes, bad = Counter(idx), set()
+        for j, (e, s, key, value) in enumerate(groups):
             if key is None:
                 continue
-            keyed += len(members)
-            pair = (s, math.gcd(b1, g))
+            keyed += sizes[j]
+            pair = (s, math.gcd(b1, b2, *e))
             want = closed_form.get(pair)
             if want is None:
-                c = (b1, b2) + sliced[members[0]]
-                f = km_model.km_fiber_prediction(1, c, "full", order) / 4
+                f = km_model.km_fiber_prediction(1, (b1, b2) + e, "full", order) / 4
                 want = closed_form[pair] = (f.numerator, f.denominator)
             if (value.numerator, value.denominator) != want:
-                bad += members
-        off += [(b1, b2) + sliced[i] for i in sorted(bad)]
+                bad.add(j)
+        if bad:
+            off += [(b1, b2) + e for e, j in zip(sliced, idx) if j in bad]
     spots_ok = sample[v1] == Fraction(32) and sample[v2] == Fraction(288)
     memo = {}
     values_ok = all(gw_engine.enriques_genus1(c, memo=memo) == v for c, v in sample.items())
@@ -271,16 +271,16 @@ def criterion_5():
     box class of positive square."""
     order = 20
     e2 = [qseries.eisenstein(2, order).coeff(n) for n in range(order + 1)]
-    slices, series = _genus2_series(order)
-    bad = _classes_with(slices, {key for key, (_, _, n2) in series.items()
-                                 if any(n2[d] != e2[d] * n2[0] for d in range(order + 1))})
+    count, series = _genus2_series(order)
+    bad = _classes_with({key for key, (_, _, n2) in series.items()
+                         if any(n2[d] != e2[d] * n2[0] for d in range(order + 1))})
     sample_ok = True
     root = _root_vector()
     for coords in [(1, 1) + (0,) * 8, (2, 1) + (0,) * 8, (2, 2) + root]:
         rep = gw_engine.e2_corollary_check(coords, order=order)
         if not rep["equal"]:
             sample_ok = False
-    detail = "%d classes with square > 0, orders 0..%d" % (sum(c[-1] for c in slices), order)
+    detail = "%d classes with square > 0, orders 0..%d" % (count, order)
     if bad:
         detail += "; first failures %r" % bad[:3]
     return not bad and sample_ok, detail
@@ -294,10 +294,10 @@ def criterion_6():
     enumerate_decompositions, reproducing N_{2,(beta,d)} on a sample."""
     order = 20
     sig = [qseries.sigma_pow(1, d) for d in range(order + 1)]
-    slices, series = _genus2_series(order)
-    bad = _classes_with(slices, {key for key, (s, value, n2) in series.items()
-                                 if any(n2[d] != Fraction(3, 2) * sig[d] * (4 * value) * s
-                                        for d in range(1, order + 1))})
+    count, series = _genus2_series(order)
+    bad = _classes_with({key for key, (s, value, n2) in series.items()
+                         if any(n2[d] != Fraction(3, 2) * sig[d] * (4 * value) * s
+                                for d in range(1, order + 1))})
     root = _root_vector()
     sample = [(b1, b2) + e for b1 in (1, 2, 3) for b2 in (1, 2, 3)
               for e in ((0,) * 8, root)]
@@ -310,7 +310,7 @@ def criterion_6():
             if total != gw_engine.n_invariant(2, (coords, d)):
                 split_ok = False
     detail = ("%d classes, d <= %d; split sample of %d classes, d = 1..3: %s" %
-              (sum(c[-1] for c in slices), order, len(sample), split_ok))
+              (count, order, len(sample), split_ok))
     if bad:
         detail += "; first failures %r" % bad[:3]
     return not bad and split_ok, detail

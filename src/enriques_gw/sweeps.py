@@ -104,7 +104,6 @@ from .lattice import (
     dominant,
     e8_norm,
     orbit_representatives,
-    pack_rows,
     short_vector_table,
     theta_shells,
 )
@@ -464,9 +463,12 @@ def box_slices(max_b1, max_b2, norm_bound):
     orbit_ids(b2, e) name), which is the engine key up to b1: a group's e
     is its first part, its square 2 b1 b2 - norm and its key
     (b2, square, name), or None where the square is negative; groups are
-    numbered in the order of their first parts.
+    numbered in the order of their first parts.  A group lies in one
+    orbit of W x| b2*Q, so its parts share gcd(b2, e) too
+    (km_model.box_verdict_groups says why).
 
-    The parts are sorted once and named once per W(E8)-orbit.  A label
+    The parts are sorted once, by np.lexsort, and named once per
+    W(E8)-orbit.  A label
     (norm, orbit_ids(m, e)) with m*m > 2 norm_bound is one W-orbit: two
     parts of one W x| m*Q orbit differ, after some w in W, by a vector of
     m*Q of norm <= 4 norm_bound < 2 m^2, the least nonzero norm in m*Q,
@@ -474,7 +476,7 @@ def box_slices(max_b1, max_b2, norm_bound):
     each b2: each b2 names one head part per label in one orbit_ids call,
     and its idx is a gather of the labels' group indices."""
     a, norms = short_vector_table(norm_bound)
-    order = np.argsort(pack_rows(a))
+    order = np.lexsort(a.T[::-1])
     a = a[order]
     parts = [tuple(row) for row in a.tolist()]
     norms = norms[order].tolist()
@@ -519,14 +521,15 @@ def genus1_box_groups(max_b1, max_b2, norm_bound, engine=ENGINE):
     """The coordinate box of genus1_box_rows per (b1, b2) slice of
     box_slices, in its lexicographic order: (b1, b2, sliced, idx, groups)
     with `sliced` the slice's E8 parts as tuples, `groups` one
-    (square, key, <1>) per group of the slice and `idx` each part's
-    group index.  <1> is 0 where the square is negative; otherwise it is
-    evaluated on `engine` (the process-wide ENGINE by default) once per
-    group, at the group's first part, and holds for every part of it."""
+    (e, square, key, <1>) per group of the slice, e its first part, and
+    `idx` each part's group index.  <1> is 0 where the square is
+    negative; otherwise it is evaluated on `engine` (the process-wide
+    ENGINE by default) once per group, at e, and holds for every part of
+    it."""
     parts, slices = box_slices(max_b1, max_b2, norm_bound)
     for b1, b2, cols, idx, classes in slices:
         yield b1, b2, parts[cols], idx, [
-            (s, key, Fraction(0) if s < 0 else engine.class_value(b1, b2, e, key))
+            (e, s, key, Fraction(0) if s < 0 else engine.class_value(b1, b2, e, key))
             for e, s, key in classes]
 
 
@@ -539,7 +542,7 @@ def genus1_box_rows(max_b1, max_b2, norm_bound, engine=ENGINE):
     negative; square, key and <1> are those of the class's group."""
     for b1, b2, sliced, idx, groups in genus1_box_groups(max_b1, max_b2, norm_bound, engine):
         for e, j in zip(sliced, idx):
-            yield ((b1, b2) + e,) + groups[j]
+            yield ((b1, b2) + e,) + groups[j][1:]
 
 
 # -- brute-force vs engine-scan decomposition agreement -----------------

@@ -525,6 +525,16 @@ def test_km_probe_default_stdout_is_pinned():
         "7e8033afccb2156d73586fc8c4a616ee72bc935ff89b4ee844543ad8f3cb460a")
 
 
+def test_km_probe_norm_8_stdout_is_pinned():
+    # a norm-8 box holds 2 * roots, whose classes of even b1 and b2 have
+    # divisibility 2
+    argv = ["--max-b1", "2", "--max-b2", "4", "--max-e8-norm", "8"]
+    out = subprocess.run([sys.executable, _script("km_probe.py")] + argv, check=True,
+                         capture_output=True).stdout
+    assert hashlib.sha256(out).hexdigest() == (
+        "6ad5d8e71d10fd730af84995735f3b775e45009565673e609b8aef927dd7a2d6")
+
+
 def test_build_table_script_prints_the_smoke_table():
     # the genus-1 smoke table of the benchmark, with its digest
     argv = ["--genus", "1", "--max-b1", "2", "--max-b2", "2", "--max-e8-norm", "2"]

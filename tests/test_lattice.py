@@ -106,31 +106,29 @@ def test_short_vector_array_prefix_nesting():
     assert np.array_equal(large[: len(small)], small)
 
 
+@pytest.mark.parametrize("J", [(0,), (1, 2, 3), (0, 2, 4, 6), tuple(range(8))])
+def test_short_vector_array_prefix_nesting_in_a_cone(J):
+    large = _short_vector_array(16, J)
+    for bound in (2, 5, 10, 16):
+        small = _short_vector_array(bound, J)
+        assert np.array_equal(large[: len(small)], small), bound
+
+
 def test_short_vector_array_is_in_lexsort_order():
+    # norm-major, and within a norm lexicographic in (y_7, .., y_0),
+    # y = C x: the order in which the enumeration yields its rows
     cartan = np.array(CARTAN_E8)
     for bound in range(13):
-        x = _short_vector_array(bound)
-        norms = np.einsum("ij,jk,ik->i", x, cartan, x)
-        assert np.array_equal(x, x[np.lexsort((*x.T[::-1], norms))]), bound
+        for J in ((), (0, 3), tuple(range(8))):
+            x = _short_vector_array(bound, J)
+            y = x @ cartan
+            norms = np.einsum("ij,ij->i", x, y)
+            assert np.array_equal(x, x[np.lexsort((*y.T, norms))]), (bound, J)
 
 
-def test_pack_rows_refuses_values_past_its_7_bit_fields(monkeypatch):
-    row = np.array([[63, -63, 0, 0, 0, 0, 0, 1]], dtype=np.int64)
-    assert lattice.pack_rows(row).tolist() == [
-        sum((x + 64) << 7 * (7 - j) for j, x in enumerate(row[0].tolist()))]
-    assert int(lattice.pack_rows(np.full((1, 8), 63))[0]) < 1 << 56
-    for coord in (64, -64):
-        for j in (0, 7):
-            with pytest.raises(ValueError, match="packing range"):
-                lattice.pack_rows(np.array([[0] * j + [coord] + [0] * (7 - j)]))
-    # codes of in-range rows sort as np.lexsort does, x_0 most significant
-    rng = np.random.default_rng(0)
-    rows = rng.integers(-63, 64, size=(2000, 8))
-    rows[:1000, :5] = rng.integers(-1, 2, size=(1000, 5))
-    codes = lattice.pack_rows(rows)
-    assert np.array_equal(rows[np.argsort(codes, kind="stable")], rows[np.lexsort(rows.T[::-1])])
-    # candidate rows outside the ball, one past the coordinate field, are
-    # dropped before keying and refuse nothing
+def test_short_vector_array_drops_candidates_outside_the_ball(monkeypatch):
+    # candidate rows outside the ball, injected ahead of the enumeration's
+    # own, are dropped by the exact norm filter, whatever their size
     # (the enumeration yields y = C x, so the injected rows are C x)
     want = _short_vector_array(6)
     fincke_pohst = lattice._fincke_pohst
@@ -142,21 +140,20 @@ def test_pack_rows_refuses_values_past_its_7_bit_fields(monkeypatch):
 
 
 def test_the_norm_40_dominant_cone_is_sorted_and_fills_the_theta_shells():
-    # its coordinates reach 34, past the 6-bit fields the code once had;
-    # the shells come from the theta series here, without the ball cap
-    rows = _short_vector_array(40, ALL_NODES)
-    assert int(np.abs(rows).max()) >= 32
+    # its coordinates reach 34, and past norm 128 they pass 64; the
+    # shells come from the theta series here, without the ball cap
     cartan = np.array(CARTAN_E8)
-    labels = rows @ cartan
-    norms = np.einsum("ij,ij->i", rows, labels)
-    assert np.array_equal(rows, rows[np.lexsort((*rows.T[::-1], norms))])
-    assert (labels >= 0).all()
-    sizes = [lattice.weyl_order(ALL_NODES) // lattice.weyl_order(tuple(np.flatnonzero(k == 0)))
-             for k in labels]
-    shells = [1] + [240 * int(sigma_pow(3, k)) for k in range(1, 21)]
-    assert np.bincount(norms // 2, weights=sizes, minlength=21).tolist() == shells
-    with pytest.raises(ValueError, match="norms below 128"):
-        _short_vector_array(128, ALL_NODES)
+    for bound in (40, 160):
+        rows = _short_vector_array(bound, ALL_NODES)
+        assert int(np.abs(rows).max()) >= (32 if bound == 40 else 64)
+        labels = rows @ cartan
+        norms = np.einsum("ij,ij->i", rows, labels)
+        assert np.array_equal(rows, rows[np.lexsort((*labels.T, norms))])
+        assert (labels >= 0).all()
+        sizes = [lattice.weyl_order(ALL_NODES) // lattice.weyl_order(tuple(np.flatnonzero(k == 0)))
+                 for k in labels]
+        shells = [1] + [240 * int(sigma_pow(3, k)) for k in range(1, bound // 2 + 1)]
+        assert np.bincount(norms // 2, weights=sizes, minlength=len(shells)).tolist() == shells
 
 
 def test_short_vector_table_keeps_one_table_and_serves_prefixes(monkeypatch):
@@ -278,8 +275,8 @@ def test_enumeration_matches_box_oracle(beta):
     assert fast == slow
 
 
-# the first root of the norm-major ball, as selfcheck takes it
-E8_ROOT = tuple(short_vector_table(2)[0][1].tolist())
+# the lexicographically least root, as selfcheck takes it
+E8_ROOT = min(map(tuple, short_vector_table(2)[0][1:].tolist()))
 E8_ZERO = (0,) * 8
 
 
@@ -437,14 +434,21 @@ def test_weyl_orders_match_the_orbit_of_rho():
     assert checked == 252
 
 
+def _row_positions(a, rows):
+    """The position in the int64 array a of each of the rows, by a binary
+    search of a's rows read as 64-byte strings."""
+    void = np.dtype((np.void, 64))
+    keys = np.ascontiguousarray(a).view(void).ravel()
+    order = np.argsort(keys)
+    return order[np.searchsorted(keys[order], np.ascontiguousarray(rows).view(void).ravel())]
+
+
 def _ball_orbit_labels(bound, J):
     """Brute-force W_J-orbit labels of the rows of the ball of norm <=
     bound: each row's smallest row index over its orbit, found by closing
     the simple reflections of J as permutations of the ball."""
     a, _ = short_vector_table(bound)
-    codes = lattice.pack_rows(a)
-    order = np.argsort(codes)
-    perms = [order[np.searchsorted(codes[order], lattice.pack_rows(_reflect(a, j)))] for j in J]
+    perms = [_row_positions(a, _reflect(a, j)) for j in J]
     labels = np.arange(len(a))
     while True:
         before = labels.copy()
@@ -466,11 +470,10 @@ NORM4_J = _stabilizer((1, 1, 0, 0, 0, 0, 0, 0))
 
 def _ball_index(bound, rows, norms):
     """Positions of the rows (with their norms) in the ball of norm <=
-    bound, which is sorted by the key (norm << 56) | pack_rows."""
+    bound."""
     a, nrm = short_vector_table(bound)
-    keys = (nrm << 56) | lattice.pack_rows(a)
-    idx = np.searchsorted(keys, (norms << 56) | lattice.pack_rows(rows))
-    assert np.array_equal(a[idx], rows)
+    idx = _row_positions(a, rows)
+    assert np.array_equal(a[idx], rows) and np.array_equal(nrm[idx], norms)
     return idx
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from enriques_gw.gw_engine import n_invariant
 from enriques_gw.lattice import basis_vector
 from enriques_gw.relative_calculus import (
-    RelativeCoefficientTable,
     genus2_contributions,
     lemma_d5_value,
     lemma_d6_d7_prefactor,
@@ -52,13 +51,16 @@ def test_coefficient_bounds():
         p1_relative_coeff("maximal", 3)
 
 
-def test_table_build():
-    table = RelativeCoefficientTable.build(4)
-    assert table.d_max == 4
-    assert set(table.full) == {1, 2, 3, 4}
-    assert set(table.mixed) == {(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)}
-    assert table.full[3] == F(1, 720)
-    assert table.mixed[(4, 2)] == F(1, factorial(6) * factorial(2))
+def test_coefficients_to_degree_4():
+    # every pattern of degree d <= 4: the full one and the mixed r < d
+    mixed = {(d, r) for d in range(1, 5) for r in range(1, d)}
+    assert mixed == {(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)}
+    for d in range(1, 5):
+        assert p1_relative_coeff("full", d) == F(1, factorial(2 * d))
+    for d, r in mixed:
+        assert p1_relative_coeff("mixed", d, r) == F(1, factorial(d + r) * factorial(d - r))
+    assert p1_relative_coeff("full", 3) == F(1, 720)
+    assert p1_relative_coeff("mixed", 4, 2) == F(1, factorial(6) * factorial(2))
 
 
 def test_d5_value():

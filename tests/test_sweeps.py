@@ -34,7 +34,6 @@ from enriques_gw.sweeps import (
     decomposition_agreement,
     genus1_box_rows,
     orbit_ids,
-    pack_rows,
 )
 
 ZERO8 = (0,) * 8
@@ -363,15 +362,6 @@ def test_classes_keyed_at_m_8_and_9_match_the_recursion():
         assert eng.class_value(coords[0], coords[1], coords[2:]) == want
 
 
-def test_pack_rows_is_injective_and_bounded():
-    vecs, _ = short_vector_table(4)
-    packed = pack_rows(vecs)
-    assert len(np.unique(packed)) == len(vecs)
-    with pytest.raises(ValueError, match="packing range"):
-        pack_rows(np.array([[64, 0, 0, 0, 0, 0, 0, 0]]))
-    assert sweeps.pack_rows is lattice.pack_rows
-
-
 def test_genus2_core_matches_engine_module():
     # the core 4 <1> s + 16 sum <1><1><b1,b2>, summed here per decomposition,
     # against the positive-degree genus-2 rule on the engine's <1>
@@ -467,6 +457,26 @@ def test_box_slices_equal_a_per_part_walk(box):
             assert type(s) is int
             assert key is None or [type(x) for x in key] == [int, int, bytes]
     assert n_slices == max_b1 + (max_b1 + 1) * max_b2
+
+
+@pytest.mark.parametrize("box", [(6, 6, 8), (3, 12, 8), (2, 30, 4)])
+def test_a_box_group_has_one_gcd_with_b2(box):
+    # the parts of a group lie in one orbit of W x| b2*Q, which keeps
+    # gcd(b2, e); the norm-8 parts include 2 * roots, of gcd 2
+    parts, slices = box_slices(*box)
+    gcds = np.gcd.reduce(np.array(parts), axis=1)
+    assert (gcds == 2).sum() == (240 if box[2] >= 8 else 0)
+    seen = set()
+    for _, b2, _, idx, classes in slices:
+        if b2 == 0 or b2 in seen:
+            continue
+        seen.add(b2)
+        group_gcds = {}
+        for j, g in zip(idx, np.gcd(gcds, b2).tolist()):
+            group_gcds.setdefault(j, set()).add(g)
+        assert len(group_gcds) == len(classes)
+        assert all(len(gs) == 1 for gs in group_gcds.values()), b2
+    assert seen == set(range(1, box[1] + 1))
 
 
 def test_box_rows_ask_the_engine_once_per_group():
