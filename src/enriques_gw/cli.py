@@ -94,13 +94,25 @@ def _table_rows(args):
     squares not at all), so each group's degree lines are formatted once
     as the tails ("", line_0, ..., line_D), and a class's lines are
     (slice head + part string).join(tails): a chunk is built by C-level
-    joins, with no Python step per row or per class."""
+    joins, with no Python step per row or per class.  The first <1> a
+    rule reads evaluates every keyed group of the box at once
+    (sweeps.box_values)."""
     head, part, tail = _TABLE_LINES[args.format]
     genus = args.genus
     degrees = range(args.max_degree + 1)
     step = max(1, _CHUNK_LINES // len(degrees))  # classes per chunk
     parts, slices = sweeps.box_slices(args.max_b1, args.max_b2, args.max_e8_norm)
+    slices = list(slices)
     part_strs = [part % e for e in parts]
+    values = {}
+
+    def value_of(b1, b2, e, key):
+        if key is None:
+            return ENGINE.class_value(b1, b2, e)
+        if not values:
+            values.update(sweeps.box_values(slices, ENGINE))
+        return values[key]
+
     suffixes = {}
     for b1, b2, cols, idx, classes in slices:
         tails = []
@@ -108,7 +120,7 @@ def _table_rows(args):
             skey = key if key is not None else "negative" if b2 else ("isotropic", b1)
             lines = suffixes.get(skey)
             if lines is None:
-                value1 = lambda: ENGINE.class_value(b1, b2, e, key)
+                value1 = lambda: value_of(b1, b2, e, key)
                 lines = suffixes[skey] = ("",) + tuple(
                     tail % ((d,) + value_rule(genus, d, s, value1)) for d in degrees)
             tails.append(lines)
@@ -222,13 +234,7 @@ def cmd_selfcheck(args):
     return EXIT_OK if all(r.passed for r in results) else EXIT_SELFCHECK
 
 
-def build_parser():
-    parser = _Parser(prog="enriques-gw",
-                     description="Exact curve-counting invariants of the "
-                                 "Enriques Calabi-Yau threefold")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("invariant", help="one invariant N_{g,(beta,d)}")
+def _invariant_args(p):
     p.add_argument("--genus", type=int, choices=(0, 1, 2), required=True)
     p.add_argument("--beta", required=True,
                    help="10 comma-separated integers b1,b2,e1,...,e8")
@@ -236,7 +242,8 @@ def build_parser():
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(handler=cmd_invariant)
 
-    p = sub.add_parser("table", help="bulk invariant table over a class box")
+
+def _table_args(p):
     p.add_argument("--genus", type=int, choices=(0, 1, 2), required=True)
     p.add_argument("--max-b1", type=int, default=1)
     p.add_argument("--max-b2", type=int, default=1)
@@ -247,13 +254,15 @@ def build_parser():
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(handler=cmd_table)
 
-    p = sub.add_parser("series", help="coefficients of a named q-series")
+
+def _series_args(p):
     p.add_argument("--what", choices=sorted(_SERIES), required=True)
     p.add_argument("--order", type=int, default=10)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=cmd_series)
 
-    p = sub.add_parser("km-check", help="engine vs heterotic prediction")
+
+def _km_check_args(p):
     p.add_argument("--genus", type=int, choices=(1, 2), default=2)
     p.add_argument("--beta", required=True)
     p.add_argument("--order", type=int, default=None)
@@ -262,7 +271,8 @@ def build_parser():
     p.add_argument("--convention", choices=("full", "half"), default="full")
     p.set_defaults(handler=cmd_km_check)
 
-    p = sub.add_parser("local", help="local surface formulas")
+
+def _local_args(p):
     p.add_argument("--local-degree", type=int, choices=(1, 2), default=1)
     p.add_argument("--alphas", default="", help="comma-separated exponents")
     p.add_argument("--gc", type=int, default=0, help="base curve genus")
@@ -277,15 +287,43 @@ def build_parser():
     p.add_argument("--ddeg", type=int, default=1)
     p.set_defaults(handler=cmd_local)
 
-    p = sub.add_parser("selfcheck", help="run the acceptance criteria")
+
+def _selfcheck_args(p):
     p.add_argument("--only", default="",
                    help="comma-separated criterion numbers to run")
     p.set_defaults(handler=cmd_selfcheck)
+
+
+# command -> (help, function adding its arguments to its subparser)
+_COMMANDS = {
+    "invariant": ("one invariant N_{g,(beta,d)}", _invariant_args),
+    "table": ("bulk invariant table over a class box", _table_args),
+    "series": ("coefficients of a named q-series", _series_args),
+    "km-check": ("engine vs heterotic prediction", _km_check_args),
+    "local": ("local surface formulas", _local_args),
+    "selfcheck": ("run the acceptance criteria", _selfcheck_args),
+}
+
+
+def build_parser(command=None):
+    """The CLI's parser, with the subparser of every command, or only of
+    `command` when it names one: main builds just the subparser argv[0]
+    names, and all of them for --help, an empty argv or an unknown name."""
+    parser = _Parser(prog="enriques-gw",
+                     description="Exact curve-counting invariants of the "
+                                 "Enriques Calabi-Yau threefold")
+    # a parser with one subparser still shows every command in its usage
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=command and "{%s}" % ",".join(_COMMANDS))
+    for name, (text, add_args) in _COMMANDS.items():
+        if command in (None, name):
+            add_args(sub.add_parser(name, help=text))
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.handler(args)

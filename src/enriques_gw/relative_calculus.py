@@ -100,10 +100,11 @@ def _decomposition_sum(coords) -> Fraction:
     |(C f)_j|**2 <= 2 n, so every int64 sum stays below 128 b1 b2: exact
     for any class whose b1 b2 cells can be walked.  All parts with
     b2' >= 1 are keyed in one orbit_ids call, one modulus b2' per row, and
-    ENGINE.class_value is given each key, so it reads the value from
-    ENGINE.values and evaluates only a miss.  The products are summed in integers, one
-    numerator per denominator, into one Fraction.  The sums of the 64
-    most recently used classes are cached."""
+    are the roots of one ENGINE.evaluate call, which reads the values held
+    in ENGINE.values and evaluates the misses on one schedule.  The
+    products are summed in integers, one numerator per denominator, into
+    one Fraction.  The sums of the 64 most recently used classes are
+    cached."""
     pairs = enumerate_decompositions(as_vector(coords))
     parts = [p for both in pairs for p in both]
     x = np.array([p.coords for p in parts], dtype=np.int64).reshape(-1, RANK)
@@ -113,9 +114,12 @@ def _decomposition_sum(coords) -> Fraction:
     pairings = (u[:, 0] * v[:, 1] + u[:, 1] * v[:, 0]
                 - np.einsum("ij,ij->i", xc[0::2], v[:, 2:])).tolist()
     keyed = x[:, 1] > 0
+    b2s = x[:, 1].tolist()
     names = iter(orbit_ids(x[keyed, 1], x[keyed, 2:]))
-    values = [ENGINE.class_value(p.b1, b2, p.e8, (b2, s, next(names)) if b2 else None)
-              for p, b2, s in zip(parts, x[:, 1].tolist(), squares)]
+    got = iter(ENGINE.evaluate([((b2, s, next(names)), p.b1, p.e8)
+                                for p, b2, s in zip(parts, b2s, squares) if b2]))
+    values = [next(got) if b2 else ENGINE.class_value(p.b1, 0, p.e8)
+              for p, b2 in zip(parts, b2s)]
     sums = {}  # denominator -> numerator
     for v1, v2, pairing in zip(values[0::2], values[1::2], pairings):
         if v1 and v2:

@@ -42,9 +42,8 @@ thousands of decompositions).  Two observations make full boxes cheap:
     Grouping each cell's candidates by the keys of their parts leaves
     only a handful of products per cell, of integers: an evaluation sums
     one numerator per denominator of its parts' values and forms one
-    exact Fraction at the end.  Its cells are scanned first, and all their
-    part rows are named in one orbit_ids call, read back by offset.  Each cell
-    forms, over the rows it reads, the distances
+    exact Fraction at the end.  Each cell forms, over the rows it reads,
+    the distances
     <e - a, e - a> = <e,e> + <a,a> - 2 a.Ce to the class E8 part e, from
     the rows' norms and the 8-vector Ce.
 
@@ -63,18 +62,30 @@ thousands of decompositions).  Two observations make full boxes cheap:
     cell (b1 - b1', b2 - b2') holds the candidates of (b1', b2') with the
     parts, so r1 and r2, swapped: FiberSweepEngine.cells reads one cell
     of each mirror pair, the one with the smaller ball.  A cell with
-    b1' b2' = 0 has a radius-zero ball, keyed without a scan: its
-    complement keeps the E8 part, and takes the class's name if b2' = 0;
-    the other complements are named together in one orbit_ids call.
+    b1' b2' = 0 has a radius-zero ball, keyed without a scan
+    (_zero_cells): its complement keeps the E8 part, and takes the class's
+    name if b2' = 0.
 
-The parts of a class are evaluated before it, depth first, on an
-explicit stack of generators (FiberSweepEngine._value), so no chain of
-parts meets the interpreter's recursion limit.  Only the class asked is
-checked, once, where it misses the cache: it is refused if it has more
-than _MAX_CELLS cells b1*b2, or if the largest ball its cells scan,
-counted by lattice.theta_shells, is past the ball cap.  No part has more
-cells or a larger ball than its class, so that check covers every
-evaluation on the stack, and nothing is scanned before it.
+FiberSweepEngine.evaluate runs one level-wise schedule for any number of
+classes asked at once, in two phases and with no nested calls, so no
+chain of parts meets the interpreter's recursion limit.  Discovery runs level by level from the classes asked: each
+class's E8 part is made dominant, each cone J the level reads is built
+once at the largest ball the level asks of it, the cells are scanned,
+and their part rows, with the radius-zero complements new to the
+schedule, are named in orbit_ids calls of at most _BATCH_ROWS rows; the
+parts that neither the cache nor the schedule holds form the next level.
+A class waits as a compact plan, int64 rows (coefficient, part, part)
+over interned part keys; its radius-zero terms, the long chains, are
+regenerated when it is summed, not stored.  Then every key is summed
+once, in ascending (b2, square): each part lies strictly below its class
+in that order, as a part has a smaller b2, or the same b2 and a smaller
+square, so its value is known when its class is summed.  Only the
+classes asked are checked, before anything is scanned: one is refused
+if it has more than _MAX_CELLS cells b1*b2, or if the largest ball its
+cells scan, counted by lattice.theta_shells, is past the ball cap.  No
+part has more cells or a larger ball than its class, so that check
+covers every evaluation of the schedule.  A table or box passes all its
+keyed groups as the roots of one schedule.
 
 The one production engine is ENGINE, defined here beside its class and
 re-exported by gw_engine: every entry point (invariant records, tables,
@@ -100,8 +111,8 @@ from functools import lru_cache
 import numpy as np
 
 from .lattice import (
+    _CARTAN_INV,
     _CARTAN_NP,
-    dominant,
     e8_norm,
     orbit_representatives,
     short_vector_table,
@@ -123,6 +134,8 @@ _ROOTS2 = np.array([
     [0, 0, 0, 0, 0, -2, 2, 0],
 ], dtype=np.int64)
 _ALPHA1 = _ROOTS2[0]
+# a modulus past every affine wall of the rows dominant_rows is given
+_FAR = 1 << 40
 
 # most recursion cells b1 * b2 of a class the engine evaluates.  The ball
 # cap already bounds the classes with b1, b2 >= 2 (at most 75 cells, 3,25);
@@ -131,12 +144,21 @@ _ALPHA1 = _ROOTS2[0]
 # 1,1000 took 2.4 s
 _MAX_CELLS = 495
 
-# values FiberSweepEngine.values holds at most when a class asked misses
+# values FiberSweepEngine.values holds at most when the classes asked miss
 # it; at this many it is cleared first.  About 3.5 MB at the 210 bytes an
-# entry measured on deep classes, plus what one class adds (990 values for
-# 1,495, the most measured).  The largest table within the CLI's caps
+# entry measured on deep classes, plus what one schedule adds (990 values
+# for 1,495, the most measured).  The largest table within the CLI's caps
 # stores 215 values and a full selfcheck 65
 _MAX_VALUES = 1 << 14
+
+# part rows, radius-zero complements included, that discovery names in one
+# orbit_ids call: a batch of classes holds at most this many, or one class
+# whose rows are named in calls of this many.  A row named costs about 650
+# traced bytes while the call runs.  The table-g1-deep benchmark names in
+# 54 calls at this bound; at 1024 and 2048 it made 31 and 18 calls, no
+# faster, but its peak RSS rose 0.25 and 0.6 MB past the depth-first
+# engine's, which named one evaluation at a time
+_BATCH_ROWS = 1 << 9
 
 # a canonical point as 64 bytes; a modulus and a residue row as 72 bytes
 _ROW_BYTES = np.dtype((np.void, 64))
@@ -192,6 +214,18 @@ def alcove_points(e_arr, m):
     return out
 
 
+def dominant_rows(e_arr):
+    """The dominant W(E8)-conjugates, C e >= 0, of the E8 coordinate rows
+    of e_arr, as int64 rows: alcove_points at a modulus _FAR, where no
+    affine wall binds, taken back through (C e)_j = <x, alpha_j>.  Each is
+    lattice.dominant of its row, the one dominant point of its orbit."""
+    e = np.asarray(e_arr, dtype=np.int64).reshape(-1, 8)
+    # the mod in alcove_points keeps rows with |e_i| < _FAR / 2, and the
+    # affine wall <x, theta> <= 2 sum |e_i| <= _FAR never binds
+    assert not len(e) or np.abs(e).max() < _FAR // 32
+    return (alcove_points(e, _FAR) @ _ROOTS2.T // 4) @ _CARTAN_INV
+
+
 def orbit_ids(m, e_arr):
     """Names of the orbits of the E8 coordinate rows of e_arr under
     W x| m*Q (m one modulus, or one per row), i.e. of their residues mod
@@ -222,28 +256,42 @@ def orbit_ids(m, e_arr):
     return list(map(_ORBITS.__getitem__, rows))
 
 
+def _zero_cells(b1, b2, s):
+    """The cells with a radius-zero ball of a class (b1, b2, e), b1 >= 1,
+    of square s > 0 whose complement has square >= 0, as (n, m, pairing):
+    the part n v1, complement (b1 - n, b2, e), of the cells (n, 0), and
+    the part n v2, complement (b1, b2 - n, e), of the cells (0, n).  A
+    part is isotropic, the complement (b1', m, e) keeps e and has square
+    s - 2 pairing, and each cell stands for itself and its mirror."""
+    for n in range(1, min(b1, s // (2 * b2)) + 1):
+        yield n, b2, n * b2
+    for n in range(1, min(b2 - 1, s // (2 * b1)) + 1):
+        yield n, b2 - n, n * b1
+
+
 class FiberSweepEngine:
     """Genus-1 surface invariants over large class boxes.
 
     An evaluation reads one recursion cell of each mirror pair, the one
     with the smaller ball (see cells), answers radius-zero cells without
-    a scan, and in every other cell reads one ball row per orbit of the
-    stabilizer of the dominant conjugate of the class E8 part, counted
-    with the orbit's size (see _scan_cell).  Evaluations run on an
-    explicit stack, after one check of the cell and ball caps where the
-    class asked misses the cache (see _value).  The acceptance checks hold
-    that scan against a brute-force walk of the smaller ball
-    (decomposition_agreement) and the values against the heterotic
-    closed form.  ENGINE, below, is the process-wide instance.
+    a scan (_zero_cells), and in every other cell reads one ball row per
+    orbit of the stabilizer of the dominant conjugate of the class E8
+    part, counted with the orbit's size (see _scan_cell).  Evaluations run
+    on one schedule per call of evaluate, which takes any number of
+    classes: discovered level by level (_discover), each cell of each
+    class scanned once, then summed in ascending (b2, square) (_eval),
+    after one check of the cell and ball caps on the classes asked that
+    miss the cache.  The acceptance checks hold that scan against a
+    brute-force walk of the smaller ball (decomposition_agreement) and the
+    values against the heterotic closed form.  ENGINE, below, is the
+    process-wide instance.
 
     Only the values <1> are stored, by key (b2, square, orbit name), see
-    key_for; an evaluation names its parts in at most two orbit_ids
-    calls.  The genus-2 invariants need nothing else
-    (gw_engine.value_rule).  `values` is cleared where a class asked
-    misses it holding _MAX_VALUES (16,384) values, before that class's
-    stack starts, so no evaluation loses a part it has read.
-    Methods taking a `key` expect exactly that key of the class they are
-    given.
+    key_for.  The genus-2 invariants need nothing else
+    (gw_engine.value_rule).  `values` is cleared where the classes asked
+    miss it holding _MAX_VALUES (16,384) values, before their schedule
+    starts, so no evaluation loses a part it has read.  Methods taking a
+    `key` expect exactly that key of the class they are given.
     """
 
     def __init__(self, scan="optimized"):
@@ -261,7 +309,7 @@ class FiberSweepEngine:
     def class_value(self, b1, b2, e, key=None):
         """<1> for the class with coordinates (b1, b2, e1..e8)."""
         if key is not None:
-            return self._value(key, b1, e)
+            return self.evaluate([(key, b1, e)])[0]
         b1 = int(b1)
         b2 = int(b2)
         e = tuple(int(x) for x in e)
@@ -275,146 +323,208 @@ class FiberSweepEngine:
         s = 2 * b1 * b2 - ne
         if s < 0:
             return Fraction(0)
-        return self._value(self.key_for(b2, s, e), b1, e)
+        return self.evaluate([(self.key_for(b2, s, e), b1, e)])[0]
 
-    def _value(self, key, b1, e):
-        """<1> of the class (b1, b2, e) with key (b2, s, name).  A miss is
-        checked against the caps once, then evaluated on an explicit stack
-        of _eval generators: each yields the (key, b1, e) of a part it
-        needs that is missing from `values`, and the part is evaluated on
-        top of it, depth first, before the evaluation that needs it reads
-        on.  `values` is cleared before the stack starts if it holds
-        _MAX_VALUES values; a clear changes no value."""
-        got = self.values.get(key)
-        if got is not None:
-            return got
-        b2, s, _ = key
-        if s:
-            # every part (b1', b2') is coordinatewise <= (b1, b2), and
+    def evaluate(self, roots):
+        """<1> of each root (key, b1, e), a class (b1, b2, e) with b2 >= 1,
+        square s >= 0 and key (b2, s, name), as a list in the roots' order.
+        The roots missing from `values` are checked against the caps and
+        evaluated on one schedule (_schedule).  `values` is cleared first
+        if it holds _MAX_VALUES values, and then every root is evaluated
+        afresh; a clear changes no value."""
+        roots = list(roots)
+        values = self.values
+        todo = {key: (b1, e) for key, b1, e in roots if key not in values}
+        if todo and len(values) >= _MAX_VALUES:
+            values.clear()
+            todo = {key: (b1, e) for key, b1, e in roots}
+        if todo:
+            # every part (b1', b2') is coordinatewise <= its class, and
             # largest_ball is monotone in both: the caps checked here hold
-            # for every evaluation on the stack, before its first scan
-            if b1 * b2 > _MAX_CELLS:
-                raise ValueError("a class with b1*b2 = %d > %d recursion cells is refused"
-                                 % (b1 * b2, _MAX_CELLS))
-            theta_shells(self.largest_ball(b1, b2))
-        if len(self.values) >= _MAX_VALUES:
-            self.values.clear()
-        stack = [self._eval(key, b1, e)]
-        while stack:
-            try:
-                part = stack[-1].send(got)
-            except StopIteration as done:
-                stack.pop()
-                got = done.value
-                continue
-            stack.append(self._eval(*part))
-            got = None
-        return got
+            # for every evaluation of the schedule, before its first scan
+            asked = [(b1, b2) for (b2, s, _), (b1, _) in todo.items() if s]
+            for b1, b2 in asked:
+                if b1 * b2 > _MAX_CELLS:
+                    raise ValueError("a class with b1*b2 = %d > %d recursion cells is refused"
+                                     % (b1 * b2, _MAX_CELLS))
+            theta_shells(max((self.largest_ball(b1, b2) for b1, b2 in asked), default=0))
+            self._schedule(todo)
+        return [values[key] for key, _, _ in roots]
+
+    def _schedule(self, todo):
+        """Evaluate the keys of `todo`, key -> (b1, e), and every part they
+        need that `values` misses, in two phases.  Discovery runs level by
+        level (_discover): a level's classes are scanned and their parts
+        named, and the parts new to the schedule form the next level.
+        Then each key is summed once (_eval), in ascending (b2, s): every
+        part lies strictly below its class in that order, so its value is
+        in `values` when the class's sum reads it."""
+        run = {key: [b1, e, None] for key, (b1, e) in todo.items()}
+        ids, names = {}, {}
+        level = list(run)
+        while level:
+            level = self._discover(level, run, ids, names)
+        keys = list(ids)
+        for key in sorted(run, key=lambda k: (k[0], k[1])):
+            b1, e, plan = run.pop(key)  # each plan is dropped once summed
+            self._eval(key, b1, e, plan, keys, names)
 
     @staticmethod
+    @lru_cache(maxsize=256)
     def cells(b1, b2):
-        """The cells (b1', b2', weight) a class (b1, b2, e) reads, with
-        0 <= b2' < b2, 0 <= b1' <= b1 and (0, 0) left out: of each mirror
-        pair (b1', b2'), (b1 - b1', b2 - b2') the cell with the smaller
-        (b1' b2', b2', b1'), at weight 2, or 1 if it is its own mirror.
-        The weight counts the ordered cells of the sum it stands for."""
-        for b2p in range(b2):
-            for b1p in range(0 if b2p else 1, b1 + 1):
-                cell = (b1p * b2p, b2p, b1p)
-                mirror = ((b1 - b1p) * (b2 - b2p), b2 - b2p, b1 - b1p)
-                if cell <= mirror:
-                    yield b1p, b2p, 1 if cell == mirror else 2
+        """The cells (b1', b2', weight) with a ball to scan that a class
+        (b1, b2, e) reads, as a tuple: 1 <= b1' < b1 and 1 <= b2' < b2,
+        and of each mirror pair (b1', b2'), (b1 - b1', b2 - b2') the cell
+        with the smaller (b1' b2', b2', b1'), at weight 2, or 1 if it is
+        its own mirror.  The weight counts the ordered cells of the sum it
+        stands for.  The pairs left, but for (0, 0) and (b1, b2), hold a
+        cell with a radius-zero ball (_zero_cells).  The 256 most recently
+        used (b1, b2) are cached."""
+        return tuple((b1p, b2p, 1 if cell == mirror else 2)
+                     for b2p in range(1, b2) for b1p in range(1, b1)
+                     for cell, mirror in [((b1p * b2p, b2p, b1p),
+                                           ((b1 - b1p) * (b2 - b2p), b2 - b2p, b1 - b1p))]
+                     if cell <= mirror)
 
     def largest_ball(self, b1, b2):
         """Norm bound 2 b1' b2' of the largest ball whose cone the cells
-        of a class (b1, b2, e) scan (see cells and _scan_cell); _value
+        of a class (b1, b2, e) scan (see cells and _scan_cell); evaluate
         refuses a class whose ball is past the cap of theta_shells."""
         return max((2 * b1p * b2p for b1p, b2p, _ in self.cells(b1, b2)), default=0)
 
-    def _eval(self, key, b1, e):
-        """Generator of one evaluation, run by _value: it reads each part
-        it needs from `values`, yields the (key, b1, e) of a part missing
-        there and is sent the part's value; it stores and returns the
-        class value.  The sum runs in integers, one numerator per
-        denominator, and the value is one Fraction."""
-        b2, s, name = key
+    def _discover(self, level, run, ids, names):
+        """One level of discovery for _schedule, of the keys `level` of
+        `run`, key -> [b1, e, plan].  Each class of square s > 0 is given
+        its dominant W(E8)-conjugate e, which keeps its key (see
+        _scan_cell), and each cone J the level reads is built once, at the
+        largest ball the level asks of it.  Then the classes are scanned,
+        and named in batches of about _BATCH_ROWS part rows, radius-zero
+        complements included (_name_batch).  Returns the parts new to the
+        schedule: the next level."""
+        classes, bounds = [], {}
+        level = [key for key in level if key[1]]  # an isotropic class has no parts
+        dom = dominant_rows([run[key][1] for key in level])
+        for key, e, earr, fixed in zip(level, dom.tolist(), dom, dom @ _CARTAN_NP == 0):
+            entry = run[key]
+            b1, e = entry[0], tuple(e)
+            entry[1] = e
+            r1 = self.largest_ball(b1, key[0])
+            if r1:
+                J = tuple(np.flatnonzero(fixed).tolist())
+                bounds[J] = max(bounds.get(J, 0), r1)
+            classes.append((key, b1, e, earr))
+        for J, r1 in bounds.items():
+            orbit_representatives(r1, J)
+        ahead, batch, wanted, size = [], [], {}, 0
+        for key, b1, e, earr in classes:
+            b2, s, _ = key
+            scans = []
+            for b1p, b2p, weight in self.cells(b1, b2):
+                got = self._scan_cell(earr, b1, b2, b1p, b2p)
+                if got is not None:
+                    scans.append((b1p, b2p, weight) + got)
+            # the moduli m of the radius-zero complements (b1, m, e) that
+            # the batch does not name yet
+            zero = set(range(b2 - min(b2 - 1, s // (2 * b1)), b2)).difference(wanted.get(e, ()))
+            rows = len(zero) + sum(2 * len(scan[3]) for scan in scans)
+            if batch and size + rows > _BATCH_ROWS:
+                self._name_batch(batch, wanted, run, ids, names, ahead)
+                batch, wanted, size = [], {}, 0
+            wanted.setdefault(e, set()).update(zero)
+            batch.append((key, b1, e, scans))
+            size += rows
+        if batch:
+            self._name_batch(batch, wanted, run, ids, names, ahead)
+        return ahead
+
+    def _name_batch(self, batch, wanted, run, ids, names, ahead):
+        """Name a batch of scanned classes for _discover, in orbit_ids
+        calls of at most _BATCH_ROWS rows: the rows (m, e) of `wanted`,
+        e -> moduli, missing from `names`, e -> {modulus: name}, and every
+        scanned part row, e1 of modulus b2' and e2 of b2 - b2'.  Each class's plan goes to `run`
+        as int64 rows (coefficient, part id, part id) over the interned
+        part keys `ids`, one row per group of a cell's candidates sharing
+        both part keys; the radius-zero cells get none, _eval regenerates
+        them.  A part that `values` and `run` miss is added to `run` and
+        to `ahead`."""
+        values = self.values
+        zero, rows, moduli = [], [], []
+        for e, want in wanted.items():
+            named = names.setdefault(e, {})
+            new = sorted(want.difference(named))
+            if new:
+                zero.append((named, new))
+                rows.append(np.tile(np.asarray(e, dtype=np.int64), (len(new), 1)))
+                moduli.append(new)
+        for (b2, _, _), _, _, scans in batch:
+            for b1p, b2p, _, e1, e2, *_ in scans:
+                rows += [e1, e2]
+                moduli += [np.full(len(e1), b2p), np.full(len(e1), b2 - b2p)]
+        got = []
+        if rows:
+            moduli, rows = np.concatenate(moduli), np.concatenate(rows)
+            for lo in range(0, len(rows), _BATCH_ROWS):
+                got += orbit_ids(moduli[lo:lo + _BATCH_ROWS], rows[lo:lo + _BATCH_ROWS])
+        at = 0
+        for named, new in zero:
+            named.update(zip(new, got[at:at + len(new)]))
+            at += len(new)
+        for key, b1, e, scans in batch:
+            b2, s, name = key
+            named = names[e]
+            named[b2] = name
+            for n, m, pairing in _zero_cells(b1, b2, s):
+                part = (m, s - 2 * pairing, named[m])
+                if part not in run and part not in values:
+                    run[part] = [b1 - n if m == b2 else b1, e, None]
+                    ahead.append(part)
+            plan = []
+            for b1p, b2p, weight, e1, e2, s1, s2, w in scans:
+                n = len(e1)
+                n1, n2 = got[at:at + n], got[at + n:at + 2 * n]
+                at += 2 * n
+                # part keys -> [first row, summed weight], in the order met
+                groups = {}
+                for i, part in enumerate(zip(s1.tolist(), n1, s2.tolist(), n2, w.tolist())):
+                    groups.setdefault(part[:4], [i, 0])[1] += part[4]
+                for (sa, na, sb, nb), (fi, cnt) in groups.items():
+                    fac = (s - sa - sb) // 2
+                    if fac == 0:
+                        continue
+                    pair = []
+                    for part, pb1, pe in (((b2p, sa, na), b1p, e1), ((b2 - b2p, sb, nb), b1 - b1p, e2)):
+                        if part not in run and part not in values:
+                            run[part] = [pb1, tuple(pe[fi].tolist()), None]
+                            ahead.append(part)
+                        pair.append(ids.setdefault(part, len(ids)))
+                    plan.append((weight * cnt * fac, *pair))
+            run[key][2] = np.array(plan, dtype=np.int64).reshape(-1, 3)
+
+    def _eval(self, key, b1, e, plan, keys, names):
+        """One evaluation, run by _schedule once every part of the key is in
+        `values`: the radius-zero cells, regenerated by _zero_cells with
+        their complements' names from `names`, and the plan's rows
+        (coefficient, part id, part id), part ids indexing `keys`, are
+        summed in integers, one numerator per denominator; the class value
+        is one Fraction, stored and returned."""
+        b2, s, _ = key
         self.evals += 1
+        values = self.values
         if s == 0:
             value = isotropic_genus1(math.gcd(b1, b2, *(abs(x) for x in e)))
-            self.values[key] = value
-            return value
-        values = self.values
-        sums = {}  # denominator -> numerator of the sum over the cells
-        # scan around the dominant W(E8)-conjugate of e (see _scan_cell);
-        # it keeps the key, as orbit names are W-invariant
-        e = dominant(e)
-        earr = np.asarray(e, dtype=np.int64)
-        # the radius-zero cells are read first, so that no scan is held
-        # while their complements, the longest chains, are evaluated.  A
-        # complement keeps e; the cells (0, b2') with s2 >= 0 are those
-        # with b2' <= top, their complements named at names[b2' - 1]
-        top = min(b2 - 1, s // (2 * b1))
-        names = orbit_ids(b2 - np.arange(1, top + 1), earr[None].repeat(top, 0))
-        scanned = []
-        for b1p, b2p, weight in self.cells(b1, b2):
-            m2 = b2 - b2p
-            if b1p * b2p:
-                scanned.append((b1p, b2p, weight))
-                continue
-            # a radius-zero ball holds only 0: the part is (b1' + b2')
-            # times v1 or v2; for b2' = 0 the complement has the class's name
-            pairing = b1p * m2 + b2p * (b1 - b1p)
-            s2 = s - 2 * pairing
-            if s2 < 0:
-                continue
-            k2 = (m2, s2, names[b2p - 1] if b2p else name)
-            v2 = values.get(k2)
-            if v2 is None:
-                v2 = yield k2, b1 - b1p, e
-            iso = isotropic_genus1(b1p + b2p)
-            d = iso.denominator * v2.denominator
-            sums[d] = sums.get(d, 0) + weight * pairing * iso.numerator * v2.numerator
-        # scan every other cell, then name all their part rows, e1 of
-        # modulus b2' and e2 of b2 - b2', in one orbit_ids call
-        cells, rows, moduli = [], [], []
-        for b1p, b2p, weight in scanned:
-            got = self._scan_cell(earr, b1, b2, b1p, b2p)
-            if got is not None:
-                cells.append((b1p, b2p, weight) + got)
-                rows += got[:2]
-                moduli += [b2p, b2 - b2p]
-        if rows:
-            names = orbit_ids(np.repeat(moduli, [len(r) for r in rows]), np.concatenate(rows))
-        at = 0
-        for b1p, b2p, weight, e1, e2, s1, s2, w in cells:
-            m2 = b2 - b2p
-            # the cell's names at its offset in the batch, e1's then e2's
-            n1, n2 = names[at:at + len(e1)], names[at + len(e1):at + 2 * len(e1)]
-            at += 2 * len(e1)
-            # part keys -> [first row, summed weight], in the order met
-            groups = {}
-            for i, part in enumerate(zip(s1.tolist(), n1, s2.tolist(), n2, w.tolist())):
-                groups.setdefault(part[:4], [i, 0])[1] += part[4]
-            for (sa, na, sb, nb), (fi, cnt) in groups.items():
-                fac = (s - sa - sb) // 2
-                if fac == 0:
-                    continue
-                ka = (b2p, sa, na)
-                va = values.get(ka)
-                if va is None:
-                    va = yield ka, b1p, tuple(e1[fi].tolist())
-                if not va:
-                    continue
-                kb = (m2, sb, nb)
-                vb = values.get(kb)
-                if vb is None:
-                    vb = yield kb, b1 - b1p, tuple(e2[fi].tolist())
-                if not vb:
-                    continue
+        else:
+            sums = {}  # denominator -> numerator of the sum over the cells
+            named = names[e]
+            for n, m, pairing in _zero_cells(b1, b2, s):
+                iso, v2 = isotropic_genus1(n), values[m, s - 2 * pairing, named[m]]
+                d = iso.denominator * v2.denominator
+                sums[d] = sums.get(d, 0) + 2 * pairing * iso.numerator * v2.numerator
+            for coef, ia, ib in plan.tolist():
+                va, vb = values[keys[ia]], values[keys[ib]]
                 d = va.denominator * vb.denominator
-                sums[d] = sums.get(d, 0) + weight * cnt * fac * va.numerator * vb.numerator
-        den = math.lcm(*sums)
-        value = Fraction(8 * sum(n * (den // d) for d, n in sums.items()), s * den)
+                sums[d] = sums.get(d, 0) + coef * va.numerator * vb.numerator
+            den = math.lcm(*sums)
+            value = Fraction(8 * sum(n * (den // d) for d, n in sums.items()), s * den)
         values[key] = value
         return value
 
@@ -426,8 +536,8 @@ class FiberSweepEngine:
         <e,e> + <e1,e1> - 2 e1.Ce in place in one int64 array.  Only the
         rows of the cone lattice.orbit_representatives(r1, J), for the
         nodes J with (C e)_j = 0, whose reflections fix e, are scanned
-        (the whole ball when J is empty); _eval makes e dominant, so that
-        W_J is its whole stabilizer.  Returns (e1, e2, s1, s2, w) arrays,
+        (the whole ball when J is empty); _discover makes e dominant, so
+        that W_J is its whole stabilizer.  Returns (e1, e2, s1, s2, w) arrays,
         w the int64 number of candidates each row stands for, or None
         for an empty cell."""
         r1 = 2 * b1p * b2p
@@ -517,19 +627,31 @@ def box_class_count(max_b1, max_b2, norm_bound):
     return max_b1 + (max_b1 + 1) * max_b2 * n_parts
 
 
+def box_values(slices, engine):
+    """<1> of every keyed group of the box_slices `slices` (a list), as
+    key -> value: the groups are the roots, at their first parts, of one
+    evaluate call on `engine`, one schedule for the whole box."""
+    roots = [(key, b1, e) for b1, _, _, _, classes in slices
+             for e, _, key in classes if key is not None]
+    return dict(zip([key for key, _, _ in roots], engine.evaluate(roots)))
+
+
 def genus1_box_groups(max_b1, max_b2, norm_bound, engine=ENGINE):
     """The coordinate box of genus1_box_rows per (b1, b2) slice of
     box_slices, in its lexicographic order: (b1, b2, sliced, idx, groups)
     with `sliced` the slice's E8 parts as tuples, `groups` one
     (e, square, key, <1>) per group of the slice, e its first part, and
     `idx` each part's group index.  <1> is 0 where the square is
-    negative; otherwise it is evaluated on `engine` (the process-wide
-    ENGINE by default) once per group, at e, and holds for every part of
-    it."""
+    negative; otherwise it holds for every part of the group, read from
+    box_values on `engine` (the process-wide ENGINE by default) before
+    the first slice is yielded."""
     parts, slices = box_slices(max_b1, max_b2, norm_bound)
+    slices = list(slices)
+    values = box_values(slices, engine)
     for b1, b2, cols, idx, classes in slices:
         yield b1, b2, parts[cols], idx, [
-            (e, s, key, Fraction(0) if s < 0 else engine.class_value(b1, b2, e, key))
+            (e, s, key, values[key] if key is not None else
+             Fraction(0) if s < 0 else engine.class_value(b1, b2, e))
             for e, s, key in classes]
 
 

@@ -68,18 +68,29 @@ def test_criterion_2_detail(results):
         "36260 of 36260 keyed classes equal the full closed form (21 pairs)")
 
 
+def _off_by_one(wrong):
+    """FiberSweepEngine.evaluate with the value of each root (key, b1, e)
+    for which wrong(b1, b2, e) holds off by one."""
+    evaluate = sweeps.FiberSweepEngine.evaluate
+
+    def off(self, roots):
+        roots = list(roots)
+        return [value + 1 if wrong(b1, key[0], e) else value
+                for (key, b1, e), value in zip(roots, evaluate(self, roots))]
+    return off
+
+
+def _group_2_3_norm_2(b1, b2, e):
+    return (b1, b2) == (2, 3) and lattice.e8_norm(e) == 2
+
+
 def test_criterion_2_fails_on_one_wrong_box_value(monkeypatch):
     # genus1_box_rows binds ENGINE as its default engine when it is
     # defined, so the engine's answer is changed on its class instead: one
     # keyed class outside the recursion sample is off by one
     off = (4, 4) + (0,) * 8
-    class_value = sweeps.FiberSweepEngine.class_value
-
-    def one_off(self, b1, b2, e, key=None):
-        value = class_value(self, b1, b2, e, key)
-        return value + 1 if (b1, b2) + tuple(e) == off else value
-
-    monkeypatch.setattr(sweeps.FiberSweepEngine, "class_value", one_off)
+    monkeypatch.setattr(sweeps.FiberSweepEngine, "evaluate",
+                        _off_by_one(lambda b1, b2, e: (b1, b2) + tuple(e) == off))
     result = selfcheck.criterion_2()
     assert not result.passed
     assert "36259 of 36260 keyed classes" in result.detail
@@ -91,13 +102,7 @@ def test_criterion_2_counts_a_wrong_group_on_every_row(monkeypatch):
     # the norm-2 group of slice (b1, b2) = (2, 3), 240 classes, is off by
     # one; the count and the first off classes must equal those of a walk
     # row by row against the closed form
-    class_value = sweeps.FiberSweepEngine.class_value
-
-    def group_off(self, b1, b2, e, key=None):
-        value = class_value(self, b1, b2, e, key)
-        return value + 1 if (b1, b2) == (2, 3) and lattice.e8_norm(e) == 2 else value
-
-    monkeypatch.setattr(sweeps.FiberSweepEngine, "class_value", group_off)
+    monkeypatch.setattr(sweeps.FiberSweepEngine, "evaluate", _off_by_one(_group_2_3_norm_2))
     keyed, off = 0, []
     for c, s, key, value in sweeps.genus1_box_rows(**selfcheck.BOX):
         if key is not None:
@@ -205,13 +210,7 @@ def test_criterion_9_counts_a_wrong_group_on_every_row(monkeypatch):
     # engine; the verdict counts must equal those of a walk of the probes
     # row by row, one prediction per (genus, convention, square,
     # divisibility) memoized here
-    class_value = sweeps.FiberSweepEngine.class_value
-
-    def group_off(self, b1, b2, e, key=None):
-        value = class_value(self, b1, b2, e, key)
-        return value + 1 if (b1, b2) == (2, 3) and lattice.e8_norm(e) == 2 else value
-
-    monkeypatch.setattr(sweeps.FiberSweepEngine, "class_value", group_off)
+    monkeypatch.setattr(sweeps.FiberSweepEngine, "evaluate", _off_by_one(_group_2_3_norm_2))
     probes = [(c, s, value) for c, s, _, value in sweeps.genus1_box_rows(**selfcheck.BOX)
               if s <= 12]
     for n in range(5, 11):

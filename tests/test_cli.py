@@ -14,7 +14,7 @@ import pytest
 import sympy
 
 import enriques_gw
-from enriques_gw import cli, km_model, lattice, qseries
+from enriques_gw import cli, km_model, lattice, qseries, sweeps
 from enriques_gw.gw_engine import enriques_genus1, invariant_record, n_invariant
 from enriques_gw.lattice import (
     CARTAN_E8,
@@ -146,6 +146,28 @@ def test_invariant_refuses_a_runaway_ball_at_once(capsys):
     assert (code, out) == (2, "") and "norm <= 50" in err
 
 
+def test_main_builds_only_the_subparser_argv_names(capsys, monkeypatch):
+    # a command builds its own subparser alone; --help, an empty argv and
+    # an unknown name build all six, and every usage line lists them all
+    built = []
+    for name, (text, add_args) in list(cli._COMMANDS.items()):
+        def spy(p, name=name, add_args=add_args):
+            built.append(name)
+            add_args(p)
+        monkeypatch.setitem(cli._COMMANDS, name, (text, spy))
+    every = "{invariant,table,series,km-check,local,selfcheck}"
+    code, out, _ = run(capsys, "invariant", "--genus", "1", "--beta", SECTION_SUM)
+    assert (code, built) == (0, ["invariant"]) and '"value": "128"' in out
+    for argv in (["--help"], [], ["no-such-command"], ["table", "--genus", "1", "--bogus"]):
+        built.clear()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert built == (["table"] if argv[:1] == ["table"] else list(cli._COMMANDS)), argv
+        assert exc.value.code == (0 if argv == ["--help"] else 1)
+        assert "usage: enriques-gw [-h] %s ..." % every in captured.out + captured.err
+
+
 def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["invariant", "--genus", "1"])
@@ -268,6 +290,13 @@ def test_table_builds_its_largest_ball_once(capsys, monkeypatch):
         builds.append((bound, J))
         return build(bound, J)
 
+    calls = {"orbit_ids": 0, "alcove_points": 0}
+    for name in calls:
+        def count(*args, name=name, fn=getattr(sweeps, name)):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(sweeps, name, count)
+    monkeypatch.setattr(sweeps, "_ORBITS", {})
     monkeypatch.setattr(lattice, "_short_vector_array", spy)
     argv = ["--max-b1", "6", "--max-b2", "6", "--max-e8-norm", "4", "--format", "csv"]
     for genus in ("1", "0"):
@@ -277,7 +306,15 @@ def test_table_builds_its_largest_ball_once(capsys, monkeypatch):
         code, out, _ = run(capsys, "table", "--genus", genus, *argv)
         assert code == 0 and [bound for bound, J in builds if not J] == [4]
         if genus == "1":
-            assert len(builds) > 1
+            # each cone J is built once, at the largest ball the schedule's
+            # level asks of it; each level's part rows are named in calls
+            # of at most sweeps._BATCH_ROWS rows, and its dominant E8 parts
+            # found in one alcove_points call (the depth-first engine
+            # before it made 54 builds for these 11 cones and the ball, 313
+            # orbit_ids calls and 91 alcove_points calls)
+            cones = [J for _, J in builds if J]
+            assert len(cones) == len(set(cones)) == 11
+            assert calls == {"orbit_ids": 54, "alcove_points": 46}
             digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
             assert digest == "f19ccde1853ae2652dc1afd5d05bb40061ebea73967da89101b88d2b5147b8ae"
         else:

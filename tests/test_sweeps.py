@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -343,6 +344,12 @@ def test_dominant_conjugates_keep_the_orbit_ids_of_the_box_parts():
     assert len(np.unique(dom, axis=0)) == 3
     for m in range(1, 13):
         assert orbit_ids(m, dom) == orbit_ids(m, parts), m
+    # the engine's batched conjugation against the reference, also on a
+    # sample of the norm-16 ball and on rows far from the origin
+    rows = np.concatenate([parts, short_vector_table(16)[0][::97], 37 * parts[::50]])
+    want = np.array([dominant(e) for e in rows.tolist()], dtype=np.int64)
+    assert np.array_equal(sweeps.dominant_rows(rows), want)
+    assert sweeps.dominant_rows(rows[:0]).shape == (0, 8)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -480,18 +487,20 @@ def test_a_box_group_has_one_gcd_with_b2(box):
 
 
 def test_box_rows_ask_the_engine_once_per_group():
+    # every keyed group of the box is a root of one engine schedule
     class Counting(FiberSweepEngine):
-        def class_value(self, b1, b2, e, key=None):
-            asked.append((b1, b2, key))
-            return super().class_value(b1, b2, e, key)
+        def evaluate(self, roots):
+            roots = list(roots)
+            asked.append(roots)
+            return super().evaluate(roots)
 
     asked = []
     box = (2, 3, 4)
     rows = list(genus1_box_rows(*box, engine=Counting()))
     _, slices = box_slices(*box)
-    groups = [(b1, b2, key) for b1, b2, _, _, classes in slices
-              for _, s, key in classes if s >= 0]
-    assert asked == groups
+    groups = [(key, b1, e) for b1, b2, _, _, classes in slices
+              for e, s, key in classes if s >= 0 and b2]
+    assert asked == [groups]
     assert len(rows) == box_class_count(*box) > 10 * len(groups)
     # every row against a fresh engine asked row by row, without keys
     eng = FiberSweepEngine()
@@ -531,30 +540,79 @@ def test_engine_values_and_evaluation_counts_are_pinned(b1, b2, e, digest, evals
     assert value == _full_prediction((b1, b2) + e)
 
 
+def test_deep_classes_script_prints_a_pinned_row():
+    # scripts/deep_classes.py evaluates each class in a fresh process
+    b1, b2, e, digest, evals = PINNED[0]
+    coords = ",".join(map(str, (b1, b2) + e))
+    script = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "scripts", "deep_classes.py")
+    out = subprocess.run([sys.executable, script, coords], check=True, capture_output=True,
+                         text=True).stdout
+    row = json.loads(out)
+    assert out.count("\n") == 1 and set(row) == {"class", "seconds", "evals", "peak_rss_mb",
+                                                  "sha256"}
+    assert (row["class"], row["sha256"], row["evals"]) == ([b1, b2, *e], digest, evals)
+    assert row["seconds"] >= 0 and row["peak_rss_mb"] > 0
+
+
+def test_deep_class_schedules_stay_small_in_memory(monkeypatch):
+    # the traced peak of a fresh engine on fresh cone and residue caches:
+    # the schedule holds compact plans, regenerates its radius-zero terms
+    # and names at most sweeps._BATCH_ROWS rows per orbit_ids call (the
+    # depth-first engine it replaced peaked at 1.04 and 1.21 MB here)
+    named = []
+    keyed = sweeps.orbit_ids
+
+    def spy(m, e_arr):
+        names = keyed(m, e_arr)
+        named.append(len(names))
+        return names
+
+    monkeypatch.setattr(sweeps, "orbit_ids", spy)
+    for b1, b2, e in [(1, 300, ZERO8), (2, 24, ROOT)]:
+        monkeypatch.setattr(lattice, "_CONES", {})
+        monkeypatch.setattr(sweeps, "_ORBITS", {})
+        eng = FiberSweepEngine()
+        tracemalloc.start()
+        try:
+            eng.class_value(b1, b2, e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, (b1, b2, peak)
+    # the first level of (2, 24, 1, 0^7) alone names 1,843 part rows: in
+    # calls of at most sweeps._BATCH_ROWS
+    assert max(named) == sweeps._BATCH_ROWS
+
+
 @pytest.mark.parametrize("b1,b2,e,digest,evals", PINNED)
 def test_engine_yields_only_parts_missing_from_the_cache(monkeypatch, b1, b2, e, digest, evals):
-    # _eval reads cached parts itself: every part it yields is a miss, so
-    # a fresh engine yields one part per evaluation below the class asked
-    yielded = []
+    # the schedule evaluates each key once, and only keys the cache
+    # misses: on a fresh engine every key the class needs, and after a
+    # part class was asked, exactly the keys that part left missing
+    seen = []  # (key, missing from the cache) of each evaluation
     evaluate = FiberSweepEngine._eval
 
-    def spy(self, key, part_b1, part_e):
-        gen = evaluate(self, key, part_b1, part_e)
-        got = None
-        while True:
-            try:
-                part = gen.send(got)
-            except StopIteration as done:
-                return done.value
-            yielded.append(part[0] not in self.values)
-            got = yield part
+    def spy(self, key, *args):
+        seen.append((key, key not in self.values))
+        return evaluate(self, key, *args)
 
     monkeypatch.setattr(FiberSweepEngine, "_eval", spy)
     eng = FiberSweepEngine()
     value = eng.class_value(b1, b2, e)
     assert hashlib.sha256(str(value).encode()).hexdigest()[:8] == digest
-    assert (len(yielded), eng.evals) == (evals - 1, evals)
-    assert all(yielded)
+    fresh = [key for key, _ in seen]
+    assert len(set(fresh)) == len(fresh) == eng.evals == evals
+    assert all(missing for _, missing in seen) and set(eng.values) == set(fresh)
+    eng = FiberSweepEngine()
+    part = (b1, b2 - 1) if b2 > 1 else (b1 - 1, b2)
+    eng.class_value(*part, e)
+    held = set(eng.values)
+    assert held < set(fresh)
+    seen.clear()
+    assert eng.class_value(b1, b2, e) == value
+    assert sorted(key for key, _ in seen) == sorted(set(fresh) - held)
+    assert all(missing for _, missing in seen)
 
 
 def test_a_radius_zero_name_cache_cleared_at_its_bound_changes_nothing(monkeypatch, capsys):
@@ -572,6 +630,8 @@ def test_a_radius_zero_name_cache_cleared_at_its_bound_changes_nothing(monkeypat
 
     monkeypatch.setattr(sweeps, "_ORBIT_MEMO_ENTRIES", 8)
     monkeypatch.setattr(sweeps, "_ORBITS", Memo())
+    # naming batches of 4 rows, so that calls fill the memo to its bound
+    monkeypatch.setattr(sweeps, "_BATCH_ROWS", 4)
     sizes = []
     keyed = sweeps.orbit_ids
 
@@ -598,26 +658,38 @@ def test_a_radius_zero_name_cache_cleared_at_its_bound_changes_nothing(monkeypat
 
 
 def test_engine_values_cleared_at_their_bound_change_nothing(monkeypatch, capsys):
-    # with the value cache bounded at 8 entries, each class asked that
-    # misses it clears it and is evaluated afresh: the table and the pinned
-    # values stay, and each pinned class costs a fresh engine's evaluations
+    # with the value cache bounded at 8 entries, each schedule whose roots
+    # miss it clears it and evaluates them afresh: the table, asked after
+    # a pinned class filled the cache, and the pinned values stay, and each
+    # costs a fresh engine's evaluations
     from enriques_gw import cli
+
+    class Values(dict):
+        clears = 0
+
+        def clear(self):
+            Values.clears += 1
+            super().clear()
 
     monkeypatch.setattr(sweeps, "_MAX_VALUES", 8)
     eng = FiberSweepEngine()
+    eng.values = Values()
+    eng.class_value(1, 100, ZERO8)
     monkeypatch.setattr(cli, "ENGINE", eng)
+    before = eng.evals
     assert cli.main(["table", "--genus", "1", "--max-b1", "6", "--max-b2", "6",
                      "--max-e8-norm", "4", "--format", "csv"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "f19ccde1853ae2652dc1afd5d05bb40061ebea73967da89101b88d2b5147b8ae")
-    assert eng.evals > 178
+    assert (Values.clears, eng.evals - before, len(eng.values)) == (1, 178, 178)
     for b1, b2, e, digest, evals in PINNED:
         before = eng.evals
         value = eng.class_value(b1, b2, e)
         assert (hashlib.sha256(str(value).encode()).hexdigest()[:8], eng.evals - before) == (
             digest, evals)
         assert len(eng.values) == evals
+    assert Values.clears == 1 + len(PINNED)
 
 
 def test_self_mirror_moduli_match_the_recursion():
@@ -649,13 +721,20 @@ def test_engine_evaluation_does_not_use_the_interpreter_stack():
 def test_the_caps_checked_at_the_entry_hold_for_every_evaluation(monkeypatch, b1, b2):
     # only the class asked is checked; each evaluation below it is of a
     # part coordinatewise no larger, so within both caps (norm 32 is the
-    # largest ball under lattice.MAX_BALL_VECTORS)
+    # largest ball under lattice.MAX_BALL_VECTORS), and every part a sum
+    # reads, of its plan or a radius-zero cell, was summed before it
     seen = []
     evaluate = FiberSweepEngine._eval
 
-    def record(self, key, part_b1, e):
+    def record(self, key, part_b1, e, plan, keys, names):
         seen.append((part_b1, key[0]))
-        return evaluate(self, key, part_b1, e)
+        if key[1]:
+            parts = [keys[i] for i in plan[:, 1:].ravel().tolist()]
+            parts += [(m, key[1] - 2 * pairing, names[e][m])
+                      for _, m, pairing in sweeps._zero_cells(part_b1, key[0], key[1])]
+            assert parts and all(part in self.values for part in parts)
+            assert all(part[:2] < key[:2] for part in parts)
+        return evaluate(self, key, part_b1, e, plan, keys, names)
 
     monkeypatch.setattr(FiberSweepEngine, "_eval", record)
     eng = FiberSweepEngine()
@@ -830,10 +909,14 @@ def test_decomposition_agreement_small_box():
 
 
 def test_cells_count_every_ordered_cell_once():
+    # the cells with a ball, and the radius-zero cells of a class whose
+    # complements all have square >= 0, each at weight 2
     eng = FiberSweepEngine()
-    for b1 in range(13):
+    for b1 in range(1, 13):
         for b2 in range(1, 13):
-            got = list(eng.cells(b1, b2))
+            zero = [((n, 0) if m == b2 else (0, n)) + (2,)
+                    for n, m, _ in sweeps._zero_cells(b1, b2, 2 * b1 * b2)]
+            got = list(eng.cells(b1, b2)) + zero
             assert sum(w for _, _, w in got) == (b1 + 1) * (b2 + 1) - 2, (b1, b2)
             # a weight-2 cell stands for itself and its mirror
             covered = [(b1p, b2p) for b1p, b2p, _ in got]
@@ -877,11 +960,11 @@ def test_engine_scans_each_mirror_pair_once(monkeypatch):
     evaluated, scanned = [], []
     eval_, scan_cell = FiberSweepEngine._eval, FiberSweepEngine._scan_cell
 
-    def counting_eval(self, key, b1, e):
+    def counting_eval(self, key, b1, e, *args):
         # the engine scans around the dominant conjugate of e
         if key[1]:
             evaluated.append((b1, key[0], dominant(e)))
-        return eval_(self, key, b1, e)
+        return eval_(self, key, b1, e, *args)
 
     def counting_scan(self, earr, b1, b2, b1p, b2p):
         scanned.append((b1, b2, tuple(earr.tolist()), b1p, b2p))
