@@ -94,9 +94,9 @@ def _table_rows(args):
     squares not at all), so each group's degree lines are formatted once
     as the tails ("", line_0, ..., line_D), and a class's lines are
     (slice head + part string).join(tails): a chunk is built by C-level
-    joins, with no Python step per row or per class.  The first <1> a
-    rule reads evaluates every keyed group of the box at once
-    (sweeps.box_values)."""
+    joins, with no Python step per row or per class.  Every group of the
+    box is a class of one ENGINE.evaluate call, made unless the genus is
+    0, whose rule reads no <1>."""
     head, part, tail = _TABLE_LINES[args.format]
     genus = args.genus
     degrees = range(args.max_degree + 1)
@@ -104,25 +104,17 @@ def _table_rows(args):
     parts, slices = sweeps.box_slices(args.max_b1, args.max_b2, args.max_e8_norm)
     slices = list(slices)
     part_strs = [part % e for e in parts]
-    values = {}
-
-    def value_of(b1, b2, e, key):
-        if key is None:
-            return ENGINE.class_value(b1, b2, e)
-        if not values:
-            values.update(sweeps.box_values(slices, ENGINE))
-        return values[key]
-
+    groups = [(b1, b2, e) for b1, b2, _, _, classes in slices for e, _, _ in classes]
+    values = iter(ENGINE.evaluate(groups) if genus else [None] * len(groups))
     suffixes = {}
     for b1, b2, cols, idx, classes in slices:
         tails = []
-        for e, s, key in classes:
+        for (e, s, key), value in zip(classes, values):
             skey = key if key is not None else "negative" if b2 else ("isotropic", b1)
             lines = suffixes.get(skey)
             if lines is None:
-                value1 = lambda: value_of(b1, b2, e, key)
                 lines = suffixes[skey] = ("",) + tuple(
-                    tail % ((d,) + value_rule(genus, d, s, value1)) for d in degrees)
+                    tail % ((d,) + value_rule(genus, d, s, lambda: value)) for d in degrees)
             tails.append(lines)
         prefix = (head % (genus, b1, b2)).__add__
         strs = part_strs[cols]

@@ -135,16 +135,13 @@ def e8_norm(e) -> int:
     """Positive-definite norm of an 8-tuple under the E8 Cartan form.
 
     This equals minus the E8(-1) self-pairing, so squares in the full
-    lattice read 2*b1*b2 - e8_norm(e8 part).
+    lattice read 2*b1*b2 - e8_norm(e8 part).  One integer expression,
+    sum e_i^2 less one product per edge of _E8_EDGES, doubled: exact on
+    Python ints of any size.
     """
-    e = tuple(e)
-    total = 0
-    for i in range(8):
-        if e[i]:
-            total += 2 * e[i] * e[i]
-    for a, b in _E8_EDGES:
-        total -= 2 * e[a - 1] * e[b - 1]
-    return total
+    a, b, c, d, f, g, h, k = e
+    return 2 * (a * (a - c) + b * (b - d) + c * (c - d) + d * (d - f)
+                + f * (f - g) + g * (g - h) + h * (h - k) + k * k)
 
 
 def pair(u, v) -> int:

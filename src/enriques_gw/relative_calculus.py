@@ -23,7 +23,6 @@ import numpy as np
 from .gw_engine import ENGINE
 from .lattice import RANK, _CARTAN_NP, as_vector, enumerate_decompositions, is_positive, square
 from .qseries import sigma_pow
-from .sweeps import orbit_ids
 
 
 def p1_relative_coeff(kind: str, d: int, r: int = None) -> Fraction:
@@ -94,32 +93,22 @@ def lemma_d6_d7_prefactor(parity: str, m1: int, m2: int) -> Fraction:
 @lru_cache(maxsize=64)
 def _decomposition_sum(coords) -> Fraction:
     """sum <1>_b1 <1>_b2 <b1,b2> over enumerate_decompositions, <1> from
-    the engine, one term per decomposition.  The parts' squares and the
-    pairings <b1,b2> are formed in int64 from the Gram matrix.  A part of
-    square >= 0 has E8 norm n <= 2 b1 b2, and |f_j|**2 <= 30 n,
-    |(C f)_j|**2 <= 2 n, so every int64 sum stays below 128 b1 b2: exact
-    for any class whose b1 b2 cells can be walked.  All parts with
-    b2' >= 1 are keyed in one orbit_ids call, one modulus b2' per row, and
-    are the roots of one ENGINE.evaluate call, which reads the values held
-    in ENGINE.values and evaluates the misses on one schedule.  The
-    products are summed in integers, one numerator per denominator, into
-    one Fraction.  The sums of the 64 most recently used classes are
-    cached."""
+    the engine, one term per decomposition.  The pairings <b1,b2> are
+    formed in int64 from the Gram matrix.  A part of square >= 0 has E8
+    norm n <= 2 b1 b2, and |f_j|**2 <= 30 n, |(C f)_j|**2 <= 2 n, so every
+    int64 sum stays below 128 b1 b2: exact for any class whose b1 b2
+    cells can be walked.  Every part is a class of one ENGINE.evaluate
+    call, which reads the values held in ENGINE.values and evaluates the
+    misses on one schedule.  The products are summed in integers, one
+    numerator per denominator, into one Fraction.  The sums of the 64
+    most recently used classes are cached."""
     pairs = enumerate_decompositions(as_vector(coords))
-    parts = [p for both in pairs for p in both]
-    x = np.array([p.coords for p in parts], dtype=np.int64).reshape(-1, RANK)
-    xc = x[:, 2:] @ _CARTAN_NP
-    squares = (2 * x[:, 0] * x[:, 1] - np.einsum("ij,ij->i", x[:, 2:], xc)).tolist()
+    parts = [p.coords for both in pairs for p in both]
+    x = np.array(parts, dtype=np.int64).reshape(-1, RANK)
     u, v = x[0::2], x[1::2]
     pairings = (u[:, 0] * v[:, 1] + u[:, 1] * v[:, 0]
-                - np.einsum("ij,ij->i", xc[0::2], v[:, 2:])).tolist()
-    keyed = x[:, 1] > 0
-    b2s = x[:, 1].tolist()
-    names = iter(orbit_ids(x[keyed, 1], x[keyed, 2:]))
-    got = iter(ENGINE.evaluate([((b2, s, next(names)), p.b1, p.e8)
-                                for p, b2, s in zip(parts, b2s, squares) if b2]))
-    values = [next(got) if b2 else ENGINE.class_value(p.b1, 0, p.e8)
-              for p, b2 in zip(parts, b2s)]
+                - np.einsum("ij,ij->i", u[:, 2:] @ _CARTAN_NP, v[:, 2:])).tolist()
+    values = ENGINE.evaluate([(c[0], c[1], c[2:]) for c in parts])
     sums = {}  # denominator -> numerator
     for v1, v2, pairing in zip(values[0::2], values[1::2], pairings):
         if v1 and v2:

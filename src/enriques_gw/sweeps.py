@@ -29,9 +29,10 @@ thousands of decompositions).  Two observations make full boxes cheap:
     vectorized rounds.  That point, as 64 bytes, is the orbit's name in
     every key.  orbit_ids reduces each residue row mod m once and keeps
     its name in one memo for all moduli; the rows of a batch new to it,
-    of one modulus or one a row, are reduced together, and one class is
-    keyed as a batch of one row.  The memo is cleared past one entry
-    bound for all moduli together (see orbit_ids); that changes no name.
+    of one modulus or one a row, are reduced together, and the classes
+    of one evaluate call are keyed as one batch.  The memo is cleared
+    past one entry bound for all moduli together (see orbit_ids); that
+    changes no name.
     A box of classes (box_slices) names its E8 parts once per W(E8)-orbit:
     parts of norm <= N sharing a name mod m, m^2 > 2N, share a W-orbit,
     so each b2 names one part of each.
@@ -66,9 +67,12 @@ thousands of decompositions).  Two observations make full boxes cheap:
     (_zero_cells): its complement keeps the E8 part, and takes the class's
     name if b2' = 0.
 
-FiberSweepEngine.evaluate runs one level-wise schedule for any number of
-classes asked at once, in two phases and with no nested calls, so no
-chain of parts meets the interpreter's recursion limit.  Discovery runs level by level from the classes asked: each
+FiberSweepEngine.evaluate is the one way into the engine.  It takes any
+number of plain classes (b1, b2, e), answers those the recursion never
+reaches (b2 <= 0, or a negative square) itself, keys the others, and
+runs one level-wise schedule for their keys, in two phases and with no
+nested calls, so no chain of parts meets the interpreter's recursion
+limit.  Discovery runs level by level from the classes asked: each
 class's E8 part is made dominant, each cone J the level reads is built
 once at the largest ball the level asks of it, the cells are scanned,
 and their part rows, with the radius-zero complements new to the
@@ -84,8 +88,8 @@ classes asked are checked, before anything is scanned: one is refused
 if it has more than _MAX_CELLS cells b1*b2, or if the largest ball its
 cells scan, counted by lattice.theta_shells, is past the ball cap.  No
 part has more cells or a larger ball than its class, so that check
-covers every evaluation of the schedule.  A table or box passes all its
-keyed groups as the roots of one schedule.
+covers every evaluation of the schedule.  A table or box passes every
+group of every slice, at its first part, to one evaluate call.
 
 The one production engine is ENGINE, defined here beside its class and
 re-exported by gw_engine: every entry point (invariant records, tables,
@@ -286,12 +290,11 @@ class FiberSweepEngine:
     values against the heterotic closed form.  ENGINE, below, is the
     process-wide instance.
 
-    Only the values <1> are stored, by key (b2, square, orbit name), see
-    key_for.  The genus-2 invariants need nothing else
+    Only the values <1> are stored, by key (b2, square, orbit name), which
+    evaluate forms itself.  The genus-2 invariants need nothing else
     (gw_engine.value_rule).  `values` is cleared where the classes asked
     miss it holding _MAX_VALUES (16,384) values, before their schedule
-    starts, so no evaluation loses a part it has read.  Methods taking a
-    `key` expect exactly that key of the class they are given.
+    starts, so no evaluation loses a part it has read.
     """
 
     def __init__(self, scan="optimized"):
@@ -301,38 +304,35 @@ class FiberSweepEngine:
         self.values = {}
         self.evals = 0
 
-    @staticmethod
-    def key_for(b2, s, e):
-        """Cache key of a class with b2 >= 1, square s and E8 part e."""
-        return (b2, s, orbit_ids(b2, e)[0])
-
-    def class_value(self, b1, b2, e, key=None):
+    def class_value(self, b1, b2, e):
         """<1> for the class with coordinates (b1, b2, e1..e8)."""
-        if key is not None:
-            return self.evaluate([(key, b1, e)])[0]
-        b1 = int(b1)
-        b2 = int(b2)
-        e = tuple(int(x) for x in e)
-        ne = e8_norm(e)
-        if b2 == 0:
-            if b1 > 0 and ne == 0:
-                return isotropic_genus1(b1)
-            return Fraction(0)
-        if b2 < 0:
-            return Fraction(0)
-        s = 2 * b1 * b2 - ne
-        if s < 0:
-            return Fraction(0)
-        return self.evaluate([(self.key_for(b2, s, e), b1, e)])[0]
+        return self.evaluate([(int(b1), int(b2), tuple(int(x) for x in e))])[0]
 
-    def evaluate(self, roots):
-        """<1> of each root (key, b1, e), a class (b1, b2, e) with b2 >= 1,
-        square s >= 0 and key (b2, s, name), as a list in the roots' order.
-        The roots missing from `values` are checked against the caps and
-        evaluated on one schedule (_schedule).  `values` is cleared first
-        if it holds _MAX_VALUES values, and then every root is evaluated
-        afresh; a clear changes no value."""
-        roots = list(roots)
+    def evaluate(self, classes):
+        """<1> of each class (b1, b2, e), Python ints with e an 8-tuple,
+        as a list in the classes' order.  A class the recursion never
+        reaches is answered here: 0 where b2 < 0 or the square
+        s = 2 b1 b2 - e8_norm(e) is negative, and at b2 = 0
+        isotropic_genus1(b1) for b1 v1, b1 >= 1, else 0.  Every other
+        class is keyed (b2, s, name), its names found in one orbit_ids
+        call with one modulus b2 per row.  The keys missing from `values`
+        are checked against the caps and evaluated on one schedule
+        (_schedule).  `values` is cleared first if it holds _MAX_VALUES
+        values, and then every key is evaluated afresh; a clear changes
+        no value."""
+        out, keyed = [], []  # out: a value, or None for the next keyed class
+        for b1, b2, e in classes:
+            s = 2 * b1 * b2 - e8_norm(e)
+            if b2 > 0 and s >= 0:
+                out.append(None)
+                keyed.append((b1, b2, s, e))
+            # at b2 = 0, s = -e8_norm(e) is 0 only for e = 0
+            elif b2 == 0 and b1 > 0 and s == 0:
+                out.append(isotropic_genus1(b1))
+            else:
+                out.append(Fraction(0))
+        names = orbit_ids([b2 for _, b2, _, _ in keyed], [e for _, _, _, e in keyed])
+        roots = [((b2, s, name), b1, e) for (b1, b2, s, e), name in zip(keyed, names)]
         values = self.values
         todo = {key: (b1, e) for key, b1, e in roots if key not in values}
         if todo and len(values) >= _MAX_VALUES:
@@ -349,7 +349,8 @@ class FiberSweepEngine:
                                      % (b1 * b2, _MAX_CELLS))
             theta_shells(max((self.largest_ball(b1, b2) for b1, b2 in asked), default=0))
             self._schedule(todo)
-        return [values[key] for key, _, _ in roots]
+        got = (values[key] for key, _, _ in roots)
+        return [next(got) if value is None else value for value in out]
 
     def _schedule(self, todo):
         """Evaluate the keys of `todo`, key -> (b1, e), and every part they
@@ -627,32 +628,22 @@ def box_class_count(max_b1, max_b2, norm_bound):
     return max_b1 + (max_b1 + 1) * max_b2 * n_parts
 
 
-def box_values(slices, engine):
-    """<1> of every keyed group of the box_slices `slices` (a list), as
-    key -> value: the groups are the roots, at their first parts, of one
-    evaluate call on `engine`, one schedule for the whole box."""
-    roots = [(key, b1, e) for b1, _, _, _, classes in slices
-             for e, _, key in classes if key is not None]
-    return dict(zip([key for key, _, _ in roots], engine.evaluate(roots)))
-
-
 def genus1_box_groups(max_b1, max_b2, norm_bound, engine=ENGINE):
     """The coordinate box of genus1_box_rows per (b1, b2) slice of
     box_slices, in its lexicographic order: (b1, b2, sliced, idx, groups)
     with `sliced` the slice's E8 parts as tuples, `groups` one
     (e, square, key, <1>) per group of the slice, e its first part, and
-    `idx` each part's group index.  <1> is 0 where the square is
-    negative; otherwise it holds for every part of the group, read from
-    box_values on `engine` (the process-wide ENGINE by default) before
-    the first slice is yielded."""
+    `idx` each part's group index.  <1> holds for every part of the
+    group; every group of the box, at its first part, is a class of one
+    evaluate call on `engine` (the process-wide ENGINE by default), made
+    before the first slice is yielded."""
     parts, slices = box_slices(max_b1, max_b2, norm_bound)
     slices = list(slices)
-    values = box_values(slices, engine)
+    values = iter(engine.evaluate([(b1, b2, e) for b1, b2, _, _, classes in slices
+                                   for e, _, _ in classes]))
     for b1, b2, cols, idx, classes in slices:
-        yield b1, b2, parts[cols], idx, [
-            (e, s, key, values[key] if key is not None else
-             Fraction(0) if s < 0 else engine.class_value(b1, b2, e))
-            for e, s, key in classes]
+        yield b1, b2, parts[cols], idx, [(e, s, key, value)
+                                         for (e, s, key), value in zip(classes, values)]
 
 
 def genus1_box_rows(max_b1, max_b2, norm_bound, engine=ENGINE):

@@ -69,14 +69,14 @@ def test_criterion_2_detail(results):
 
 
 def _off_by_one(wrong):
-    """FiberSweepEngine.evaluate with the value of each root (key, b1, e)
+    """FiberSweepEngine.evaluate with the value of each class (b1, b2, e)
     for which wrong(b1, b2, e) holds off by one."""
     evaluate = sweeps.FiberSweepEngine.evaluate
 
-    def off(self, roots):
-        roots = list(roots)
-        return [value + 1 if wrong(b1, key[0], e) else value
-                for (key, b1, e), value in zip(roots, evaluate(self, roots))]
+    def off(self, classes):
+        classes = list(classes)
+        return [value + 1 if wrong(*c) else value
+                for c, value in zip(classes, evaluate(self, classes))]
     return off
 
 

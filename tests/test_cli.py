@@ -311,10 +311,13 @@ def test_table_builds_its_largest_ball_once(capsys, monkeypatch):
             # of at most sweeps._BATCH_ROWS rows, and its dominant E8 parts
             # found in one alcove_points call (the depth-first engine
             # before it made 54 builds for these 11 cones and the ball, 313
-            # orbit_ids calls and 91 alcove_points calls)
+            # orbit_ids calls and 91 alcove_points calls).  One orbit_ids
+            # call keys the box's groups in ENGINE.evaluate: box_slices
+            # named their heads before, so every row is a memo hit and
+            # adds no alcove_points call
             cones = [J for _, J in builds if J]
             assert len(cones) == len(set(cones)) == 11
-            assert calls == {"orbit_ids": 54, "alcove_points": 46}
+            assert calls == {"orbit_ids": 55, "alcove_points": 46}
             digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
             assert digest == "f19ccde1853ae2652dc1afd5d05bb40061ebea73967da89101b88d2b5147b8ae"
         else:
@@ -560,6 +563,19 @@ def test_km_probe_default_stdout_is_pinned():
                          capture_output=True).stdout
     assert hashlib.sha256(out).hexdigest() == (
         "7e8033afccb2156d73586fc8c4a616ee72bc935ff89b4ee844543ad8f3cb460a")
+
+
+def test_alternate_script_times_one_tree_against_itself():
+    # this tree on both sides: two pairs, one stdout digest, exit 0
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run([sys.executable, _script("alternate.py"), "--parent", root,
+                          "--pairs", "2", "--", "series", "--what", "E2", "--order", "2"],
+                         check=True, capture_output=True, text=True).stdout
+    report = json.loads(out)
+    assert out.count("\n") == 1 and report["stdout_match"] and report["exit_codes"] == [0]
+    assert report["pairs"] == 2 and 0 <= report["wins"] <= 2
+    for side in ("parent", "this"):
+        assert 0 < report[side]["q1_s"] <= report[side]["median_s"] <= report[side]["q3_s"]
 
 
 def test_km_probe_norm_8_stdout_is_pinned():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -57,6 +58,18 @@ def test_e8_bourbaki_edges():
                 assert pair(basis_vector(i), basis_vector(j)) == 1
                 edges.add((i - 2, j - 2))
     assert edges == {(1, 3), (2, 4), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8)}
+
+
+def test_e8_norm_is_the_cartan_form_exactly():
+    # the unrolled expression against sum x_i C_ij x_j in Python ints, on
+    # entries up to 10**20, past int64, and on the whole norm-8 ball
+    rng = random.Random(8)
+    for _ in range(10000):
+        x = tuple(rng.randint(-10 ** 20, 10 ** 20) for _ in range(8))
+        want = sum(x[i] * CARTAN_E8[i][j] * x[j] for i in range(8) for j in range(8))
+        assert lattice.e8_norm(x) == want, x
+    rows, norms = short_vector_table(8)
+    assert [lattice.e8_norm(e) for e in rows.tolist()] == norms.tolist()
 
 
 @given(vectors, vectors)

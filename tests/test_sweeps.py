@@ -82,6 +82,52 @@ def test_engine_edge_classes():
     assert eng.class_value(1, 1, (1, 1, 0, 0, 0, 0, 0, 0)) == 0
 
 
+def test_evaluate_answers_a_mixed_batch_in_order(monkeypatch):
+    # plain classes of every kind in one call: the trivial ones answered
+    # without a key, the others on one schedule that evaluates each key
+    # once; ROOT and -ROOT share a key, and (2, 2, ROOT) comes twice
+    minus = tuple(-x for x in ROOT)
+    batch = [
+        (1, -1, ZERO8),  # b2 < 0
+        (3, 0, ZERO8),  # 3 v1
+        (3, 0, ROOT),  # b2 = 0, e != 0
+        (0, 0, ZERO8),  # b2 = 0, b1 <= 0
+        (-2, 0, ZERO8),
+        (1, 1, (1, 1, 0, 0, 0, 0, 0, 0)),  # square -2
+        (2, 2, (2, 0, 0, 0, 0, 0, 0, 0)),  # isotropic, gcd 2
+        (2, 2, ROOT),
+        (2, 2, minus),
+        (3, 2, ROOT),
+        (2, 2, ROOT),
+    ]
+    schedules, evals = [], []
+    schedule, eval_ = FiberSweepEngine._schedule, FiberSweepEngine._eval
+
+    def count_schedule(self, todo):
+        schedules.append(set(todo))
+        return schedule(self, todo)
+
+    def count_eval(self, key, *args):
+        evals.append(key)
+        return eval_(self, key, *args)
+
+    monkeypatch.setattr(FiberSweepEngine, "_schedule", count_schedule)
+    monkeypatch.setattr(FiberSweepEngine, "_eval", count_eval)
+    eng = FiberSweepEngine()
+    got = eng.evaluate(batch)
+    assert len(schedules) == 1 and len(schedules[0]) == 3
+    assert len(evals) == len(set(evals)) == eng.evals > 3
+    # asked again, every key is a cache hit: no schedule, no evaluation
+    assert eng.evaluate(batch) == got and len(schedules) == 1 and len(evals) == eng.evals
+    assert got[:7] == [0, Fraction(8, 3), 0, 0, 0, 0, gw_engine.isotropic_genus1(2)]
+    assert all(type(value) is Fraction for value in got)
+    assert got[7] == got[8] == got[10]
+    assert got == [FiberSweepEngine().class_value(*c) for c in batch]
+    memo = {}
+    for c, value in zip(batch[5:], got[5:]):
+        assert value == gw_engine.enriques_genus1(as_vector(*c), memo=memo), c
+
+
 def test_engine_refuses_a_runaway_ball_before_scanning(monkeypatch):
     def refuse(bound):
         raise AssertionError("built a ball of norm %d" % bound)
@@ -202,7 +248,7 @@ def test_orbit_ids_are_reflection_and_translation_invariant(m, row, shift):
 
 @pytest.mark.parametrize("batch_first", [True, False, None])
 def test_orbit_ids_are_stable_across_calls(monkeypatch, batch_first):
-    # a batch and the same rows keyed one at a time (as key_for keys a
+    # a batch and the same rows keyed one at a time (as evaluate keys one
     # class) must name every orbit alike, whichever call comes first and
     # whatever the residue memo held before; with batch_first None the
     # batches of every modulus are keyed first, in one call with one
@@ -303,11 +349,11 @@ def test_the_residue_memo_is_bounded_over_all_moduli_together(monkeypatch):
 
 
 @settings(max_examples=60, deadline=None)
-@given(b2=st.integers(1, 12), s=st.integers(0, 40), row=E8_ROWS)
-def test_an_orbit_is_named_by_its_canonical_point(b2, s, row):
+@given(b2=st.integers(1, 12), row=E8_ROWS)
+def test_an_orbit_is_named_by_its_canonical_point(b2, row):
     # the key names the orbit by the bytes of its one alcove point, so the
     # name does not depend on what was keyed before
-    name = FiberSweepEngine.key_for(b2, s, row)[2]
+    name = orbit_ids(b2, row)[0]
     assert name == alcove_points(np.array([row]), b2)[0].tobytes()
 
 
@@ -424,7 +470,7 @@ def test_box_slices_group_parts_by_norm_and_orbit_name(box):
         for head, s, key in classes:
             assert s == 2 * b1 * b2 - lattice.e8_norm(head)
             assert (key is None) == (s < 0)
-            assert key is None or key == FiberSweepEngine.key_for(b2, s, head)
+            assert key is None or key == (b2, s, orbit_ids(b2, head)[0])
     assert n_slices == box[0] + (box[0] + 1) * box[1]
 
 
@@ -487,20 +533,22 @@ def test_a_box_group_has_one_gcd_with_b2(box):
 
 
 def test_box_rows_ask_the_engine_once_per_group():
-    # every keyed group of the box is a root of one engine schedule
+    # every group of the box, unkeyed ones included, is a class of one
+    # evaluate call
     class Counting(FiberSweepEngine):
-        def evaluate(self, roots):
-            roots = list(roots)
-            asked.append(roots)
-            return super().evaluate(roots)
+        def evaluate(self, classes):
+            classes = list(classes)
+            asked.append(classes)
+            return super().evaluate(classes)
 
     asked = []
     box = (2, 3, 4)
     rows = list(genus1_box_rows(*box, engine=Counting()))
-    _, slices = box_slices(*box)
-    groups = [(key, b1, e) for b1, b2, _, _, classes in slices
-              for e, s, key in classes if s >= 0 and b2]
+    slices = list(box_slices(*box)[1])
+    groups = [(b1, b2, e) for b1, b2, _, _, classes in slices for e, _, _ in classes]
     assert asked == [groups]
+    assert any(b2 == 0 for _, b2, _ in groups)
+    assert any(key is None for *_, classes in slices for _, _, key in classes)
     assert len(rows) == box_class_count(*box) > 10 * len(groups)
     # every row against a fresh engine asked row by row, without keys
     eng = FiberSweepEngine()
