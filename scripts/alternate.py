@@ -3,14 +3,16 @@ fresh processes, and check that both print the same stdout.
 
 Each pair runs `python3 -m enriques_gw.cli <argv>` once on the parent
 tree's src and once on this tree's src, one process at a time; the side
-that goes first alternates from pair to pair.  Both trees are compiled
-first (compileall): where PYTHONDONTWRITEBYTECODE is set, an uncompiled
-tree would compile its modules again in every run.  Prints one JSON line:
-per side the median and quartiles of the wall seconds of its runs, the
-pairs this tree won, and whether every run printed stdout of one SHA-256
-digest.  The seconds in selfcheck verdict lines, "(0.08s, budget 30s)",
-vary from run to run and are left out of the digest.  Exits 1 when the
-digests differ or a run exits non-zero.
+that goes first alternates from pair to pair.  Each run's peak RSS is
+the child's ru_maxrss, read with os.wait4 as it is reaped.  Both trees
+are compiled first (compileall): where PYTHONDONTWRITEBYTECODE is set,
+an uncompiled tree would compile its modules again in every run.  Prints
+one JSON line: per side the median and quartiles of the wall seconds of
+its runs and the median of their peak RSS in MB, the pairs this tree
+won, and whether every run printed stdout of one SHA-256 digest.  The
+seconds in selfcheck verdict lines, "(0.08s, budget 30s)", vary from
+run to run and are left out of the digest.  Exits 1 when the digests
+differ or a run exits non-zero.
 
 Example:
     python scripts/alternate.py --parent /path/to/parent --pairs 10 -- selfcheck
@@ -33,20 +35,30 @@ _SECONDS = re.compile(rb"\(\d+\.\d+s, budget")
 
 
 def run_once(tree, argv):
-    """(wall seconds, exit code, stdout SHA-256) of one CLI run on tree/src,
-    selfcheck run times left out of the digest."""
+    """(wall seconds, peak RSS in MB, exit code, stdout SHA-256) of one CLI
+    run on tree/src, selfcheck run times left out of the digest.  Linux
+    counts in a child's ru_maxrss the RSS of this process when it started
+    the child, so stdout is hashed a chunk of whole lines at a time, never
+    held whole."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    digest, tail = hashlib.sha256(), b""
     t0 = time.perf_counter()
-    done = subprocess.run([sys.executable, "-m", "enriques_gw.cli"] + argv, env=env,
-                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    with subprocess.Popen([sys.executable, "-m", "enriques_gw.cli"] + argv, env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL) as proc:
+        for chunk in iter(lambda: proc.stdout.read(1 << 20), b""):
+            lines, nl, tail = (tail + chunk).rpartition(b"\n")
+            digest.update(_SECONDS.sub(b"(s, budget", lines + nl))
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
     seconds = time.perf_counter() - t0
-    out = _SECONDS.sub(b"(s, budget", done.stdout)
-    return seconds, done.returncode, hashlib.sha256(out).hexdigest()
+    digest.update(_SECONDS.sub(b"(s, budget", tail))
+    return seconds, usage.ru_maxrss / 1024, proc.returncode, digest.hexdigest()
 
 
-def summary(seconds):
+def summary(seconds, rss):
     q1, median, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
-    return {"median_s": round(median, 4), "q1_s": round(q1, 4), "q3_s": round(q3, 4)}
+    return {"median_s": round(median, 4), "q1_s": round(q1, 4), "q3_s": round(q3, 4),
+            "peak_rss_mb": round(statistics.median(rss), 2)}
 
 
 def main():
@@ -64,15 +76,18 @@ def main():
         if not compileall.compile_dir(os.path.join(tree, "src"), quiet=1):
             parser.error("%s/src does not compile" % tree)
     seconds = {side: [] for side in trees}
+    rss = {side: [] for side in trees}
     codes, digests = set(), set()
     for i in range(args.pairs):
         for side in (("parent", "this") if i % 2 == 0 else ("this", "parent")):
-            took, code, digest = run_once(trees[side], argv)
+            took, peak, code, digest = run_once(trees[side], argv)
             seconds[side].append(took)
+            rss[side].append(peak)
             codes.add(code)
             digests.add(digest)
     report = {"argv": argv, "pairs": args.pairs,
-              "parent": summary(seconds["parent"]), "this": summary(seconds["this"]),
+              "parent": summary(seconds["parent"], rss["parent"]),
+              "this": summary(seconds["this"], rss["this"]),
               "wins": sum(t < p for t, p in zip(seconds["this"], seconds["parent"])),
               "stdout_match": len(digests) == 1, "exit_codes": sorted(codes)}
     print(json.dumps(report))

@@ -9,10 +9,10 @@ fixed key order, and nothing depends on hashing or threads.
 `table` builds its lines per (b1, b2) slice of the box
 (sweeps.box_slices), not per row.  Each E8 part's coordinate string is
 formatted once for the table and each slice's head (genus, b1, b2) once
-for the slice.  A slice groups its parts by engine key up to b1, and
-the lines of every degree (d, value, rule) are formatted once per
-group.  A class's lines are the group's lines, each prefixed by slice
-head + part string, joined in C over chunks of about a thousand lines
+for the slice.  A slice groups its parts by W(E8)-orbit, and the lines
+of every degree (d, value, rule) are formatted once per (square, <1>).
+A class's lines are its group's lines, each prefixed by slice head +
+part string, joined in C over chunks of about a thousand lines
 (_table_rows); no class is formatted as a whole and no Python step runs
 per row.  The bytes equal those of serializing one dict per row;
 `invariant` writes its row from the same three pieces.
@@ -90,9 +90,9 @@ def _table_rows(args):
 
     Each E8 part's string is formatted once for the table and each
     slice's head once for the slice.  A row's value and rule depend on
-    its class only through the slice's group (the engine key; negative
-    squares not at all), so each group's degree lines are formatted once
-    as the tails ("", line_0, ..., line_D), and a class's lines are
+    its class only through its square and <1> (gw_engine.value_rule), so
+    the degree lines of each (square, <1>) are formatted once as the
+    tails ("", line_0, ..., line_D), and a class's lines are
     (slice head + part string).join(tails): a chunk is built by C-level
     joins, with no Python step per row or per class.  Every group of the
     box is a class of one ENGINE.evaluate call, made unless the genus is
@@ -104,16 +104,15 @@ def _table_rows(args):
     parts, slices = sweeps.box_slices(args.max_b1, args.max_b2, args.max_e8_norm)
     slices = list(slices)
     part_strs = [part % e for e in parts]
-    groups = [(b1, b2, e) for b1, b2, _, _, classes in slices for e, _, _ in classes]
+    groups = [(b1, b2, e) for b1, b2, _, _, classes in slices for e, _ in classes]
     values = iter(ENGINE.evaluate(groups) if genus else [None] * len(groups))
     suffixes = {}
     for b1, b2, cols, idx, classes in slices:
         tails = []
-        for (e, s, key), value in zip(classes, values):
-            skey = key if key is not None else "negative" if b2 else ("isotropic", b1)
-            lines = suffixes.get(skey)
+        for (_, s), value in zip(classes, values):
+            lines = suffixes.get((s, value))
             if lines is None:
-                lines = suffixes[skey] = ("",) + tuple(
+                lines = suffixes[s, value] = ("",) + tuple(
                     tail % ((d,) + value_rule(genus, d, s, lambda: value)) for d in degrees)
             tails.append(lines)
         prefix = (head % (genus, b1, b2)).__add__

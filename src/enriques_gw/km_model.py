@@ -147,18 +147,15 @@ def box_verdict_groups(max_b1, max_b2, norm_bound, max_square=None):
     sweeps.genus1_box_groups slice, in its order, with the member
     classes' coordinates in box order.
 
-    A group has one divisibility.  The parts e of a group of slice
-    (b1, b2) lie in one orbit of W x| b2*Q.  W(E8) acts on the
-    coordinates by integer matrices with integer inverses, so it keeps
-    every sublattice dQ, and adding b2*q changes no coordinate mod d for
-    any d dividing b2.  So the d dividing b2 with e in dQ, and their
-    largest, gcd(b2, e), are the same on the whole orbit, and every class
-    of the group has the divisibility gcd(b1, b2, e) of its first part."""
+    A group has one divisibility.  The parts e of a group lie in one
+    W(E8)-orbit, and W(E8) acts by unimodular integer matrices, so gcd(e)
+    is constant on the group, and every class of the group has the
+    divisibility gcd(b1, b2, e) of its first part."""
     for b1, b2, sliced, idx, groups in genus1_box_groups(max_b1, max_b2, norm_bound):
         members = [[] for _ in groups]
         for e, j in zip(sliced, idx):
             members[j].append((b1, b2) + e)
-        for (e, s, _, value), classes in zip(groups, members):
+        for (e, s, value), classes in zip(groups, members):
             if max_square is None or s <= max_square:
                 yield s, math.gcd(b1, b2, *e), value, classes
 

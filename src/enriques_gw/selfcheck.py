@@ -17,11 +17,12 @@ index convention; criterion 9 compares both conventions and only
 reports.
 
 Each piece of work is done once where its result cannot differ: the
-criteria that read the acceptance box (2, 5, 6 and 9) walk it per orbit
-group of sweeps.genus1_box_groups, never per class, and walk it again
-class by class only to list the classes of a failing group.  A group
-fixes the square, <1> and divisibility of its classes (see
-km_model.box_verdict_groups), all that the closed form reads.
+criteria that read the acceptance box (2, 5, 6 and 9) walk it per
+W(E8)-orbit group of sweeps.genus1_box_groups, never per class, and
+walk it again class by class only to list the classes of a failing
+(square, <1>).  A group fixes the square, <1> and divisibility of its
+classes (see km_model.box_verdict_groups), all that the closed form
+reads.
 Criterion 2 builds its c_1 series at one order and each cone of its
 sweep once; criteria 5 and 6 each build _genus2_series per group; the
 split sample keys each class's parts in one call.
@@ -104,29 +105,29 @@ def _root_vector():
 def _genus2_series(order):
     """(count, series) for the square > 0 classes of the acceptance box,
     read per group from sweeps.genus1_box_groups: `count` is their
-    number, and `series` maps each of their engine keys to (square, <1>,
-    [N_{2,(beta,d)} for d <= order]), by gw_engine.value_rule once per
-    key.  Criteria 5 and 6 each build it afresh from the engine, so no
+    number, and `series` maps each of their (square, <1>) pairs to
+    [N_{2,(beta,d)} for d <= order], by gw_engine.value_rule once per
+    pair.  Criteria 5 and 6 each build it afresh from the engine, so no
     run reads another's copy."""
     count, series = 0, {}
     for b1, b2, sliced, idx, groups in sweeps.genus1_box_groups(**BOX):
         sizes = Counter(idx)
-        for j, (_, s, key, value) in enumerate(groups):
+        for j, (_, s, value) in enumerate(groups):
             if s > 0:
                 count += sizes[j]
-                if key not in series:
-                    series[key] = (s, value, [gw_engine.value_rule(2, d, s, lambda: value)[0]
-                                              for d in range(order + 1)])
+                if (s, value) not in series:
+                    series[s, value] = [gw_engine.value_rule(2, d, s, lambda: value)[0]
+                                        for d in range(order + 1)]
     return count, series
 
 
-def _classes_with(keys):
-    """The classes of the acceptance box whose engine key is in the set
-    `keys`, in box order: a second walk of the box, made only when `keys`
-    is not empty."""
-    if not keys:
+def _classes_with(pairs):
+    """The classes of the acceptance box whose (square, <1>) is in the
+    set `pairs`, in box order: a second walk of the box, made only when
+    `pairs` is not empty."""
+    if not pairs:
         return []
-    return [c for c, _, key, _ in sweeps.genus1_box_rows(**BOX) if key in keys]
+    return [c for c, s, value in sweeps.genus1_box_rows(**BOX) if (s, value) in pairs]
 
 
 @_criterion(1, "isotropic multiples", 1.0)
@@ -162,8 +163,9 @@ def criterion_2():
     smaller ball on every cell shape of the box, and gw_engine.ENGINE's
     box table, read per group of sweeps.genus1_box_groups, equals the
     heterotic closed form in the "full" convention,
-    km_fiber_prediction(1, beta, "full") / 4, on every keyed class (the
-    verdicts of criterion 9 stay diagnostic).  The classes of a slice's
+    km_fiber_prediction(1, beta, "full") / 4, on every keyed class, one
+    with b2 >= 1 and square >= 0 that the engine keys (the verdicts of
+    criterion 9 stay diagnostic).  The classes of a slice's
     group share square, value and divisibility, gcd(b1, b2, e) at its
     first part e (see km_model.box_verdict_groups), so each keyed group
     is compared once and counts for all its classes; the off classes of
@@ -186,10 +188,10 @@ def criterion_2():
     for b1, b2, sliced, idx, groups in sweeps.genus1_box_groups(**BOX):
         for c in sample:
             if c[:2] == (b1, b2):
-                sample[c] = groups[idx[sliced.index(c[2:])]][3]
+                sample[c] = groups[idx[sliced.index(c[2:])]][2]
         sizes, bad = Counter(idx), set()
-        for j, (e, s, key, value) in enumerate(groups):
-            if key is None:
+        for j, (e, s, value) in enumerate(groups):
+            if b2 == 0 or s < 0:
                 continue
             keyed += sizes[j]
             pair = (s, math.gcd(b1, b2, *e))
@@ -272,7 +274,7 @@ def criterion_5():
     order = 20
     e2 = [qseries.eisenstein(2, order).coeff(n) for n in range(order + 1)]
     count, series = _genus2_series(order)
-    bad = _classes_with({key for key, (_, _, n2) in series.items()
+    bad = _classes_with({pair for pair, n2 in series.items()
                          if any(n2[d] != e2[d] * n2[0] for d in range(order + 1))})
     sample_ok = True
     root = _root_vector()
@@ -295,7 +297,7 @@ def criterion_6():
     order = 20
     sig = [qseries.sigma_pow(1, d) for d in range(order + 1)]
     count, series = _genus2_series(order)
-    bad = _classes_with({key for key, (s, value, n2) in series.items()
+    bad = _classes_with({(s, value) for (s, value), n2 in series.items()
                          if any(n2[d] != Fraction(3, 2) * sig[d] * (4 * value) * s
                                 for d in range(1, order + 1))})
     root = _root_vector()

@@ -33,9 +33,8 @@ thousands of decompositions).  Two observations make full boxes cheap:
     of one evaluate call are keyed as one batch.  The memo is cleared
     past one entry bound for all moduli together (see orbit_ids); that
     changes no name.
-    A box of classes (box_slices) names its E8 parts once per W(E8)-orbit:
-    parts of norm <= N sharing a name mod m, m^2 > 2N, share a W-orbit,
-    so each b2 names one part of each.
+    A box of classes (box_slices) groups its E8 parts by W(E8)-orbit,
+    which lies in one orbit of every W x| b2*Q; evaluate keys the groups.
 
 2.  The decomposition sum itself is, cell by cell in (b1', b2'), a scan
     over the lattice points e1 of the ball of norm r1 = 2 b1' b2' around
@@ -567,57 +566,35 @@ def box_slices(max_b1, max_b2, norm_bound):
     lexicographic order.  `slices` yields the (b1, b2) slices of the box
     in lexicographic order, each as (b1, b2, cols, idx, classes): `cols`
     is the slice object picking the slice's E8 parts out of `parts`,
-    `classes` holds one (e, square, key) per group of those parts, and
-    `idx` gives, for each part, the index of its group in `classes`.  A
-    slice with b2 = 0 is the one class b1*v1, 1 <= b1 <= max_b1, with key
-    None.  A slice with b2 >= 1 holds every part, grouped by (E8 norm,
-    orbit_ids(b2, e) name), which is the engine key up to b1: a group's e
-    is its first part, its square 2 b1 b2 - norm and its key
-    (b2, square, name), or None where the square is negative; groups are
-    numbered in the order of their first parts.  A group lies in one
-    orbit of W x| b2*Q, so its parts share gcd(b2, e) too
-    (km_model.box_verdict_groups says why).
+    `classes` holds one (e, square) per group of those parts, and `idx`
+    gives, for each part, the index of its group in `classes`.  A slice
+    with b2 = 0 is the one class b1*v1, 1 <= b1 <= max_b1.  A slice with
+    b2 >= 1 holds every part, grouped by W(E8)-orbit: a group's e is its
+    first part and its square 2 b1 b2 - <e, e>.  Every such slice shares
+    one idx, and groups are numbered in the order of their first parts.
 
-    The parts are sorted once, by np.lexsort, and named once per
-    W(E8)-orbit.  A label
-    (norm, orbit_ids(m, e)) with m*m > 2 norm_bound is one W-orbit: two
-    parts of one W x| m*Q orbit differ, after some w in W, by a vector of
-    m*Q of norm <= 4 norm_bound < 2 m^2, the least nonzero norm in m*Q,
-    so by 0.  W lies in every W x| b2*Q, so a label lies in one group of
-    each b2: each b2 names one head part per label in one orbit_ids call,
-    and its idx is a gather of the labels' group indices."""
+    The parts are sorted once, by np.lexsort, and grouped once by their
+    dominant conjugates (dominant_rows), the one dominant point of each
+    W-orbit (Humphreys 1.12).  W lies in every W x| b2*Q and keeps the
+    norm, so the classes of a group share square and <1>."""
     a, norms = short_vector_table(norm_bound)
     order = np.lexsort(a.T[::-1])
     a = a[order]
     parts = [tuple(row) for row in a.tolist()]
     norms = norms[order].tolist()
-    m = math.isqrt(2 * norm_bound) + 1
-    assert m * m > 2 * norm_bound
-    labels = {}  # (norm, name mod m) -> (label index, index of its first part)
-    label = np.array([labels.setdefault(g, (len(labels), i))[0]
-                      for i, g in enumerate(zip(norms, orbit_ids(m, a)))])
-    heads = [i for _, i in labels.values()]  # each label's first part
-    groups = {}  # b2 -> (idx, [(first part, norm, name)] per group)
-    for b2 in range(1, max_b2 + 1):
-        first = {}  # (norm, name) -> (group index, index of its first part)
-        of_label = [first.setdefault((norms[i], name), (len(first), i))[0]
-                    for i, name in zip(heads, orbit_ids(b2, a[heads]))]
-        groups[b2] = (np.array(of_label)[label].tolist(),
-                      [(parts[i], ne, name) for (ne, name), (_, i) in first.items()])
+    first = {}  # dominant conjugate -> (group index, index of its first part)
+    idx = [first.setdefault(d, (len(first), i))[0]
+           for i, d in enumerate(dominant_rows(a).view(_ROW_BYTES).ravel().tolist())]
+    heads = [(parts[i], norms[i]) for _, i in first.values()]
     k = parts.index((0,) * 8)
     zero, every = slice(k, k + 1), slice(None)
 
     def slices():
         for b1 in range(0, max_b1 + 1):
             if b1:
-                yield b1, 0, zero, [0], [(parts[k], 0, None)]
+                yield b1, 0, zero, [0], [(parts[k], 0)]
             for b2 in range(1, max_b2 + 1):
-                idx, heads = groups[b2]
-                classes = []
-                for e, ne, name in heads:
-                    s = 2 * b1 * b2 - ne
-                    classes.append((e, s, (b2, s, name) if s >= 0 else None))
-                yield b1, b2, every, idx, classes
+                yield b1, b2, every, idx, [(e, 2 * b1 * b2 - ne) for e, ne in heads]
 
     return parts, slices()
 
@@ -632,27 +609,25 @@ def genus1_box_groups(max_b1, max_b2, norm_bound, engine=ENGINE):
     """The coordinate box of genus1_box_rows per (b1, b2) slice of
     box_slices, in its lexicographic order: (b1, b2, sliced, idx, groups)
     with `sliced` the slice's E8 parts as tuples, `groups` one
-    (e, square, key, <1>) per group of the slice, e its first part, and
-    `idx` each part's group index.  <1> holds for every part of the
-    group; every group of the box, at its first part, is a class of one
+    (e, square, <1>) per group of the slice, e its first part, and `idx`
+    each part's group index.  <1> holds for every part of the group;
+    every group of the box, at its first part, is a class of one
     evaluate call on `engine` (the process-wide ENGINE by default), made
     before the first slice is yielded."""
     parts, slices = box_slices(max_b1, max_b2, norm_bound)
     slices = list(slices)
     values = iter(engine.evaluate([(b1, b2, e) for b1, b2, _, _, classes in slices
-                                   for e, _, _ in classes]))
+                                   for e, _ in classes]))
     for b1, b2, cols, idx, classes in slices:
-        yield b1, b2, parts[cols], idx, [(e, s, key, value)
-                                         for (e, s, key), value in zip(classes, values)]
+        yield b1, b2, parts[cols], idx, [(e, s, value) for (e, s), value in zip(classes, values)]
 
 
 def genus1_box_rows(max_b1, max_b2, norm_bound, engine=ENGINE):
-    """(coords, square, key, <1>) for every class of the coordinate box,
-    the rows of genus1_box_groups in its lexicographic order: n*v1 for
+    """(coords, square, <1>) for every class of the coordinate box, the
+    rows of genus1_box_groups in its lexicographic order: n*v1 for
     1 <= n <= max_b1, and (b1, b2, e) with 0 <= b1 <= max_b1,
-    1 <= b2 <= max_b2, e a short vector of norm <= norm_bound.  `key` is
-    the engine key of the class, or None when b2 = 0 or the square is
-    negative; square, key and <1> are those of the class's group."""
+    1 <= b2 <= max_b2, e a short vector of norm <= norm_bound.  Square
+    and <1> are those of the class's group."""
     for b1, b2, sliced, idx, groups in genus1_box_groups(max_b1, max_b2, norm_bound, engine):
         for e, j in zip(sliced, idx):
             yield ((b1, b2) + e,) + groups[j][1:]

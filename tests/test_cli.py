@@ -311,13 +311,13 @@ def test_table_builds_its_largest_ball_once(capsys, monkeypatch):
             # of at most sweeps._BATCH_ROWS rows, and its dominant E8 parts
             # found in one alcove_points call (the depth-first engine
             # before it made 54 builds for these 11 cones and the ball, 313
-            # orbit_ids calls and 91 alcove_points calls).  One orbit_ids
-            # call keys the box's groups in ENGINE.evaluate: box_slices
-            # named their heads before, so every row is a memo hit and
-            # adds no alcove_points call
+            # orbit_ids calls and 91 alcove_points calls).  box_slices names
+            # nothing: it groups the box's parts by their dominant
+            # conjugates in one alcove_points call, and one orbit_ids call
+            # in ENGINE.evaluate keys the groups
             cones = [J for _, J in builds if J]
             assert len(cones) == len(set(cones)) == 11
-            assert calls == {"orbit_ids": 55, "alcove_points": 46}
+            assert calls == {"orbit_ids": 48, "alcove_points": 42}
             digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
             assert digest == "f19ccde1853ae2652dc1afd5d05bb40061ebea73967da89101b88d2b5147b8ae"
         else:
@@ -576,6 +576,7 @@ def test_alternate_script_times_one_tree_against_itself():
     assert report["pairs"] == 2 and 0 <= report["wins"] <= 2
     for side in ("parent", "this"):
         assert 0 < report[side]["q1_s"] <= report[side]["median_s"] <= report[side]["q3_s"]
+        assert report[side]["peak_rss_mb"] > 0
 
 
 def test_km_probe_norm_8_stdout_is_pinned():

@@ -156,25 +156,21 @@ def test_bulk_verdicts_of_a_group_hold_for_each_member():
 def test_box_verdict_groups_equal_a_row_walk_grouped_by_divisibility():
     # a norm-8 box with even b1 and b2: its 2 * roots have divisibility 2
     # in the slices (0, 2) and (2, 2), and 1 beside b1 = 1.  The groups,
-    # merged by (slice, square, key, divisibility), must equal the rows
-    # grouped so, each row's divisibility read off its coordinates
+    # merged by (slice, square, <1>, divisibility), must equal the rows
+    # grouped so, each row's square, <1> and divisibility its own
     box = (2, 2, 8)
     rows = list(genus1_box_rows(*box))
-    want, key_of = {}, {}
-    for c, s, key, value in rows:
-        key_of[c] = key
-        at = (c[:2], s, key, divisibility(c))
-        want.setdefault(at, (value, []))[1].append(c)
+    want = {}
+    for c, s, value in rows:
+        want.setdefault((c[:2], s, value, divisibility(c)), []).append(c)
     assert sum(d == 2 for *_, d in want) > 0
     position = {c: i for i, (c, *_) in enumerate(rows)}
     got, n = {}, 0
     for s, div, value, members in box_verdict_groups(*box):
         n += len(members)
-        assert len({key_of[c] for c in members}) == 1
         assert sorted(members, key=position.__getitem__) == members
-        at = (members[0][:2], s, key_of[members[0]], div)
-        got.setdefault(at, (value, []))[1].extend(members)
-    for _, members in got.values():
+        got.setdefault((members[0][:2], s, value, div), []).extend(members)
+    for members in got.values():
         members.sort(key=position.__getitem__)
     assert n == len(rows)
     assert got == want

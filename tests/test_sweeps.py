@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -167,8 +168,9 @@ def _full_prediction(coords):
 
 
 def test_engine_box_table_matches_the_full_prediction():
-    keyed = [(coords, value) for coords, _, key, value in
-             genus1_box_rows(3, 3, 2, engine=FiberSweepEngine()) if key is not None]
+    # the classes the engine keys: b2 >= 1 and square >= 0
+    keyed = [(coords, value) for coords, s, value in
+             genus1_box_rows(3, 3, 2, engine=FiberSweepEngine()) if coords[1] and s >= 0]
     assert len(keyed) == 3 + 3 * 3 * 241
     for coords, value in keyed:
         assert value == _full_prediction(coords), coords
@@ -446,95 +448,62 @@ def test_box_class_count_counts_box_classes(box):
     assert box_class_count(*box) == count
 
 
-@pytest.mark.parametrize("box", [(2, 3, 4), (3, 3, 2), (2, 1, 4), (1, 5, 4)])
-def test_box_slices_group_parts_by_norm_and_orbit_name(box):
-    parts, slices = box_slices(*box)
-    n_slices = 0
-    for b1, b2, cols, idx, classes in slices:
-        n_slices += 1
-        sliced = parts[cols]
-        if b2 == 0:
-            assert sliced == [ZERO8] and idx == [0] and classes == [(ZERO8, 0, None)]
-            continue
-        names = orbit_ids(b2, np.array(sliced))
-        first = {}
-        for e, name, j in zip(sliced, names, idx):
-            head = classes[j][0]
-            assert lattice.e8_norm(e) == lattice.e8_norm(head)
-            assert name == orbit_ids(b2, head)[0]
-            first.setdefault(j, e)
-        # every group is met, each at its head first, and no two share
-        # (norm, name)
-        assert [first[j] for j in range(len(classes))] == [head for head, _, _ in classes]
-        assert len({(lattice.e8_norm(e), orbit_ids(b2, e)[0]) for e, _, _ in classes}) == len(classes)
-        for head, s, key in classes:
-            assert s == 2 * b1 * b2 - lattice.e8_norm(head)
-            assert (key is None) == (s < 0)
-            assert key is None or key == (b2, s, orbit_ids(b2, head)[0])
-    assert n_slices == box[0] + (box[0] + 1) * box[1]
-
-
 @pytest.mark.parametrize("box", [(2, 1, 4), (1, 5, 4), (2, 3, 6), (1, 2, 8)])
 def test_box_slices_equal_a_per_part_walk(box):
-    # reference: every part named by orbit_ids(b2, .) in one call per b2
-    # and grouped by (norm, name) in part order.  (2, 1, 4) has b2 = 1
+    # reference: the parts in lexicographic order, grouped by the
+    # pure-Python lattice.dominant in part order.  (2, 1, 4) has b2 = 1
     # alone, where every part shares one name mod 1; at norm 8 two
     # W(E8)-orbits share a shell
     max_b1, max_b2, norm_bound = box
     ref_parts = sorted(tuple(row) for row in short_vector_table(norm_bound)[0].tolist())
-    norms = [lattice.e8_norm(e) for e in ref_parts]
-    ref = {}
-    for b2 in range(1, max_b2 + 1):
-        first = {}
-        idx = [first.setdefault(g, (len(first), e))[0]
-               for e, g in zip(ref_parts, zip(norms, orbit_ids(b2, np.array(ref_parts))))]
-        ref[b2] = idx, [(e, ne, name) for (ne, name), (_, e) in first.items()]
+    first = {}
+    ref_idx = [first.setdefault(dominant(e), (len(first), e))[0] for e in ref_parts]
+    heads = [e for _, e in first.values()]
+    shells = {lattice.e8_norm(e) for e in heads}
+    assert len(heads) == len(shells) + (norm_bound >= 8)
     parts, slices = box_slices(*box)
     assert parts == ref_parts
-    n_slices = 0
+    n_slices, shared = 0, set()
     for b1, b2, cols, idx, classes in slices:
         n_slices += 1
         if b2 == 0:
-            assert parts[cols] == [ZERO8] and idx == [0] and classes == [(ZERO8, 0, None)]
+            assert parts[cols] == [ZERO8] and idx == [0] and classes == [(ZERO8, 0)]
             continue
-        assert parts[cols] == ref_parts
-        ref_idx, heads = ref[b2]
-        assert idx == ref_idx
-        want = []
-        for e, ne, name in heads:
-            s = 2 * b1 * b2 - ne
-            want.append((e, s, (b2, s, name) if s >= 0 else None))
-        assert classes == want
+        assert parts[cols] == ref_parts and idx == ref_idx
+        shared.add(id(idx))
+        assert classes == [(e, 2 * b1 * b2 - lattice.e8_norm(e)) for e in heads]
         assert all(type(j) is int for j in idx)
-        for _, s, key in classes:
-            assert type(s) is int
-            assert key is None or [type(x) for x in key] == [int, int, bytes]
+        assert all(type(s) is int for _, s in classes)
     assert n_slices == max_b1 + (max_b1 + 1) * max_b2
+    assert len(shared) == 1  # every b2 >= 1 slice shares one idx
+    # the engine keys a group at its head: for every b2 of the box, all
+    # parts of a group share the head's orbit name mod b2
+    for b2 in range(1, max_b2 + 1):
+        names = orbit_ids(b2, np.array(ref_parts))
+        head_names = orbit_ids(b2, np.array(heads))
+        assert all(name == head_names[j] for name, j in zip(names, ref_idx)), b2
 
 
 @pytest.mark.parametrize("box", [(6, 6, 8), (3, 12, 8), (2, 30, 4)])
-def test_a_box_group_has_one_gcd_with_b2(box):
-    # the parts of a group lie in one orbit of W x| b2*Q, which keeps
-    # gcd(b2, e); the norm-8 parts include 2 * roots, of gcd 2
+def test_a_box_group_has_one_gcd(box):
+    # a group lies in one W(E8)-orbit, and W(E8) acts by unimodular
+    # integer matrices, which keep gcd(e); the norm-8 parts include
+    # 2 * roots, of gcd 2.  Every b2 >= 1 slice has the same groups
     parts, slices = box_slices(*box)
     gcds = np.gcd.reduce(np.array(parts), axis=1)
     assert (gcds == 2).sum() == (240 if box[2] >= 8 else 0)
-    seen = set()
-    for _, b2, _, idx, classes in slices:
-        if b2 == 0 or b2 in seen:
-            continue
-        seen.add(b2)
-        group_gcds = {}
-        for j, g in zip(idx, np.gcd(gcds, b2).tolist()):
-            group_gcds.setdefault(j, set()).add(g)
-        assert len(group_gcds) == len(classes)
-        assert all(len(gs) == 1 for gs in group_gcds.values()), b2
-    assert seen == set(range(1, box[1] + 1))
+    shared = {id(idx): (idx, classes) for _, b2, _, idx, classes in slices if b2}
+    assert len(shared) == 1
+    (idx, classes), = shared.values()
+    group_gcds = {}
+    for j, g in zip(idx, gcds.tolist()):
+        group_gcds.setdefault(j, set()).add(g)
+    assert [group_gcds[j] for j in range(len(classes))] == [{math.gcd(*e)} for e, _ in classes]
 
 
 def test_box_rows_ask_the_engine_once_per_group():
-    # every group of the box, unkeyed ones included, is a class of one
-    # evaluate call
+    # every group of the box, b2 = 0 and negative squares included, is a
+    # class of one evaluate call
     class Counting(FiberSweepEngine):
         def evaluate(self, classes):
             classes = list(classes)
@@ -545,16 +514,16 @@ def test_box_rows_ask_the_engine_once_per_group():
     box = (2, 3, 4)
     rows = list(genus1_box_rows(*box, engine=Counting()))
     slices = list(box_slices(*box)[1])
-    groups = [(b1, b2, e) for b1, b2, _, _, classes in slices for e, _, _ in classes]
+    groups = [(b1, b2, e) for b1, b2, _, _, classes in slices for e, _ in classes]
     assert asked == [groups]
     assert any(b2 == 0 for _, b2, _ in groups)
-    assert any(key is None for *_, classes in slices for _, _, key in classes)
+    assert any(s < 0 for *_, classes in slices for _, s in classes)
     assert len(rows) == box_class_count(*box) > 10 * len(groups)
-    # every row against a fresh engine asked row by row, without keys
+    # every row against a fresh engine asked row by row
     eng = FiberSweepEngine()
-    for coords, s, key, value in rows:
+    for coords, s, value in rows:
         if s < 0:
-            assert key is None and value == 0
+            assert value == 0
         else:
             assert value == eng.class_value(coords[0], coords[1], coords[2:]), coords
 
@@ -800,7 +769,7 @@ def test_the_caps_checked_at_the_entry_hold_for_every_evaluation(monkeypatch, b1
 def test_box_table_covers_expected_classes():
     assert inspect.signature(genus1_box_rows).parameters["engine"].default is gw_engine.ENGINE
     eng = FiberSweepEngine()
-    table = {coords: value for coords, _, _, value in
+    table = {coords: value for coords, _, value in
              genus1_box_rows(max_b1=2, max_b2=2, norm_bound=2, engine=eng)}
     vecs, _ = short_vector_table(2)
     assert len(table) == 2 + 3 * 2 * len(vecs)
@@ -1098,10 +1067,13 @@ def test_b2_one_slice_with_a_norm_30_part_matches_the_eta_quotient():
 
 
 def test_acceptance_box_keys_match_the_full_prediction():
+    # one class per engine key (b2, square, name) of square > 0, the keys
+    # formed here, all names in one orbit_ids call of modulus b2 per row
+    rows = [row for row in genus1_box_rows(4, 4, 4, engine=FiberSweepEngine()) if row[1] > 0]
+    names = orbit_ids([c[1] for c, _, _ in rows], [c[2:] for c, _, _ in rows])
     keys = {}
-    for coords, s, key, value in genus1_box_rows(4, 4, 4, engine=FiberSweepEngine()):
-        if key is not None and s > 0:
-            keys.setdefault(key, (coords, value))
+    for (coords, s, value), name in zip(rows, names):
+        keys.setdefault((coords[1], s, name), (coords, value))
     assert len(keys) == 39
     for coords, value in keys.values():
         assert value == km_fiber_prediction(1, coords, "full") / 4, coords
