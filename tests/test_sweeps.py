@@ -448,6 +448,34 @@ def test_box_class_count_counts_box_classes(box):
     assert box_class_count(*box) == count
 
 
+@pytest.mark.parametrize("box", [(2, 3, 4), (3, 3, 2), (2, 1, 4), (1, 5, 4)])
+def test_box_slices_group_parts_by_norm_and_orbit_name(box):
+    # a group is one W(E8)-orbit, so its parts share the head's norm and
+    # orbit name for every b2; below norm 8 each shell is one orbit, so
+    # no two heads share (norm, name)
+    parts, slices = box_slices(*box)
+    n_slices = 0
+    for b1, b2, cols, idx, classes in slices:
+        n_slices += 1
+        sliced = parts[cols]
+        if b2 == 0:
+            assert sliced == [ZERO8] and idx == [0] and classes == [(ZERO8, 0)]
+            continue
+        names = orbit_ids(b2, np.array(sliced))
+        first = {}
+        for e, name, j in zip(sliced, names, idx):
+            head = classes[j][0]
+            assert lattice.e8_norm(e) == lattice.e8_norm(head)
+            assert name == orbit_ids(b2, head)[0]
+            first.setdefault(j, e)
+        # every group is met, each at its head first
+        assert [first[j] for j in range(len(classes))] == [head for head, _ in classes]
+        assert len({(lattice.e8_norm(e), orbit_ids(b2, e)[0]) for e, _ in classes}) == len(classes)
+        for head, s in classes:
+            assert s == 2 * b1 * b2 - lattice.e8_norm(head)
+    assert n_slices == box[0] + (box[0] + 1) * box[1]
+
+
 @pytest.mark.parametrize("box", [(2, 1, 4), (1, 5, 4), (2, 3, 6), (1, 2, 8)])
 def test_box_slices_equal_a_per_part_walk(box):
     # reference: the parts in lexicographic order, grouped by the
